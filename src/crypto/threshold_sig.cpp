@@ -182,6 +182,11 @@ std::optional<BigInt> ThresholdSigPublicKey::combine(BytesView message,
   PartySet parties = 0;
   std::map<int, BigInt> by_unit;
   for (const SigShare& share : shares) {
+    // Unverified shares reach here on the combine-then-verify path; a value
+    // outside Z_N* has no inverse to take, so it simply fails to combine.
+    if (share.value.is_negative() || share.value.is_zero() || share.value >= modulus_) {
+      return std::nullopt;
+    }
     by_unit.emplace(share.unit, share.value);
     parties |= party_bit(scheme_->unit_owner(share.unit));
   }

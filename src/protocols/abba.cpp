@@ -1,5 +1,7 @@
 #include "protocols/abba.hpp"
 
+#include <algorithm>
+
 #include "crypto/batch.hpp"
 #include "crypto/sha256.hpp"
 
@@ -129,24 +131,48 @@ void Abba::on_input(int from, Reader& reader) {
   auto shares = decode_shares(reader);
   reader.expect_done();
   if (crypto::contains(input_voted_, from)) return;  // one input per party
-  const auto& reply_pk = host_.public_keys().reply_sig;
-  const Bytes stmt = statement("input", 0, value);
-  for (const SigShare& share : shares) {
-    SINTRA_REQUIRE(reply_pk.scheme().unit_owner(share.unit) == from,
-                   "abba: input share unit not owned by sender");
-  }
-  SINTRA_REQUIRE(crypto::batch::verify_sig_shares(reply_pk, stmt, shares, host_.rng()),
-                 "abba: invalid input share");
+  // Structural admission only: exactly the sender's own units.  The shares
+  // only feed the anchor combine, which checks its own result; a bad share
+  // costs its sender a bisection there.
+  const auto& scheme = host_.public_keys().reply_sig.scheme();
+  std::vector<int> units;
+  units.reserve(shares.size());
+  for (const SigShare& share : shares) units.push_back(share.unit);
+  std::sort(units.begin(), units.end());
+  SINTRA_REQUIRE(!units.empty() && units == scheme.units_of(from),
+                 "abba: input shares not the sender's units");
   input_voted_ |= crypto::party_bit(from);
   bump_progress();
+  if (anchor_[value].has_value()) return;  // anchored: later shares are not needed
   input_support_[value] |= crypto::party_bit(from);
-  for (const SigShare& share : shares) input_shares_[value].push_back(share);
-  if (!anchor_[value].has_value() && reply_pk.scheme().qualified(input_support_[value])) {
-    auto sigma = reply_pk.combine(stmt, input_shares_[value]);
-    SINTRA_INVARIANT(sigma.has_value(), "abba: anchor combine failed");
-    anchor_[value] = std::move(*sigma);
-  }
+  for (SigShare& share : shares) input_shares_[value].push_back(std::move(share));
+  maybe_anchor(value);
   try_first_prevote();
+}
+
+void Abba::maybe_anchor(int value) {
+  const auto& reply_pk = host_.public_keys().reply_sig;
+  if (anchor_[value].has_value() || !reply_pk.scheme().qualified(input_support_[value])) return;
+  auto result = crypto::batch::combine_sig_optimistic(
+      reply_pk, statement("input", 0, static_cast<std::uint8_t>(value)), input_shares_[value],
+      host_.rng());
+  crypto::PartySet culprits = 0;
+  for (std::size_t i : result.bad) {
+    culprits |= crypto::party_bit(reply_pk.scheme().unit_owner(input_shares_[value][i].unit));
+  }
+  if (culprits != 0) {
+    // Byzantine sender pays: its shares leave the set for good (its input
+    // stays counted in input_voted_) and the party is fingered.
+    suspected_ |= culprits;
+    input_support_[value] &= ~culprits;
+    std::erase_if(input_shares_[value], [&](const SigShare& s) {
+      return (culprits & crypto::party_bit(reply_pk.scheme().unit_owner(s.unit))) != 0;
+    });
+    host_.trace("abba", tag_ + " input " + std::to_string(value) +
+                            " rejected invalid shares (suspects fingered)");
+  }
+  // Without a signature the remaining shares are unqualified: wait for more.
+  if (result.signature.has_value()) anchor_[value] = std::move(*result.signature);
 }
 
 void Abba::try_first_prevote() {

@@ -93,8 +93,8 @@ class Abba final : public ProtocolInstance {
   [[nodiscard]] bool decided() const { return decided_; }
   [[nodiscard]] std::optional<bool> decision() const { return decision_; }
 
-  /// Parties caught sending well-formed-but-invalid coin shares (fingered
-  /// by the batch verifier's bisection).
+  /// Parties caught sending well-formed-but-invalid input or coin shares
+  /// (fingered by the batch verifier's bisection).
   [[nodiscard]] crypto::PartySet suspected() const { return suspected_; }
 
   /// Introspection for the memory-budget tests.
@@ -150,6 +150,7 @@ class Abba final : public ProtocolInstance {
   void checkpoint_load(Reader& reader);
   void broadcast_input();
   void on_input(int from, Reader& reader);
+  void maybe_anchor(int value);
   void try_first_prevote();
   void on_prevote(int from, Reader& reader);
   void on_mainvote(int from, Reader& reader);

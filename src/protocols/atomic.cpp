@@ -15,6 +15,10 @@ Bytes payload_digest(BytesView payload) {
   return Bytes(d.begin(), d.end());
 }
 
+crypto::Digest entry_digest(BytesView encoded_entry) {
+  return crypto::hash_domain("sintra/abc/entry", encoded_entry);
+}
+
 struct BatchEntry {
   int party = 0;
   std::vector<Bytes> payloads;
@@ -169,24 +173,33 @@ void AtomicBroadcast::handle(int from, Reader& reader) {
     return;  // one batch per party per round
   }
 
-  // Verify before any state is allocated for the round — unverifiable
-  // traffic must not create map entries.  The sender's shares all cover
-  // one statement, so the whole vector goes through one batched check.
   const auto& cert_pk = host_.public_keys().cert_sig;
-  const Bytes stmt = batch_statement(round, from, payload_block);
   for (const SigShare& share : shares) {
     SINTRA_REQUIRE(cert_pk.scheme().unit_owner(share.unit) == from,
                    "abc: batch share unit not owned by sender");
   }
-  SINTRA_REQUIRE(crypto::batch::verify_sig_shares(cert_pk, stmt, shares, host_.rng()),
-                 "abc: invalid batch signature");
-
   BatchEntry entry;
   entry.party = from;
   Reader block(payload_block);
   entry.payloads = block.vec<Bytes>([](Reader& rd) { return rd.bytes(); });
   block.expect_done();
   entry.shares = std::move(shares);
+  Writer encoded;
+  entry.encode(encoded);
+  Bytes raw = encoded.take();
+  const crypto::Digest digest = entry_digest(raw);
+
+  // Verify before any state is allocated for the round — unverifiable
+  // traffic must not create map entries.  The sender's shares all cover
+  // one statement, so the whole vector goes through one batched check,
+  // unless a proposal already carried these exact bytes for this round.
+  if (existing == rounds_.end() || !existing->second.verified.contains(digest)) {
+    ++entries_checked_;
+    SINTRA_REQUIRE(crypto::batch::verify_sig_shares(cert_pk,
+                                                    batch_statement(round, from, payload_block),
+                                                    entry.shares, host_.rng()),
+                   "abc: invalid batch signature");
+  }
 
   // Even validly signed future batches are budget-metered: a corrupted
   // party *can* sign real batches for rounds far ahead and they sit here
@@ -201,9 +214,8 @@ void AtomicBroadcast::handle(int from, Reader& reader) {
   RoundData& rd = rounds_[round];
   rd.charges.emplace_back(from, cost);
   rd.batch_from |= crypto::party_bit(from);
-  Writer w;
-  entry.encode(w);
-  rd.batches.push_back(w.take());
+  rd.verified.insert(digest);
+  rd.batches.push_back(std::move(raw));
 
   maybe_start_round(last_finished_ + 1);
   maybe_propose(round);
@@ -245,7 +257,11 @@ void AtomicBroadcast::maybe_start_round(int round) {
 
   rd.vba = std::make_unique<Vba>(
       host_, tag_ + "/" + std::to_string(round) + "/vba",
-      [this, round](BytesView value) { return validate_batch_set(round, value); },
+      [this, round](BytesView value) {
+        const bool valid = validate_batch_set(round, value);
+        if (!valid) ++batch_sets_rejected_;
+        return valid;
+      },
       [this, round](Bytes value) { on_round_decided(round, value); });
   maybe_propose(round);
 }
@@ -260,18 +276,24 @@ void AtomicBroadcast::maybe_propose(int round) {
   rd.vba->propose(w.take());
 }
 
-bool AtomicBroadcast::validate_batch_set(int round, BytesView batch_set) const {
+bool AtomicBroadcast::validate_batch_set(int round, BytesView batch_set) {
+  // Entries whose exact bytes already verified for this round skip the
+  // share check: the statement binds (tag, round, party, block digest), so
+  // a byte-identical entry has the same verdict.  Every structural check
+  // still runs on every entry.
+  auto round_it = rounds_.find(round);
+  std::set<crypto::Digest>* memo = round_it == rounds_.end() ? nullptr : &round_it->second.verified;
   try {
     Reader reader(batch_set);
     auto raw_entries = reader.vec<Bytes>([](Reader& rd) { return rd.bytes(); });
     reader.expect_done();
     const auto& cert_pk = host_.public_keys().cert_sig;
     crypto::PartySet senders = 0;
-    // One multi-statement batch over the whole proposal: each sender's
+    // One multi-statement batch over the unseen entries: each sender's
     // shares group under that sender's batch statement, and all groups
     // collapse into a single pair of multi-exponentiations.
     std::vector<crypto::batch::SigShareGroup> groups;
-    groups.reserve(raw_entries.size());
+    std::vector<crypto::Digest> fresh;
     for (const Bytes& raw : raw_entries) {
       Reader entry_reader(raw);
       BatchEntry entry = BatchEntry::decode(entry_reader);
@@ -283,13 +305,19 @@ bool AtomicBroadcast::validate_batch_set(int round, BytesView batch_set) const {
       }
       if (entry.shares.empty()) return false;
       senders |= crypto::party_bit(entry.party);
+      const crypto::Digest digest = entry_digest(raw);
+      if (memo != nullptr && memo->contains(digest)) continue;
+      fresh.push_back(digest);
       groups.push_back({batch_statement(round, entry.party, entry.payload_block()),
                         std::move(entry.shares)});
     }
-    if (!crypto::batch::verify_sig_share_groups(cert_pk, groups, host_.rng())) return false;
     // The paper's external validity condition: properly signed batches from
     // a full quorum, so honest parties' payloads are represented.
-    return quorum().is_quorum(senders);
+    if (!quorum().is_quorum(senders)) return false;
+    entries_checked_ += groups.size();
+    if (!crypto::batch::verify_sig_share_groups(cert_pk, groups, host_.rng())) return false;
+    if (memo != nullptr) memo->insert(fresh.begin(), fresh.end());
+    return true;
   } catch (const ProtocolError&) {
     return false;
   }

@@ -25,6 +25,7 @@
 #include <set>
 
 #include "crypto/checkpoint.hpp"
+#include "crypto/sha256.hpp"
 #include "protocols/vba.hpp"
 
 namespace sintra::protocols {
@@ -51,6 +52,12 @@ class AtomicBroadcast final : public ProtocolInstance {
   /// Introspection for the memory-budget tests.
   [[nodiscard]] std::size_t live_rounds() const { return rounds_.size(); }
   [[nodiscard]] std::size_t queue_size() const { return queue_.size(); }
+  /// Batch entries whose signature shares went through a full check, on
+  /// arrival or in the validity predicate.  An entry whose exact bytes
+  /// already verified for its round is not checked again.
+  [[nodiscard]] std::uint64_t entries_checked() const { return entries_checked_; }
+  /// Batch-sets the validity predicate rejected.
+  [[nodiscard]] std::uint64_t batch_sets_rejected() const { return batch_sets_rejected_; }
 
   /// Turn on certified checkpoints: after every `interval` completed
   /// rounds the parties threshold-sign (round, delivered-count, delivery
@@ -106,6 +113,10 @@ class AtomicBroadcast final : public ProtocolInstance {
     crypto::PartySet batch_from = 0;
     std::vector<Bytes> batches;  ///< encoded (party, payloads, shares) entries
     std::vector<std::pair<int, std::size_t>> charges;  ///< (peer, bytes) held
+    /// Digests of encoded entries whose shares verified for this round, on
+    /// arrival or in the predicate.  Kept until the round is GC'd, since
+    /// late proposals still run the predicate after the decision.
+    std::set<crypto::Digest> verified;
     bool started = false;
     bool proposed = false;
     std::unique_ptr<Vba> vba;
@@ -140,7 +151,7 @@ class AtomicBroadcast final : public ProtocolInstance {
   [[nodiscard]] Bytes checkpoint_save() const;
   void checkpoint_load(Reader& reader);
   [[nodiscard]] Bytes batch_statement(int round, int party, BytesView payload_block) const;
-  [[nodiscard]] bool validate_batch_set(int round, BytesView batch_set) const;
+  [[nodiscard]] bool validate_batch_set(int round, BytesView batch_set);
 
   DeliverFn deliver_;
   std::deque<Bytes> queue_;               ///< undelivered local submissions
@@ -158,6 +169,8 @@ class AtomicBroadcast final : public ProtocolInstance {
   Bytes chain_digest_ = crypto::chain_initial();  ///< chain over delivered prefix
   std::optional<crypto::CheckpointCert> latest_cert_;
   std::map<int, CkptPending> ckpts_;      ///< rounds with shares in flight
+  std::uint64_t entries_checked_ = 0;
+  std::uint64_t batch_sets_rejected_ = 0;
   /// VBA instances awaiting destruction: a Vba must never be destroyed
   /// from inside its own callback chain, so GC parks them here and the
   /// next handle() entry (outside any Vba handler) flushes the list.

@@ -70,7 +70,9 @@ TEST(PbftBaselineTest, LeaderStarvationBlocksProgress) {
   cluster.protocol(2)->pbft->submit(bytes_of("stuck2"));
   cluster.simulator().run(30000);
   cluster.for_each([](int id, PbftState& s) {
-    if (id != 0) EXPECT_TRUE(s.delivered.empty()) << "party " << id;
+    if (id != 0) {
+      EXPECT_TRUE(s.delivered.empty()) << "party " << id;
+    }
   });
 }
 

@@ -382,6 +382,19 @@ TEST_F(BatchSigTest, OptimisticCombineCleanAndFallback) {
   EXPECT_EQ(result.bad, std::vector<std::size_t>{0});
   ASSERT_TRUE(result.signature.has_value());
   EXPECT_TRUE(deal_.public_key.verify(message, *result.signature));
+
+  // Values outside Z_N* (no inverse for a negative Lagrange coefficient)
+  // are fingered the same way, in any position, instead of throwing.
+  for (const BigInt& bogus : {BigInt(0), deal_.public_key.modulus()}) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      auto tampered = shares_for(message, {0, 1, 2});
+      tampered[i].value = bogus;
+      auto fingered = batch::combine_sig_optimistic(deal_.public_key, message, tampered, rng_);
+      EXPECT_EQ(fingered.bad, std::vector<std::size_t>{i});
+      ASSERT_TRUE(fingered.signature.has_value());
+      EXPECT_TRUE(deal_.public_key.verify(message, *fingered.signature));
+    }
+  }
 }
 
 TEST_F(BatchSigTest, OptimisticCombineUnqualifiedSet) {

@@ -7,7 +7,9 @@
 
 #include "app/ca.hpp"
 #include "app/client.hpp"
+#include "crypto/sha256.hpp"
 #include "protocols/abba.hpp"
+#include "protocols/atomic.hpp"
 #include "protocols/consistent.hpp"
 #include "protocols/harness.hpp"
 
@@ -383,6 +385,307 @@ TEST(OptimisticCombineAttackTest, AbbaCoinFingersInvalidShareAndTerminates) {
   });
   // ...and the batched fallback caught the tampered share somewhere.
   EXPECT_EQ(fingered_union, crypto::party_bit(3));
+}
+
+TEST(OptimisticCombineAttackTest, AbbaInputFingersInvalidShareAndDecides) {
+  // Input shares are not verified on arrival: they only feed the anchor
+  // combine, which checks its own result.  Party 3 runs honestly, but a
+  // tampered input share (real reply key, correct statement, value
+  // perturbed) is injected under its identity first; FIFO delivery makes
+  // the honest copy a duplicate, so the first anchor combine at every
+  // peer provably contains the bad share.
+  Rng rng(13);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  protocols::Cluster<AbbaState> cluster(
+      deployment, sched,
+      [](net::Party& party, int) {
+        auto s = std::make_unique<AbbaState>();
+        s->abba = std::make_unique<protocols::Abba>(
+            party, "ba/0", [p = s.get()](bool v, int) { p->decision = v; });
+        return s;
+      },
+      0, 0, 13);
+  cluster.start();
+  {
+    Rng attacker_rng(4444);
+    const auto& pk = deployment.keys->public_keys().reply_sig;
+    Writer stmt;  // must match Abba::statement("input", 0, 1) for tag "ba/0"
+    stmt.str("sintra/abba");
+    stmt.str("ba/0");
+    stmt.str("input");
+    stmt.u32(0);
+    stmt.u8(1);
+    auto shares = deployment.keys->share(3).reply_sig.sign(pk, stmt.data(), attacker_rng);
+    for (auto& s : shares) s.value = BigInt::mul_mod(s.value, BigInt(2), pk.modulus());
+    Writer w;
+    w.u8(4);  // Abba::kInput
+    w.u8(1);
+    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    for (int to = 0; to < 3; ++to) {
+      net::Message m;
+      m.from = 3;
+      m.to = to;
+      m.tag = "ba/0";
+      m.payload = w.data();
+      cluster.simulator().submit(std::move(m));
+    }
+  }
+  cluster.for_each([](int, AbbaState& s) { s.abba->start(true); });
+  ASSERT_TRUE(cluster.run_until_all(
+      [](AbbaState& s) { return s.decision.has_value(); }, 3000000));
+  cluster.for_each([](int id, AbbaState& s) {
+    EXPECT_TRUE(*s.decision) << "validity violated at party " << id;
+    // The parties that saw the tampered share finger exactly its sender.
+    if (id != 3) {
+      EXPECT_EQ(s.abba->suspected(), crypto::party_bit(3)) << "party " << id;
+    }
+  });
+}
+
+// ---- atomic broadcast: the verified-entry memo of the validity predicate ------
+
+constexpr const char* kAbcTag = "abc";
+
+struct AbcState {
+  std::unique_ptr<protocols::AtomicBroadcast> abc;
+  std::vector<Bytes> delivered;
+};
+
+protocols::Cluster<AbcState> make_abc_cluster(const adversary::Deployment& deployment,
+                                              net::Scheduler& sched, std::uint64_t seed) {
+  return protocols::Cluster<AbcState>(
+      deployment, sched,
+      [](net::Party& party, int) {
+        auto s = std::make_unique<AbcState>();
+        s->abc = std::make_unique<protocols::AtomicBroadcast>(
+            party, kAbcTag,
+            [p = s.get()](int, Bytes payload) { p->delivered.push_back(std::move(payload)); });
+        return s;
+      },
+      0, 0, seed);
+}
+
+/// Byzantine party 3 as a round-1 VBA proposer.  It collects the honest
+/// parties' signed batches, builds a batch-set from them, and runs the
+/// sender side of its own consistent broadcast (honest parties sign the
+/// first SEND without checking it), so the batch-set reaches every honest
+/// party's validity predicate with a valid certificate.
+///  - kTamper: entries 0, 1, 2, with party 1's share value perturbed.
+///  - kExtraEntry: entries 0, 1 and its own validly signed batch, which
+///    it sent directly to party 0 only.
+class ByzantineProposer final : public net::Process {
+ public:
+  enum class Mode { kTamper, kExtraEntry };
+
+  ByzantineProposer(net::Simulator& sim, adversary::Deployment deployment, Mode mode)
+      : sim_(sim), deployment_(std::move(deployment)), mode_(mode), rng_(5555) {}
+
+  void on_start() override {
+    if (mode_ != Mode::kExtraEntry) return;
+    Writer block;
+    block.vec(std::vector<Bytes>{bytes_of("from 3")}, [](Writer& wr, const Bytes& p) {
+      wr.bytes(p);
+    });
+    own_block_ = block.take();
+    const auto& pk = deployment_.keys->public_keys().cert_sig;
+    own_shares_ = deployment_.keys->share(kMe).cert_sig.sign(pk, batch_statement(own_block_),
+                                                              rng_);
+    Writer w;
+    w.u8(1);  // AtomicBroadcast::kBatch
+    w.u32(1);
+    w.bytes(own_block_);
+    w.vec(own_shares_, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    send(0, kAbcTag, w.take());
+  }
+
+  void on_message(const net::Message& message) override {
+    Reader r(message.payload);
+    if (message.tag == kAbcTag && r.u8() == 1 && r.u32() == 1) {
+      Bytes block = r.bytes();
+      auto shares = r.vec<SigShare>([](Reader& rd) { return SigShare::decode(rd); });
+      batches_.emplace(message.from, std::make_pair(std::move(block), std::move(shares)));
+      maybe_propose();
+    } else if (message.tag == cbc_tag() && proposal_.has_value() && r.u8() == 1) {
+      // A SHARE for our SEND.
+      for (auto& s : r.vec<SigShare>([](Reader& rd) { return SigShare::decode(rd); })) {
+        cbc_shares_.push_back(std::move(s));
+      }
+      signers_ |= crypto::party_bit(message.from);
+      maybe_finalize();
+    }
+  }
+
+ private:
+  static constexpr int kMe = 3;
+
+  static std::string cbc_tag() { return std::string(kAbcTag) + "/1/vba/cb/3"; }
+
+  static Bytes entry(int party, BytesView block, const std::vector<SigShare>& shares) {
+    Writer w;
+    w.u32(static_cast<std::uint32_t>(party));
+    w.bytes(block);
+    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    return w.take();
+  }
+
+  /// Must match AtomicBroadcast::batch_statement(1, 3, block).
+  static Bytes batch_statement(BytesView block) {
+    Writer w;
+    w.str("sintra/abc/batch");
+    w.str(kAbcTag);
+    w.u32(1);
+    w.u32(kMe);
+    const auto digest = crypto::hash_domain("sintra/abc/block", block);
+    w.raw(BytesView(digest.data(), digest.size()));
+    return w.take();
+  }
+
+  void maybe_propose() {
+    if (proposal_.has_value()) return;
+    const std::vector<int> needed =
+        mode_ == Mode::kTamper ? std::vector<int>{0, 1, 2} : std::vector<int>{0, 1};
+    for (int p : needed) {
+      if (!batches_.contains(p)) return;
+    }
+    const auto& pk = deployment_.keys->public_keys().cert_sig;
+    std::vector<Bytes> entries;
+    for (int p : needed) {
+      auto [block, shares] = batches_.at(p);
+      if (mode_ == Mode::kTamper && p == 1) {
+        for (auto& s : shares) s.value = BigInt::mul_mod(s.value, BigInt(2), pk.modulus());
+      }
+      entries.push_back(entry(p, block, shares));
+    }
+    if (mode_ == Mode::kExtraEntry) entries.push_back(entry(kMe, own_block_, own_shares_));
+    Writer set;
+    set.vec(entries, [](Writer& wr, const Bytes& e) { wr.bytes(e); });
+    proposal_ = set.take();
+    cbc_shares_ = deployment_.keys->share(kMe).cert_sig.sign(
+        pk, protocols::consistent_statement(cbc_tag(), *proposal_), rng_);
+    signers_ = crypto::party_bit(kMe);
+    Writer w;
+    w.u8(0);  // ConsistentBroadcast::kSend
+    w.bytes(*proposal_);
+    for (int to = 0; to < kMe; ++to) send(to, cbc_tag(), w.data());
+  }
+
+  void maybe_finalize() {
+    const auto& pk = deployment_.keys->public_keys().cert_sig;
+    if (finalized_ || !pk.scheme().qualified(signers_)) return;
+    auto certificate =
+        pk.combine(protocols::consistent_statement(cbc_tag(), *proposal_), cbc_shares_);
+    ASSERT_TRUE(certificate.has_value());
+    finalized_ = true;
+    Writer w;
+    w.u8(2);  // ConsistentBroadcast::kFinal
+    protocols::CertifiedMessage{*proposal_, *certificate}.encode(w);
+    for (int to = 0; to < kMe; ++to) send(to, cbc_tag(), w.data());
+  }
+
+  void send(int to, const std::string& tag, Bytes payload) {
+    net::Message m;
+    m.from = kMe;
+    m.to = to;
+    m.tag = tag;
+    m.payload = std::move(payload);
+    sim_.submit(std::move(m));
+  }
+
+  net::Simulator& sim_;
+  adversary::Deployment deployment_;
+  Mode mode_;
+  Rng rng_;
+  std::map<int, std::pair<Bytes, std::vector<SigShare>>> batches_;  ///< round-1 batches
+  Bytes own_block_;
+  std::vector<SigShare> own_shares_;
+  std::optional<Bytes> proposal_;
+  std::vector<SigShare> cbc_shares_;
+  crypto::PartySet signers_ = 0;
+  bool finalized_ = false;
+};
+
+TEST(BatchMemoAttackTest, TamperedCopyOfMemoizedEntryIsRejected) {
+  // Every honest party holds party 1's genuine round-1 batch in its memo
+  // (FIFO delivers the batches before the attacker's proposal).  The
+  // attacker's copy differs only in one share value, so it misses the memo
+  // and the full check rejects the whole batch-set.
+  Rng rng(17);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  auto cluster = make_abc_cluster(deployment, sched, 17);
+  cluster.attach_custom(3, std::make_unique<ByzantineProposer>(
+                               cluster.simulator(), deployment,
+                               ByzantineProposer::Mode::kTamper));
+  cluster.start();
+  cluster.for_each(
+      [](int id, AbcState& s) { s.abc->submit(bytes_of("m" + std::to_string(id))); });
+  ASSERT_TRUE(cluster.run_until_all([](AbcState& s) { return s.delivered.size() >= 3; },
+                                    5000000));
+  // Let the attacker's late FINAL reach every predicate.
+  ASSERT_TRUE(cluster.run_until_all(
+      [](AbcState& s) { return s.abc->batch_sets_rejected() >= 1; }, 5000000));
+  const std::vector<Bytes>* reference = nullptr;
+  cluster.for_each([&](int id, AbcState& s) {
+    EXPECT_EQ(s.abc->batch_sets_rejected(), 1u) << "party " << id;
+    // Three batches checked on arrival; of the attacker's entries only the
+    // tampered one missed the memo; every honest proposal hit it.
+    EXPECT_EQ(s.abc->entries_checked(), 4u) << "party " << id;
+    if (reference == nullptr) reference = &s.delivered;
+    EXPECT_EQ(s.delivered, *reference) << "total order violated at party " << id;
+  });
+}
+
+TEST(BatchMemoAttackTest, UnseenValidEntryIsCheckedOnceThenMemoized) {
+  // The attacker's own batch reaches party 0 only, ahead of every honest
+  // batch, so party 0's proposal and the attacker's proposal both carry an
+  // entry parties 1 and 2 never got directly.  The first of the two
+  // proposals to arrive checks and accepts it; the second finds it in the
+  // memo.  Only party 0 submits, so a single round runs.
+  Rng rng(19);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  auto cluster = make_abc_cluster(deployment, sched, 19);
+  cluster.attach_custom(3, std::make_unique<ByzantineProposer>(
+                               cluster.simulator(), deployment,
+                               ByzantineProposer::Mode::kExtraEntry));
+  cluster.protocol(0)->abc->submit(bytes_of("m0"));
+  cluster.start();
+  ASSERT_TRUE(cluster.run_until_all([](AbcState& s) { return !s.delivered.empty(); },
+                                    5000000));
+  cluster.simulator().run(200000);  // drain late proposals into the predicates
+  const std::vector<Bytes>* reference = nullptr;
+  cluster.for_each([&](int id, AbcState& s) {
+    EXPECT_EQ(s.abc->rounds_completed(), 1) << "party " << id;
+    EXPECT_EQ(s.abc->batch_sets_rejected(), 0u) << "party " << id;
+    // Each party checks the four distinct entries exactly once: party 0
+    // all on arrival, parties 1 and 2 three on arrival plus the
+    // attacker's in the first proposal carrying it.
+    EXPECT_EQ(s.abc->entries_checked(), 4u) << "party " << id;
+    if (reference == nullptr) reference = &s.delivered;
+    EXPECT_EQ(s.delivered, *reference) << "total order violated at party " << id;
+  });
+}
+
+TEST(BatchMemoAttackTest, LiveRoundsStayBoundedOverManyRounds) {
+  // Memos live and die with their rounds: after many rounds only the
+  // retention window (plus the round in progress) is held.
+  Rng rng(23);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::RandomScheduler sched(23);
+  auto cluster = make_abc_cluster(deployment, sched, 23);
+  cluster.start();
+  constexpr std::size_t kRounds = 12;
+  for (std::size_t k = 1; k <= kRounds; ++k) {
+    cluster.protocol(static_cast<int>(k % 3))->abc->submit(bytes_of("r" + std::to_string(k)));
+    ASSERT_TRUE(cluster.run_until_all([&](AbcState& s) { return s.delivered.size() >= k; },
+                                      3000000))
+        << "payload " << k;
+    cluster.for_each([](int id, AbcState& s) {
+      EXPECT_LE(s.abc->live_rounds(), 4u) << "party " << id;
+    });
+  }
+  cluster.for_each([](int, AbcState& s) { EXPECT_GE(s.abc->rounds_completed(), 12); });
 }
 
 // ---- client-facing attacks ---------------------------------------------------

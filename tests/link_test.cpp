@@ -70,7 +70,7 @@ TEST(LinkTest, ReconnectSkipsAlreadyDelivered) {
   a.enqueue(bytes_of("one"));
   shuttle(a, b);  // delivered and acked
   a.enqueue(bytes_of("two"));
-  a.take_sendable();  // lost on the wire
+  (void)a.take_sendable();  // lost on the wire
   a.on_disconnected();
   b.on_disconnected();
   a.on_connected(b.recv_cursor());  // b's cursor says "one" arrived

@@ -29,22 +29,36 @@ void check_invariants(const QuorumSystem& q) {
     // Monotonicity of all predicates.
     for (int i = 0; i < n; ++i) {
       PartySet bigger = a | crypto::party_bit(i);
-      if (q.is_quorum(a)) EXPECT_TRUE(q.is_quorum(bigger));
-      if (q.exceeds_fault_set(a)) EXPECT_TRUE(q.exceeds_fault_set(bigger));
-      if (q.is_vote_quorum(a)) EXPECT_TRUE(q.is_vote_quorum(bigger));
-      if (q.corruptible(bigger)) EXPECT_TRUE(q.corruptible(a & bigger));
+      if (q.is_quorum(a)) {
+        EXPECT_TRUE(q.is_quorum(bigger));
+      }
+      if (q.exceeds_fault_set(a)) {
+        EXPECT_TRUE(q.exceeds_fault_set(bigger));
+      }
+      if (q.is_vote_quorum(a)) {
+        EXPECT_TRUE(q.is_vote_quorum(bigger));
+      }
+      if (q.corruptible(bigger)) {
+        EXPECT_TRUE(q.corruptible(a & bigger));
+      }
     }
     // exceeds_fault_set is the negation of corruptible restricted to the
     // universe (in the Byzantine-only models) or implies non-corruptible
     // (hybrid): a set beyond one fault set can never be fully corrupted.
-    if (q.exceeds_fault_set(a)) EXPECT_FALSE(q.corruptible(a));
+    if (q.exceeds_fault_set(a)) {
+      EXPECT_FALSE(q.corruptible(a));
+    }
     // Vote quorum implies both weaker predicates... (vote => exceeds).
-    if (q.is_vote_quorum(a)) EXPECT_TRUE(q.exceeds_fault_set(a));
+    if (q.is_vote_quorum(a)) {
+      EXPECT_TRUE(q.exceeds_fault_set(a));
+    }
     // A quorum's complement must be corruptible-or-crashable: protocols
     // wait for quorums, so the adversary must be able to silence exactly
     // the complement.  (For Byzantine-only models: complement in A.)
     // Conversely a corruptible set must never contain a quorum.
-    if (q.corruptible(a)) EXPECT_FALSE(q.is_quorum(a) && n > 1);
+    if (q.corruptible(a)) {
+      EXPECT_FALSE(q.is_quorum(a) && n > 1);
+    }
   }
 
   // Quorum intersection: any two quorums intersect beyond one fault set —
@@ -72,7 +86,9 @@ void check_invariants(const QuorumSystem& q) {
   // corruptible set still contain a quorum (Byzantine-only models) —
   // otherwise the protocols could wait forever.
   for (PartySet bad : {PartySet{0}, PartySet{1}}) {
-    if (q.corruptible(bad)) EXPECT_TRUE(q.is_quorum(universe & ~bad));
+    if (q.corruptible(bad)) {
+      EXPECT_TRUE(q.is_quorum(universe & ~bad));
+    }
   }
 }
 

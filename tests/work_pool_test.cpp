@@ -157,7 +157,12 @@ TEST(WorkPoolTest, HasCompletionsAndNotifyWakeTheOwner) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "completion never surfaced";
     std::this_thread::yield();
   }
-  EXPECT_GE(notified.load(), 1);
+  // The worker publishes the completion under the lock and runs the notify
+  // hook after unlocking, so the hook may trail has_completions() briefly.
+  while (notified.load() < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "notify hook never ran";
+    std::this_thread::yield();
+  }
   EXPECT_EQ(pool.drain(), 1u);
   EXPECT_FALSE(pool.has_completions());
 }
