@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "crypto/batch.hpp"
 #include "crypto/sha256.hpp"
 
 namespace sintra::app {
@@ -202,21 +203,20 @@ void ServiceClient::on_message(const net::Message& message) {
     reader.expect_done();
 
     auto pending = pending_.find(request_id);
-    if (pending == pending_.end()) return;
-
-    const Bytes statement = reply_statement(service_tag_, pending->second.envelope, reply);
-    const auto& pk = deployment_.keys->public_keys().reply_sig;
-    for (const auto& share : shares) {
-      if (pk.scheme().unit_owner(share.unit) != message.from) return;
-      if (!pk.verify_share(statement, share)) return;
+    if (pending == pending_.end() || crypto::contains(pending->second.rejected, message.from)) {
+      return;
     }
+    // Structural admission only: exactly the server's own units.  The
+    // shares are checked through the one combined receipt signature.
+    const auto& pk = deployment_.keys->public_keys().reply_sig;
+    if (!crypto::covers_own_units(pk.scheme(), message.from, shares)) return;
 
     auto digest = crypto::hash_domain("sintra/client/vote", reply);
     auto& [supporters, vote_shares, content] =
         pending->second.votes[Bytes(digest.begin(), digest.end())];
     if (crypto::contains(supporters, message.from)) return;
     supporters |= crypto::party_bit(message.from);
-    for (const auto& share : shares) vote_shares.push_back(share);
+    for (auto& share : shares) vote_shares.push_back(std::move(share));
     content = reply;
 
     // Accept once the supporters are QUALIFIED under the reply-key sharing
@@ -228,10 +228,23 @@ void ServiceClient::on_message(const net::Message& message) {
     // deployments like Example 2, where some incorruptible sets are still
     // unqualified for reconstruction.
     if (!pk.scheme().qualified(supporters)) return;
-    auto signature = pk.combine(statement, vote_shares);
-    SINTRA_INVARIANT(signature.has_value(), "client: combine failed on verified shares");
-
-    Receipt receipt{std::move(content), std::move(*signature)};
+    const Bytes statement = reply_statement(service_tag_, pending->second.envelope, content);
+    auto combined = crypto::batch::combine_sig_optimistic(pk, statement, vote_shares, rng_);
+    if (!combined.signature.has_value()) {
+      // A server whose share broke the combine loses its vote, and its
+      // later replies to this request are ignored; wait for honest ones.
+      crypto::PartySet culprits = 0;
+      for (std::size_t i : combined.bad) {
+        culprits |= crypto::party_bit(pk.scheme().unit_owner(vote_shares[i].unit));
+      }
+      pending->second.rejected |= culprits;
+      supporters &= ~culprits;
+      std::erase_if(vote_shares, [&](const crypto::SigShare& s) {
+        return crypto::contains(culprits, pk.scheme().unit_owner(s.unit));
+      });
+      return;
+    }
+    Receipt receipt{std::move(content), std::move(*combined.signature)};
     RequestEnvelope envelope = pending->second.envelope;
     if (pending->second.retry_timer != 0) network_.cancel_timer(pending->second.retry_timer);
     pending_.erase(pending);

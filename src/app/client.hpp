@@ -105,6 +105,7 @@ class ServiceClient final : public net::Process {
     Bytes wire_payload;  ///< what was sent (for resend)
     /// reply digest -> (supporters, shares, content)
     std::map<Bytes, std::tuple<crypto::PartySet, std::vector<crypto::SigShare>, Bytes>> votes;
+    crypto::PartySet rejected = 0;  ///< servers whose reply share broke a combine
     net::Network::TimerId retry_timer = 0;  ///< 0 = not armed
     int attempts = 0;                       ///< retries fired so far
     std::uint64_t next_delay = 0;           ///< backoff for the next retry

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 #include "common/assert.hpp"
 
@@ -496,25 +497,180 @@ BigInt BigInt::pow_mod_reference(const BigInt& base, const BigInt& exponent, con
   return result;
 }
 
+namespace {
+// ---- fixed-width limb kernels for the binary GCD and inverse ---------------
+//
+// Every operand of gcd / inverse_mod lives in one preallocated limb buffer
+// and is rewritten in place: a whole GCD costs one allocation, where the
+// textbook Euclid paid a heap-allocating Knuth-D divmod per step.
+
+int compare_limbs(const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+  for (std::size_t i = n; i-- > 0;) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
+}
+
+/// a -= b over n limbs; returns the borrow out of the top limb.
+std::uint64_t sub_limbs(std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+  std::uint64_t borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned __int128 diff = static_cast<unsigned __int128>(a[i]) - b[i] - borrow;
+    a[i] = static_cast<std::uint64_t>(diff);
+    borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
+  }
+  return borrow;
+}
+
+/// a += b over n limbs, carry out dropped: callers add m back to a value
+/// that just wrapped below zero, so the true sum fits.
+void add_limbs(std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+  unsigned __int128 carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    carry += static_cast<unsigned __int128>(a[i]) + b[i];
+    a[i] = static_cast<std::uint64_t>(carry);
+    carry >>= 64;
+  }
+}
+
+/// Trailing zero bits of a nonzero limb array.
+std::size_t ctz_limbs(const std::uint64_t* a) {
+  std::size_t i = 0;
+  while (a[i] == 0) ++i;
+  return 64 * i + static_cast<std::size_t>(std::countr_zero(a[i]));
+}
+
+/// a >>= bits over n limbs, zero fill.
+void shr_limbs(std::uint64_t* a, std::size_t n, std::size_t bits) {
+  const std::size_t limb_shift = bits / 64;
+  const unsigned bit_shift = bits % 64;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t src = i + limb_shift;
+    const std::uint64_t lo = src < n ? a[src] : 0;
+    const std::uint64_t hi = src + 1 < n ? a[src + 1] : 0;
+    a[i] = bit_shift == 0 ? lo : (lo >> bit_shift) | (hi << (64 - bit_shift));
+  }
+}
+
+/// -m0^{-1} mod 2^64 for odd m0, by Newton iteration (doubles the correct
+/// bits each round; 6 rounds cover 64 bits from the 5-bit-correct seed m0).
+std::uint64_t neg_inverse_u64(std::uint64_t m0) {
+  std::uint64_t inv = m0;
+  for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
+  return ~inv + 1;
+}
+
+/// x <- x / 2^s mod m for x in [0, m), odd m of n limbs, 1 <= s <= 63: add
+/// the multiple q*m (q < 2^s) that clears the low s bits, then shift.  The
+/// sum is below 2^s * m, so the result is below m again.  x has n + 1
+/// limbs; the top one only holds the sum's carry.
+void div_pow2_mod(std::uint64_t* x, const std::uint64_t* m, std::uint64_t m_neg_inv,
+                  std::size_t n, unsigned s) {
+  const std::uint64_t q = (x[0] * m_neg_inv) & ((std::uint64_t{1} << s) - 1);
+  unsigned __int128 carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    carry += static_cast<unsigned __int128>(q) * m[i] + x[i];
+    x[i] = static_cast<std::uint64_t>(carry);
+    carry >>= 64;
+  }
+  x[n] = static_cast<std::uint64_t>(carry);
+  shr_limbs(x, n + 1, s);
+}
+
+/// Strip every factor 2 from the nonzero u (`len` live limbs), halving x
+/// mod m (n limbs) alongside so the inverse's invariant x * a == u (mod m)
+/// keeps holding.
+void strip_twos(std::uint64_t* u, std::size_t len, std::uint64_t* x, const std::uint64_t* m,
+                std::uint64_t m_neg_inv, std::size_t n) {
+  std::size_t k = ctz_limbs(u);
+  shr_limbs(u, len, k);
+  while (k > 0) {
+    const unsigned s = static_cast<unsigned>(std::min<std::size_t>(k, 63));
+    div_pow2_mod(x, m, m_neg_inv, n, s);
+    k -= s;
+  }
+}
+}  // namespace
+
 BigInt BigInt::inverse_mod(const BigInt& a, const BigInt& m) {
-  BigInt x;
-  BigInt y;
-  BigInt g = extended_gcd(a.mod(m), m, x, y);
-  SINTRA_REQUIRE(g.is_one(), "BigInt: not invertible");
-  return x.mod(m);
+  const BigInt reduced = a.mod(m);
+  if (m.is_one()) return BigInt();  // Z_1 = {0}, and 0 * 0 == 1 there
+  if (!m.is_odd()) {
+    BigInt x;
+    BigInt y;
+    const BigInt g = extended_gcd(reduced, m, x, y);
+    SINTRA_REQUIRE(g.is_one(), "BigInt: not invertible");
+    return x.mod(m);
+  }
+  SINTRA_REQUIRE(!reduced.is_zero(), "BigInt: not invertible");
+  // Binary extended Euclid for odd m, with x1 * a == u and x2 * a == v
+  // (mod m) throughout.  u and v stay odd between steps; the larger loses
+  // the smaller and its factors of two, and its x follows along mod m.
+  const std::size_t n = m.limbs_.size();
+  const std::uint64_t* mod = m.limbs_.data();
+  const std::uint64_t m_neg_inv = neg_inverse_u64(mod[0]);
+  Limbs buf(4 * n + 2, 0);
+  std::uint64_t* u = buf.data();
+  std::uint64_t* v = u + n;
+  std::uint64_t* x1 = v + n;
+  std::uint64_t* x2 = x1 + n + 1;
+  std::copy(reduced.limbs_.begin(), reduced.limbs_.end(), u);
+  std::copy(m.limbs_.begin(), m.limbs_.end(), v);
+  x1[0] = 1;
+  std::size_t len = n;  // live limbs of u and v, which only shrink
+  strip_twos(u, len, x1, mod, m_neg_inv, n);
+  for (;;) {
+    while (len > 1 && u[len - 1] == 0 && v[len - 1] == 0) --len;
+    const int c = compare_limbs(u, v, len);
+    if (c == 0) break;  // u == v == gcd(a, m)
+    if (c > 0) {
+      sub_limbs(u, v, len);
+      if (sub_limbs(x1, x2, n) != 0) add_limbs(x1, mod, n);
+      strip_twos(u, len, x1, mod, m_neg_inv, n);
+    } else {
+      sub_limbs(v, u, len);
+      if (sub_limbs(x2, x1, n) != 0) add_limbs(x2, mod, n);
+      strip_twos(v, len, x2, mod, m_neg_inv, n);
+    }
+  }
+  SINTRA_REQUIRE(len == 1 && u[0] == 1, "BigInt: not invertible");
+  BigInt out;
+  out.limbs_.assign(x1, x1 + n);
+  out.trim();
+  return out;
 }
 
 BigInt BigInt::gcd(const BigInt& a, const BigInt& b) {
-  BigInt u = a;
-  BigInt v = b;
-  u.negative_ = false;
-  v.negative_ = false;
-  while (!v.is_zero()) {
-    BigInt r = u % v;
-    u = v;
-    v = r;
+  if (a.is_zero() || b.is_zero()) {
+    BigInt g = a.is_zero() ? b : a;
+    g.negative_ = false;
+    return g;
   }
-  return u;
+  // Binary (Stein) GCD: strip the shared power of two once, then keep both
+  // operands odd — subtract the smaller from the larger and shift out the
+  // difference's factors of two — until they meet.
+  std::size_t n = std::max(a.limbs_.size(), b.limbs_.size());
+  Limbs buf(2 * n, 0);
+  std::uint64_t* u = buf.data();
+  std::uint64_t* v = u + n;
+  std::copy(a.limbs_.begin(), a.limbs_.end(), u);
+  std::copy(b.limbs_.begin(), b.limbs_.end(), v);
+  const std::size_t twos_u = ctz_limbs(u);
+  const std::size_t twos_v = ctz_limbs(v);
+  shr_limbs(u, n, twos_u);
+  shr_limbs(v, n, twos_v);
+  for (;;) {
+    while (n > 1 && u[n - 1] == 0 && v[n - 1] == 0) --n;  // both shrink: narrow the view
+    const int c = compare_limbs(u, v, n);
+    if (c == 0) break;
+    if (c < 0) std::swap(u, v);
+    sub_limbs(u, v, n);
+    shr_limbs(u, n, ctz_limbs(u));
+  }
+  BigInt g;
+  g.limbs_.assign(u, u + n);
+  g.trim();
+  return g.shifted_left(std::min(twos_u, twos_v));
 }
 
 BigInt BigInt::extended_gcd(const BigInt& a, const BigInt& b, BigInt& x, BigInt& y) {
@@ -583,12 +739,7 @@ Montgomery::Montgomery(BigInt modulus) : m_big_(std::move(modulus)) {
   SINTRA_REQUIRE(m_big_.is_odd(), "Montgomery: modulus must be odd");
   m_ = m_big_.limbs_;
   n_ = m_.size();
-  // n0_ = -m^{-1} mod 2^64 by Newton iteration (doubles correct bits each
-  // round; 6 rounds cover 64 bits starting from the 5-bit-correct seed m0).
-  const std::uint64_t m0 = m_[0];
-  std::uint64_t inv = m0;  // correct mod 2^5 for odd m0
-  for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
-  n0_ = ~inv + 1;  // -inv mod 2^64
+  n0_ = neg_inverse_u64(m_[0]);
   r2_ = BigInt(1).shifted_left(128 * n_).mod(m_big_);
   one_mont_ = BigInt(1).shifted_left(64 * n_).mod(m_big_);
 }

@@ -10,7 +10,10 @@
 // 64-bit limbs with no trailing zero limbs (zero is an empty vector,
 // sign +1).  Multiplication is schoolbook with 128-bit accumulation;
 // division is Knuth Algorithm D; modular exponentiation uses a fixed
-// 4-bit window.  Performance targets the parameter sizes used by the
+// 4-bit window.  gcd and inverse_mod (odd moduli) are binary: Stein's
+// GCD and a binary extended Euclid, in place over one fixed-width limb
+// buffer; extended_gcd keeps the textbook Euclid for Bézout pairs and
+// even moduli.  Performance targets the parameter sizes used by the
 // benchmarks (up to ~2048-bit moduli), not production RSA-4096.
 #pragma once
 
@@ -105,9 +108,11 @@ class BigInt {
   /// Montgomery path applies); e1, e2 must be non-negative.
   static BigInt pow2_mod(const BigInt& b1, const BigInt& e1, const BigInt& b2, const BigInt& e2,
                          const BigInt& m);
-  /// Multiplicative inverse mod m; throws ProtocolError if gcd(a, m) != 1.
+  /// Multiplicative inverse mod m (m positive), in [0, m); throws
+  /// ProtocolError if gcd(a, m) != 1.  Mod 1 every inverse is 0.
   static BigInt inverse_mod(const BigInt& a, const BigInt& m);
 
+  /// Non-negative gcd of |a| and |b| (gcd(0, 0) = 0).
   static BigInt gcd(const BigInt& a, const BigInt& b);
   /// g = gcd(a,b) and Bézout coefficients: a*x + b*y = g.
   static BigInt extended_gcd(const BigInt& a, const BigInt& b, BigInt& x, BigInt& y);

@@ -1,5 +1,7 @@
 #include "crypto/threshold_sig.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "crypto/sha256.hpp"
 
@@ -85,6 +87,15 @@ SigShare SigShare::decode(Reader& r) {
   share.a2 = BigInt::decode(r);
   share.response = BigInt::decode(r);
   return share;
+}
+
+bool covers_own_units(const LinearScheme& scheme, int party,
+                      const std::vector<SigShare>& shares) {
+  std::vector<int> units;
+  units.reserve(shares.size());
+  for (const SigShare& share : shares) units.push_back(share.unit);
+  std::sort(units.begin(), units.end());
+  return !units.empty() && units == scheme.units_of(party);
 }
 
 ThresholdSigPublicKey::ThresholdSigPublicKey(BigInt modulus, BigInt e, BigInt v,
@@ -196,7 +207,9 @@ std::optional<BigInt> ThresholdSigPublicKey::combine(BytesView message,
   BigInt w(1);
   for (const auto& [unit, coeff] : scheme_->coefficients(parties)) {
     auto it = by_unit.find(unit);
-    SINTRA_INVARIANT(it != by_unit.end(), "tsig: coefficient for missing share");
+    // Unverified input can name a party without all of its units; the
+    // set it covers is then not the set the coefficients assume.
+    if (it == by_unit.end()) return std::nullopt;
     w = BigInt::mul_mod(w, pow_signed(it->second, coeff * BigInt(2), *mont_), modulus_);
   }
 

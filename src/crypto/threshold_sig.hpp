@@ -62,6 +62,12 @@ BigInt sig_share_challenge(const BigInt& modulus, int unit, const BigInt& v,
                            const BigInt& v_unit, const BigInt& x_squared, const BigInt& share,
                            const BigInt& a1, const BigInt& a2);
 
+/// Structural admission for shares that are combined before they are
+/// verified: true iff `shares` carry exactly the units `party` holds, each
+/// once.  Whether their values are valid is left to the combined signature.
+[[nodiscard]] bool covers_own_units(const LinearScheme& scheme, int party,
+                                    const std::vector<SigShare>& shares);
+
 class ThresholdSigSecretKey {
  public:
   ThresholdSigSecretKey(int party, std::map<int, BigInt> unit_shares)
@@ -113,8 +119,9 @@ class ThresholdSigPublicKey {
   [[nodiscard]] bool verify_share(BytesView message, const SigShare& share) const;
 
   /// Combine shares from a qualified owner set into a standard RSA
-  /// signature; nullopt if the set is unqualified or the result fails
-  /// final verification (which cannot happen if all shares verified).
+  /// signature; nullopt if the set is unqualified, misses a unit its
+  /// coefficients need, or the result fails final verification (which
+  /// cannot happen if all shares verified and cover their owners' units).
   [[nodiscard]] std::optional<BigInt> combine(BytesView message,
                                               const std::vector<SigShare>& shares) const;
 

@@ -1,7 +1,5 @@
 #include "protocols/abba.hpp"
 
-#include <algorithm>
-
 #include "crypto/batch.hpp"
 #include "crypto/sha256.hpp"
 
@@ -18,6 +16,15 @@ void encode_shares(Writer& w, const std::vector<SigShare>& shares) {
 
 std::vector<SigShare> decode_shares(Reader& r) {
   return r.vec<SigShare>([](Reader& rd) { return SigShare::decode(rd); });
+}
+
+/// Strike the votes of parties whose shares broke a certificate: out of
+/// the round's tally and support set, and barred from voting again.
+void strike(crypto::PartySet culprits, crypto::PartySet& voted, crypto::PartySet& support,
+            crypto::PartySet& rejected) {
+  voted &= ~culprits;
+  support &= ~culprits;
+  rejected |= culprits;
 }
 }  // namespace
 
@@ -134,12 +141,7 @@ void Abba::on_input(int from, Reader& reader) {
   // Structural admission only: exactly the sender's own units.  The shares
   // only feed the anchor combine, which checks its own result; a bad share
   // costs its sender a bisection there.
-  const auto& scheme = host_.public_keys().reply_sig.scheme();
-  std::vector<int> units;
-  units.reserve(shares.size());
-  for (const SigShare& share : shares) units.push_back(share.unit);
-  std::sort(units.begin(), units.end());
-  SINTRA_REQUIRE(!units.empty() && units == scheme.units_of(from),
+  SINTRA_REQUIRE(crypto::covers_own_units(host_.public_keys().reply_sig.scheme(), from, shares),
                  "abba: input shares not the sender's units");
   input_voted_ |= crypto::party_bit(from);
   bump_progress();
@@ -153,26 +155,34 @@ void Abba::on_input(int from, Reader& reader) {
 void Abba::maybe_anchor(int value) {
   const auto& reply_pk = host_.public_keys().reply_sig;
   if (anchor_[value].has_value() || !reply_pk.scheme().qualified(input_support_[value])) return;
-  auto result = crypto::batch::combine_sig_optimistic(
-      reply_pk, statement("input", 0, static_cast<std::uint8_t>(value)), input_shares_[value],
-      host_.rng());
+  // A culprit's input stays counted in input_voted_; only its shares go.
+  // Without a signature the remaining shares are unqualified: wait for more.
   crypto::PartySet culprits = 0;
+  anchor_[value] = certify(reply_pk, "input", 0, static_cast<std::uint8_t>(value),
+                           input_shares_[value], culprits);
+  input_support_[value] &= ~culprits;
+}
+
+std::optional<BigInt> Abba::certify(const crypto::ThresholdSigPublicKey& pk,
+                                    std::string_view kind, int round, std::uint8_t value,
+                                    std::vector<SigShare>& shares, crypto::PartySet& culprits) {
+  auto result = crypto::batch::combine_sig_optimistic(pk, statement(kind, round, value), shares,
+                                                      host_.rng());
+  culprits = 0;
   for (std::size_t i : result.bad) {
-    culprits |= crypto::party_bit(reply_pk.scheme().unit_owner(input_shares_[value][i].unit));
+    culprits |= crypto::party_bit(pk.scheme().unit_owner(shares[i].unit));
   }
   if (culprits != 0) {
-    // Byzantine sender pays: its shares leave the set for good (its input
-    // stays counted in input_voted_) and the party is fingered.
+    // Byzantine sender pays: its shares leave the set for good and the
+    // party is fingered.
     suspected_ |= culprits;
-    input_support_[value] &= ~culprits;
-    std::erase_if(input_shares_[value], [&](const SigShare& s) {
-      return (culprits & crypto::party_bit(reply_pk.scheme().unit_owner(s.unit))) != 0;
+    std::erase_if(shares, [&](const SigShare& s) {
+      return (culprits & crypto::party_bit(pk.scheme().unit_owner(s.unit))) != 0;
     });
-    host_.trace("abba", tag_ + " input " + std::to_string(value) +
-                            " rejected invalid shares (suspects fingered)");
+    host_.trace("abba", tag_ + " " + std::string(kind) + " r" + std::to_string(round) + " v" +
+                            std::to_string(value) + " rejected invalid shares (suspects fingered)");
   }
-  // Without a signature the remaining shares are unqualified: wait for more.
-  if (result.signature.has_value()) anchor_[value] = std::move(*result.signature);
+  return std::move(result.signature);
 }
 
 void Abba::try_first_prevote() {
@@ -285,6 +295,13 @@ void Abba::on_prevote(int from, Reader& reader) {
   reader.expect_done();
 
   const auto& cert_pk = host_.public_keys().cert_sig;
+  const Round& state = round_state(round);
+  if (crypto::contains(state.prevoted | state.prevote_rejected, from)) return;
+  // Structure first (exactly the sender's units), so a vote parked for the
+  // coin below cannot fail later; the shares themselves are checked only
+  // through sigma_pre.
+  SINTRA_REQUIRE(crypto::covers_own_units(cert_pk.scheme(), from, shares),
+                 "abba: pre-vote shares not the sender's units");
   if (round == 1) {
     SINTRA_REQUIRE(justification == kJustAnchor, "abba: round-1 pre-vote must be anchored");
     SINTRA_REQUIRE(
@@ -311,27 +328,24 @@ void Abba::on_prevote(int from, Reader& reader) {
 void Abba::accept_prevote(int round, int from, bool value,
                           const std::vector<SigShare>& shares) {
   Round& state = round_state(round);
-  if (crypto::contains(state.prevoted, from)) return;  // one pre-vote per party
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  const Bytes stmt = statement("pre", round, value ? 1 : 0);
-  for (const SigShare& share : shares) {
-    SINTRA_REQUIRE(cert_pk.scheme().unit_owner(share.unit) == from,
-                   "abba: pre-vote share unit not owned by sender");
-  }
-  SINTRA_REQUIRE(crypto::batch::verify_sig_shares(cert_pk, stmt, shares, host_.rng()),
-                 "abba: invalid pre-vote share");
+  // One pre-vote per party, and none after a proven-bad share this round.
+  if (crypto::contains(state.prevoted | state.prevote_rejected, from)) return;
   state.prevoted |= crypto::party_bit(from);
   bump_progress();
   const int v = value ? 1 : 0;
   state.prevote_support[v] |= crypto::party_bit(from);
-  for (const SigShare& share : shares) state.prevote_shares[v].push_back(share);
-
-  // Combine sigma_pre(round, v) as soon as a full quorum supports v.
-  if (!state.sigma_pre[v].has_value() &&
-      cert_pk.scheme().qualified(state.prevote_support[v])) {
-    auto sigma = cert_pk.combine(stmt, state.prevote_shares[v]);
-    SINTRA_INVARIANT(sigma.has_value(), "abba: sigma_pre combine failed");
-    state.sigma_pre[v] = std::move(*sigma);
+  if (!state.sigma_pre[v].has_value()) {
+    for (const SigShare& share : shares) state.prevote_shares[v].push_back(share);
+    // Combine-then-verify sigma_pre(round, v) as soon as a full quorum
+    // supports v, before maybe_mainvote looks at the tally: a unanimous
+    // quorum then always has its certificate.
+    const auto& cert_pk = host_.public_keys().cert_sig;
+    if (cert_pk.scheme().qualified(state.prevote_support[v])) {
+      crypto::PartySet culprits = 0;
+      state.sigma_pre[v] = certify(cert_pk, "pre", round, static_cast<std::uint8_t>(v),
+                                   state.prevote_shares[v], culprits);
+      strike(culprits, state.prevoted, state.prevote_support[v], state.prevote_rejected);
+    }
   }
   maybe_mainvote(round);
 }
@@ -373,38 +387,39 @@ void Abba::on_mainvote(int from, Reader& reader) {
   }
   const std::uint8_t vote = reader.u8();
   SINTRA_REQUIRE(vote <= kAbstain, "abba: bad main-vote value");
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  Round& state = round_state(round);
-
-  if (vote != kAbstain) {
-    BigInt sigma = BigInt::decode(reader);
-    SINTRA_REQUIRE(cert_pk.verify(statement("pre", round, vote), sigma),
-                   "abba: main-vote without valid pre-vote certificate");
-    if (!state.sigma_pre[vote].has_value()) state.sigma_pre[vote] = std::move(sigma);
-  }
+  std::optional<BigInt> sigma_pre;
+  if (vote != kAbstain) sigma_pre = BigInt::decode(reader);
   auto shares = decode_shares(reader);
   reader.expect_done();
-  if (crypto::contains(state.mainvoted, from)) return;
-  const Bytes stmt = statement("main", round, vote);
-  for (const SigShare& share : shares) {
-    SINTRA_REQUIRE(cert_pk.scheme().unit_owner(share.unit) == from,
-                   "abba: main-vote share unit not owned by sender");
+  Round& state = round_state(round);
+  // One main-vote per party, and none after a proven-bad share this round.
+  if (crypto::contains(state.mainvoted | state.mainvote_rejected, from)) return;
+  const auto& cert_pk = host_.public_keys().cert_sig;
+  SINTRA_REQUIRE(crypto::covers_own_units(cert_pk.scheme(), from, shares),
+                 "abba: main-vote shares not the sender's units");
+  if (vote != kAbstain) {
+    SINTRA_REQUIRE(cert_pk.verify(statement("pre", round, vote), *sigma_pre),
+                   "abba: main-vote without valid pre-vote certificate");
+    if (!state.sigma_pre[vote].has_value()) state.sigma_pre[vote] = std::move(sigma_pre);
   }
-  SINTRA_REQUIRE(crypto::batch::verify_sig_shares(cert_pk, stmt, shares, host_.rng()),
-                 "abba: invalid main-vote share");
   state.mainvoted |= crypto::party_bit(from);
   bump_progress();
   state.mainvote_support[vote] |= crypto::party_bit(from);
-  for (const SigShare& share : shares) state.mainvote_shares[vote].push_back(share);
+  if (vote != kAbstain || !state.sigma_main_abstain.has_value()) {
+    for (SigShare& share : shares) state.mainvote_shares[vote].push_back(std::move(share));
+  }
 
   // Decision check runs on *every* arrival (not only at round close): the
   // first quorum of main-votes may mix corrupted abstains with honest
   // value votes, and the unanimous certificate only completes later.
   if (vote != kAbstain && cert_pk.scheme().qualified(state.mainvote_support[vote])) {
-    auto sigma = cert_pk.combine(stmt, state.mainvote_shares[vote]);
-    SINTRA_INVARIANT(sigma.has_value(), "abba: sigma_main combine failed");
-    decide(vote == 1, round, *sigma);
-    return;
+    crypto::PartySet culprits = 0;
+    auto sigma_main = certify(cert_pk, "main", round, vote, state.mainvote_shares[vote], culprits);
+    if (sigma_main.has_value()) {
+      decide(vote == 1, round, *sigma_main);
+      return;
+    }
+    strike(culprits, state.mainvoted, state.mainvote_support[vote], state.mainvote_rejected);
   }
   maybe_close_round(round);
 }
@@ -412,25 +427,29 @@ void Abba::on_mainvote(int from, Reader& reader) {
 void Abba::maybe_close_round(int round) {
   Round& state = round_state(round);
   if (state.round_closed || !quorum().is_quorum(state.mainvoted)) return;
-  state.round_closed = true;
-  release_coin(round);
-
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  // Some main-vote carried a value: adopt it with hard justification.
+  // Some main-vote carried a value (and its verified sigma_pre): adopt it
+  // with hard justification.
   for (int v = 0; v < 2; ++v) {
     if (state.mainvote_support[v] != 0) {
       SINTRA_INVARIANT(state.sigma_pre[v].has_value(), "abba: value main-vote lost its cert");
+      state.round_closed = true;
+      release_coin(round);
       advance(round + 1, v == 1, kJustHard, *state.sigma_pre[v]);
       return;
     }
   }
-  // All abstained: combine the abstain certificate and follow the coin.
+  // All abstained: the round closes (and the coin share goes out) only once
+  // the abstain certificate has combined; after a struck vote the round
+  // waits for another abstain.
   if (!state.sigma_main_abstain.has_value()) {
-    auto sigma = cert_pk.combine(statement("main", round, kAbstain),
-                                 state.mainvote_shares[kAbstain]);
-    SINTRA_INVARIANT(sigma.has_value(), "abba: abstain certificate combine failed");
-    state.sigma_main_abstain = std::move(*sigma);
+    crypto::PartySet culprits = 0;
+    state.sigma_main_abstain = certify(host_.public_keys().cert_sig, "main", round, kAbstain,
+                                       state.mainvote_shares[kAbstain], culprits);
+    strike(culprits, state.mainvoted, state.mainvote_support[kAbstain], state.mainvote_rejected);
+    if (!state.sigma_main_abstain.has_value()) return;
   }
+  state.round_closed = true;
+  release_coin(round);
   if (state.coin.has_value()) {
     advance(round + 1, *state.coin, kJustCoin, *state.sigma_main_abstain);
   } else {

@@ -93,8 +93,8 @@ class Abba final : public ProtocolInstance {
   [[nodiscard]] bool decided() const { return decided_; }
   [[nodiscard]] std::optional<bool> decision() const { return decision_; }
 
-  /// Parties caught sending well-formed-but-invalid input or coin shares
-  /// (fingered by the batch verifier's bisection).
+  /// Parties caught sending well-formed-but-invalid input, pre-vote,
+  /// main-vote or coin shares (fingered by the batch verifier's bisection).
   [[nodiscard]] crypto::PartySet suspected() const { return suspected_; }
 
   /// Introspection for the memory-budget tests.
@@ -113,20 +113,25 @@ class Abba final : public ProtocolInstance {
   enum Justification : std::uint8_t { kJustAnchor = 0, kJustHard = 1, kJustCoin = 2 };
   static constexpr std::uint8_t kAbstain = 2;
 
+  // Vote shares are admitted on structure alone (exactly the sender's
+  // units) and checked only through the certificate they combine into; a
+  // sender whose share breaks a combine loses its vote for the round.
   struct Round {
     // Pre-votes.
     crypto::PartySet prevoted = 0;
+    crypto::PartySet prevote_rejected = 0;  ///< senders with a proven-bad share
     std::array<crypto::PartySet, 2> prevote_support{};
     std::array<std::vector<crypto::SigShare>, 2> prevote_shares;
     std::array<std::optional<crypto::BigInt>, 2> sigma_pre;  ///< combined cert per value
     bool sent_prevote = false;
     // Main-votes.
     crypto::PartySet mainvoted = 0;
+    crypto::PartySet mainvote_rejected = 0;  ///< senders with a proven-bad share
     std::array<crypto::PartySet, 3> mainvote_support{};
     std::array<std::vector<crypto::SigShare>, 3> mainvote_shares;
     std::optional<crypto::BigInt> sigma_main_abstain;
     bool sent_mainvote = false;
-    bool round_closed = false;  ///< main-vote quorum processed
+    bool round_closed = false;  ///< certified main-vote quorum processed
     bool waiting_for_coin = false;
     // Coin.  Shares are buffered after structural checks only; the NIZK
     // batch verification + combine runs off-loop (Party::offload) and
@@ -151,6 +156,14 @@ class Abba final : public ProtocolInstance {
   void broadcast_input();
   void on_input(int from, Reader& reader);
   void maybe_anchor(int value);
+  /// Combine-then-verify `shares` into the signature on statement(kind,
+  /// round, value).  Senders of bad shares are fingered, returned in
+  /// `culprits` and their shares erased; nullopt means the rest is not
+  /// (yet) qualified.
+  std::optional<crypto::BigInt> certify(const crypto::ThresholdSigPublicKey& pk,
+                                        std::string_view kind, int round, std::uint8_t value,
+                                        std::vector<crypto::SigShare>& shares,
+                                        crypto::PartySet& culprits);
   void try_first_prevote();
   void on_prevote(int from, Reader& reader);
   void on_mainvote(int from, Reader& reader);

@@ -102,14 +102,14 @@ void ConsistentBroadcast::on_share(int from, Reader& reader) {
       [](Reader& r) { return crypto::SigShare::decode(r); });
   reader.expect_done();
   const auto& pk = host_.public_keys().cert_sig;
-  // Structural admission only: the shares are *not* verified here.  The
-  // sender combines an unverified quorum optimistically and checks the one
-  // combined signature off the event loop — Byzantine signers pay for the
-  // bisection fallback, honest executions never verify a single share.
-  for (auto& share : incoming) {
-    SINTRA_REQUIRE(pk.scheme().unit_owner(share.unit) == from, "cbc: share unit not owned");
-    shares_.push_back(std::move(share));
-  }
+  // Structural admission only (exactly the signer's units): the shares are
+  // *not* verified here.  The sender combines an unverified quorum
+  // optimistically and checks the one combined signature off the event
+  // loop — Byzantine signers pay for the bisection fallback, honest
+  // executions never verify a single share.
+  SINTRA_REQUIRE(crypto::covers_own_units(pk.scheme(), from, incoming),
+                 "cbc: shares not the signer's units");
+  for (auto& share : incoming) shares_.push_back(std::move(share));
   share_owners_ |= crypto::party_bit(from);
   maybe_combine();
 }

@@ -152,16 +152,14 @@ void OptimisticBroadcast::on_share(int from, Reader& reader) {
       crypto::contains(slot.share_from | slot.share_rejected, from)) {
     return;
   }
-  // Structural admission only: the sequencer combines an unverified quorum
-  // optimistically and checks the one combined certificate off the event
-  // loop, so the fast path never verifies an individual share.
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  for (const SigShare& share : shares) {
-    SINTRA_REQUIRE(cert_pk.scheme().unit_owner(share.unit) == from,
-                   "opt: share unit not owned by sender");
-  }
+  // Structural admission only (exactly the sender's units): the sequencer
+  // combines an unverified quorum optimistically and checks the one
+  // combined certificate off the event loop, so the fast path never
+  // verifies an individual share.
+  SINTRA_REQUIRE(crypto::covers_own_units(host_.public_keys().cert_sig.scheme(), from, shares),
+                 "opt: shares not the sender's units");
   slot.share_from |= crypto::party_bit(from);
-  for (const SigShare& share : shares) slot.shares.push_back(share);
+  for (SigShare& share : shares) slot.shares.push_back(std::move(share));
   maybe_commit_slot(seq);
 }
 

@@ -218,6 +218,58 @@ TEST(BigIntTest, GcdAndExtendedGcd) {
   EXPECT_EQ(BigInt(240) * x + BigInt(46) * y, g);
 }
 
+// gcd and inverse_mod run binary (Stein) kernels over fixed-width limb
+// buffers; extended_gcd keeps the textbook Euclid and serves as the oracle.
+TEST(BigIntTest, BinaryGcdAndInverseMatchEuclidOracle) {
+  auto oracle_gcd = [](const BigInt& a, const BigInt& b, BigInt& x) {
+    BigInt y;
+    return BigInt::extended_gcd(a.is_negative() ? -a : a, b, x, y);
+  };
+  Rng rng(79);
+  for (int i = 0; i < 2000; ++i) {
+    BigInt m = BigInt::random_bits(rng, 1 + rng.below(1100));
+    if (rng.below(4) != 0 && !m.is_odd()) m += BigInt(1);  // mostly odd, some even
+    BigInt a;
+    switch (rng.below(5)) {
+      case 0: break;  // a = 0
+      case 1: a = m * BigInt::random_bits(rng, 1 + rng.below(64)) + BigInt(1 + rng.below(9));
+        break;  // a >= m
+      case 2: {  // shared factor f >= 2: never invertible
+        const BigInt f = BigInt::random_bits(rng, 2 + rng.below(200));
+        a = f * BigInt::random_bits(rng, 1 + rng.below(1000));
+        m = f * m;
+        break;
+      }
+      default: a = BigInt::random_bits(rng, 1 + rng.below(1100)); break;
+    }
+    if (rng.below(2) != 0) a = -a;
+    BigInt x;
+    const BigInt g = oracle_gcd(a, m, x);
+    ASSERT_EQ(BigInt::gcd(a, m), g) << "case " << i;
+    ASSERT_EQ(BigInt::gcd(m, a), g) << "case " << i;
+    if (g.is_one()) {
+      const BigInt inv = BigInt::inverse_mod(a, m);
+      ASSERT_EQ(inv, (a.is_negative() ? -x : x).mod(m)) << "case " << i;
+      if (!m.is_one()) {
+        ASSERT_TRUE(BigInt::mul_mod(a, inv, m).is_one()) << "case " << i;
+      }
+    } else {
+      ASSERT_THROW((void)BigInt::inverse_mod(a, m), ProtocolError) << "case " << i;
+    }
+  }
+  EXPECT_TRUE(BigInt::gcd(BigInt(0), BigInt(0)).is_zero());
+  EXPECT_EQ(BigInt::gcd(BigInt(-12), BigInt(0)), BigInt(12));
+  EXPECT_EQ(BigInt::gcd(BigInt(1).shifted_left(300), BigInt(3).shifted_left(200)),
+            BigInt(1).shifted_left(200));
+  // Z_1 = {0}: the inverse of anything mod 1 is 0, not an error.
+  EXPECT_TRUE(BigInt::inverse_mod(BigInt(5), BigInt(1)).is_zero());
+  EXPECT_TRUE(BigInt::inverse_mod(BigInt(-7), BigInt(1)).is_zero());
+  EXPECT_TRUE(BigInt::inverse_mod(BigInt(0), BigInt(1)).is_zero());
+  EXPECT_EQ(BigInt::inverse_mod(BigInt(3), BigInt(4)), BigInt(3));  // even modulus
+  EXPECT_THROW((void)BigInt::inverse_mod(BigInt(0), BigInt(7)), ProtocolError);
+  EXPECT_THROW((void)BigInt::inverse_mod(BigInt(3), BigInt(-7)), ProtocolError);
+}
+
 TEST(BigIntTest, Factorial) {
   EXPECT_EQ(BigInt::factorial(0).to_string(), "1");
   EXPECT_EQ(BigInt::factorial(5).to_string(), "120");

@@ -5,6 +5,9 @@
 // proofs, statement domain separation, quorum certificates) exists for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "adversary/examples.hpp"
 #include "app/ca.hpp"
 #include "app/client.hpp"
 #include "crypto/sha256.hpp"
@@ -443,6 +446,244 @@ TEST(OptimisticCombineAttackTest, AbbaInputFingersInvalidShareAndDecides) {
   });
 }
 
+// ---- ABBA vote shares: admitted on structure, checked through certificates ---
+
+/// Abba::statement(kind, round, value) for instance tag "ba/0".
+Bytes abba_statement(std::string_view kind, int round, std::uint8_t value) {
+  Writer w;
+  w.str("sintra/abba");
+  w.str("ba/0");
+  w.str(kind);
+  w.u32(static_cast<std::uint32_t>(round));
+  w.u8(value);
+  return w.take();
+}
+
+/// The combined signature on `stmt` under the cert key (cert) or the reply
+/// key (!cert), built from every party's shares: what a quorum of honest
+/// parties would hand an attacker that copies its justification.
+BigInt full_signature(const adversary::Deployment& deployment, bool cert, BytesView stmt) {
+  Rng rng(99);
+  const auto& pub = deployment.keys->public_keys();
+  const auto& pk = cert ? pub.cert_sig : pub.reply_sig;
+  std::vector<SigShare> shares;
+  for (int i = 0; i < deployment.n(); ++i) {
+    const auto& keys = deployment.keys->share(i);
+    const auto& key = cert ? keys.cert_sig : keys.reply_sig;
+    for (SigShare& s : key.sign(pk, stmt, rng)) shares.push_back(std::move(s));
+  }
+  auto sigma = pk.combine(stmt, shares);
+  EXPECT_TRUE(sigma.has_value());
+  return sigma.value_or(BigInt());
+}
+
+/// Party 3's cert-key shares on `stmt` with every value doubled: the
+/// right units, in range, and wrong.
+std::vector<SigShare> tampered_cert_shares(const adversary::Deployment& deployment,
+                                           BytesView stmt) {
+  Rng rng(5555);
+  const auto& pk = deployment.keys->public_keys().cert_sig;
+  auto shares = deployment.keys->share(3).cert_sig.sign(pk, stmt, rng);
+  for (auto& s : shares) s.value = BigInt::mul_mod(s.value, BigInt(2), pk.modulus());
+  return shares;
+}
+
+/// Party 3 runs honestly, but `payload` (an ABBA vote built by the caller)
+/// is injected under its identity at parties 0..2 first; FIFO delivery
+/// then makes party 3's honest vote a duplicate, so the certificate the
+/// vote feeds provably meets the tampered share.  Every honest party must
+/// decide the same value — `expected`, when given — and exactly party 3
+/// is fingered.
+void expect_vote_attack_fingered(
+    std::uint64_t seed, const std::vector<int>& inputs, std::optional<bool> expected,
+    const std::function<Bytes(const adversary::Deployment&)>& make_payload) {
+  Rng rng(seed);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  protocols::Cluster<AbbaState> cluster(
+      deployment, sched,
+      [](net::Party& party, int) {
+        auto s = std::make_unique<AbbaState>();
+        s->abba = std::make_unique<protocols::Abba>(
+            party, "ba/0", [p = s.get()](bool v, int) { p->decision = v; });
+        return s;
+      },
+      0, 0, seed);
+  cluster.start();
+  const Bytes payload = make_payload(deployment);
+  for (int to = 0; to < 3; ++to) {
+    net::Message m;
+    m.from = 3;
+    m.to = to;
+    m.tag = "ba/0";
+    m.payload = payload;
+    cluster.simulator().submit(std::move(m));
+  }
+  cluster.for_each([&](int id, AbbaState& s) {
+    s.abba->start(inputs[static_cast<std::size_t>(id)] == 1);
+  });
+  ASSERT_TRUE(cluster.run_until_all(
+      [](AbbaState& s) { return s.decision.has_value(); }, 3000000));
+  std::optional<bool> common = expected;
+  crypto::PartySet fingered_union = 0;
+  cluster.for_each([&](int id, AbbaState& s) {
+    if (!common.has_value()) common = s.decision;
+    EXPECT_EQ(*s.decision, *common) << "party " << id;
+    fingered_union |= s.abba->suspected();
+  });
+  EXPECT_EQ(fingered_union, crypto::party_bit(3));
+}
+
+TEST(OptimisticCombineAttackTest, AbbaPreVoteFingersInvalidShareAndDecides) {
+  // A round-1 pre-vote for 1 with a valid input anchor and a tampered
+  // share: it counts toward the tally until sigma_pre(1, 1) fails to
+  // combine, then the vote is struck and the fourth pre-vote completes it.
+  expect_vote_attack_fingered(17, {1, 1, 1, 1}, true, [](const adversary::Deployment& d) {
+    Writer w;
+    w.u8(0);  // Abba::kPreVote
+    w.u32(1);
+    w.u8(1);
+    w.u8(0);  // kJustAnchor
+    full_signature(d, /*cert=*/false, abba_statement("input", 0, 1)).encode(w);
+    w.vec(tampered_cert_shares(d, abba_statement("pre", 1, 1)),
+          [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    return w.take();
+  });
+}
+
+TEST(OptimisticCombineAttackTest, AbbaValueMainVoteFingersInvalidShareAndDecides) {
+  // A round-1 main-vote for 1 carrying a valid sigma_pre(1, 1) and a
+  // tampered share: the decision certificate sigma_main(1, 1) must bisect
+  // it out and still form from the honest main-votes.
+  expect_vote_attack_fingered(19, {1, 1, 1, 1}, true, [](const adversary::Deployment& d) {
+    Writer w;
+    w.u8(1);  // Abba::kMainVote
+    w.u32(1);
+    w.u8(1);
+    full_signature(d, /*cert=*/true, abba_statement("pre", 1, 1)).encode(w);
+    w.vec(tampered_cert_shares(d, abba_statement("main", 1, 1)),
+          [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    return w.take();
+  });
+}
+
+TEST(OptimisticCombineAttackTest, AbbaAbstainMainVoteFingersInvalidShareAndDecides) {
+  // 2-2 split inputs: every round-1 main-vote is abstain, so the round can
+  // only close through the abstain certificate, whose first combine holds
+  // the tampered share.  The round must wait for an honest abstain instead.
+  expect_vote_attack_fingered(23, {1, 0, 1, 0}, std::nullopt, [](const adversary::Deployment& d) {
+    Writer w;
+    w.u8(1);  // Abba::kMainVote
+    w.u32(1);
+    w.u8(2);  // abstain: no sigma_pre
+    w.vec(tampered_cert_shares(d, abba_statement("main", 1, 2)),
+          [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    return w.take();
+  });
+}
+
+// ---- partial unit sets under a multi-unit (LSSS) deployment ------------------
+
+/// Sends the CBC sender 8 of its 9 (valid) certificate shares.
+class PartialUnitSigner final : public net::Process {
+ public:
+  PartialUnitSigner(net::Simulator& sim, int id, adversary::Deployment deployment, Bytes message)
+      : sim_(sim), id_(id), deployment_(std::move(deployment)), message_(std::move(message)) {}
+
+  void on_start() override {
+    Rng rng(31);
+    const auto& pk = deployment_.keys->public_keys().cert_sig;
+    auto shares = deployment_.keys->share(id_).cert_sig.sign(
+        pk, protocols::consistent_statement("cbc/x", message_), rng);
+    shares.pop_back();
+    Writer w;
+    w.u8(1);  // ConsistentBroadcast::kShare
+    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    net::Message m;
+    m.from = id_;
+    m.to = 0;
+    m.tag = "cbc/x";
+    m.payload = w.take();
+    sim_.submit(std::move(m));
+  }
+  void on_message(const net::Message&) override {}
+
+ private:
+  net::Simulator& sim_;
+  int id_;
+  adversary::Deployment deployment_;
+  Bytes message_;
+};
+
+TEST(OptimisticCombineAttackTest, CbcRejectsPartialUnitSetUnderExample2) {
+  Rng rng(29);
+  auto deployment = adversary::example2_deployment(rng);
+  const auto& pk = deployment.keys->public_keys().cert_sig;
+  constexpr int kSigner = 15;
+  ASSERT_EQ(pk.scheme().units_of(kSigner).size(), 9u);
+  const Bytes message = bytes_of("certify me");
+  const Bytes stmt = protocols::consistent_statement("cbc/x", message);
+
+  // The combiner itself: a qualified set in which the signer's units are
+  // needed but one is missing combines to nullopt, never an invariant.
+  crypto::PartySet others = 0;
+  for (int i = 0; i < deployment.n(); ++i) {
+    if (i != kSigner) others |= crypto::party_bit(i);
+  }
+  for (int i = 0; i < deployment.n(); ++i) {  // shrink to a set that needs the signer
+    const crypto::PartySet without = others & ~crypto::party_bit(i);
+    if (pk.scheme().qualified(without | crypto::party_bit(kSigner))) others = without;
+  }
+  ASSERT_FALSE(pk.scheme().qualified(others));
+  std::vector<SigShare> shares;
+  Rng sign_rng(37);
+  for (int i : crypto::set_members(others | crypto::party_bit(kSigner))) {
+    for (SigShare& s : deployment.keys->share(i).cert_sig.sign(pk, stmt, sign_rng)) {
+      shares.push_back(std::move(s));
+    }
+  }
+  ASSERT_TRUE(pk.combine(stmt, shares).has_value());
+  int unsigned_sets = 0;
+  for (std::size_t drop = 0; drop < shares.size(); ++drop) {
+    if (pk.scheme().unit_owner(shares[drop].unit) != kSigner) continue;
+    std::vector<SigShare> partial = shares;
+    partial.erase(partial.begin() + static_cast<std::ptrdiff_t>(drop));
+    std::optional<BigInt> sigma;
+    EXPECT_NO_THROW(sigma = pk.combine(stmt, partial));
+    if (!sigma.has_value()) ++unsigned_sets;
+  }
+  EXPECT_GT(unsigned_sets, 0);
+
+  // The protocol: the 8-of-9 share message arrives first and is refused
+  // at admission; the broadcast still certifies from the honest signers.
+  net::FifoScheduler sched;
+  TraceLog log;
+  log.set_enabled(true);
+  protocols::Cluster<CbcState> cluster(
+      deployment, sched,
+      [](net::Party& party, int) {
+        auto s = std::make_unique<CbcState>();
+        s->cbc = std::make_unique<protocols::ConsistentBroadcast>(
+            party, "cbc/x", 0,
+            [p = s.get()](protocols::CertifiedMessage cm) { p->delivered = cm.message; });
+        return s;
+      },
+      0, 0, 29, &log);
+  cluster.attach_custom(kSigner, std::make_unique<PartialUnitSigner>(cluster.simulator(),
+                                                                     kSigner, deployment, message));
+  cluster.start();
+  cluster.protocol(0)->cbc->start(message);
+  ASSERT_TRUE(cluster.run_until_all(
+      [](CbcState& s) { return s.delivered.has_value(); }, 10000000));
+  cluster.for_each([&](int, CbcState& s) { EXPECT_EQ(*s.delivered, message); });
+  const auto refused = std::count_if(log.events().begin(), log.events().end(), [](const auto& e) {
+    return e.party == 0 &&
+           e.message.find("cbc: shares not the signer's units") != std::string::npos;
+  });
+  EXPECT_EQ(refused, 1);
+  EXPECT_EQ(cluster.protocol(0)->cbc->suspected(), 0u);  // refused, never combined
+}
+
 // ---- atomic broadcast: the verified-entry memo of the validity predicate ------
 
 constexpr const char* kAbcTag = "abc";
@@ -777,6 +1018,61 @@ TEST(ClientAttackTest, ValidlySignedLieStillOutvoted) {
   EXPECT_EQ(app::CaResponse::decode(replies.at(id).reply).status,
             app::CaResponse::Status::kOk);
   EXPECT_TRUE(client->verify_receipt(id, body, replies.at(id)));
+}
+
+TEST(ClientAttackTest, InvalidReplyShareFingeredReceiptStillValid) {
+  // Reply shares are combined before they are verified.  Server 3 sends
+  // the correct reply with a tampered share, and it arrives first: the
+  // receipt combine that meets it must bisect it out, strike server 3 for
+  // this request (its later honest reply included) and finish on honest
+  // servers.  The client is driven by hand so the arrival order is exact.
+  Rng rng(41);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  net::Simulator sim(deployment.n() + 1, sched);
+  std::map<std::uint64_t, app::ServiceClient::Receipt> receipts;
+  app::ServiceClient client(sim, 4, deployment, "svc", app::Replica::Mode::kAtomic, 43,
+                            [&](std::uint64_t id, app::ServiceClient::Receipt receipt) {
+                              receipts.emplace(id, std::move(receipt));
+                            });
+  const Bytes body = bytes_of("lookup alice");
+  const std::uint64_t id = client.request(Bytes(body));
+  app::RequestEnvelope envelope;
+  envelope.client = 4;
+  envelope.request_id = id;
+  envelope.body = body;
+  const Bytes reply = bytes_of("alice -> 10.0.0.7");
+  const auto& pk = deployment.keys->public_keys().reply_sig;
+  const Bytes stmt = app::reply_statement("svc", envelope, reply);
+  Rng sign_rng(47);
+  auto deliver = [&](int server, bool tamper) {
+    auto shares = deployment.keys->share(server).reply_sig.sign(pk, stmt, sign_rng);
+    if (tamper) {
+      for (auto& s : shares) s.value = BigInt::mul_mod(s.value, BigInt(2), pk.modulus());
+    }
+    Writer w;
+    w.u8(app::kReplyOk);
+    w.u64(id);
+    w.bytes(reply);
+    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    net::Message m;
+    m.from = server;
+    m.to = 4;
+    m.tag = "svc/reply";
+    m.payload = w.take();
+    client.on_message(m);
+  };
+  deliver(3, /*tamper=*/true);
+  deliver(0, false);  // {0, 3} qualifies; the combine fails and fingers 3
+  EXPECT_TRUE(receipts.empty());
+  deliver(3, false);  // ignored: with it, {0, 3} would combine
+  EXPECT_TRUE(receipts.empty());
+  EXPECT_EQ(client.outstanding(), 1u);
+  deliver(1, false);
+  ASSERT_TRUE(receipts.contains(id));
+  EXPECT_EQ(receipts.at(id).reply, reply);
+  EXPECT_TRUE(client.verify_receipt(id, body, receipts.at(id)));
+  EXPECT_EQ(client.outstanding(), 0u);
 }
 
 }  // namespace
