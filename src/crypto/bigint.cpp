@@ -590,6 +590,17 @@ void strip_twos(std::uint64_t* u, std::size_t len, std::uint64_t* x, const std::
     k -= s;
   }
 }
+
+/// Bits [pos, pos + width) of a little-endian magnitude, width <= 32.
+std::uint32_t window_at(const Limbs& limbs, std::size_t pos, std::size_t width) {
+  const std::size_t limb = pos / 64;
+  const std::size_t shift = pos % 64;
+  if (limb >= limbs.size()) return 0;
+  std::uint64_t bits = limbs[limb] >> shift;
+  // shift + width > 64 implies shift > 32, so the left shift stays in range.
+  if (shift + width > 64 && limb + 1 < limbs.size()) bits |= limbs[limb + 1] << (64 - shift);
+  return static_cast<std::uint32_t>(bits & ((std::uint64_t{1} << width) - 1));
+}
 }  // namespace
 
 BigInt BigInt::inverse_mod(const BigInt& a, const BigInt& m) {
@@ -844,40 +855,120 @@ BigInt Montgomery::mul_mod(const BigInt& a, const BigInt& b) const {
 BigInt Montgomery::pow(const BigInt& base, const BigInt& exponent) const {
   SINTRA_REQUIRE(!exponent.is_negative(), "Montgomery: negative exponent");
   const std::size_t bits = exponent.bit_length();
-  Limbs b = load(to_mont(base));
-  Limbs result = load(one_mont_);
+  if (bits == 0) return from_mont(one_mont_);
+  const Limbs& e = exponent.limbs_;
+  const Limbs b = load(to_mont(base));
   Limbs t(n_ + 1);
-  if (bits <= 16) {
-    for (std::size_t i = bits; i-- > 0;) {
+  // Both schedules start from the top of the exponent instead of squaring
+  // one.  Square-and-multiply pays bits - 1 squarings and one product per
+  // further set bit; the 4-bit window pays a 14-product table b^2..b^15,
+  // four squarings per further window and one product per further nonzero
+  // window.  Take whichever needs fewer products: a sparse exponent
+  // (65537: 16 + 1 against 16 + 14 + 1) or a short one goes bit by bit.
+  constexpr std::size_t kWindow = 4;
+  const std::size_t windows = (bits + kWindow - 1) / kWindow;
+  std::size_t set_bits = 0;
+  std::size_t nonzero_windows = 0;
+  for (const std::uint64_t limb : e) {
+    set_bits += static_cast<std::size_t>(std::popcount(limb));
+    nonzero_windows += static_cast<std::size_t>(
+        std::popcount((limb | limb >> 1 | limb >> 2 | limb >> 3) & 0x1111111111111111ULL));
+  }
+  if ((bits - 1) + (set_bits - 1) <= 14 + kWindow * (windows - 1) + (nonzero_windows - 1)) {
+    Limbs result = b;
+    for (std::size_t i = bits - 1; i-- > 0;) {
       mont_mul_limbs(result.data(), result.data(), result.data(), t.data());
       if (exponent.bit(i)) mont_mul_limbs(result.data(), b.data(), result.data(), t.data());
     }
     return from_mont(store(result));
   }
-  // 4-bit fixed window, matching the reference path's schedule.
-  constexpr std::size_t kWindow = 4;
-  std::vector<Limbs> table(1ULL << kWindow);
-  table[0] = load(one_mont_);
-  for (std::size_t i = 1; i < table.size(); ++i) {
-    table[i] = Limbs(n_);
-    mont_mul_limbs(table[i - 1].data(), b.data(), table[i].data(), t.data());
+  std::vector<Limbs> table(1ULL << kWindow);  // table[j] = b^j for j >= 1
+  table[1] = b;
+  for (std::size_t j = 2; j < table.size(); ++j) {
+    table[j] = Limbs(n_);
+    mont_mul_limbs(table[j - 1].data(), b.data(), table[j].data(), t.data());
   }
-  std::size_t i = bits;
-  while (i > 0) {
-    std::size_t take = std::min(kWindow, i);
-    std::uint32_t window = 0;
-    for (std::size_t k = 0; k < take; ++k) {
-      window = window << 1 | static_cast<std::uint32_t>(exponent.bit(i - 1 - k));
-    }
-    for (std::size_t k = 0; k < take; ++k) {
+  Limbs result = table[window_at(e, kWindow * (windows - 1), kWindow)];
+  for (std::size_t w = windows - 1; w-- > 0;) {
+    for (std::size_t k = 0; k < kWindow; ++k) {
       mont_mul_limbs(result.data(), result.data(), result.data(), t.data());
     }
-    if (window != 0) {
-      mont_mul_limbs(result.data(), table[window].data(), result.data(), t.data());
-    }
-    i -= take;
+    const std::uint32_t digit = window_at(e, kWindow * w, kWindow);
+    if (digit != 0) mont_mul_limbs(result.data(), table[digit].data(), result.data(), t.data());
   }
   return from_mont(store(result));
+}
+
+Montgomery::FixedBase Montgomery::fixed_base(const BigInt& base, std::size_t max_bits) const {
+  FixedBase table;
+  table.base_ = base.mod(m_big_);
+  table.windows_ = (max_bits + kFixedWindow - 1) / kFixedWindow;
+  table.powers_.resize(table.windows_ * n_);
+  Limbs cur = load(to_mont(table.base_));
+  Limbs t(n_ + 1);
+  for (std::size_t i = 0; i < table.windows_; ++i) {
+    if (i > 0) {
+      for (std::size_t k = 0; k < kFixedWindow; ++k) {
+        mont_mul_limbs(cur.data(), cur.data(), cur.data(), t.data());
+      }
+    }
+    std::copy(cur.begin(), cur.end(),
+              table.powers_.begin() + static_cast<std::ptrdiff_t>(i * n_));
+  }
+  return table;
+}
+
+BigInt Montgomery::pow_fixed(const FixedBase& table, const BigInt& exponent) const {
+  SINTRA_REQUIRE(!exponent.is_negative(), "Montgomery: negative exponent");
+  SINTRA_REQUIRE(table.powers_.size() == table.windows_ * n_,
+                 "Montgomery: fixed-base table built for a modulus of another width");
+  const std::size_t bits = exponent.bit_length();
+  if (bits > table.max_bits()) return pow(table.base_, exponent);
+  // Yao / Brickell-Gordon-McCurley-Wilson.  With digits e_i of the exponent
+  // in base 2^w and entries g_i = base^(2^(w*i)),
+  //   base^e = prod_{j = 1}^{2^w - 1} (prod_{i : e_i = j} g_i)^j.
+  // Walking j downward, `run` gathers every g_i with e_i >= j and `acc`
+  // takes one product with it per j, so g_i lands in acc exactly e_i times:
+  // one product per nonzero digit plus one per digit value.
+  constexpr std::size_t kDigits = std::size_t{1} << kFixedWindow;
+  const std::size_t windows = (bits + kFixedWindow - 1) / kFixedWindow;
+  std::vector<std::uint8_t> digits(windows);
+  std::array<std::size_t, kDigits + 1> begin{};  // begin[j]: first index of digit j in `order`
+  for (std::size_t i = 0; i < windows; ++i) {
+    digits[i] =
+        static_cast<std::uint8_t>(window_at(exponent.limbs_, kFixedWindow * i, kFixedWindow));
+    ++begin[digits[i] + 1];
+  }
+  for (std::size_t j = 1; j <= kDigits; ++j) begin[j] += begin[j - 1];
+  std::array<std::size_t, kDigits> next{};
+  std::copy(begin.begin(), begin.begin() + kDigits, next.begin());
+  std::vector<std::size_t> order(windows);  // window indices, counting-sorted by digit
+  for (std::size_t i = 0; i < windows; ++i) order[next[digits[i]]++] = i;
+
+  Limbs run(n_);
+  Limbs acc(n_);
+  Limbs t(n_ + 1);
+  bool run_empty = true;
+  bool acc_empty = true;
+  for (std::size_t j = kDigits - 1; j > 0; --j) {
+    for (std::size_t k = begin[j]; k < begin[j + 1]; ++k) {
+      const std::uint64_t* g = table.powers_.data() + order[k] * n_;
+      if (run_empty) {
+        std::copy(g, g + n_, run.begin());
+        run_empty = false;
+      } else {
+        mont_mul_limbs(run.data(), g, run.data(), t.data());
+      }
+    }
+    if (run_empty) continue;
+    if (acc_empty) {
+      acc = run;
+      acc_empty = false;
+    } else {
+      mont_mul_limbs(acc.data(), run.data(), acc.data(), t.data());
+    }
+  }
+  return acc_empty ? from_mont(one_mont_) : from_mont(store(acc));
 }
 
 BigInt Montgomery::pow2(const BigInt& b1, const BigInt& e1, const BigInt& b2,

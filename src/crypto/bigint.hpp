@@ -10,7 +10,13 @@
 // 64-bit limbs with no trailing zero limbs (zero is an empty vector,
 // sign +1).  Multiplication is schoolbook with 128-bit accumulation;
 // division is Knuth Algorithm D; modular exponentiation uses a fixed
-// 4-bit window.  gcd and inverse_mod (odd moduli) are binary: Stein's
+// 4-bit window, or plain square-and-multiply when the exponent is sparse
+// enough that it needs fewer products (e = 65537).  A base that stays
+// fixed for a long time (threshold RSA's v) or across several
+// exponentiations (its per-message x²) can instead be raised through a
+// Montgomery::FixedBase table: one entry per 5-bit window, evaluated with
+// Yao/BGMW in about bits/5 + 32 products and no squarings.  gcd and
+// inverse_mod (odd moduli) are binary: Stein's
 // GCD and a binary extended Euclid, in place over one fixed-width limb
 // buffer; extended_gcd keeps the textbook Euclid for Bézout pairs and
 // even moduli.  Performance targets the parameter sizes used by the
@@ -200,6 +206,34 @@ class Montgomery {
   /// prod_i base_i^{exp_i} mod m, all exponents non-negative.  Generalizes
   /// pow2 to k bases with one shared squaring chain.
   [[nodiscard]] BigInt multi_pow(const std::vector<std::pair<BigInt, BigInt>>& pairs) const;
+
+  /// Exponent window of a FixedBase table, in bits.
+  static constexpr std::size_t kFixedWindow = 5;
+
+  /// Fixed-base table for one base: base^(2^(w·i)) in Montgomery form, one
+  /// entry per w-bit window of the exponent.  That is one power per window,
+  /// not the 2^w - 1 multiples per window of SchnorrGroup's layout, so a
+  /// table covering an RSA proof response stays near 9 KB.  Immutable once
+  /// built: threads may share one table without a lock.
+  class FixedBase {
+   public:
+    /// Widest exponent the table serves without falling back to pow.
+    [[nodiscard]] std::size_t max_bits() const { return windows_ * kFixedWindow; }
+
+   private:
+    friend class Montgomery;
+    BigInt base_;                        ///< reduced base, for the fallback
+    std::size_t windows_ = 0;
+    std::vector<std::uint64_t> powers_;  ///< windows_ entries of n limbs each
+  };
+
+  /// Table for `base` covering exponents of up to `max_bits` bits (rounded
+  /// up to whole windows).  Costs about `max_bits` squarings.
+  [[nodiscard]] FixedBase fixed_base(const BigInt& base, std::size_t max_bits) const;
+  /// base^exponent from a table built by this context: Yao/BGMW, about
+  /// bits/w + 2^w products and no squarings.  An exponent wider than
+  /// table.max_bits() falls back to pow.  Exponent must be non-negative.
+  [[nodiscard]] BigInt pow_fixed(const FixedBase& table, const BigInt& exponent) const;
 
   /// R mod m — the Montgomery-domain representation of 1.
   [[nodiscard]] const BigInt& one_mont() const { return one_mont_; }

@@ -108,6 +108,8 @@ ThresholdSigPublicKey::ThresholdSigPublicKey(BigInt modulus, BigInt e, BigInt v,
       share_bits_(share_bits == 0 ? modulus_.bit_length() : share_bits) {
   // Responses are bounded by r_max + c_max * d_max; see sign().
   response_bytes_ = (share_bits_ + 8 * kChallengeBytes + kSlackBits) / 8 + 2;
+  v_table_ = std::make_shared<const Montgomery::FixedBase>(
+      mont_->fixed_base(v_, 8 * response_bytes_));
 }
 
 BigInt ThresholdSigPublicKey::hash_to_base(BytesView message) const {
@@ -129,20 +131,23 @@ std::vector<SigShare> ThresholdSigSecretKey::sign(const ThresholdSigPublicKey& p
   std::vector<SigShare> out;
   out.reserve(unit_shares_.size());
   const Montgomery& mont = pk.mont();
+  // One squaring chain for x² serves x²^d and x²^r of every unit held.
+  const Montgomery::FixedBase x_squared_table = mont.fixed_base(x_squared, r_bits);
   for (const auto& [unit, d] : unit_shares_) {
     SigShare share;
     share.unit = unit;
     // Reshared shares are signed integers (crypto/reshare.hpp); x² is a
     // unit, so the negative branch inverts cleanly.
-    share.value = pow_signed(x_squared, d, mont);
+    share.value = d.is_negative() ? pow_signed(x_squared, d, mont)
+                                  : mont.pow_fixed(x_squared_table, d);
 
     // z = r + c*d must come out non-negative (verifiers reject negative
     // responses); for a negative d that fails with probability ~2^-64 —
     // redraw r rather than leak the sign through a rejected share.
     for (;;) {
       const BigInt r = BigInt::random_bits(rng, r_bits);
-      share.a1 = mont.pow(pk.v(), r);
-      share.a2 = mont.pow(x_squared, r);
+      share.a1 = mont.pow_fixed(*pk.v_table_, r);
+      share.a2 = mont.pow_fixed(x_squared_table, r);
       const BigInt c = sig_share_challenge(modulus, unit, pk.v(), pk.verification(unit),
                                            x_squared, share.value, share.a1, share.a2);
       share.response = r + c * d;
@@ -180,11 +185,14 @@ bool ThresholdSigPublicKey::verify_share(BytesView message, const SigShare& shar
   }
   const BigInt v_unit_inv = BigInt::mul_mod(inv_prod, share.value, modulus_);
   const BigInt value_inv = BigInt::mul_mod(inv_prod, v_unit, modulus_);
-  // Check base^z * target^{-c} == a.  The negative exponent becomes a
-  // positive one on the inverse, so both factors fold into one simultaneous
-  // double exponentiation over the shared squaring chain of the (much
-  // longer) response exponent.
-  return mont_->pow2(v_, share.response, v_unit_inv, c) == share.a1 &&
+  // Check base^z * target^{-c} == a; the negative exponent becomes a
+  // positive one on the inverse.  v^z comes from the key's table, so the
+  // v equation pays no squaring chain for z, only the 128-bit one for c.
+  // x² changes per message, so its equation folds both factors into one
+  // simultaneous double exponentiation over the response's squaring chain.
+  const BigInt v_side = BigInt::mul_mod(mont_->pow_fixed(*v_table_, share.response),
+                                        mont_->pow(v_unit_inv, c), modulus_);
+  return v_side == share.a1 &&
          mont_->pow2(x_squared, share.response, value_inv, c) == share.a2;
 }
 

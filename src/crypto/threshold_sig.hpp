@@ -150,6 +150,9 @@ class ThresholdSigPublicKey {
   std::vector<BigInt> verification_;   ///< unit -> v^{d_unit}
   std::shared_ptr<const LinearScheme> scheme_;
   std::shared_ptr<const Montgomery> mont_;  ///< REDC context for Z_Nm
+  /// Fixed-base table for v covering every response width; built once,
+  /// immutable, shared across copies like mont_.
+  std::shared_ptr<const Montgomery::FixedBase> v_table_;
   std::size_t share_bits_;             ///< width bound for secret shares
   std::size_t response_bytes_;         ///< width bound for proof responses
 };

@@ -73,6 +73,60 @@ TEST(MontgomeryTest, PowEdgeCases) {
     // mul_mod with maximum-width operands.
     EXPECT_EQ(mont.mul_mod(order_sized, order_sized),
               BigInt::mul_mod(order_sized, order_sized, m));
+    // 15-18-bit exponents sit where pow picks between square-and-multiply
+    // and the 4-bit window: sparse (65537, powers of two), dense (all ones)
+    // and in between.
+    const BigInt base = order_sized - BigInt(41);
+    for (std::int64_t e : {16385LL, 32767LL, 32768LL, 43690LL, 65535LL, 65537LL, 65539LL,
+                           98305LL, 131071LL, 131072LL, 174763LL, 262143LL}) {
+      EXPECT_EQ(mont.pow(base, BigInt(e)), BigInt::pow_mod_reference(base, BigInt(e), m))
+          << "e = " << e;
+      EXPECT_EQ(mont.pow(beyond, BigInt(e)), BigInt::pow_mod_reference(beyond, BigInt(e), m))
+          << "e = " << e;
+    }
+  }
+}
+
+TEST(MontgomeryTest, FixedBaseMatchesReference) {
+  Rng rng(110);
+  std::vector<BigInt> moduli = interesting_moduli();
+  // Odd moduli from one limb to past the 1024-bit RSA modulus above,
+  // including widths that are not whole limbs.
+  for (std::size_t bits : {64u, 65u, 127u, 200u, 513u, 1100u}) {
+    BigInt m = BigInt::random_bits(rng, bits);
+    if (!m.is_odd()) m += BigInt(1);
+    moduli.push_back(m);
+  }
+  constexpr std::size_t kW = Montgomery::kFixedWindow;
+  for (const BigInt& m : moduli) {
+    Montgomery mont(m);
+    const std::vector<BigInt> bases = {BigInt(0), BigInt(1), m - BigInt(1), m,
+                                       m + BigInt(12345), BigInt::random_below(rng, m)};
+    for (std::size_t table_bits : {std::size_t{1}, std::size_t{64}, std::size_t{130},
+                                   m.bit_length() + 192}) {
+      for (const BigInt& base : bases) {
+        const Montgomery::FixedBase table = mont.fixed_base(base, table_bits);
+        const std::size_t width = table.max_bits();
+        ASSERT_GE(width, table_bits);
+        ASSERT_LT(width, table_bits + kW);
+        std::vector<BigInt> exponents = {
+            BigInt(0), BigInt(1), BigInt(2), BigInt(31), BigInt(32),
+            BigInt(1).shifted_left(width) - BigInt(1),  // every digit 2^w - 1, full width
+            BigInt::random_bits(rng, width),            // exactly the table's width
+            BigInt(1).shifted_left(width),              // one bit wider: falls back
+            BigInt::random_bits(rng, width + kW),       // one window wider: falls back
+        };
+        for (std::size_t k : {std::size_t{5}, std::size_t{6}, std::size_t{63}, std::size_t{64}}) {
+          if (k <= width) exponents.push_back(BigInt(1).shifted_left(k) - BigInt(1));
+        }
+        if (width > 1) exponents.push_back(BigInt::random_bits(rng, width / 2 + 1));
+        for (const BigInt& e : exponents) {
+          EXPECT_EQ(mont.pow_fixed(table, e), BigInt::pow_mod_reference(base, e, m))
+              << "m bits " << m.bit_length() << ", table bits " << width << ", e bits "
+              << e.bit_length();
+        }
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/examples.hpp"
+#include "crypto/reshare.hpp"
 #include "crypto/shamir.hpp"
 #include "crypto/threshold_sig.hpp"
 
@@ -76,12 +77,27 @@ TEST_F(ThresholdSigTest, UnqualifiedSetFails) {
   EXPECT_FALSE(deal_.public_key.combine(message, shares_for(message, {0})).has_value());
 }
 
-TEST_F(ThresholdSigTest, TamperedShareValueRejected) {
+TEST_F(ThresholdSigTest, TamperedShareFieldsRejected) {
   Bytes message = bytes_of("robust");
-  auto shares = shares_for(message, {0, 1});
-  SigShare bad = shares[0];
-  bad.value = BigInt::mul_mod(bad.value, BigInt(2), deal_.public_key.modulus());
-  EXPECT_FALSE(deal_.public_key.verify_share(message, bad));
+  const SigShare share = shares_for(message, {3})[0];
+  const BigInt& modulus = deal_.public_key.modulus();
+  ASSERT_TRUE(deal_.public_key.verify_share(message, share));
+  SigShare bad_value = share;
+  bad_value.value = BigInt::mul_mod(share.value, BigInt(2), modulus);
+  SigShare bad_a1 = share;
+  bad_a1.a1 = BigInt::mul_mod(share.a1, BigInt(2), modulus);
+  SigShare bad_a2 = share;
+  bad_a2.a2 = BigInt::mul_mod(share.a2, BigInt(2), modulus);
+  SigShare bad_response = share;
+  bad_response.response = share.response + BigInt(1);
+  // A share under the wrong secret, whose proof is consistent on the x^2
+  // side: only the v equation can reject it.
+  const BigInt& d = deal_.secret_keys[3].unit_shares().at(3);
+  SigShare wrong_secret =
+      ThresholdSigSecretKey(3, {{3, d + BigInt(1)}}).sign(deal_.public_key, message, rng_)[0];
+  for (const SigShare* bad : {&bad_value, &bad_a1, &bad_a2, &bad_response, &wrong_secret}) {
+    EXPECT_FALSE(deal_.public_key.verify_share(message, *bad));
+  }
 }
 
 TEST_F(ThresholdSigTest, ShareForOtherMessageRejected) {
@@ -106,6 +122,28 @@ TEST_F(ThresholdSigTest, OversizedProofFieldsRejected) {
   SigShare bad4 = shares[0];
   bad4.a2 = BigInt(0);
   EXPECT_FALSE(deal_.public_key.verify_share(message, bad4));
+}
+
+TEST_F(ThresholdSigTest, ResponseOneByteWiderRejectedByWidthBoundAlone) {
+  Bytes message = bytes_of("width bound");
+  const SigShare share = shares_for(message, {1})[0];
+  const ThresholdSigPublicKey& pk = deal_.public_key;
+  // v and x^2 lie in QR_N, whose order is m = p'q', so a response shifted
+  // by any multiple of m satisfies both proof equations.
+  const RsaParams params = RsaParams::precomputed(128);
+  const BigInt order =
+      (params.p - BigInt(1)).shifted_right(1) * (params.q - BigInt(1)).shifted_right(1);
+  SigShare shifted = share;
+  shifted.response = share.response + order;
+  ASSERT_LE(shifted.response.to_bytes().size(), pk.response_bytes());
+  EXPECT_TRUE(pk.verify_share(message, shifted));
+  // So a response one byte over the bound can only be rejected by the width
+  // check that runs before any exponentiation.
+  SigShare wide = share;
+  const BigInt past_bound = BigInt(1).shifted_left(8 * pk.response_bytes());
+  wide.response = share.response + order * (past_bound / order + BigInt(1));
+  ASSERT_EQ(wide.response.to_bytes().size(), pk.response_bytes() + 1);
+  EXPECT_FALSE(pk.verify_share(message, wide));
 }
 
 TEST_F(ThresholdSigTest, ForgedSignatureRejected) {
@@ -179,6 +217,87 @@ TEST(ThresholdSigGeneralTest, WorksOverExample1QuorumLsss) {
   EXPECT_EQ(*sig, *sig2);  // RSA uniqueness across recombination sets
   // The class-a set itself: corruptible, cannot certify.
   EXPECT_FALSE(deal.public_key.combine(message, sign_set({0, 1, 2, 3})).has_value());
+}
+
+TEST(ThresholdSigGeneralTest, Example2MultiUnitKeySignsVerifiesAndCombines) {
+  // Under Example 2 every party holds several units of the cert key; one
+  // sign call covers all of them from one x^2 table.
+  Rng rng(11);
+  const auto deployment = adversary::example2_deployment(rng);
+  const ThresholdSigPublicKey& pk = deployment.keys->public_keys().cert_sig;
+  const Bytes message = bytes_of("example 2 cert");
+  // Every server outside location 0 and outside OS 0: the complement of a
+  // corruptible set, hence a quorum.
+  std::vector<SigShare> shares;
+  for (int location = 1; location < 4; ++location) {
+    for (int os = 1; os < 4; ++os) {
+      const int party = adversary::example2_party(location, os);
+      const auto own = deployment.keys->share(party).cert_sig.sign(pk, message, rng);
+      EXPECT_GT(own.size(), 1u);
+      EXPECT_TRUE(covers_own_units(pk.scheme(), party, own));
+      for (const SigShare& share : own) {
+        EXPECT_TRUE(pk.verify_share(message, share)) << "party " << party << " unit "
+                                                     << share.unit;
+        shares.push_back(share);
+      }
+    }
+  }
+  const auto sig = pk.combine(message, shares);
+  ASSERT_TRUE(sig.has_value());
+  EXPECT_TRUE(pk.verify(message, *sig));
+}
+
+TEST(ThresholdSigReshareTest, NegativeReshareSharesSignVerifyAndCombine) {
+  // Dealers 2 and 3 of a (4, 1) key reshare to a (5, 1) committee.  The new
+  // shares are signed integers wider than the modulus, and under this seed
+  // negative: sign must take pow_signed for them, and verify_share must
+  // accept the responses of the grown share_bits from the key's v table.
+  Rng rng(6);
+  auto scheme = std::make_shared<const ThresholdScheme>(4, 1);
+  auto deal = ThresholdSigDeal::deal(RsaParams::precomputed(128), scheme, rng);
+  const ThresholdSigPublicKey& pk = deal.public_key;
+  const std::vector<int> dealers = {2, 3};
+  const std::size_t coeff_bits = rsa_reshare_coeff_bits(pk.modulus().bit_length());
+  std::vector<std::vector<BigInt>> commitments;
+  std::vector<RsaReshareDealing> dealings;
+  for (int j : dealers) {
+    dealings.push_back(RsaReshareDealing::deal(
+        deal.secret_keys[static_cast<std::size_t>(j)].unit_shares().at(j), pk.verification(j),
+        coeff_bits, 5, 1, pk.v(), pk.mont(), rng));
+    commitments.push_back(dealings.back().commitments);
+  }
+  auto scaled = std::make_shared<const ScaledScheme>(
+      std::make_shared<const ThresholdScheme>(5, 1), scheme->delta());
+  const ThresholdSigPublicKey new_pk(
+      pk.modulus(), pk.exponent(), pk.v(),
+      rsa_new_verification(dealers, commitments, 5, scheme->delta(), pk.mont()), scaled,
+      rsa_reshare_share_bits(coeff_bits, 4, 1, 5, 1));
+  ASSERT_GT(new_pk.share_bits(), pk.modulus().bit_length());
+
+  const Bytes message = bytes_of("after the epoch");
+  std::vector<std::vector<SigShare>> by_slot;
+  for (std::size_t slot = 0; slot < 5; ++slot) {
+    std::vector<BigInt> subshares;
+    for (const auto& dealing : dealings) subshares.push_back(dealing.subshares[slot]);
+    const BigInt d = rsa_combine_subshares(dealers, subshares, scheme->delta());
+    EXPECT_TRUE(d.is_negative()) << "slot " << slot;
+    EXPECT_LE(d.bit_length(), new_pk.share_bits());
+    const int unit = static_cast<int>(slot);
+    by_slot.push_back(ThresholdSigSecretKey(unit, {{unit, d}}).sign(new_pk, message, rng));
+    for (const SigShare& share : by_slot.back()) {
+      EXPECT_TRUE(new_pk.verify_share(message, share)) << "slot " << slot;
+    }
+  }
+  // Two disjoint pairs combine into the same signature under the ORIGINAL key.
+  auto pair_of = [&](std::size_t a, std::size_t b) {
+    std::vector<SigShare> shares = by_slot[a];
+    shares.insert(shares.end(), by_slot[b].begin(), by_slot[b].end());
+    return new_pk.combine(message, shares);
+  };
+  const auto sig = pair_of(0, 1);
+  ASSERT_TRUE(sig.has_value());
+  EXPECT_TRUE(pk.verify(message, *sig));
+  EXPECT_EQ(pair_of(3, 4), sig);
 }
 
 TEST(ThresholdSigGenerateTest, FreshSafePrimesWork) {

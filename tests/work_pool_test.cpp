@@ -12,6 +12,8 @@
 
 #include "adversary/examples.hpp"
 #include "common/work_pool.hpp"
+#include "crypto/shamir.hpp"
+#include "crypto/threshold_sig.hpp"
 #include "protocols/abba.hpp"
 #include "protocols/harness.hpp"
 
@@ -165,6 +167,41 @@ TEST(WorkPoolTest, HasCompletionsAndNotifyWakeTheOwner) {
   }
   EXPECT_EQ(pool.drain(), 1u);
   EXPECT_FALSE(pool.has_completions());
+}
+
+TEST(WorkPoolTest, SharedThresholdKeyAcrossWorkers) {
+  // As in a replica's crypto pool, workers sign and check threshold-RSA
+  // shares through one public key at once: its Montgomery context and v
+  // table are read concurrently, and copies share both.
+  Rng rng(31);
+  const auto deal = crypto::ThresholdSigDeal::deal(
+      crypto::RsaParams::precomputed(128), std::make_shared<crypto::ThresholdScheme>(4, 1), rng);
+  const crypto::ThresholdSigPublicKey& pk = deal.public_key;
+  WorkPool pool(4);
+  constexpr int kJobs = 32;
+  int completed = 0;
+  int verified = 0;
+  for (int i = 0; i < kJobs; ++i) {
+    pool.submit(
+        [&deal, &pk, i] {
+          Rng job_rng(static_cast<std::uint64_t>(1000 + i));
+          const Bytes message = bytes_of("request " + std::to_string(i));
+          const crypto::ThresholdSigPublicKey copy = pk;
+          bool ok = true;
+          for (const auto& share :
+               deal.secret_keys[static_cast<std::size_t>(i % 4)].sign(pk, message, job_rng)) {
+            ok = ok && copy.verify_share(message, share) && pk.verify_share(message, share);
+          }
+          return payload_of(ok ? 1 : 0);
+        },
+        [&](Bytes result) {
+          ++completed;
+          if (result == payload_of(1)) ++verified;
+        });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(completed, kJobs);
+  EXPECT_EQ(verified, kJobs);
 }
 
 // -- Simulator determinism with the pool attached -----------------------------
