@@ -18,7 +18,6 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "adversary/examples.hpp"
@@ -26,10 +25,8 @@
 #include "crypto/batch.hpp"
 #include "crypto/dealer.hpp"
 #include "crypto/shamir.hpp"
-#include "net/transport/loopback.hpp"
-#include "net/transport/networked_node.hpp"
 #include "protocols/atomic.hpp"
-#include "protocols/harness.hpp"
+#include "protocols/net_cluster.hpp"
 
 using namespace sintra;
 using namespace sintra::crypto;
@@ -189,80 +186,28 @@ BENCHMARK(BM_Tdh2VerifyBatch)
 
 // ---- macro: E3 atomic broadcast with 0/1/2/4 pool workers -------------------
 
-using net::transport::LoopbackHub;
-using net::transport::NetworkedNode;
 using protocols::AtomicBroadcast;
-using protocols::HostedParty;
 
 struct AbcState {
   std::unique_ptr<AtomicBroadcast> abc;
   std::size_t delivered = 0;
 };
 
-/// The networked_node_test cluster, plus one WorkPool per node: the
-/// deterministic single-pump-thread stand-in for the TCP deployment, which
-/// is exactly where worker threads are allowed to exist.
-struct PipelineCluster {
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<common::WorkPool>> pools;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  std::vector<std::unique_ptr<HostedParty<AbcState>>> hosts;
+std::unique_ptr<AbcState> make_abc_state(net::Party& party, int, int) {
+  auto state = std::make_unique<AbcState>();
+  state->abc = std::make_unique<AtomicBroadcast>(
+      party, "abc", [s = state.get()](int, Bytes) { ++s->delivered; });
+  return state;
+}
 
-  PipelineCluster(const adversary::Deployment& deployment, std::uint64_t seed,
-                  std::size_t workers)
-      : hub(deployment.n(), seed) {
-    const int n = deployment.n();
-    for (int id = 0; id < n; ++id) {
-      NetworkedNode::Config config;
-      config.node_id = id;
-      config.n = n;
-      auto node = std::make_unique<NetworkedNode>(config);
-      auto pool = std::make_unique<common::WorkPool>(workers);
-      auto host = std::make_unique<HostedParty<AbcState>>(
-          *node, id, deployment, seed * 7919 + static_cast<std::uint64_t>(id),
-          [](net::Party& party) {
-            auto state = std::make_unique<AbcState>();
-            state->abc = std::make_unique<AtomicBroadcast>(
-                party, "abc", [s = state.get()](int, Bytes) { ++s->delivered; });
-            return state;
-          });
-      host->party().set_work_pool(pool.get());
-      node->set_work_pool(pool.get());
-      node->attach(*host);
-      node->bind_transport(
-          [this, id](int peer, Bytes payload) { hub.send(id, peer, std::move(payload)); });
-      hub.set_receiver(id, [raw = node.get()](int from, BytesView payload) {
-        raw->on_transport_receive(from, payload);
-      });
-      pools.push_back(std::move(pool));
-      nodes.push_back(std::move(node));
-      hosts.push_back(std::move(host));
-    }
+/// Every node has delivered at least `payloads` payloads.
+template <typename State>
+bool each_delivered(protocols::NetCluster<State>& cluster, std::size_t payloads) {
+  for (int id = 0; id < cluster.n(); ++id) {
+    if (cluster.protocol(id).delivered < payloads) return false;
   }
-
-  bool run_until_each_delivered(std::size_t payloads, std::size_t max_iters = 50'000'000) {
-    auto done = [&] {
-      for (auto& host : hosts) {
-        if (host->protocol().delivered < payloads) return false;
-      }
-      return true;
-    };
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) progressed = (node->poll() > 0) || progressed;
-      progressed = hub.step() || progressed;
-      if (!progressed) {
-        // Nothing on the wires and no drained completions: either a
-        // combine is still in flight on a worker (yield and re-poll) or
-        // retransmission is due (tick is a no-op when it isn't).
-        hub.tick();
-        std::this_thread::yield();
-      }
-    }
-    return done();
-  }
-};
+  return true;
+}
 
 void BM_E3AtomicPipeline(benchmark::State& state) {
   const auto workers = static_cast<std::size_t>(state.range(0));
@@ -280,12 +225,17 @@ void BM_E3AtomicPipeline(benchmark::State& state) {
     // Cluster build (thread spawn) and teardown (worker joins) stay
     // outside the timed region; only submit-to-last-delivery is measured.
     state.PauseTiming();
-    auto cluster = std::make_unique<PipelineCluster>(deployment, ++seed, workers);
+    // One WorkPool per node on the single-pump-thread loopback stand-in
+    // for the TCP deployment, which is where worker threads may exist.
+    auto cluster = std::make_unique<protocols::NetCluster<AbcState>>(
+        std::vector<adversary::Deployment>{deployment}, make_abc_state,
+        protocols::NetClusterShape{.workers = workers, .seed = ++seed});
     state.ResumeTiming();
     for (std::size_t k = 0; k < kPayloads; ++k) {
-      cluster->hosts[k % kN]->protocol().abc->submit(bytes_of("pay" + std::to_string(k)));
+      cluster->protocol(static_cast<int>(k % kN)).abc->submit(bytes_of("pay" + std::to_string(k)));
     }
-    live = cluster->run_until_each_delivered(kPayloads) && live;
+    live = cluster->run_until([&] { return each_delivered(*cluster, kPayloads); }, 50'000'000) &&
+           live;
     state.PauseTiming();
     cluster.reset();
     state.ResumeTiming();
@@ -317,86 +267,21 @@ struct MultiAbcState {
   std::atomic<std::size_t> delivered{0};  ///< read by the pump's done()
 };
 
-struct ExecutorCluster {
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  std::vector<std::unique_ptr<HostedParty<MultiAbcState>>> hosts;
-  // Declared last: pools stop (draining tasks that touch parties and
-  // nodes) before anything they reference is destroyed.
-  std::vector<std::unique_ptr<common::ExecutorPool>> execs;
-
-  ExecutorCluster(const adversary::Deployment& deployment, std::uint64_t seed,
-                  std::size_t executors)
-      : hub(deployment.n(), seed) {
-    const int n = deployment.n();
-    for (int id = 0; id < n; ++id) {
-      NetworkedNode::Config config;
-      config.node_id = id;
-      config.n = n;
-      auto node = std::make_unique<NetworkedNode>(config);
-      auto pool = std::make_unique<common::ExecutorPool>(executors);
-      auto host = std::make_unique<HostedParty<MultiAbcState>>(
-          *node, id, deployment, seed * 7919 + static_cast<std::uint64_t>(id),
-          [&pool](net::Party& party) {
-            party.set_executors(pool.get());
-            auto state = std::make_unique<MultiAbcState>();
-            for (int g = 0; g < kGroups; ++g) {
-              const std::string tag = "abc" + std::to_string(g);
-              // Construction inside with_instance: timers the stack arms
-              // while being built are attributed to this group's executor.
-              party.with_instance(tag, [&] {
-                state->groups.push_back(std::make_unique<AtomicBroadcast>(
-                    party, tag, [s = state.get()](int, Bytes) {
-                      s->delivered.fetch_add(1, std::memory_order_relaxed);
-                    }));
-              });
-            }
-            return state;
-          });
-      node->set_executors(pool.get());
-      node->attach(*host);
-      // Batched transport: every payload the executors buffered during
-      // one pump cycle rides one BATCH super-frame per peer.
-      node->bind_transport_batched([this, id](int peer, std::vector<net::transport::GroupPayload> payloads) {
-        hub.send_many(id, peer, std::move(payloads));
-      });
-      hub.set_receiver(id, [raw = node.get()](int from, BytesView payload) {
-        raw->on_transport_receive(from, payload);
-      });
-      nodes.push_back(std::move(node));
-      hosts.push_back(std::move(host));
-      execs.push_back(std::move(pool));
-    }
+std::unique_ptr<MultiAbcState> make_multi_abc_state(net::Party& party, int, int) {
+  auto state = std::make_unique<MultiAbcState>();
+  for (int g = 0; g < kGroups; ++g) {
+    const std::string tag = "abc" + std::to_string(g);
+    // Construction inside with_instance: timers the stack arms while
+    // being built are attributed to this group's executor.
+    party.with_instance(tag, [&] {
+      state->groups.push_back(std::make_unique<AtomicBroadcast>(
+          party, tag, [s = state.get()](int, Bytes) {
+            s->delivered.fetch_add(1, std::memory_order_relaxed);
+          }));
+    });
   }
-
-  ~ExecutorCluster() {
-    for (auto& pool : execs) pool->stop();
-  }
-
-  bool run_until_each_delivered(std::size_t payloads, std::size_t max_iters = 50'000'000) {
-    auto done = [&] {
-      for (auto& host : hosts) {
-        if (host->protocol().delivered.load(std::memory_order_relaxed) < payloads) return false;
-      }
-      return true;
-    };
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) progressed = (node->poll() > 0) || progressed;
-      progressed = hub.step() || progressed;
-      if (!progressed) {
-        // Handlers may still be running on executors; settle them so
-        // their outbound sends reach the outboxes, then retransmit.
-        for (auto& pool : execs) pool->wait_idle();
-        for (auto& node : nodes) node->poll();
-        hub.tick();
-        std::this_thread::yield();
-      }
-    }
-    return done();
-  }
-};
+  return state;
+}
 
 void BM_E3AtomicExecutors(benchmark::State& state) {
   const auto executors = static_cast<std::size_t>(state.range(0));
@@ -412,18 +297,21 @@ void BM_E3AtomicExecutors(benchmark::State& state) {
   bool live = true;
   for (auto _ : state) {
     state.PauseTiming();
-    auto cluster = std::make_unique<ExecutorCluster>(deployment, ++seed, executors);
+    auto cluster = std::make_unique<protocols::NetCluster<MultiAbcState>>(
+        std::vector<adversary::Deployment>{deployment}, make_multi_abc_state,
+        protocols::NetClusterShape{.executors = executors, .seed = ++seed});
     state.ResumeTiming();
     for (std::size_t k = 0; k < kPayloads; ++k) {
       const int g = static_cast<int>(k) % kGroups;
-      auto& host = *cluster->hosts[k % kN];
+      auto& host = cluster->host(static_cast<int>(k % kN));
       host.party().with_instance("abc" + std::to_string(g), [&] {
         host.protocol().groups[static_cast<std::size_t>(g)]->submit(
             bytes_of("pay" + std::to_string(k)));
       });
     }
     // Every node delivers every submitted payload (once, atomically).
-    live = cluster->run_until_each_delivered(kPayloads) && live;
+    live = cluster->run_until([&] { return each_delivered(*cluster, kPayloads); }, 50'000'000) &&
+           live;
     state.PauseTiming();
     cluster.reset();
     state.ResumeTiming();

@@ -23,21 +23,14 @@
 #include <vector>
 
 #include "adversary/quorum.hpp"
-#include "common/executor.hpp"
-#include "net/transport/loopback.hpp"
-#include "net/transport/networked_node.hpp"
 #include "protocols/atomic.hpp"
-#include "protocols/harness.hpp"
+#include "protocols/net_cluster.hpp"
 
 using namespace sintra;
 
 namespace {
 
-using common::ExecutorPool;
-using net::transport::LoopbackHub;
-using net::transport::NetworkedNode;
 using protocols::AtomicBroadcast;
-using protocols::HostedParty;
 
 constexpr int kN = 4;
 constexpr std::size_t kPayloadsPerShard = 4;
@@ -47,94 +40,33 @@ struct ShardAbcState {
   std::atomic<std::size_t> delivered{0};  ///< read by the pump's done()
 };
 
-/// Four machines × S tenants.  Every tenant of a machine shares that
-/// machine's NetworkedNode (transport link, pump, timers) and its
-/// ExecutorPool; lanes are salted by group id so two shards running the
-/// same protocol tag spread across cores instead of colliding.
-struct ShardedBenchCluster {
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  /// hosts[node][shard]
-  std::vector<std::vector<std::unique_ptr<HostedParty<ShardAbcState>>>> hosts;
-  // Declared last: pools stop (draining tasks that touch parties and
-  // nodes) before anything they reference is destroyed.
-  std::vector<std::unique_ptr<ExecutorPool>> execs;
+std::unique_ptr<ShardAbcState> make_shard_state(net::Party& party, int, int) {
+  auto state = std::make_unique<ShardAbcState>();
+  party.with_instance("abc", [&party, &state] {
+    state->abc = std::make_unique<AtomicBroadcast>(party, "abc", [st = state.get()](int, Bytes) {
+      st->delivered.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  return state;
+}
 
-  ShardedBenchCluster(const std::vector<adversary::Deployment>& deployments,
-                      std::uint64_t seed, std::size_t executors)
-      : hub(kN, seed) {
-    const auto shards = deployments.size();
-    for (int id = 0; id < kN; ++id) {
-      NetworkedNode::Config config;
-      config.node_id = id;
-      config.n = kN;
-      auto node = std::make_unique<NetworkedNode>(config);
-      auto pool = std::make_unique<ExecutorPool>(executors);
-      std::vector<std::unique_ptr<HostedParty<ShardAbcState>>> tenants;
-      for (std::size_t s = 0; s < shards; ++s) {
-        auto& endpoint = node->add_group(static_cast<std::uint32_t>(s));
-        auto host = std::make_unique<HostedParty<ShardAbcState>>(
-            endpoint, id, deployments[s],
-            seed * 7919 + static_cast<std::uint64_t>(id) * 131 + s,
-            [&pool, s](net::Party& party) {
-              party.set_executors(pool.get());
-              party.set_lane_group(static_cast<std::uint64_t>(s));
-              auto state = std::make_unique<ShardAbcState>();
-              party.with_instance("abc", [&party, &state] {
-                state->abc = std::make_unique<AtomicBroadcast>(
-                    party, "abc", [st = state.get()](int, Bytes) {
-                      st->delivered.fetch_add(1, std::memory_order_relaxed);
-                    });
-              });
-              return state;
-            });
-        endpoint.attach(*host);
-        tenants.push_back(std::move(host));
-      }
-      node->set_executors(pool.get());
-      node->bind_transport_batched(
-          [this, id](int peer, std::vector<net::transport::GroupPayload> payloads) {
-            hub.send_many(id, peer, std::move(payloads));
-          });
-      hub.set_receiver(id, [raw = node.get()](int from, std::uint32_t group, BytesView payload) {
-        raw->on_transport_receive(from, group, payload);
-      });
-      nodes.push_back(std::move(node));
-      hosts.push_back(std::move(tenants));
-      execs.push_back(std::move(pool));
-    }
-  }
+/// Four machines × S tenants, one Deployment per group.  Every tenant of
+/// a machine shares that machine's NetworkedNode (transport link, pump,
+/// timers) and its ExecutorPool; lanes are salted by group id so two
+/// shards running the same protocol tag spread across cores instead of
+/// colliding.
+using ShardedBenchCluster = protocols::NetCluster<ShardAbcState>;
 
-  ~ShardedBenchCluster() {
-    for (auto& pool : execs) pool->stop();
-  }
-
-  bool run_until_each_delivered(std::size_t per_shard, std::size_t max_iters = 50'000'000) {
-    auto done = [&] {
-      for (auto& tenants : hosts) {
-        for (auto& host : tenants) {
-          if (host->protocol().delivered.load(std::memory_order_relaxed) < per_shard) {
-            return false;
-          }
-        }
-      }
-      return true;
-    };
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) progressed = (node->poll() > 0) || progressed;
-      progressed = hub.step() || progressed;
-      if (!progressed) {
-        for (auto& pool : execs) pool->wait_idle();
-        for (auto& node : nodes) node->poll();
-        hub.tick();
-        std::this_thread::yield();
+bool each_delivered(ShardedBenchCluster& cluster, std::size_t per_shard) {
+  for (int id = 0; id < cluster.n(); ++id) {
+    for (int s = 0; s < cluster.groups(); ++s) {
+      if (cluster.protocol(id, s).delivered.load(std::memory_order_relaxed) < per_shard) {
+        return false;
       }
     }
-    return done();
   }
-};
+  return true;
+}
 
 void BM_E17ShardedAtomic(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
@@ -152,19 +84,23 @@ void BM_E17ShardedAtomic(benchmark::State& state) {
   bool live = true;
   for (auto _ : state) {
     state.PauseTiming();
-    auto cluster = std::make_unique<ShardedBenchCluster>(deployments, ++seed, executors);
+    auto cluster = std::make_unique<ShardedBenchCluster>(
+        deployments, make_shard_state,
+        protocols::NetClusterShape{.executors = executors, .seed = ++seed});
     state.ResumeTiming();
     for (std::size_t s = 0; s < shards; ++s) {
       for (std::size_t k = 0; k < kPayloadsPerShard; ++k) {
-        auto& host = *cluster->hosts[(s + k) % kN][s];
+        auto& host = cluster->host(static_cast<int>((s + k) % kN), static_cast<int>(s));
         host.party().with_instance("abc", [&host, s, k] {
           host.protocol().abc->submit(bytes_of("s" + std::to_string(s) + "/p" + std::to_string(k)));
         });
       }
     }
-    live = cluster->run_until_each_delivered(kPayloadsPerShard) && live;
+    live = cluster->run_until([&] { return each_delivered(*cluster, kPayloadsPerShard); },
+                              50'000'000) &&
+           live;
     state.PauseTiming();
-    const LoopbackHub::Stats wire = cluster->hub.stats();
+    const net::transport::LoopbackHub::Stats wire = cluster->hub().stats();
     batches += wire.batches_sent;
     coalesced += wire.coalesced_payloads;
     cluster.reset();

@@ -144,11 +144,10 @@ int run_party(int id, const std::string& dir, const std::vector<std::uint16_t>& 
   // the time a frame's ack lets the sender prune it, it is on disk here.
   tconfig.link.ack_every = 1u << 20;
   tconfig.ack_flush_ms = 50;
-  net::transport::TcpTransport transport(tconfig, [&node](int from, BytesView payload) {
-    node.on_transport_receive(from, payload);
-  });
-  node.bind_transport(
-      [&transport](int peer, Bytes payload) { transport.send(peer, std::move(payload)); });
+  net::transport::TcpTransport transport(
+      tconfig, [&node](int from, std::uint32_t group, BytesView payload) {
+        node.on_transport_receive(from, group, payload);
+      });
   node.bind_transport_batched([&transport](int peer, std::vector<net::transport::GroupPayload> payloads) {
     transport.send_many(peer, std::move(payloads));
   });

@@ -281,9 +281,8 @@ Bytes Party::snapshot() const {
 void Party::restore(BytesView persisted) {
   Reader r(persisted);
   const auto version = r.u8();
-  // v2 snapshots predate membership epochs: restored as epoch 0 with an
-  // empty history, which is exactly what they were.
-  SINTRA_INVARIANT(version == 2 || version == 3, "Party: unknown snapshot version");
+  // A snapshot is input from disk, not an invariant of this process.
+  SINTRA_REQUIRE(version == 3, "Party: unknown snapshot version");
   std::vector<std::pair<std::string, Bytes>> blobs;
   const auto checkpoint_count = r.u32();
   blobs.reserve(checkpoint_count);
@@ -291,22 +290,19 @@ void Party::restore(BytesView persisted) {
     std::string prefix = r.str();
     blobs.emplace_back(std::move(prefix), r.bytes());
   }
-  if (version >= 3) {
-    const std::uint32_t epoch = r.u32();
-    std::vector<EpochRecord> log = r.vec<EpochRecord>([](Reader& in) {
-      EpochRecord record;
-      record.epoch = in.u32();
-      record.members = in.vec<std::int32_t>(
-          [](Reader& inner) { return static_cast<std::int32_t>(inner.u32()); });
-      return record;
-    });
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    epoch_ = epoch;
-    epoch_log_ = std::move(log);
-  }
+  const std::uint32_t epoch = r.u32();
+  std::vector<EpochRecord> log = r.vec<EpochRecord>([](Reader& in) {
+    EpochRecord record;
+    record.epoch = in.u32();
+    record.members = in.vec<std::int32_t>(
+        [](Reader& inner) { return static_cast<std::int32_t>(inner.u32()); });
+    return record;
+  });
   const auto retired_count = r.u32();
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
+    epoch_ = epoch;
+    epoch_log_ = std::move(log);
     for (std::uint32_t i = 0; i < retired_count; ++i) {
       std::string tag = r.str();
       if (retired_.insert(tag).second) retired_order_.push_back(std::move(tag));

@@ -63,17 +63,6 @@ void LoopbackHub::set_receiver(int node, ReceiveFn receive) {
   receivers_[static_cast<std::size_t>(node)] = std::move(receive);
 }
 
-void LoopbackHub::set_receiver(int node, LegacyReceiveFn receive) {
-  if (!receive) {
-    receivers_[static_cast<std::size_t>(node)] = nullptr;
-    return;
-  }
-  receivers_[static_cast<std::size_t>(node)] =
-      [receive = std::move(receive)](int from, std::uint32_t /*group*/, BytesView payload) {
-        receive(from, payload);
-      };
-}
-
 bool LoopbackHub::pair_connected(int a, int b) const { return pairs_[pair_index(a, b)].connected; }
 
 void LoopbackHub::set_partition_profile(PartitionProfile profile) {
@@ -90,12 +79,6 @@ void LoopbackHub::send(int from, int to, Bytes payload, std::uint32_t group) {
 void LoopbackHub::send_many(int from, int to, std::vector<GroupPayload> payloads) {
   ReliableLink& l = link_mut(from, to);
   for (GroupPayload& payload : payloads) l.enqueue(std::move(payload.payload), payload.group);
-  flush(from, to);
-}
-
-void LoopbackHub::send_many(int from, int to, std::vector<Bytes> payloads) {
-  ReliableLink& l = link_mut(from, to);
-  for (Bytes& payload : payloads) l.enqueue(std::move(payload));
   flush(from, to);
 }
 

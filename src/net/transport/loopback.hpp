@@ -80,15 +80,13 @@ class LoopbackHub {
   };
 
   /// `receive(from, group, payload)` runs synchronously inside step().
-  /// `group` is the wire-v4 shard stamp the sender put on the record (0
-  /// for single-tenant traffic).  The view is a slice of the decoded
-  /// frame, valid only during the call — the zero-copy receive path
-  /// (receivers that keep the payload copy it, which for a NetworkedNode
-  /// is the one copy into the owning Message).
+  /// `group` is the wire-v4 shard stamp the sender put on the record.
+  /// The view is a slice of the decoded frame, valid only during the
+  /// call — the zero-copy receive path (receivers that keep the payload
+  /// copy it, which for a NetworkedNode is the one copy into the owning
+  /// Message).  A null receiver drops the node's deliveries (a killed
+  /// node) while its links keep acking.
   using ReceiveFn = std::function<void(int from, std::uint32_t group, BytesView payload)>;
-  /// Pre-v4 receiver shape, still accepted for single-tenant callers; the
-  /// group stamp is dropped on this path.
-  using LegacyReceiveFn = std::function<void(int from, BytesView payload)>;
 
   // (No default argument for `profile`: a nested class's member
   // initializers are not usable in default arguments of the enclosing
@@ -97,7 +95,6 @@ class LoopbackHub {
   LoopbackHub(int n, std::uint64_t seed, FaultProfile profile, LinkConfig link = {});
 
   void set_receiver(int node, ReceiveFn receive);
-  void set_receiver(int node, LegacyReceiveFn receive);
 
   /// Drive a seeded partition / gray-failure schedule (net/fault.hpp):
   /// each step() advances the schedule one tick, severing and healing
@@ -109,7 +106,7 @@ class LoopbackHub {
   [[nodiscard]] std::uint64_t partition_step() const { return partition_step_; }
 
   /// Reliable-send a payload from `from` to `to` (like TcpTransport::send),
-  /// stamped with shard `group` (0 = single-tenant).
+  /// stamped with shard `group`.
   void send(int from, int to, Bytes payload, std::uint32_t group = 0);
 
   /// Enqueue a whole pump-cycle batch and flush once: all payloads ride
@@ -117,7 +114,6 @@ class LoopbackHub {
   /// Payloads for different groups coalesce into the same super-frame —
   /// sharding does not multiply the per-link HMAC or frame count.
   void send_many(int from, int to, std::vector<GroupPayload> payloads);
-  void send_many(int from, int to, std::vector<Bytes> payloads);
 
   /// Deliver one frame picked at random (or progress a pending
   /// reconnect).  Returns false when nothing can make progress.

@@ -250,28 +250,16 @@ void NetworkedNode::flush_outbound() {
     }
     // Only a node that actually has remote traffic needs a transport;
     // standalone nodes (self-sends, timers) never reach this point.
-    SINTRA_REQUIRE(static_cast<bool>(send_) || static_cast<bool>(send_many_),
-                   "networked_node: no transport bound");
+    SINTRA_REQUIRE(static_cast<bool>(send_many_), "networked_node: no transport bound");
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.outbound_flushes;
       stats_.outbound_payloads += pending.size();
     }
-    if (send_many_) {
-      std::vector<GroupPayload> batch;
-      batch.reserve(pending.size());
-      for (GroupPayload& payload : pending) batch.push_back(std::move(payload));
-      send_many_(peer, std::move(batch));
-    } else {
-      // The per-payload SendFn has no group parameter, so it can only
-      // carry single-tenant (group 0) traffic; multi-group hosts must
-      // bind the batched entry.
-      for (GroupPayload& payload : pending) {
-        SINTRA_REQUIRE(payload.group == 0,
-                       "networked_node: multi-group traffic needs bind_transport_batched");
-        send_(peer, std::move(payload.payload));
-      }
-    }
+    std::vector<GroupPayload> batch;
+    batch.reserve(pending.size());
+    for (GroupPayload& payload : pending) batch.push_back(std::move(payload));
+    send_many_(peer, std::move(batch));
   }
 }
 

@@ -10,9 +10,12 @@
 // tenant sees the substrate through a GroupEndpoint — a Network facade
 // that stamps every outbound payload with the tenant's group id (the wire
 // v4 record stamp, framing.hpp) and delegates time/timers to the host.
-// Group 0 is created in the constructor, and every pre-sharding API on
-// the node itself (attach, set_persist, epoch, …) delegates to it, so
-// single-tenant callers are untouched.
+// Group 0 is created in the constructor, and the node's own Network
+// surface and wiring calls (submit, attach, set_persist, epoch, …)
+// delegate to it, so a one-group host needs no GroupEndpoint at all.
+// There is one way to reach a transport: bind_transport_batched, whose
+// payloads always carry their group stamp, and one way back in: the
+// three-argument on_transport_receive.
 //
 // The adapter owns the boundary between the transport's reactor thread
 // and the protocol thread.  The transport delivers authenticated payloads
@@ -80,12 +83,8 @@ class NetworkedNode final : public Network {
     std::size_t max_future = 1024;
   };
 
-  /// Hands an encoded payload to the transport for reliable delivery.
-  /// Single-tenant only: flushing multi-group traffic requires the
-  /// batched form below (this one has nowhere to put the group stamp).
-  using SendFn = std::function<void(int peer, Bytes payload)>;
-  /// Batched form: every payload buffered for `peer` during one pump
-  /// cycle, in order, each stamped with its tenant's group id — the
+  /// The transport entry: every payload buffered for `peer` during one
+  /// pump cycle, in order, each stamped with its tenant's group id — the
   /// transport turns the whole vector into one coalesced super-frame.
   using SendManyFn = std::function<void(int peer, std::vector<GroupPayload> payloads)>;
   /// Write-ahead hook, called for every inbound message before dispatch.
@@ -143,15 +142,13 @@ class NetworkedNode final : public Network {
   [[nodiscard]] TraceLog* log() override { return log_; }
   void set_log(TraceLog* log) { log_ = log; }
 
-  // --- wiring (single-tenant legacy surface; delegates to group 0) -----
+  // --- wiring (tenant calls delegate to group 0) ------------------------
   /// The process receiving deliveries (caller owns it and calls on_start).
   void attach(Process& process) { tenant_attach(0, process); }
-  void bind_transport(SendFn send) { send_ = std::move(send); }
   /// Meter the future-epoch buffer through the party's ResourceBudget
   /// (not owned).  Without one, only the max_future count bound applies.
   void set_budget(ResourceBudget* budget) { tenant_set_budget(0, budget); }
-  /// Batched transport entry; preferred over the per-payload SendFn when
-  /// bound (the per-payload form remains the single-tenant fallback).
+  /// The transport every tenant's outbound traffic is flushed through.
   void bind_transport_batched(SendManyFn send_many) { send_many_ = std::move(send_many); }
   void set_persist(PersistFn persist) { tenant_set_persist(0, std::move(persist)); }
 
@@ -179,10 +176,6 @@ class NetworkedNode final : public Network {
   /// payloads stamped with a group this host does not run, are counted
   /// and dropped — Byzantine input must not crash the node.
   void on_transport_receive(int from, std::uint32_t group, BytesView payload);
-  /// Pre-v4 entry: group 0.
-  void on_transport_receive(int from, BytesView payload) {
-    on_transport_receive(from, 0, payload);
-  }
 
   // --- membership epochs (group 0; per-group via GroupEndpoint) ---------
   /// Current epoch; payloads stamped below it are rejected, payloads one
@@ -271,7 +264,6 @@ class NetworkedNode final : public Network {
   void flush_outbound();
 
   Config config_;
-  SendFn send_;
   SendManyFn send_many_;
   common::WorkPool* work_pool_ = nullptr;
   common::ExecutorPool* executors_ = nullptr;

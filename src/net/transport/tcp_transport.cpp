@@ -96,14 +96,6 @@ TcpTransport::TcpTransport(Config config, ReceiveFn receive)
   }
 }
 
-TcpTransport::TcpTransport(Config config, LegacyReceiveFn receive)
-    : TcpTransport(std::move(config),
-                   receive ? ReceiveFn([receive = std::move(receive)](
-                                           int from, std::uint32_t /*group*/, BytesView payload) {
-                       receive(from, payload);
-                     })
-                           : ReceiveFn()) {}
-
 TcpTransport::~TcpTransport() { stop(); }
 
 const Bytes& TcpTransport::link_key(int peer) const {
@@ -193,13 +185,6 @@ void TcpTransport::send_many(int peer, std::vector<GroupPayload> payloads) {
     }
     if (p.conn != nullptr && p.conn->established) flush_link(peer);
   });
-}
-
-void TcpTransport::send_many(int peer, std::vector<Bytes> payloads) {
-  std::vector<GroupPayload> stamped;
-  stamped.reserve(payloads.size());
-  for (Bytes& payload : payloads) stamped.push_back(GroupPayload{0, std::move(payload)});
-  send_many(peer, std::move(stamped));
 }
 
 void TcpTransport::schedule_flush(int peer) {

@@ -96,17 +96,13 @@ class TcpTransport {
   };
 
   /// `receive(from, group, payload)` runs on the reactor thread.  `group`
-  /// is the wire-v4 shard stamp on the record (0 for single-tenant
-  /// traffic).  The view is a slice of the connection's decode buffer,
-  /// valid only during the call — receivers that keep the payload copy it
-  /// (for NetworkedNode, the one copy into the owning Message).
+  /// is the wire-v4 shard stamp on the record.  The view is a slice of
+  /// the connection's decode buffer, valid only during the call —
+  /// receivers that keep the payload copy it (for NetworkedNode, the one
+  /// copy into the owning Message).
   using ReceiveFn = std::function<void(int from, std::uint32_t group, BytesView payload)>;
-  /// Pre-v4 receiver shape, still accepted for single-tenant callers; the
-  /// group stamp is dropped on this path.
-  using LegacyReceiveFn = std::function<void(int from, BytesView payload)>;
 
   TcpTransport(Config config, ReceiveFn receive);
-  TcpTransport(Config config, LegacyReceiveFn receive);
   ~TcpTransport();
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
@@ -117,10 +113,9 @@ class TcpTransport {
   void stop();
 
   /// Queue `payload` for reliable delivery to `peer` (any thread),
-  /// stamped with shard `group` (0 = single-tenant).  Multiple send()s
-  /// posted before the reactor turns over coalesce into one BATCH frame
-  /// (the enqueue tasks run first, a single deferred flush task runs
-  /// after them).
+  /// stamped with shard `group`.  Multiple send()s posted before the
+  /// reactor turns over coalesce into one BATCH frame (the enqueue tasks
+  /// run first, a single deferred flush task runs after them).
   void send(int peer, Bytes payload, std::uint32_t group = 0);
 
   /// Queue a whole pump-cycle batch (any thread): every payload is
@@ -128,7 +123,6 @@ class TcpTransport {
   /// per kMaxBatchBytes of traffic.  Payloads for different groups
   /// coalesce into the same super-frame.
   void send_many(int peer, std::vector<GroupPayload> payloads);
-  void send_many(int peer, std::vector<Bytes> payloads);
 
   /// Advance the membership epoch (any thread).  Subsequent frames carry
   /// the new epoch; established connections stay up — the one-epoch

@@ -32,7 +32,7 @@
 #include "net/transport/loopback.hpp"
 #include "net/transport/networked_node.hpp"
 #include "protocols/atomic.hpp"
-#include "protocols/harness.hpp"
+#include "protocols/net_cluster.hpp"
 
 namespace sintra {
 namespace {
@@ -157,74 +157,27 @@ std::unique_ptr<MultiState> make_multi_state(net::Party& party) {
   return state;
 }
 
-struct ExecCluster {
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  std::vector<std::unique_ptr<HostedParty<MultiState>>> hosts;
-  std::vector<std::unique_ptr<ExecutorPool>> execs;
+using ExecCluster = protocols::NetCluster<MultiState>;
 
-  ExecCluster(const adversary::Deployment& deployment, std::size_t executors) : hub(kN, kSeed) {
+std::unique_ptr<ExecCluster> make_cluster(const adversary::Deployment& deployment,
+                                          std::size_t executors) {
+  return std::make_unique<ExecCluster>(
+      std::vector<adversary::Deployment>{deployment},
+      [](net::Party& party, int, int) {
+        party.enable_wal();
+        return make_multi_state(party);
+      },
+      protocols::NetClusterShape{.executors = executors, .seed = kSeed});
+}
+
+bool run_until_total(ExecCluster& cluster, std::size_t total) {
+  return cluster.run_until([&] {
     for (int id = 0; id < kN; ++id) {
-      NetworkedNode::Config config;
-      config.node_id = id;
-      config.n = kN;
-      auto node = std::make_unique<NetworkedNode>(config);
-      auto pool = std::make_unique<ExecutorPool>(executors);
-      auto host = std::make_unique<HostedParty<MultiState>>(
-          *node, id, deployment, kSeed * 7919 + static_cast<std::uint64_t>(id),
-          [&pool](net::Party& party) {
-            party.enable_wal();
-            party.set_executors(pool.get());
-            return make_multi_state(party);
-          });
-      node->set_executors(pool.get());
-      node->attach(*host);
-      node->bind_transport_batched([this, id](int peer, std::vector<net::transport::GroupPayload> payloads) {
-        hub.send_many(id, peer, std::move(payloads));
-      });
-      hub.set_receiver(id, [raw = node.get()](int from, BytesView payload) {
-        raw->on_transport_receive(from, payload);
-      });
-      nodes.push_back(std::move(node));
-      hosts.push_back(std::move(host));
-      execs.push_back(std::move(pool));
+      if (cluster.protocol(id).total.load(std::memory_order_acquire) < total) return false;
     }
-  }
-
-  ~ExecCluster() { stop(); }
-
-  /// Join the executor threads; after this, reading delivered[] from the
-  /// test thread is synchronized (stop() joins, join happens-before).
-  void stop() {
-    for (auto& pool : execs) pool->stop();
-  }
-
-  MultiState& state(int id) { return hosts[static_cast<std::size_t>(id)]->protocol(); }
-
-  bool run_until_total(std::size_t total, std::size_t max_iters = 5'000'000) {
-    auto done = [&] {
-      for (auto& host : hosts) {
-        if (host->protocol().total.load(std::memory_order_acquire) < total) return false;
-      }
-      return true;
-    };
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) progressed = (node->poll() > 0) || progressed;
-      progressed = hub.step() || progressed;
-      if (!progressed) {
-        // Quiescent wire: let the executors finish what they hold, flush
-        // whatever they buffered, then run a retransmit/ack pass.
-        for (auto& pool : execs) pool->wait_idle();
-        for (auto& node : nodes) node->poll();
-        hub.tick();
-        std::this_thread::yield();
-      }
-    }
-    return done();
-  }
-};
+    return true;
+  });
+}
 
 Bytes payload_for(int g, int i) {
   return bytes_of("g" + std::to_string(g) + "/p" + std::to_string(i));
@@ -233,7 +186,7 @@ Bytes payload_for(int g, int i) {
 void submit_all(ExecCluster& cluster) {
   for (int g = 0; g < kGroups; ++g) {
     for (int i = 0; i < kPerGroup; ++i) {
-      auto& host = *cluster.hosts[static_cast<std::size_t>((g + i) % kN)];
+      auto& host = cluster.host((g + i) % kN);
       // External submits are out-of-band touches of the group's tree:
       // scope them so concurrent mode attributes the self-send correctly.
       host.party().with_instance(group_tag(g), [&host, g, i] {
@@ -258,9 +211,9 @@ TEST(ExecutorClusterTest, ConcurrentRunAgreesMatchesSequentialAndReplays) {
   constexpr auto kTotal = static_cast<std::size_t>(kGroups) * kPerGroup;
 
   auto run = [&deployment](std::size_t executors) {
-    auto cluster = std::make_unique<ExecCluster>(deployment, executors);
+    auto cluster = make_cluster(deployment, executors);
     submit_all(*cluster);
-    EXPECT_TRUE(cluster->run_until_total(kTotal)) << "executors=" << executors;
+    EXPECT_TRUE(run_until_total(*cluster, kTotal)) << "executors=" << executors;
     cluster->stop();
     return cluster;
   };
@@ -270,10 +223,10 @@ TEST(ExecutorClusterTest, ConcurrentRunAgreesMatchesSequentialAndReplays) {
   // (a) agreement: within each run, all nodes deliver each group's
   // payloads in the same order — safety is independent of executor count.
   for (auto* cluster : {sequential.get(), concurrent.get()}) {
-    const MultiState& reference = cluster->state(0);
+    const MultiState& reference = cluster->protocol(0);
     for (int id = 1; id < kN; ++id) {
       for (int g = 0; g < kGroups; ++g) {
-        EXPECT_EQ(cluster->state(id).delivered[static_cast<std::size_t>(g)],
+        EXPECT_EQ(cluster->protocol(id).delivered[static_cast<std::size_t>(g)],
                   reference.delivered[static_cast<std::size_t>(g)])
             << "node " << id << " group " << g << " disagrees on delivery order";
       }
@@ -281,13 +234,13 @@ TEST(ExecutorClusterTest, ConcurrentRunAgreesMatchesSequentialAndReplays) {
   }
 
   // (b) executor count changes scheduling, never the delivered contents.
-  EXPECT_EQ(delivered_set(sequential->state(0)), delivered_set(concurrent->state(0)));
+  EXPECT_EQ(delivered_set(sequential->protocol(0)), delivered_set(concurrent->protocol(0)));
 
   // (c) replay determinism: snapshot node 0 of the concurrent run, restore
   // into a fresh party with no executors.  The WAL was appended on the
   // pump thread in arrival order and replay runs inline, so the rebuilt
   // node must reproduce the concurrent node's per-group sequences exactly.
-  const Bytes snapshot = concurrent->hosts[0]->snapshot();
+  const Bytes snapshot = concurrent->host(0).snapshot();
   NetworkedNode::Config config;
   config.node_id = 0;
   config.n = kN;
@@ -298,7 +251,7 @@ TEST(ExecutorClusterTest, ConcurrentRunAgreesMatchesSequentialAndReplays) {
                                         return make_multi_state(party);
                                       });
   replay_host.restore(snapshot);
-  const MultiState& original = concurrent->state(0);
+  const MultiState& original = concurrent->protocol(0);
   const MultiState& replayed = replay_host.protocol();
   for (int g = 0; g < kGroups; ++g) {
     EXPECT_EQ(replayed.delivered[static_cast<std::size_t>(g)],
@@ -308,7 +261,7 @@ TEST(ExecutorClusterTest, ConcurrentRunAgreesMatchesSequentialAndReplays) {
 
   // Wire-level coalescing on the same traffic: payloads rode BATCH
   // super-frames (one HMAC each), never one frame per payload.
-  const LoopbackHub::Stats wire = concurrent->hub.stats();
+  const LoopbackHub::Stats wire = concurrent->hub().stats();
   EXPECT_GT(wire.batches_sent, 0u);
   EXPECT_GE(wire.coalesced_payloads, wire.batches_sent);
   EXPECT_EQ(wire.auth_failures, 0u);

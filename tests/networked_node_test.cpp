@@ -12,118 +12,72 @@
 #include "net/transport/loopback.hpp"
 #include "net/transport/networked_node.hpp"
 #include "protocols/atomic.hpp"
-#include "protocols/harness.hpp"
+#include "protocols/net_cluster.hpp"
 
 namespace sintra::net::transport {
 namespace {
 
 using protocols::AtomicBroadcast;
-using protocols::HostedParty;
 
 struct AbcState {
   std::unique_ptr<AtomicBroadcast> abc;
   std::vector<std::pair<int, Bytes>> delivered;
 };
 
+using AbcCluster = protocols::NetCluster<AbcState>;
+
 /// n protocol stacks, each on its own NetworkedNode, wired through one
 /// LoopbackHub — the single-threaded deterministic version of the real
 /// TCP deployment.
-struct NetCluster {
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  std::vector<std::unique_ptr<HostedParty<AbcState>>> hosts;
+AbcCluster make_cluster(int n, std::uint64_t seed, LoopbackHub::FaultProfile faults) {
+  Rng rng(seed);
+  return AbcCluster(
+      {adversary::Deployment::threshold(n, (n - 1) / 3, rng)},
+      [](net::Party& party, int, int) {
+        auto state = std::make_unique<AbcState>();
+        state->abc = std::make_unique<AtomicBroadcast>(
+            party, "abc", [s = state.get()](int origin, Bytes payload) {
+              s->delivered.emplace_back(origin, std::move(payload));
+            });
+        return state;
+      },
+      {.seed = seed, .faults = faults});
+}
 
-  NetCluster(int n, std::uint64_t seed, LoopbackHub::FaultProfile profile)
-      : hub(n, seed, profile, LinkConfig{}) {
-    Rng rng(seed);
-    auto deployment = adversary::Deployment::threshold(n, (n - 1) / 3, rng);
-    for (int id = 0; id < n; ++id) {
-      NetworkedNode::Config config;
-      config.node_id = id;
-      config.n = n;
-      auto node = std::make_unique<NetworkedNode>(config);
-      auto host = std::make_unique<HostedParty<AbcState>>(
-          *node, id, deployment, seed * 7919 + static_cast<std::uint64_t>(id),
-          [](net::Party& party) {
-            auto state = std::make_unique<AbcState>();
-            state->abc = std::make_unique<AtomicBroadcast>(
-                party, "abc", [s = state.get()](int origin, Bytes payload) {
-                  s->delivered.emplace_back(origin, std::move(payload));
-                });
-            return state;
-          });
-      node->attach(*host);
-      node->bind_transport(
-          [this, id](int peer, Bytes payload) { hub.send(id, peer, std::move(payload)); });
-      hub.set_receiver(id, [raw = node.get()](int from, BytesView payload) {
-        raw->on_transport_receive(from, payload);
-      });
-      nodes.push_back(std::move(node));
-      hosts.push_back(std::move(host));
-    }
+bool all_delivered(AbcCluster& cluster, std::size_t count) {
+  for (int id = 0; id < cluster.n(); ++id) {
+    if (cluster.protocol(id).delivered.size() < count) return false;
   }
+  return true;
+}
 
-  AbcState& state(int id) { return hosts[static_cast<std::size_t>(id)]->protocol(); }
-
-  /// Single-threaded pump: drain every node's inbox, move one wire frame,
-  /// repeat.  When everything stalls, tick() the hub (retransmit + acks)
-  /// — under faults that is what restarts progress.
-  bool run_until(const std::function<bool()>& done, std::size_t max_iters = 2'000'000) {
-    bool ticked = false;
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) progressed = (node->poll() > 0) || progressed;
-      progressed = hub.step() || progressed;
-      if (progressed) {
-        ticked = false;
-        continue;
-      }
-      if (ticked) return done();  // two stalls in a row: truly quiescent
-      hub.tick();
-      ticked = true;
-    }
-    return done();
+void expect_identical_order(AbcCluster& cluster) {
+  const auto& reference = cluster.protocol(0).delivered;
+  for (int id = 1; id < cluster.n(); ++id) {
+    EXPECT_EQ(cluster.protocol(id).delivered, reference) << "total order violated";
   }
-
-  void expect_identical_order() {
-    const auto& reference = state(0).delivered;
-    for (std::size_t id = 1; id < hosts.size(); ++id) {
-      EXPECT_EQ(state(static_cast<int>(id)).delivered, reference) << "total order violated";
-    }
-  }
-};
+}
 
 TEST(NetworkedNodeTest, AtomicBroadcastOverLoopback) {
-  NetCluster cluster(4, /*seed=*/11, LoopbackHub::FaultProfile{});
+  AbcCluster cluster = make_cluster(4, /*seed=*/11, LoopbackHub::FaultProfile{});
   for (int id = 0; id < 4; ++id) {
-    cluster.state(id).abc->submit(bytes_of("m" + std::to_string(id)));
+    cluster.protocol(id).abc->submit(bytes_of("m" + std::to_string(id)));
   }
-  ASSERT_TRUE(cluster.run_until([&] {
-    for (int id = 0; id < 4; ++id) {
-      if (cluster.state(id).delivered.size() < 4) return false;
-    }
-    return true;
-  }));
-  cluster.expect_identical_order();
+  ASSERT_TRUE(cluster.run_until([&] { return all_delivered(cluster, 4); }));
+  expect_identical_order(cluster);
   for (int id = 0; id < 4; ++id) {
-    EXPECT_EQ(cluster.nodes[static_cast<std::size_t>(id)]->stats().malformed, 0u);
+    EXPECT_EQ(cluster.node(id).stats().malformed, 0u);
   }
 }
 
 TEST(NetworkedNodeTest, AtomicBroadcastUnderChaosProfile) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    NetCluster cluster(4, seed, LoopbackHub::FaultProfile::chaos());
+    AbcCluster cluster = make_cluster(4, seed, LoopbackHub::FaultProfile::chaos());
     for (int id = 0; id < 4; ++id) {
-      cluster.state(id).abc->submit(bytes_of("m" + std::to_string(id)));
+      cluster.protocol(id).abc->submit(bytes_of("m" + std::to_string(id)));
     }
-    ASSERT_TRUE(cluster.run_until([&] {
-      for (int id = 0; id < 4; ++id) {
-        if (cluster.state(id).delivered.size() < 4) return false;
-      }
-      return true;
-    })) << "seed " << seed;
-    cluster.expect_identical_order();
+    ASSERT_TRUE(cluster.run_until([&] { return all_delivered(cluster, 4); })) << "seed " << seed;
+    expect_identical_order(cluster);
   }
 }
 
@@ -148,7 +102,7 @@ TEST(NetworkedNodeTest, InboxQuotaDropsOldest) {
     m.tag = "t";
     m.payload = bytes_of("p" + std::to_string(i));
     const Bytes wire = NetworkedNode::encode_payload(m);
-    node.on_transport_receive(1, wire);
+    node.on_transport_receive(1, 0, wire);
   }
   node.poll();
   // Drop-oldest: the newest 4 survive the quota.
@@ -167,8 +121,8 @@ TEST(NetworkedNodeTest, MalformedPayloadCountedAndDropped) {
   RecordingProcess process;
   node.attach(process);
   const Bytes junk = bytes_of("not a message");
-  node.on_transport_receive(1, junk);
-  node.on_transport_receive(1, BytesView{});
+  node.on_transport_receive(1, 0, junk);
+  node.on_transport_receive(1, 0, BytesView{});
   node.poll();
   EXPECT_TRUE(process.seen.empty());
   EXPECT_EQ(node.stats().malformed, 2u);

@@ -43,6 +43,7 @@
 #include "net/transport/networked_node.hpp"
 #include "net/transport/tcp_transport.hpp"
 #include "protocols/harness.hpp"
+#include "protocols/net_cluster.hpp"
 #include "protocols/reconfig.hpp"
 #include "protocols/refresh.hpp"
 
@@ -57,7 +58,6 @@ using crypto::PartySet;
 using crypto::contains;
 using crypto::party_bit;
 using net::PartitionProfile;
-using net::transport::LoopbackHub;
 using net::transport::NetworkedNode;
 using protocols::AtomicBroadcast;
 using protocols::ChaosCluster;
@@ -109,6 +109,9 @@ ReconfigPlan grow_plan() { return make_plan(1, 4, 1, 1, {0, 1, 2, 3, -1}); }
 struct ReconfigState {
   std::unique_ptr<Reconfig> reconfig;
   std::optional<ReconfigResult> result;
+  /// Set after `result` on loopback runs, where a pump-thread predicate
+  /// polls it while executor lanes write `result`.
+  std::atomic<bool> finished{false};
 };
 
 ReconfigOptions options_for(const ReconfigPlan& plan, int id, PartySet garbage) {
@@ -784,108 +787,58 @@ TEST(ReconfigChaosTest, MidEpochCrashRestartReplaysToTheSameEpoch) {
 
 constexpr int kLoopN = 4;
 
+/// Party `id`'s stack for one reconfiguration epoch under `plan`, started.
+std::unique_ptr<ReconfigState> make_epoch_state(net::Party& party, const ReconfigPlan& plan,
+                                                int id) {
+  party.enable_wal();
+  auto state = std::make_unique<ReconfigState>();
+  party.with_instance(kTag, [&] {
+    state->reconfig = std::make_unique<Reconfig>(
+        party, kTag, plan, std::nullopt, options_for(plan, id, 0),
+        [s = state.get()](const ReconfigResult& r) {
+          s->result = r;
+          s->finished.store(true, std::memory_order_release);
+        });
+    state->reconfig->start();
+  });
+  return state;
+}
+
+using LoopbackEpoch = protocols::NetCluster<ReconfigState>;
+
 /// Four NetworkedNode+LoopbackHub parties running one reconfiguration
 /// epoch over real (in-process) transport framing.
-struct LoopbackEpoch {
-  Deployment deployment;
-  ReconfigPlan plan;
-  std::uint64_t seed;
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  std::vector<std::unique_ptr<HostedParty<ReconfigState>>> hosts;
-  std::vector<std::unique_ptr<ExecutorPool>> execs;
-  std::size_t executors;
+LoopbackEpoch make_loopback_epoch(const Deployment& deployment, ReconfigPlan plan,
+                                  std::uint64_t seed, std::size_t executors = 0) {
+  return LoopbackEpoch(
+      {deployment},
+      [plan = std::move(plan)](net::Party& party, int id, int) {
+        return make_epoch_state(party, plan, id);
+      },
+      {.executors = executors, .seed = seed});
+}
 
-  LoopbackEpoch(Deployment d, ReconfigPlan p, std::uint64_t s, std::size_t executor_count = 0)
-      : deployment(std::move(d)), plan(std::move(p)), seed(s), hub(kLoopN, s),
-        nodes(kLoopN), hosts(kLoopN), execs(kLoopN), executors(executor_count) {
-    for (int id = 0; id < kLoopN; ++id) build_node(id);
+bool all_done(LoopbackEpoch& cluster) {
+  for (int id = 0; id < cluster.n(); ++id) {
+    if (!cluster.protocol(id).finished.load(std::memory_order_acquire)) return false;
   }
-
-  ~LoopbackEpoch() {
-    for (auto& pool : execs) {
-      if (pool) pool->stop();
-    }
-  }
-
-  void build_node(int id) {
-    const auto slot = static_cast<std::size_t>(id);
-    NetworkedNode::Config config;
-    config.node_id = id;
-    config.n = kLoopN;
-    auto node = std::make_unique<NetworkedNode>(config);
-    auto pool = std::make_unique<ExecutorPool>(executors);
-    auto host = std::make_unique<HostedParty<ReconfigState>>(
-        *node, id, deployment, seed * 7919 + static_cast<std::uint64_t>(id),
-        [&](net::Party& party) {
-          party.enable_wal();
-          party.set_executors(pool.get());
-          auto state = std::make_unique<ReconfigState>();
-          party.with_instance(kTag, [&] {
-            state->reconfig = std::make_unique<Reconfig>(
-                party, kTag, plan, std::nullopt, options_for(plan, id, 0),
-                [s = state.get()](const ReconfigResult& r) { s->result = r; });
-            state->reconfig->start();
-          });
-          return state;
-        });
-    node->set_executors(pool.get());
-    node->attach(*host);
-    node->bind_transport_batched([this, id](int peer, std::vector<net::transport::GroupPayload> payloads) {
-      hub.send_many(id, peer, std::move(payloads));
-    });
-    hub.set_receiver(id, [raw = node.get()](int from, BytesView payload) {
-      raw->on_transport_receive(from, payload);
-    });
-    nodes[slot] = std::move(node);
-    hosts[slot] = std::move(host);
-    execs[slot] = std::move(pool);
-  }
-
-  bool run_until(const std::function<bool()>& done, std::size_t max_iters = 3'000'000) {
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) {
-        if (node) progressed = (node->poll() > 0) || progressed;
-      }
-      progressed = hub.step() || progressed;
-      if (!progressed) {
-        for (auto& pool : execs) {
-          if (pool) pool->wait_idle();
-        }
-        for (auto& node : nodes) {
-          if (node) node->poll();
-        }
-        hub.tick();
-        std::this_thread::sleep_for(std::chrono::microseconds(300));
-      }
-    }
-    return done();
-  }
-
-  bool all_done() {
-    for (auto& host : hosts) {
-      if (host && !host->protocol().result.has_value()) return false;
-    }
-    return true;
-  }
-};
+  return true;
+}
 
 TEST(ReconfigChaosTest, EpochCompletesUnderActivePartitionSchedule) {
   for (std::uint64_t seed : reconfig_seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed + 200);
     auto deployment = Deployment::threshold(kLoopN, 1, rng);
-    LoopbackEpoch cluster(deployment, swap_plan(), seed);
-    cluster.hub.set_partition_profile(
+    LoopbackEpoch cluster = make_loopback_epoch(deployment, swap_plan(), seed);
+    cluster.hub().set_partition_profile(
         PartitionProfile::split_heal(kLoopN, seed * 13 + 1, /*period=*/48, /*splits=*/2));
-    ASSERT_TRUE(cluster.run_until([&] { return cluster.all_done(); }));
+    ASSERT_TRUE(cluster.run_until([&] { return all_done(cluster); }));
     const auto& group = deployment.keys->public_keys().coin.group();
     Writer ref_w;
-    cluster.hosts[0]->protocol().result->config.encode(ref_w, group);
+    cluster.protocol(0).result->config.encode(ref_w, group);
     for (int id = 0; id < kLoopN; ++id) {
-      const auto& result = cluster.hosts[static_cast<std::size_t>(id)]->protocol().result;
+      const auto& result = cluster.protocol(id).result;
       ASSERT_TRUE(result->completed) << "member " << id;
       Writer w;
       result->config.encode(w, group);
@@ -902,13 +855,12 @@ TEST(ReconfigChaosTest, MidEpochWalSnapshotRestoresBitExactly) {
   // WAL being replayed.
   Rng rng(77);
   auto deployment = Deployment::threshold(kLoopN, 1, rng);
-  LoopbackEpoch cluster(deployment, swap_plan(), 7, /*executor_count=*/4);
+  const ReconfigPlan plan = swap_plan();
+  LoopbackEpoch cluster = make_loopback_epoch(deployment, plan, 7, /*executors=*/4);
   std::size_t steps = 0;
-  cluster.run_until([&] { return ++steps >= 4000 || cluster.all_done(); }, 4000);
-  for (auto& pool : cluster.execs) {
-    if (pool) pool->wait_idle();
-  }
-  const Bytes snapshot = cluster.hosts[1]->snapshot();
+  cluster.run_until([&] { return ++steps >= 4000 || all_done(cluster); }, 4000);
+  cluster.wait_idle();
+  const Bytes snapshot = cluster.host(1).snapshot();
   ASSERT_FALSE(snapshot.empty());
 
   const auto restore_into_fresh_stack = [&](Bytes& out) {
@@ -919,16 +871,8 @@ TEST(ReconfigChaosTest, MidEpochWalSnapshotRestoresBitExactly) {
     ExecutorPool fresh_pool(4);
     HostedParty<ReconfigState> fresh(
         fresh_node, 1, deployment, 7 * 7919 + 1, [&](net::Party& party) {
-          party.enable_wal();
           party.set_executors(&fresh_pool);
-          auto state = std::make_unique<ReconfigState>();
-          party.with_instance(kTag, [&] {
-            state->reconfig = std::make_unique<Reconfig>(
-                party, kTag, cluster.plan, std::nullopt, options_for(cluster.plan, 1, 0),
-                [s = state.get()](const ReconfigResult& r) { s->result = r; });
-            state->reconfig->start();
-          });
-          return state;
+          return make_epoch_state(party, plan, 1);
         });
     fresh.restore(snapshot);
     fresh_pool.wait_idle();
@@ -1028,11 +972,11 @@ TEST(EpochPlumbingTest, TcpHelloOutsideTheEpochWindowIsRejected) {
   // Epochs 0 and 5: the handshake is refused, nothing is delivered.
   {
     std::atomic<std::size_t> received{0};
-    TcpTransport a(make_config(0, 5), [&](int, BytesView) { received++; });
+    TcpTransport a(make_config(0, 5), [&](int, std::uint32_t, BytesView) { received++; });
     a.start();
     auto config_b = make_config(1, 0);
     config_b.endpoints[0].port = a.listen_port();
-    TcpTransport b(config_b, [](int, BytesView) {});
+    TcpTransport b(config_b, [](int, std::uint32_t, BytesView) {});
     b.start();
     b.send(0, bytes_of("stale-committee traffic"));
     ASSERT_TRUE(wait_for(
@@ -1044,11 +988,11 @@ TEST(EpochPlumbingTest, TcpHelloOutsideTheEpochWindowIsRejected) {
   // Adjacent epochs (the reconfiguration transition window) interoperate.
   {
     std::atomic<std::size_t> received{0};
-    TcpTransport a(make_config(0, 2), [&](int, BytesView) { received++; });
+    TcpTransport a(make_config(0, 2), [&](int, std::uint32_t, BytesView) { received++; });
     a.start();
     auto config_b = make_config(1, 1);
     config_b.endpoints[0].port = a.listen_port();
-    TcpTransport b(config_b, [](int, BytesView) {});
+    TcpTransport b(config_b, [](int, std::uint32_t, BytesView) {});
     b.start();
     b.send(0, bytes_of("transition-window traffic"));
     ASSERT_TRUE(wait_for([&] { return received.load() >= 1; }, 5000));
@@ -1082,12 +1026,12 @@ TEST(EpochPlumbingTest, NetworkedNodeGatesPayloadsByEpoch) {
     return NetworkedNode::encode_payload(m, epoch);
   };
 
-  node.on_transport_receive(1, payload_at(3, "current"));   // dispatched
-  node.on_transport_receive(1, payload_at(2, "stale"));     // dropped
-  node.on_transport_receive(1, payload_at(9, "far"));       // dropped
-  node.on_transport_receive(1, payload_at(4, "future-1"));  // buffered
-  node.on_transport_receive(1, payload_at(4, "future-2"));  // buffered
-  node.on_transport_receive(1, payload_at(4, "overflow"));  // max_future hit
+  node.on_transport_receive(1, 0, payload_at(3, "current"));   // dispatched
+  node.on_transport_receive(1, 0, payload_at(2, "stale"));     // dropped
+  node.on_transport_receive(1, 0, payload_at(9, "far"));       // dropped
+  node.on_transport_receive(1, 0, payload_at(4, "future-1"));  // buffered
+  node.on_transport_receive(1, 0, payload_at(4, "future-2"));  // buffered
+  node.on_transport_receive(1, 0, payload_at(4, "overflow"));  // max_future hit
   node.poll();
   ASSERT_EQ(collector.messages.size(), 1u);
   EXPECT_EQ(collector.messages[0].payload, bytes_of("current"));
@@ -1148,6 +1092,34 @@ TEST(EpochPlumbingTest, PartySnapshotCarriesTheEpochLog) {
   third.start();
   third.party(0)->restore(snapshot);
   EXPECT_EQ(third.party(0)->snapshot(), other.party(0)->snapshot());
+}
+
+TEST(EpochPlumbingTest, PartyRefusesUnknownSnapshotVersion) {
+  // The smallest well-formed snapshot of each layout: no checkpoints, no
+  // retired tags, an empty WAL — and, from v3 on, epoch 0 with an empty
+  // membership history.  Only v3 is the current layout; a snapshot is
+  // input from disk, so any other version is refused as a ProtocolError.
+  const auto empty_snapshot = [](std::uint8_t version) {
+    Writer w;
+    w.u8(version);
+    w.u32(0);  // checkpoints
+    if (version >= 3) {
+      w.u32(0);  // epoch
+      w.u32(0);  // epoch log
+    }
+    w.u32(0);  // retired tags
+    w.u32(0);  // WAL
+    return w.take();
+  };
+  Rng rng(33);
+  auto deployment = Deployment::threshold(4, 1, rng);
+  net::RandomScheduler sched(330);
+  Cluster<AbcState> cluster(deployment, sched, abc_factory(0), 0, 0, 33);
+  cluster.start();
+  net::Party& party = *cluster.party(0);
+  EXPECT_NO_THROW(party.restore(empty_snapshot(3)));
+  EXPECT_THROW(party.restore(empty_snapshot(2)), ProtocolError);
+  EXPECT_THROW(party.restore(empty_snapshot(4)), ProtocolError);
 }
 
 // ---- app/client follows a signed NEW-CONFIG --------------------------------

@@ -18,7 +18,10 @@
 // broadcasts must agree independently, each group's WAL must replay into
 // a fresh sequential party bit-exactly, and the wire stats must prove the
 // multi-group coalescing claim: payloads of BOTH groups rode shared BATCH
-// super-frames (one HMAC each), never one frame per payload.
+// super-frames (one HMAC each), never one frame per payload.  The same
+// two groups also run over a chaos-profile hub (dropped, duplicated,
+// replayed frames and flapping links) and must still agree per group,
+// with every retransmitted record routed to a hosted group.
 //
 // Isolation layer: a Byzantine flooder saturating group A's future-epoch
 // buffer exhausts A's OWN ResourceBudget; group B — distinct budget on
@@ -30,7 +33,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "adversary/quorum.hpp"
@@ -42,7 +44,7 @@
 #include "net/transport/loopback.hpp"
 #include "net/transport/networked_node.hpp"
 #include "protocols/atomic.hpp"
-#include "protocols/harness.hpp"
+#include "protocols/net_cluster.hpp"
 
 namespace sintra {
 namespace {
@@ -232,113 +234,60 @@ std::unique_ptr<ShardState> make_shard_state(net::Party& party, int shard) {
   return state;
 }
 
-struct ShardedCluster {
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  std::vector<std::unique_ptr<ExecutorPool>> execs;
-  /// hosts[node][shard]
-  std::vector<std::vector<std::unique_ptr<HostedParty<ShardState>>>> hosts;
+using ShardedCluster = protocols::NetCluster<ShardState>;
 
-  ShardedCluster(const adversary::Deployment& deployment, std::size_t executors)
-      : hub(kN, kSeed) {
+/// kShards groups (one shared deployment) × kN nodes over one hub, one
+/// shared ExecutorPool per node.
+ShardedCluster make_cluster(const adversary::Deployment& deployment,
+                            protocols::NetClusterShape shape) {
+  return ShardedCluster(std::vector<adversary::Deployment>(kShards, deployment),
+                        [](net::Party& party, int, int shard) {
+                          party.enable_wal();
+                          return make_shard_state(party, shard);
+                        },
+                        shape);
+}
+
+bool run_until_total(ShardedCluster& cluster, std::size_t per_shard_total) {
+  return cluster.run_until([&] {
     for (int id = 0; id < kN; ++id) {
-      NetworkedNode::Config config;
-      config.node_id = id;
-      config.n = kN;
-      auto node = std::make_unique<NetworkedNode>(config);
-      auto pool = std::make_unique<ExecutorPool>(executors);
-      std::vector<std::unique_ptr<HostedParty<ShardState>>> tenants;
       for (int s = 0; s < kShards; ++s) {
-        auto& endpoint = node->add_group(static_cast<std::uint32_t>(s));
-        auto host = std::make_unique<HostedParty<ShardState>>(
-            endpoint, id, deployment,
-            kSeed * 7919 + static_cast<std::uint64_t>(id * kShards + s),
-            [&pool, s](net::Party& party) {
-              party.enable_wal();
-              party.set_executors(pool.get());
-              // Distinct lane salt per tenant: two groups running the
-              // same protocol tags must not serialize on one lane.
-              party.set_lane_group(static_cast<std::uint64_t>(s));
-              return make_shard_state(party, s);
-            });
-        endpoint.attach(*host);
-        tenants.push_back(std::move(host));
-      }
-      node->set_executors(pool.get());
-      node->bind_transport_batched(
-          [this, id](int peer, std::vector<net::transport::GroupPayload> payloads) {
-            hub.send_many(id, peer, std::move(payloads));
-          });
-      hub.set_receiver(id, [raw = node.get()](int from, std::uint32_t group, BytesView payload) {
-        raw->on_transport_receive(from, group, payload);
-      });
-      nodes.push_back(std::move(node));
-      hosts.push_back(std::move(tenants));
-      execs.push_back(std::move(pool));
-    }
-  }
-
-  ~ShardedCluster() { stop(); }
-
-  void stop() {
-    for (auto& pool : execs) pool->stop();
-  }
-
-  ShardState& state(int id, int shard) {
-    return hosts[static_cast<std::size_t>(id)][static_cast<std::size_t>(shard)]->protocol();
-  }
-
-  bool run_until_total(std::size_t per_shard_total, std::size_t max_iters = 5'000'000) {
-    auto done = [&] {
-      for (auto& tenants : hosts) {
-        for (auto& host : tenants) {
-          if (host->protocol().total.load(std::memory_order_acquire) < per_shard_total) {
-            return false;
-          }
+        if (cluster.protocol(id, s).total.load(std::memory_order_acquire) < per_shard_total) {
+          return false;
         }
       }
-      return true;
-    };
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) progressed = (node->poll() > 0) || progressed;
-      progressed = hub.step() || progressed;
-      if (!progressed) {
-        for (auto& pool : execs) pool->wait_idle();
-        for (auto& node : nodes) node->poll();
-        hub.tick();
-        std::this_thread::yield();
-      }
     }
-    return done();
-  }
-};
+    return true;
+  });
+}
 
-TEST(ShardedClusterTest, TwoGroupsAgreeIndependentlyOverOneTransport) {
-  Rng rng(23);
-  const auto deployment = adversary::Deployment::threshold(kN, 1, rng);
-  ShardedCluster cluster(deployment, /*executors=*/4);
-
+void submit_all(ShardedCluster& cluster) {
   for (int s = 0; s < kShards; ++s) {
     for (int i = 0; i < kPerShard; ++i) {
-      auto& host = *cluster.hosts[static_cast<std::size_t>((s + i) % kN)][static_cast<std::size_t>(s)];
+      auto& host = cluster.host((s + i) % kN, s);
       host.party().with_instance(shard_tag(s), [&host, s, i] {
         host.protocol().abc->submit(bytes_of("s" + std::to_string(s) + "/p" + std::to_string(i)));
       });
     }
   }
-  ASSERT_TRUE(cluster.run_until_total(kPerShard));
+}
+
+TEST(ShardedClusterTest, TwoGroupsAgreeIndependentlyOverOneTransport) {
+  Rng rng(23);
+  const auto deployment = adversary::Deployment::threshold(kN, 1, rng);
+  ShardedCluster cluster = make_cluster(deployment, {.executors = 4, .seed = kSeed});
+  submit_all(cluster);
+  ASSERT_TRUE(run_until_total(cluster, kPerShard));
   cluster.stop();
 
   // (a) agreement per group: every node delivers each group's payloads in
   // one order — multiplexing S groups over one link must not leak between
   // their protocol instances.
   for (int s = 0; s < kShards; ++s) {
-    const auto& reference = cluster.state(0, s).delivered;
+    const auto& reference = cluster.protocol(0, s).delivered;
     ASSERT_EQ(reference.size(), static_cast<std::size_t>(kPerShard));
     for (int id = 1; id < kN; ++id) {
-      EXPECT_EQ(cluster.state(id, s).delivered, reference)
+      EXPECT_EQ(cluster.protocol(id, s).delivered, reference)
           << "node " << id << " shard " << s << " disagrees";
     }
     // The two groups carried disjoint payload sets (no cross-delivery).
@@ -351,7 +300,7 @@ TEST(ShardedClusterTest, TwoGroupsAgreeIndependentlyOverOneTransport) {
   // (b) per-group WAL replay: each tenant's log restores into a fresh
   // sequential party and reproduces that tenant's sequence exactly.
   for (int s = 0; s < kShards; ++s) {
-    const Bytes snapshot = cluster.hosts[0][static_cast<std::size_t>(s)]->snapshot();
+    const Bytes snapshot = cluster.host(0, s).snapshot();
     NetworkedNode::Config config;
     config.node_id = 0;
     config.n = kN;
@@ -363,7 +312,7 @@ TEST(ShardedClusterTest, TwoGroupsAgreeIndependentlyOverOneTransport) {
           return make_shard_state(party, s);
         });
     replay.restore(snapshot);
-    EXPECT_EQ(replay.protocol().delivered, cluster.state(0, s).delivered)
+    EXPECT_EQ(replay.protocol().delivered, cluster.protocol(0, s).delivered)
         << "shard " << s << ": WAL replay diverged";
   }
 
@@ -371,11 +320,39 @@ TEST(ShardedClusterTest, TwoGroupsAgreeIndependentlyOverOneTransport) {
   // super-frames.  More payloads than frames means multi-payload frames;
   // one HMAC (and on TCP one sendmsg) covered each frame regardless of
   // how many groups' records it carried.
-  const LoopbackHub::Stats wire = cluster.hub.stats();
+  const LoopbackHub::Stats wire = cluster.hub().stats();
   EXPECT_GT(wire.batches_sent, 0u);
   EXPECT_GT(wire.coalesced_payloads, wire.batches_sent)
       << "every frame carried a single payload — coalescing never engaged";
   EXPECT_EQ(wire.auth_failures, 0u);
+}
+
+TEST(ShardedClusterTest, TwoGroupsAgreeUnderChaosProfile) {
+  // Dropped, duplicated, replayed and reordered multi-group BATCH
+  // super-frames, and flapping links: retransmission must still route
+  // every record to its own group, so each group's total order holds.
+  Rng rng(29);
+  const auto deployment = adversary::Deployment::threshold(kN, 1, rng);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ShardedCluster cluster = make_cluster(
+        deployment,
+        {.executors = 2, .seed = seed, .faults = LoopbackHub::FaultProfile::chaos()});
+    submit_all(cluster);
+    ASSERT_TRUE(run_until_total(cluster, kPerShard));
+    cluster.stop();
+    for (int s = 0; s < kShards; ++s) {
+      const auto& reference = cluster.protocol(0, s).delivered;
+      ASSERT_EQ(reference.size(), static_cast<std::size_t>(kPerShard));
+      for (int id = 1; id < kN; ++id) {
+        EXPECT_EQ(cluster.protocol(id, s).delivered, reference)
+            << "node " << id << " shard " << s << " disagrees";
+      }
+    }
+    for (int id = 0; id < kN; ++id) EXPECT_EQ(cluster.node(id).stats().unknown_group, 0u);
+    EXPECT_GT(cluster.hub().stats().dropped_frames + cluster.hub().stats().duplicated_frames, 0u)
+        << "the chaos profile never engaged";
+  }
 }
 
 // ---- isolation: per-tenant budgets under a flooding peer --------------------

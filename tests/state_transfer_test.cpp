@@ -23,23 +23,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "adversary/quorum.hpp"
-#include "common/executor.hpp"
 #include "common/rng.hpp"
 #include "crypto/checkpoint.hpp"
 #include "crypto/shamir.hpp"
 #include "net/state_transfer.hpp"
 #include "net/transport/health.hpp"
 #include "net/transport/loopback.hpp"
-#include "net/transport/networked_node.hpp"
 #include "protocols/atomic.hpp"
 #include "protocols/harness.hpp"
+#include "protocols/net_cluster.hpp"
 #include "protocols/refresh.hpp"
 #include "protocols/watchdog.hpp"
 
@@ -48,14 +45,11 @@ namespace {
 
 using adversary::Deployment;
 using adversary::Formula;
-using common::ExecutorPool;
 using crypto::CheckpointCert;
 using net::StateTransfer;
 using net::StateTransferOptions;
 using net::PartitionProfile;
 using net::transport::AccrualHealth;
-using net::transport::LoopbackHub;
-using net::transport::NetworkedNode;
 using protocols::AtomicBroadcast;
 using protocols::HostedParty;
 using protocols::ShareRefresh;
@@ -460,217 +454,147 @@ struct RecState {
   std::atomic<int> recovery{0};  ///< 0 = pending, 1 = ok, 2 = failed
 };
 
-/// Four NetworkedNode+LoopbackHub parties, each hosting a checkpointed
-/// atomic broadcast and a StateTransfer wired to it.  Nodes can be killed
-/// (process gone), wiped (WAL and snapshots lost with it) and rebuilt
+using RecoveryCluster = protocols::NetCluster<RecState>;
+
+/// A checkpointed atomic broadcast with a StateTransfer wired to it (and,
+/// `with_refresh`, a proactive share refresh), built on `party`.
+std::unique_ptr<RecState> make_state(net::Party& party, const Deployment& deployment,
+                                     StateTransferOptions options, bool with_refresh) {
+  auto state = std::make_unique<RecState>();
+  party.with_instance("abc", [&] {
+    state->abc = std::make_unique<AtomicBroadcast>(
+        party, "abc", [s = state.get()](int origin, Bytes payload) {
+          s->delivered.emplace_back(origin, std::move(payload));
+          s->total.fetch_add(1, std::memory_order_release);
+        });
+    state->abc->enable_checkpoints(1);
+    // The transfer instance lives in the "abc" tag tree (tag root
+    // "abc"), so under concurrent executors its handlers run on the
+    // same lane as the broadcast they install into — no cross-lane
+    // touches of protocol state.
+    auto* abc = state->abc.get();
+    state->xfer = std::make_unique<StateTransfer>(
+        party, "abc/xfer", "abc", [abc] { return abc->latest_certificate(); },
+        [abc](const CheckpointCert& cert) { return abc->certified_state(cert); },
+        [abc](const CheckpointCert& cert, BytesView bytes) {
+          return abc->install_checkpoint(cert, bytes);
+        },
+        options);
+  });
+  if (with_refresh) {
+    party.with_instance("refresh", [&] {
+      const int id = party.id();
+      const auto& coin_sk = deployment.keys->share(id).coin;
+      state->refresh = std::make_unique<ShareRefresh>(
+          party, "refresh", coin_sk.unit_shares().at(id),
+          deployment.keys->public_keys().coin.verification_values(), /*threshold=*/1,
+          [s = state.get()](ShareRefresh::Result r) {
+            s->refresh_result = std::move(r);
+            s->refreshed.store(true, std::memory_order_release);
+          });
+    });
+  }
+  return state;
+}
+
+/// Four NetworkedNode+LoopbackHub parties running make_state.  A node can
+/// be killed (process gone, WAL and snapshots lost with it) and rebuilt
 /// blank — only the dealt key share, which lives in the Deployment,
 /// survives, exactly the disaster the certified transfer recovers from.
-struct RecoveryCluster {
-  Deployment deployment;
-  std::uint64_t seed;
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  std::vector<std::unique_ptr<HostedParty<RecState>>> hosts;
-  std::vector<std::unique_ptr<ExecutorPool>> execs;
-  std::size_t executors;
-  bool with_refresh = false;
+/// Each incarnation of node `id` runs with `options[id]` as it stands at
+/// (re)build time.
+RecoveryCluster make_cluster(const Deployment& deployment, std::uint64_t seed,
+                             const std::vector<StateTransferOptions>& options,
+                             std::size_t executors = 0, bool with_refresh = false) {
+  return RecoveryCluster(
+      {deployment},
+      [deployment, &options, with_refresh](net::Party& party, int id, int) {
+        party.enable_wal();
+        return make_state(party, deployment, options[static_cast<std::size_t>(id)],
+                          with_refresh);
+      },
+      {.executors = executors, .seed = seed});
+}
 
-  RecoveryCluster(Deployment d, std::uint64_t s, std::size_t executor_count = 0)
-      : deployment(std::move(d)), seed(s), hub(kN, s),
-        nodes(kN), hosts(kN), execs(kN), executors(executor_count) {}
+/// Retry and query windows short enough for a test-sized recovery.
+StateTransferOptions fast_recovery() {
+  StateTransferOptions options;
+  options.query_window = 30;
+  options.retry_timeout = 80;
+  options.max_rounds = 16;
+  return options;
+}
 
-  ~RecoveryCluster() { stop(); }
+void submit(RecoveryCluster& cluster, int id, Bytes payload) {
+  auto& host = cluster.host(id);
+  host.party().with_instance("abc", [&] { host.protocol().abc->submit(std::move(payload)); });
+}
 
-  void stop() {
-    for (auto& pool : execs) {
-      if (pool) pool->stop();
-    }
-  }
-
-  std::unique_ptr<RecState> make_state(net::Party& party, StateTransferOptions options) {
-    auto state = std::make_unique<RecState>();
-    party.with_instance("abc", [&] {
-      state->abc = std::make_unique<AtomicBroadcast>(
-          party, "abc", [s = state.get()](int origin, Bytes payload) {
-            s->delivered.emplace_back(origin, std::move(payload));
-            s->total.fetch_add(1, std::memory_order_release);
-          });
-      state->abc->enable_checkpoints(1);
-      // The transfer instance lives in the "abc" tag tree (tag root
-      // "abc"), so under concurrent executors its handlers run on the
-      // same lane as the broadcast they install into — no cross-lane
-      // touches of protocol state.
-      auto* abc = state->abc.get();
-      state->xfer = std::make_unique<StateTransfer>(
-          party, "abc/xfer", "abc", [abc] { return abc->latest_certificate(); },
-          [abc](const CheckpointCert& cert) { return abc->certified_state(cert); },
-          [abc](const CheckpointCert& cert, BytesView bytes) {
-            return abc->install_checkpoint(cert, bytes);
-          },
-          options);
+void begin_recovery(RecoveryCluster& cluster, int id) {
+  RecState& rec = cluster.protocol(id);
+  cluster.host(id).party().with_instance("abc", [&rec] {
+    rec.xfer->begin_recovery([&rec](bool ok) {
+      rec.recovery.store(ok ? 1 : 2, std::memory_order_release);
     });
-    if (with_refresh) {
-      party.with_instance("refresh", [&] {
-        const int id = party.id();
-        const auto& coin_sk = deployment.keys->share(id).coin;
-        state->refresh = std::make_unique<ShareRefresh>(
-            party, "refresh", coin_sk.unit_shares().at(id),
-            deployment.keys->public_keys().coin.verification_values(), /*threshold=*/1,
-            [s = state.get()](ShareRefresh::Result r) {
-              s->refresh_result = std::move(r);
-              s->refreshed.store(true, std::memory_order_release);
-            });
-      });
-    }
-    return state;
-  }
+  });
+}
 
-  void build_node(int id, StateTransferOptions options = {}) {
-    const auto slot = static_cast<std::size_t>(id);
-    NetworkedNode::Config config;
-    config.node_id = id;
-    config.n = kN;
-    auto node = std::make_unique<NetworkedNode>(config);
-    auto pool = std::make_unique<ExecutorPool>(executors);
-    auto host = std::make_unique<HostedParty<RecState>>(
-        *node, id, deployment, seed * 7919 + static_cast<std::uint64_t>(id),
-        [&](net::Party& party) {
-          party.enable_wal();
-          party.set_executors(pool.get());
-          return make_state(party, options);
-        });
-    node->set_executors(pool.get());
-    node->attach(*host);
-    node->bind_transport_batched([this, id](int peer, std::vector<net::transport::GroupPayload> payloads) {
-      hub.send_many(id, peer, std::move(payloads));
-    });
-    hub.set_receiver(id, [raw = node.get()](int from, BytesView payload) {
-      raw->on_transport_receive(from, payload);
-    });
-    nodes[slot] = std::move(node);
-    hosts[slot] = std::move(host);
-    execs[slot] = std::move(pool);
-  }
-
-  /// SIGKILL + disk wipe: the process object is destroyed outright — no
-  /// snapshot is taken, the in-memory WAL (the "disk") dies with it.
-  void kill_and_wipe(int id) {
-    const auto slot = static_cast<std::size_t>(id);
-    hub.set_receiver(id, [](int, BytesView) {});  // frames land in the void
-    if (execs[slot]) execs[slot]->stop();
-    hosts[slot].reset();
-    nodes[slot].reset();
-    execs[slot].reset();
-  }
-
-  RecState& state(int id) { return hosts[static_cast<std::size_t>(id)]->protocol(); }
-
-  void submit(int id, Bytes payload) {
-    auto& host = *hosts[static_cast<std::size_t>(id)];
-    host.party().with_instance("abc", [&] {
-      host.protocol().abc->submit(std::move(payload));
-    });
-  }
-
-  bool run_until(const std::function<bool()>& done, std::size_t max_iters = 3'000'000) {
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) {
-        if (node) progressed = (node->poll() > 0) || progressed;
-      }
-      progressed = hub.step() || progressed;
-      if (!progressed) {
-        for (auto& pool : execs) {
-          if (pool) pool->wait_idle();
-        }
-        for (auto& node : nodes) {
-          if (node) node->poll();
-        }
-        hub.tick();
-        // Timers here are wall-clock: sleep a little so retry/query
-        // windows actually mature instead of spinning.
-        std::this_thread::sleep_for(std::chrono::microseconds(300));
-      }
-    }
-    return done();
-  }
-
-  /// Everyone (that is up) at `total`, then drain until the wire is dry.
-  bool settle(std::size_t total) {
-    auto all_at = [&] {
-      for (auto& host : hosts) {
-        if (host && host->protocol().total.load(std::memory_order_acquire) < total) return false;
-      }
-      return true;
-    };
-    if (!run_until(all_at)) return false;
-    // Quiesce: a few rounds with no progress at all.
-    for (int calm = 0; calm < 8;) {
-      bool progressed = false;
-      for (auto& node : nodes) {
-        if (node) progressed = (node->poll() > 0) || progressed;
-      }
-      progressed = hub.step() || progressed;
-      if (progressed) {
-        calm = 0;
-      } else {
-        for (auto& pool : execs) {
-          if (pool) pool->wait_idle();
-        }
-        hub.tick();
-        ++calm;
-        std::this_thread::sleep_for(std::chrono::microseconds(300));
-      }
+/// Everyone at `total`, then drain until the wire is dry: eight pump
+/// passes in a row in which no frame moved and no node dispatched.
+bool settle(RecoveryCluster& cluster, std::size_t total) {
+  const bool at_total = cluster.run_until([&] {
+    for (int id = 0; id < kN; ++id) {
+      if (cluster.protocol(id).total.load(std::memory_order_acquire) < total) return false;
     }
     return true;
-  }
-};
+  });
+  if (!at_total) return false;
+  std::uint64_t last = 0;
+  int calm = 0;
+  return cluster.run_until([&] {
+    std::uint64_t moved = cluster.hub().stats().delivered_frames;
+    for (int id = 0; id < kN; ++id) moved += cluster.node(id).stats().dispatched;
+    calm = moved == last ? calm + 1 : 0;
+    last = moved;
+    return calm >= 8;
+  });
+}
 
 void expect_identical_total_order(RecoveryCluster& cluster, std::size_t expect_total) {
   // Synchronize with executor lanes before reading the raw vectors.
-  for (auto& pool : cluster.execs) {
-    if (pool) pool->wait_idle();
-  }
-  const auto& reference = cluster.state(0).delivered;
+  cluster.wait_idle();
+  const auto& reference = cluster.protocol(0).delivered;
   ASSERT_EQ(reference.size(), expect_total);
   for (int id = 1; id < kN; ++id) {
-    EXPECT_EQ(cluster.state(id).delivered, reference)
+    EXPECT_EQ(cluster.protocol(id).delivered, reference)
         << "node " << id << " diverged from the recovered total order";
   }
 }
 
 void run_wipe_recovery(Deployment deployment, std::uint64_t seed) {
-  RecoveryCluster cluster(std::move(deployment), seed);
-  for (int id = 0; id < kN; ++id) cluster.build_node(id);
-  for (int id = 0; id < kN; ++id) cluster.submit(id, bytes_of("pre" + std::to_string(id)));
-  ASSERT_TRUE(cluster.settle(kN)) << "pre-crash traffic never settled";
-  ASSERT_TRUE(cluster.state(0).abc->latest_certificate().has_value());
+  std::vector<StateTransferOptions> options(kN);
+  RecoveryCluster cluster = make_cluster(deployment, seed, options);
+  for (int id = 0; id < kN; ++id) submit(cluster, id, bytes_of("pre" + std::to_string(id)));
+  ASSERT_TRUE(settle(cluster, kN)) << "pre-crash traffic never settled";
+  ASSERT_TRUE(cluster.protocol(0).abc->latest_certificate().has_value());
   {
-    const auto& c0 = *cluster.state(0).abc->latest_certificate();
-    ASSERT_FALSE(cluster.state(0).abc->certified_state(c0).empty())
+    const auto& c0 = *cluster.protocol(0).abc->latest_certificate();
+    ASSERT_FALSE(cluster.protocol(0).abc->certified_state(c0).empty())
         << "peer cannot serialize its own certified prefix: cert.delivered="
-        << c0.delivered_count << " abc.delivered=" << cluster.state(0).abc->delivered_count();
+        << c0.delivered_count << " abc.delivered=" << cluster.protocol(0).abc->delivered_count();
   }
 
   // SIGKILL node 3 and wipe its disk; bring a blank incarnation back with
   // nothing but its dealt key share, under an active partition schedule
   // (split twice, heal) while it recovers.
-  cluster.kill_and_wipe(3);
-  cluster.hub.set_partition_profile(
+  cluster.kill(3);
+  cluster.hub().set_partition_profile(
       PartitionProfile::split_heal(kN, seed * 13 + 1, /*period=*/48, /*splits=*/2));
-  StateTransferOptions options;
-  options.query_window = 30;
-  options.retry_timeout = 80;
-  options.max_rounds = 16;
-  cluster.build_node(3, options);
-  RecState& rec = cluster.state(3);
+  options[3] = fast_recovery();
+  cluster.build(3);
+  RecState& rec = cluster.protocol(3);
   EXPECT_EQ(rec.total.load(), 0u) << "the wiped node must restart blank";
-  cluster.hosts[3]->party().with_instance("abc", [&] {
-    rec.xfer->begin_recovery([&rec](bool ok) {
-      rec.recovery.store(ok ? 1 : 2, std::memory_order_release);
-    });
-  });
+  begin_recovery(cluster, 3);
   ASSERT_TRUE(cluster.run_until([&] { return rec.recovery.load(std::memory_order_acquire) != 0; }))
       << "state transfer never finished";
   ASSERT_EQ(rec.recovery.load(), 1)
@@ -679,19 +603,19 @@ void run_wipe_recovery(Deployment deployment, std::uint64_t seed) {
       << " fetched=" << rec.xfer->stats().chunks_fetched
       << " retries=" << rec.xfer->stats().chunk_retries
       << " failovers=" << rec.xfer->stats().failovers
-      << " peer0_queries_served=" << cluster.state(0).xfer->stats().queries_served
-      << " peer0_cert=" << cluster.state(0).abc->latest_certificate().has_value();
+      << " peer0_queries_served=" << cluster.protocol(0).xfer->stats().queries_served
+      << " peer0_cert=" << cluster.protocol(0).abc->latest_certificate().has_value();
   EXPECT_EQ(rec.xfer->stats().installs, 1u);
   EXPECT_EQ(rec.total.load(), static_cast<std::size_t>(kN))
       << "install must re-deliver the certified prefix";
-  EXPECT_GT(cluster.hub.stats().partition_splits, 0u) << "partition schedule never engaged";
+  EXPECT_GT(cluster.hub().stats().partition_splits, 0u) << "partition schedule never engaged";
 
   // The rejoined node commits new traffic in the same total order.
-  cluster.submit(0, bytes_of("post0"));
-  cluster.submit(3, bytes_of("post3"));
-  ASSERT_TRUE(cluster.settle(kN + 2)) << "post-recovery traffic never settled";
+  submit(cluster, 0, bytes_of("post0"));
+  submit(cluster, 3, bytes_of("post3"));
+  ASSERT_TRUE(settle(cluster, kN + 2)) << "post-recovery traffic never settled";
   // By now the schedule has drained: every severed pair was healed again.
-  EXPECT_EQ(cluster.hub.stats().partition_heals, cluster.hub.stats().partition_splits)
+  EXPECT_EQ(cluster.hub().stats().partition_heals, cluster.hub().stats().partition_splits)
       << "schedule must end healed";
   expect_identical_total_order(cluster, kN + 2);
 }
@@ -738,31 +662,18 @@ constexpr std::uint64_t kByzantineSeed = 1;
 /// can pick a hub seed under which the tamperer's offer wins the tie and
 /// the chunk-verification failover genuinely runs.
 StateTransfer::Stats run_byzantine_recovery(std::uint64_t seed) {
-  auto deployment = threshold_deployment(seed);
-  RecoveryCluster cluster(deployment, seed);
-  StateTransferOptions forge;
-  forge.forge_certificate = true;
-  StateTransferOptions tamper;
-  tamper.tamper_chunks = true;
-  cluster.build_node(0, forge);
-  cluster.build_node(1, tamper);
-  cluster.build_node(2);
-  cluster.build_node(3);
-  for (int id = 0; id < kN; ++id) cluster.submit(id, bytes_of("pre" + std::to_string(id)));
-  EXPECT_TRUE(cluster.settle(kN));
+  std::vector<StateTransferOptions> options(kN);
+  options[0].forge_certificate = true;
+  options[1].tamper_chunks = true;
+  RecoveryCluster cluster = make_cluster(threshold_deployment(seed), seed, options);
+  for (int id = 0; id < kN; ++id) submit(cluster, id, bytes_of("pre" + std::to_string(id)));
+  EXPECT_TRUE(settle(cluster, kN));
 
-  cluster.kill_and_wipe(3);
-  StateTransferOptions options;
-  options.query_window = 30;
-  options.retry_timeout = 80;
-  options.max_rounds = 16;
-  cluster.build_node(3, options);
-  RecState& rec = cluster.state(3);
-  cluster.hosts[3]->party().with_instance("abc", [&] {
-    rec.xfer->begin_recovery([&rec](bool ok) {
-      rec.recovery.store(ok ? 1 : 2, std::memory_order_release);
-    });
-  });
+  cluster.kill(3);
+  options[3] = fast_recovery();
+  cluster.build(3);
+  RecState& rec = cluster.protocol(3);
+  begin_recovery(cluster, 3);
   EXPECT_TRUE(
       cluster.run_until([&] { return rec.recovery.load(std::memory_order_acquire) != 0; }));
   EXPECT_EQ(rec.recovery.load(), 1) << "recovery must fail over to the honest peer";
@@ -772,8 +683,8 @@ StateTransfer::Stats run_byzantine_recovery(std::uint64_t seed) {
   EXPECT_EQ(stats.installs, 1u);
   EXPECT_EQ(rec.total.load(), static_cast<std::size_t>(kN));
 
-  cluster.submit(2, bytes_of("post"));
-  EXPECT_TRUE(cluster.settle(kN + 1));
+  submit(cluster, 2, bytes_of("post"));
+  EXPECT_TRUE(settle(cluster, kN + 1));
   expect_identical_total_order(cluster, kN + 1);
   return stats;
 }
@@ -801,41 +712,34 @@ TEST(StateTransferClusterTest, RefreshRunsConcurrentlyWithRecoveryUnderExecutors
   // node holds the identical total order.
   auto deployment = threshold_deployment(83);
   const std::uint64_t seed = 83;
-  RecoveryCluster cluster(deployment, seed, /*executors=*/4);
-  cluster.with_refresh = true;
-  for (int id = 0; id < kN; ++id) cluster.build_node(id);
-  for (int id = 0; id < kN; ++id) cluster.submit(id, bytes_of("pre" + std::to_string(id)));
-  ASSERT_TRUE(cluster.settle(kN));
+  std::vector<StateTransferOptions> options(kN);
+  RecoveryCluster cluster =
+      make_cluster(deployment, seed, options, /*executors=*/4, /*with_refresh=*/true);
+  for (int id = 0; id < kN; ++id) submit(cluster, id, bytes_of("pre" + std::to_string(id)));
+  ASSERT_TRUE(settle(cluster, kN));
 
-  cluster.kill_and_wipe(3);
-  StateTransferOptions options;
-  options.query_window = 30;
-  options.retry_timeout = 80;
-  options.max_rounds = 16;
-  cluster.build_node(3, options);
-  RecState& rec = cluster.state(3);
+  cluster.kill(3);
+  options[3] = fast_recovery();
+  cluster.build(3);
+  RecState& rec = cluster.protocol(3);
   // Kick off the refresh epoch and the recovery together.
   for (int id = 0; id < 3; ++id) {
-    auto& host = *cluster.hosts[static_cast<std::size_t>(id)];
+    auto& host = cluster.host(id);
     host.party().with_instance("refresh", [&] { host.protocol().refresh->start(); });
   }
-  cluster.hosts[3]->party().with_instance("abc", [&] {
-    rec.xfer->begin_recovery([&rec](bool ok) {
-      rec.recovery.store(ok ? 1 : 2, std::memory_order_release);
-    });
-  });
+  begin_recovery(cluster, 3);
   ASSERT_TRUE(cluster.run_until([&] {
     if (rec.recovery.load(std::memory_order_acquire) == 0) return false;
     for (int id = 0; id < 3; ++id) {
-      if (!cluster.state(id).refreshed.load(std::memory_order_acquire)) return false;
+      if (!cluster.protocol(id).refreshed.load(std::memory_order_acquire)) return false;
     }
     return true;
   })) << "refresh and recovery did not both complete";
   ASSERT_EQ(rec.recovery.load(), 1);
   EXPECT_EQ(rec.total.load(), static_cast<std::size_t>(kN));
 
-  cluster.submit(1, bytes_of("post"));
-  ASSERT_TRUE(cluster.settle(kN + 1));
+  submit(cluster, 1, bytes_of("post"));
+  ASSERT_TRUE(settle(cluster, kN + 1));
   cluster.stop();  // join lanes: refresh results are safe to read now
   expect_identical_total_order(cluster, kN + 1);
 
@@ -849,14 +753,14 @@ TEST(StateTransferClusterTest, RefreshRunsConcurrentlyWithRecoveryUnderExecutors
   std::map<int, crypto::BigInt> new_shares;
   for (int id : {0, 2}) {
     old_shares[id] = deployment.keys->share(id).coin.unit_shares().at(id);
-    new_shares[id] = cluster.state(id).refresh_result->new_share;
+    new_shares[id] = cluster.protocol(id).refresh_result->new_share;
   }
   EXPECT_EQ(scheme.reconstruct(old_shares, group.q()),
             scheme.reconstruct(new_shares, group.q()))
       << "refresh must preserve the shared secret";
   std::map<int, crypto::BigInt> mixed;
   mixed[0] = deployment.keys->share(0).coin.unit_shares().at(0);  // epoch e-1
-  mixed[1] = cluster.state(1).refresh_result->new_share;          // epoch e
+  mixed[1] = cluster.protocol(1).refresh_result->new_share;          // epoch e
   EXPECT_NE(scheme.reconstruct(mixed, group.q()), scheme.reconstruct(new_shares, group.q()))
       << "stale epoch e-1 shares must not combine into epoch e";
 }

@@ -269,8 +269,8 @@ TEST(TcpTransportTest, SendManyCoalescesIntoOneBatchFrame) {
   ASSERT_TRUE(wait_for([&] { return a.stats().connects >= 1; }, 5000));
 
   constexpr int kCount = 50;
-  std::vector<Bytes> payloads;
-  for (int i = 0; i < kCount; ++i) payloads.push_back(numbered(0, i));
+  std::vector<GroupPayload> payloads;
+  for (int i = 0; i < kCount; ++i) payloads.push_back(GroupPayload{0, numbered(0, i)});
   a.send_many(1, payloads);
   ASSERT_TRUE(wait_for([&] { return cb.count(0) >= kCount; }, 5000));
   const auto got = cb.from(0);

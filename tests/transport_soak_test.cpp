@@ -41,7 +41,7 @@ void run_round(std::uint64_t seed, int n, int count) {
 
   std::map<std::pair<int, int>, std::vector<Bytes>> received;
   for (int node = 0; node < n; ++node) {
-    hub.set_receiver(node, [&received, node](int from, BytesView payload) {
+    hub.set_receiver(node, [&received, node](int from, std::uint32_t, BytesView payload) {
       received[{from, node}].emplace_back(payload.begin(), payload.end());
     });
   }
