@@ -9,13 +9,16 @@
 //      (t_b = 1, t_c = 1) vs. the 7-server pure-Byzantine deployment
 //      (t = 2) that the classical model would need for the same fault
 //      count, same workload.
-//  (c) Proactive refresh: cost of one share-refresh epoch vs. system size.
+//  (c) Proactive refresh: cost of one refresh epoch vs. system size.  A
+//      refresh is a same-committee reconfiguration epoch
+//      (ReconfigPlan::same_committee), which reshares all four dealt keys
+//      and signs a NEW-CONFIG announcement.
 #include <cstdio>
 
 #include "adversary/hybrid.hpp"
 #include "protocols/harness.hpp"
 #include "protocols/optimistic.hpp"
-#include "protocols/refresh.hpp"
+#include "protocols/reconfig.hpp"
 
 using namespace sintra;
 
@@ -169,12 +172,12 @@ void bench_hybrid() {
 // ---- (c) proactive refresh cost ------------------------------------------------
 
 struct RefreshState {
-  std::unique_ptr<protocols::ShareRefresh> refresh;
+  std::unique_ptr<protocols::Reconfig> reconfig;
   bool done = false;
 };
 
 void bench_refresh() {
-  std::printf("(c) proactive refresh: one epoch of coin-key resharing\n\n");
+  std::printf("(c) proactive refresh: one same-committee epoch resharing all four keys\n\n");
   std::printf("| %3s | %2s | %8s | %8s | %-9s |\n", "n", "t", "msgs", "steps", "applied");
   std::printf("|-----|----|----------|----------|-----------|\n");
   for (int n : {4, 7, 10}) {
@@ -182,28 +185,29 @@ void bench_refresh() {
     Rng rng(static_cast<std::uint64_t>(n));
     auto deployment = adversary::Deployment::threshold(n, t, rng);
     net::RandomScheduler sched(static_cast<std::uint64_t>(n) * 3);
+    const auto plan = protocols::ReconfigPlan::same_committee(1, n, t);
     int applied = 0;
+    bool completed = true;
     protocols::Cluster<RefreshState> cluster(
         deployment, sched,
-        [&](net::Party& party, int id) {
+        [&](net::Party& party, int) {
           auto s = std::make_unique<RefreshState>();
-          s->refresh = std::make_unique<protocols::ShareRefresh>(
-              party, "refresh", deployment.keys->share(id).coin.unit_shares().at(id),
-              deployment.keys->public_keys().coin.verification_values(), t,
-              [p = s.get(), &applied](protocols::ShareRefresh::Result r) {
+          s->reconfig = std::make_unique<protocols::Reconfig>(
+              party, "refresh", plan, std::nullopt, protocols::ReconfigOptions{},
+              [p = s.get(), &applied, &completed](const protocols::ReconfigResult& r) {
                 p->done = true;
                 applied = r.dealings_applied;
+                completed = completed && r.completed && r.share_valid;
               });
           return s;
         });
     cluster.start();
-    cluster.for_each([](int, RefreshState& s) { s.refresh->start(); });
-    const bool ok =
-        cluster.run_until_all([](RefreshState& s) { return s.done; }, 50000000);
+    cluster.for_each([](int, RefreshState& s) { s.reconfig->start(); });
+    const bool live = cluster.run_until_all([](RefreshState& s) { return s.done; }, 50000000);
     std::printf("| %3d | %2d | %8llu | %8llu | %3d %-5s |\n", n, t,
                 static_cast<unsigned long long>(cluster.simulator().total_messages()),
                 static_cast<unsigned long long>(cluster.simulator().now()), applied,
-                ok ? "" : "STALL");
+                !live ? "STALL" : !completed ? "ABORT" : "");
   }
 }
 

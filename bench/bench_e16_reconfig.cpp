@@ -118,46 +118,6 @@ EpochOutcome run_epoch(const adversary::Deployment& deployment,
   return outcome;
 }
 
-/// Full new-committee deployment from an epoch's results (channel keys
-/// derived exactly as the protocol prescribes).
-adversary::Deployment assemble_committee(const adversary::Deployment& old,
-                                         const protocols::ReconfigPlan& plan,
-                                         const std::vector<protocols::ReconfigResult>& results) {
-  const auto base_key = [&](int a, int b) -> Bytes {
-    const int oa = plan.old_slot.at(static_cast<std::size_t>(a));
-    const int ob = plan.old_slot.at(static_cast<std::size_t>(b));
-    if (oa >= 0 && ob >= 0) {
-      return old.keys->share(oa).channel_keys.at(static_cast<std::size_t>(ob));
-    }
-    if (oa >= 0) return join_key(plan.new_epoch, oa, b);
-    return join_key(plan.new_epoch, ob, a);
-  };
-  std::vector<crypto::PartyKeyShare> shares;
-  for (int slot = 0; slot < plan.n_new; ++slot) {
-    const auto& r = results.at(static_cast<std::size_t>(slot));
-    std::vector<Bytes> channel_keys(static_cast<std::size_t>(plan.n_new));
-    for (int peer = 0; peer < plan.n_new; ++peer) {
-      if (peer == slot) continue;
-      channel_keys[static_cast<std::size_t>(peer)] =
-          protocols::reconfig_channel_key(plan.new_epoch, base_key(slot, peer));
-    }
-    shares.push_back(crypto::PartyKeyShare{
-        crypto::CoinSecretKey(slot, {{slot, r.coin_share}}),
-        crypto::ThresholdSigSecretKey(slot, {{slot, r.cert_share}}),
-        crypto::ThresholdSigSecretKey(slot, {{slot, r.reply_share}}),
-        crypto::Tdh2SecretKey(slot, {{slot, r.tdh2_share}}), std::move(channel_keys)});
-  }
-  const auto& old_public = old.keys->public_keys();
-  adversary::Deployment reference = protocols::reconfig_deployment(
-      results[0], old_public.coin.group_ptr(), old_public,
-      std::vector<Bytes>(static_cast<std::size_t>(plan.n_new)));
-  adversary::Deployment committee;
-  committee.quorum = reference.quorum;
-  committee.keys = std::make_shared<const crypto::KeyBundle>(reference.keys->public_keys(),
-                                                             std::move(shares));
-  return committee;
-}
-
 protocols::ReconfigPlan grow_plan() { return make_plan(1, 4, 1, 1, {0, 1, 2, 3, -1}); }
 protocols::ReconfigPlan shrink_plan() { return make_plan(2, 5, 1, 1, {0, 2, 3, 4}); }
 protocols::ReconfigPlan swap_plan() { return make_plan(1, 4, 1, 1, {0, 1, 2, -1}); }
@@ -186,7 +146,9 @@ void BM_EpochShrink5to4(benchmark::State& state) {
     state.SkipWithError("setup grow epoch failed");
     return;
   }
-  const auto committee = assemble_committee(old_deployment, grow_plan(), grow.results);
+  const auto committee = protocols::assemble_committee(
+      old_deployment, grow_plan(), grow.results,
+      [](int dealer, int slot) { return join_key(grow_plan().new_epoch, dealer, slot); });
   std::uint64_t seed = 13;
   std::uint64_t steps = 0, epochs = 0;
   for (auto _ : state) {

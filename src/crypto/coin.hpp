@@ -46,7 +46,7 @@ class CoinSecretKey {
       : party_(party), unit_shares_(std::move(unit_shares)) {}
 
   [[nodiscard]] int party() const { return party_; }
-  /// Exposed for the proactive-refresh extension (protocols/refresh.hpp).
+  /// Exposed for share redistribution (protocols/reconfig.hpp).
   [[nodiscard]] const std::map<int, BigInt>& unit_shares() const { return unit_shares_; }
 
   /// Produce shares (one per held unit) for coin `name`.
@@ -77,8 +77,6 @@ class CoinPublicKey {
   [[nodiscard]] const GroupPtr& group_ptr() const { return group_; }
   [[nodiscard]] const LinearScheme& scheme() const { return *scheme_; }
   [[nodiscard]] const Element& verification(int unit) const { return verification_.at(unit); }
-  /// All per-unit verification values (for the proactive-refresh extension).
-  [[nodiscard]] const std::vector<Element>& verification_values() const { return verification_; }
 
   /// The base element for a coin name: Htilde(N).
   [[nodiscard]] Element coin_base(BytesView name) const;

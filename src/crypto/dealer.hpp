@@ -37,8 +37,9 @@ struct PartyKeyShare {
   Tdh2SecretKey decryption;
   /// Pairwise symmetric keys: channel_keys[j] is shared with party j
   /// (channel_keys[self] unused).  The paper's dealer bootstraps secure
-  /// point-to-point channels; these keys also mask the sub-shares of the
-  /// proactive-refresh extension (protocols/refresh.hpp).
+  /// point-to-point channels; these keys also mask the redistributed
+  /// sub-shares of reconfiguration and refresh epochs
+  /// (protocols/reconfig.hpp).
   std::vector<Bytes> channel_keys;
 };
 
@@ -52,7 +53,7 @@ struct PublicKeys {
 
 /// Transport link-MAC key for the channel shared with a peer, derived
 /// from the dealer's pairwise channel key.  Domain-separated so the raw
-/// channel key can keep masking proactive-refresh sub-shares without the
+/// channel key can keep masking reconfiguration sub-shares without the
 /// transport MACs leaking anything about those masks.
 Bytes derive_link_key(BytesView channel_key);
 

@@ -3,7 +3,8 @@
 //  * the Diffie–Hellman threshold coin of Cachin–Kursawe–Shoup (coin.hpp),
 //  * the Shoup–Gennaro TDH2 threshold cryptosystem (tdh2.hpp),
 //  * the Chaum–Pedersen NIZK proofs that make both robust (nizk.hpp),
-//  * Feldman VSS and proactive refresh (vss.hpp, protocols/refresh.hpp).
+//  * Feldman VSS and the share redistribution behind reconfiguration and
+//    proactive refresh (vss.hpp, reshare.hpp, protocols/reconfig.hpp).
 //
 // Two interchangeable backends implement the interface:
 //  * SchnorrGroup (group_schnorr.hpp) — the prime-order-q subgroup of Z_p*

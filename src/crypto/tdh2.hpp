@@ -71,7 +71,7 @@ class Tdh2SecretKey {
       : party_(party), unit_shares_(std::move(unit_shares)) {}
 
   [[nodiscard]] int party() const { return party_; }
-  /// Exposed for the refresh/reconfiguration extensions.
+  /// Exposed for share redistribution (protocols/reconfig.hpp).
   [[nodiscard]] const std::map<int, BigInt>& unit_shares() const { return unit_shares_; }
 
   /// Produce decryption shares for a ciphertext; empty if the ciphertext is

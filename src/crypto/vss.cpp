@@ -37,16 +37,4 @@ bool FeldmanDealing::verify_share(const Group& group, const std::vector<Element>
   return group.exp_g(share) == share_image(group, commitments, party);
 }
 
-void FeldmanDealing::encode_commitments(Writer& w, const Group& group) const {
-  w.vec(commitments, [&](Writer& wr, const Element& c) { group.encode_element(wr, c); });
-}
-
-std::vector<Element> FeldmanDealing::decode_commitments(Reader& r, const Group& group, int t) {
-  auto commitments =
-      r.vec<Element>([&](Reader& rd) { return group.decode_element(rd); });
-  SINTRA_REQUIRE(static_cast<int>(commitments.size()) == t + 1,
-                 "FeldmanDealing: wrong commitment count");
-  return commitments;
-}
-
 }  // namespace sintra::crypto

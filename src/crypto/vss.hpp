@@ -1,5 +1,6 @@
-// Feldman verifiable secret sharing — the building block for the paper's
-// §6 "proactive protocols" extension.
+// Feldman verifiable secret sharing — the building block of the
+// discrete-log share redistribution (crypto/reshare.hpp) behind
+// reconfiguration epochs and the paper's §6 proactive refresh.
 //
 // A Feldman dealing is a Shamir sharing of s plus public commitments
 // C_j = g^{a_j} to the polynomial coefficients.  Anyone can check that
@@ -9,7 +10,7 @@
 //
 // and the shared secret's public image g^s = C_0 is fixed by the dealing.
 // Secrecy is computational (the commitments reveal g^{a_j}), which is
-// exactly right for refreshing discrete-log key shares: the coin and TDH2
+// exactly right for resharing discrete-log key shares: the coin and TDH2
 // keys already expose g^{x_i} as verification values.
 #pragma once
 
@@ -36,9 +37,6 @@ struct FeldmanDealing {
   /// Expected value of g^{share_i} for any party, from commitments only.
   static Element share_image(const Group& group, const std::vector<Element>& commitments,
                             int party);
-
-  void encode_commitments(Writer& w, const Group& group) const;
-  static std::vector<Element> decode_commitments(Reader& r, const Group& group, int t);
 };
 
 }  // namespace sintra::crypto

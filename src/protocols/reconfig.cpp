@@ -65,6 +65,15 @@ std::vector<BigInt> decode_bigints(Reader& r) {
 
 // ---- ReconfigPlan --------------------------------------------------------
 
+ReconfigPlan ReconfigPlan::same_committee(std::uint32_t new_epoch, int n, int t) {
+  ReconfigPlan plan;
+  plan.new_epoch = new_epoch;
+  plan.n_old = plan.n_new = n;
+  plan.t_old = plan.t_new = t;
+  for (int slot = 0; slot < n; ++slot) plan.old_slot.push_back(slot);
+  return plan;
+}
+
 int ReconfigPlan::new_slot_of(int old) const {
   for (std::size_t i = 0; i < old_slot.size(); ++i) {
     if (old_slot[i] == old) return static_cast<int>(i);
@@ -739,6 +748,47 @@ adversary::Deployment reconfig_deployment(const ReconfigResult& result, crypto::
   deployment.keys = std::make_shared<const crypto::KeyBundle>(std::move(public_keys),
                                                               std::move(shares));
   return deployment;
+}
+
+adversary::Deployment assemble_committee(const adversary::Deployment& old,
+                                         const ReconfigPlan& plan,
+                                         const std::vector<ReconfigResult>& results,
+                                         const JoinKeyFn& join_key) {
+  SINTRA_REQUIRE(!results.empty() &&
+                     static_cast<std::int32_t>(results.size()) == plan.n_new &&
+                     results.front().completed,
+                 "reconfig: one completed result per new slot required");
+  const auto base_key = [&](int a, int b) -> Bytes {
+    const int oa = plan.old_slot.at(static_cast<std::size_t>(a));
+    const int ob = plan.old_slot.at(static_cast<std::size_t>(b));
+    if (oa >= 0 && ob >= 0) {
+      return old.keys->share(oa).channel_keys.at(static_cast<std::size_t>(ob));
+    }
+    SINTRA_REQUIRE(static_cast<bool>(join_key), "reconfig: joiner pair without a join key");
+    if (oa >= 0) return join_key(oa, b);  // b is the joiner
+    return join_key(ob, a);               // a is the joiner
+  };
+  std::vector<crypto::PartyKeyShare> shares;
+  for (int slot = 0; slot < plan.n_new; ++slot) {
+    const ReconfigResult& r = results[static_cast<std::size_t>(slot)];
+    std::vector<Bytes> channel_keys(static_cast<std::size_t>(plan.n_new));
+    for (int peer = 0; peer < plan.n_new; ++peer) {
+      if (peer == slot) continue;
+      channel_keys[static_cast<std::size_t>(peer)] =
+          reconfig_channel_key(plan.new_epoch, base_key(slot, peer));
+    }
+    shares.push_back(crypto::PartyKeyShare{
+        crypto::CoinSecretKey(slot, {{slot, r.coin_share}}),
+        crypto::ThresholdSigSecretKey(slot, {{slot, r.cert_share}}),
+        crypto::ThresholdSigSecretKey(slot, {{slot, r.reply_share}}),
+        crypto::Tdh2SecretKey(slot, {{slot, r.tdh2_share}}), std::move(channel_keys)});
+  }
+  const auto& old_public = old.keys->public_keys();
+  adversary::Deployment committee = reconfig_public_deployment(
+      results[0].config, old_public.coin.group_ptr(), old_public);
+  committee.keys = std::make_shared<const crypto::KeyBundle>(committee.keys->public_keys(),
+                                                             std::move(shares));
+  return committee;
 }
 
 adversary::Deployment reconfig_public_deployment(const NewConfig& config, crypto::GroupPtr group,

@@ -42,9 +42,16 @@
 // package wins; a dealing whose sub-share targets the joiner with garbage
 // is fingered and the join aborts cleanly).
 //
+// Proactive refresh (paper §6: "all secrets that the adversary has seen in
+// the past become useless") is the same-committee epoch,
+// ReconfigPlan::same_committee: every member keeps its slot and every share
+// of all four keys is re-randomized.  Each epoch compounds Δ into the RSA
+// schemes and widens their public share bounds, so chained refreshes make
+// σ-shares steadily wider (PROTOCOLS.md "Reconfiguration").
+//
 // Model honesty: redistribution interpolates over Lagrange points, so this
-// protocol supports the classical threshold model only (like refresh; a
-// generalized-LSSS redistribution would need per-gate resharing).  A
+// protocol supports the classical threshold model only (a generalized-LSSS
+// redistribution would need per-gate resharing).  A
 // Byzantine old member can at worst force a clean abort (false verdicts)
 // or leave one member whose verdict missed the first quorum with an
 // unusable share — which that member DETECTS (share_valid == false) and
@@ -73,6 +80,10 @@ struct ReconfigPlan {
   /// new slot -> transport endpoint ("host:port"); may be empty under the
   /// simulator, where slots are addresses.
   std::vector<std::string> endpoints;
+
+  /// The identity plan (n, t) -> (n, t), every member keeping its slot: a
+  /// proactive refresh that re-randomizes every share of all four keys.
+  static ReconfigPlan same_committee(std::uint32_t new_epoch, int n, int t);
 
   /// Old slot -> new slot, or -1 if the member retires this epoch.
   [[nodiscard]] int new_slot_of(int old) const;
@@ -280,6 +291,21 @@ Bytes reconfig_channel_key(std::uint32_t epoch, BytesView pair_key);
 adversary::Deployment reconfig_deployment(const ReconfigResult& result, crypto::GroupPtr group,
                                           const crypto::PublicKeys& old_public,
                                           std::vector<Bytes> channel_keys);
+
+/// Provisioned join key between old member `dealer` and the joiner filling
+/// new slot `joiner_slot` (the operator channel of PROTOCOLS.md).
+using JoinKeyFn = std::function<Bytes(int dealer, int joiner_slot)>;
+
+/// The full new-committee Deployment, every slot with its REAL share —
+/// what an operator rolling the whole fleet to the new epoch holds
+/// collectively.  `results` is indexed by new slot (joiner slots take the
+/// JoinListener's result); channel keys follow reconfig_channel_key over
+/// `old`'s pair keys, or over `join_key` for pairs with a joiner.  A
+/// same-committee plan never asks for a join key.
+adversary::Deployment assemble_committee(const adversary::Deployment& old,
+                                         const ReconfigPlan& plan,
+                                         const std::vector<ReconfigResult>& results,
+                                         const JoinKeyFn& join_key = {});
 
 /// Share-less view of the new committee for observers that only verify:
 /// clients following a signed NEW-CONFIG announcement rebuild the quorum

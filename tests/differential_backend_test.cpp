@@ -151,11 +151,6 @@ TEST_P(DifferentialBackendTest, FeldmanVss) {
   // Tampered share rejected.
   EXPECT_FALSE(FeldmanDealing::verify_share(*g, dealing.commitments, 0,
                                             g->scalar_add(dealing.shares[0], BigInt(1))));
-  // Commitment wire round-trip.
-  Writer w;
-  dealing.encode_commitments(w, *g);
-  Reader r(w.data());
-  EXPECT_EQ(FeldmanDealing::decode_commitments(r, *g, 1), dealing.commitments);
 }
 
 TEST_P(DifferentialBackendTest, BatchVerifiersAcceptHonestAndIsolateBad) {

@@ -18,8 +18,8 @@
 //     recovery, and with Byzantine peers serving forged certificates or
 //     tampered chunks being detected and failed over;
 //   - StallWatchdog timeout growth resetting on progress (satellite 2);
-//   - proactive share refresh running concurrently with a state transfer
-//     under ExecutorPool(4) (satellite 4).
+//   - a proactive refresh (a same-committee reconfiguration epoch) running
+//     concurrently with a state transfer under ExecutorPool(4).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,7 +37,7 @@
 #include "protocols/atomic.hpp"
 #include "protocols/harness.hpp"
 #include "protocols/net_cluster.hpp"
-#include "protocols/refresh.hpp"
+#include "protocols/reconfig.hpp"
 #include "protocols/watchdog.hpp"
 
 namespace sintra {
@@ -52,7 +52,10 @@ using net::PartitionProfile;
 using net::transport::AccrualHealth;
 using protocols::AtomicBroadcast;
 using protocols::HostedParty;
-using protocols::ShareRefresh;
+using protocols::Reconfig;
+using protocols::ReconfigOptions;
+using protocols::ReconfigPlan;
+using protocols::ReconfigResult;
 using protocols::StallWatchdog;
 
 constexpr int kN = 4;
@@ -446,8 +449,8 @@ TEST(WatchdogBackoffTest, GrowthResetsOnProgressNotOnlyOnFire) {
 struct RecState {
   std::unique_ptr<AtomicBroadcast> abc;
   std::unique_ptr<StateTransfer> xfer;
-  std::unique_ptr<ShareRefresh> refresh;
-  std::optional<ShareRefresh::Result> refresh_result;
+  std::unique_ptr<Reconfig> refresh;
+  std::optional<ReconfigResult> refresh_result;
   std::vector<std::pair<int, Bytes>> delivered;
   std::atomic<std::size_t> total{0};
   std::atomic<bool> refreshed{false};
@@ -457,9 +460,10 @@ struct RecState {
 using RecoveryCluster = protocols::NetCluster<RecState>;
 
 /// A checkpointed atomic broadcast with a StateTransfer wired to it (and,
-/// `with_refresh`, a proactive share refresh), built on `party`.
-std::unique_ptr<RecState> make_state(net::Party& party, const Deployment& deployment,
-                                     StateTransferOptions options, bool with_refresh) {
+/// `with_refresh`, a proactive refresh — the same-committee reconfiguration
+/// epoch), built on `party`.
+std::unique_ptr<RecState> make_state(net::Party& party, StateTransferOptions options,
+                                     bool with_refresh) {
   auto state = std::make_unique<RecState>();
   party.with_instance("abc", [&] {
     state->abc = std::make_unique<AtomicBroadcast>(
@@ -482,14 +486,11 @@ std::unique_ptr<RecState> make_state(net::Party& party, const Deployment& deploy
         options);
   });
   if (with_refresh) {
-    party.with_instance("refresh", [&] {
-      const int id = party.id();
-      const auto& coin_sk = deployment.keys->share(id).coin;
-      state->refresh = std::make_unique<ShareRefresh>(
-          party, "refresh", coin_sk.unit_shares().at(id),
-          deployment.keys->public_keys().coin.verification_values(), /*threshold=*/1,
-          [s = state.get()](ShareRefresh::Result r) {
-            s->refresh_result = std::move(r);
+    party.with_instance("reconfig", [&] {
+      state->refresh = std::make_unique<Reconfig>(
+          party, "reconfig", ReconfigPlan::same_committee(1, kN, 1), std::nullopt,
+          ReconfigOptions{}, [s = state.get()](const ReconfigResult& r) {
+            s->refresh_result = r;
             s->refreshed.store(true, std::memory_order_release);
           });
     });
@@ -508,10 +509,9 @@ RecoveryCluster make_cluster(const Deployment& deployment, std::uint64_t seed,
                              std::size_t executors = 0, bool with_refresh = false) {
   return RecoveryCluster(
       {deployment},
-      [deployment, &options, with_refresh](net::Party& party, int id, int) {
+      [&options, with_refresh](net::Party& party, int id, int) {
         party.enable_wal();
-        return make_state(party, deployment, options[static_cast<std::size_t>(id)],
-                          with_refresh);
+        return make_state(party, options[static_cast<std::size_t>(id)], with_refresh);
       },
       {.executors = executors, .seed = seed});
 }
@@ -701,15 +701,15 @@ TEST(StateTransferClusterTest, ByzantineServersAreDetectedAndFailedOver) {
   EXPECT_GE(stats.failovers, 1u) << "tamperer was never abandoned";
 }
 
-// ---- satellite 4: refresh concurrent with state transfer under E=4 ---------
+// ---- refresh concurrent with state transfer under E=4 ----------------------
 
 TEST(StateTransferClusterTest, RefreshRunsConcurrentlyWithRecoveryUnderExecutors) {
-  // Nodes 0-2 run a proactive refresh epoch while the wiped node 3
-  // rebuilds via state transfer, all with ExecutorPool(4) per node — the
-  // refresh tree, the service tree and the transfer run on separate
-  // lanes.  Afterwards: the refreshed shares are consistent among
-  // themselves, reject mixing with epoch e-1 shares, and the recovered
-  // node holds the identical total order.
+  // Nodes 0-2 run a proactive refresh (a same-committee reconfiguration
+  // epoch) while the wiped node 3 rebuilds via state transfer, all with
+  // ExecutorPool(4) per node — the reconfig tree, the service tree and the
+  // transfer run on separate lanes.  Afterwards: the refreshed shares are
+  // consistent among themselves, reject mixing with epoch e-1 shares, and
+  // the recovered node holds the identical total order.
   auto deployment = threshold_deployment(83);
   const std::uint64_t seed = 83;
   std::vector<StateTransferOptions> options(kN);
@@ -725,7 +725,7 @@ TEST(StateTransferClusterTest, RefreshRunsConcurrentlyWithRecoveryUnderExecutors
   // Kick off the refresh epoch and the recovery together.
   for (int id = 0; id < 3; ++id) {
     auto& host = cluster.host(id);
-    host.party().with_instance("refresh", [&] { host.protocol().refresh->start(); });
+    host.party().with_instance("reconfig", [&] { host.protocol().refresh->start(); });
   }
   begin_recovery(cluster, 3);
   ASSERT_TRUE(cluster.run_until([&] {
@@ -741,6 +741,10 @@ TEST(StateTransferClusterTest, RefreshRunsConcurrentlyWithRecoveryUnderExecutors
   submit(cluster, 1, bytes_of("post"));
   ASSERT_TRUE(settle(cluster, kN + 1));
   cluster.stop();  // join lanes: refresh results are safe to read now
+  for (int id = 0; id < 3; ++id) {
+    const ReconfigResult& r = *cluster.protocol(id).refresh_result;
+    EXPECT_TRUE(r.completed && r.share_valid) << "node " << id;
+  }
   expect_identical_total_order(cluster, kN + 1);
 
   // Epoch algebra: fresh shares agree with each other and reconstruct the
@@ -753,14 +757,14 @@ TEST(StateTransferClusterTest, RefreshRunsConcurrentlyWithRecoveryUnderExecutors
   std::map<int, crypto::BigInt> new_shares;
   for (int id : {0, 2}) {
     old_shares[id] = deployment.keys->share(id).coin.unit_shares().at(id);
-    new_shares[id] = cluster.protocol(id).refresh_result->new_share;
+    new_shares[id] = cluster.protocol(id).refresh_result->coin_share;
   }
   EXPECT_EQ(scheme.reconstruct(old_shares, group.q()),
             scheme.reconstruct(new_shares, group.q()))
       << "refresh must preserve the shared secret";
   std::map<int, crypto::BigInt> mixed;
   mixed[0] = deployment.keys->share(0).coin.unit_shares().at(0);  // epoch e-1
-  mixed[1] = cluster.protocol(1).refresh_result->new_share;          // epoch e
+  mixed[1] = cluster.protocol(1).refresh_result->coin_share;         // epoch e
   EXPECT_NE(scheme.reconstruct(mixed, group.q()), scheme.reconstruct(new_shares, group.q()))
       << "stale epoch e-1 shares must not combine into epoch e";
 }

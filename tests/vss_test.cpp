@@ -107,18 +107,6 @@ TEST_F(VssTest, ZeroDealingRefreshPreservesSecretAndImages) {
   EXPECT_EQ(acc, secret);
 }
 
-TEST_F(VssTest, CommitmentSerializationRoundTrip) {
-  auto dealing = FeldmanDealing::deal(*group_, BigInt(5), 4, 2, rng_);
-  Writer w;
-  dealing.encode_commitments(w, *group_);
-  Reader r(w.data());
-  auto decoded = FeldmanDealing::decode_commitments(r, *group_, 2);
-  EXPECT_EQ(decoded, dealing.commitments);
-  // Wrong expected threshold rejected.
-  Reader r2(w.data());
-  EXPECT_THROW(FeldmanDealing::decode_commitments(r2, *group_, 3), ProtocolError);
-}
-
 TEST_F(VssTest, BadParametersRejected) {
   EXPECT_THROW(FeldmanDealing::deal(*group_, BigInt(1), 0, 0, rng_), ProtocolError);
   EXPECT_THROW(FeldmanDealing::deal(*group_, BigInt(1), 4, 4, rng_), ProtocolError);
