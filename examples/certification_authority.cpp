@@ -31,15 +31,15 @@ class LyingReplica final : public net::Process {
     try {
       Reader r(message.payload);
       app::RequestEnvelope envelope = app::RequestEnvelope::decode(r);
+      // A one-leaf round whose path folds for the client, carrying no
+      // signature shares: the client refuses it by structure.
       app::CaResponse forged;
       forged.status = app::CaResponse::Status::kDenied;
-      Writer w;
-      w.u8(app::kReplyOk);
-      w.u64(envelope.request_id);
-      w.bytes(forged.encode());
-      w.u32(0);
-      net::Message reply{id_, envelope.client, "ca/reply", w.take()};
-      sim_.submit(std::move(reply));
+      app::SignedReply lie;
+      lie.request_id = envelope.request_id;
+      lie.reply = forged.encode();
+      lie.count = 1;
+      sim_.submit(net::Message{id_, envelope.client, "ca/reply", lie.encode()});
     } catch (const ProtocolError&) {
     }
   }

@@ -7,8 +7,9 @@
 // never stores the secret itself) and a monotonic logical clock.  An
 // AUTHENTICATE request presenting the correct secret yields a grant
 // record (principal, session id, issued-at, expires-at in logical ticks);
-// the client-side threshold signature over the reply is the *ticket*:
-// any relying party verifies it against the single service key.  Every
+// the *ticket* is the client's receipt: the threshold signature on the
+// root of the round's reply tree plus the grant's inclusion path, which
+// any relying party checks against the single service key.  Every
 // request goes through atomic broadcast, so session ids are unique and
 // the logical clock is consistent across replicas.
 #pragma once

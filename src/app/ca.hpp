@@ -4,10 +4,11 @@
 // (serial numbers, policy), which is exactly why the paper insists on
 // atomic (not merely reliable) broadcast for it.
 //
-// The actual *certificate* is the threshold signature the client collects
-// over the reply (app/client.hpp): a single RSA signature under the CA's
-// public key, verifiable by anyone, produced without any server ever
-// holding the CA signing key.
+// The actual *certificate* is the receipt the client collects
+// (app/client.hpp): a single RSA signature under the CA's public key on
+// the root of the round's reply tree, plus the reply's inclusion path —
+// verifiable by anyone, produced without any server ever holding the CA
+// signing key.
 #pragma once
 
 #include <cstdint>

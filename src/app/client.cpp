@@ -196,62 +196,87 @@ void ServiceClient::on_message(const net::Message& message) {
       return;
     }
     if (status != kReplyOk) return;  // unknown status from a corrupted server
-    const std::uint64_t request_id = reader.u64();
-    Bytes reply = reader.bytes();
-    auto shares =
-        reader.vec<crypto::SigShare>([](Reader& r) { return crypto::SigShare::decode(r); });
+    SignedReply signed_reply = SignedReply::decode(reader);
     reader.expect_done();
-
-    auto pending = pending_.find(request_id);
-    if (pending == pending_.end() || crypto::contains(pending->second.rejected, message.from)) {
-      return;
-    }
-    // Structural admission only: exactly the server's own units.  The
-    // shares are checked through the one combined receipt signature.
-    const auto& pk = deployment_.keys->public_keys().reply_sig;
-    if (!crypto::covers_own_units(pk.scheme(), message.from, shares)) return;
-
-    auto digest = crypto::hash_domain("sintra/client/vote", reply);
-    auto& [supporters, vote_shares, content] =
-        pending->second.votes[Bytes(digest.begin(), digest.end())];
-    if (crypto::contains(supporters, message.from)) return;
-    supporters |= crypto::party_bit(message.from);
-    for (auto& share : shares) vote_shares.push_back(std::move(share));
-    content = reply;
-
-    // Accept once the supporters are QUALIFIED under the reply-key sharing
-    // scheme.  Qualified implies beyond one corruptible set (the access
-    // structure under-approximates the complement of A — see DESIGN.md),
-    // so at least one honest server stands behind this exact reply; and it
-    // is precisely the condition for the signature shares to combine.
-    // Note exceeds_fault_set alone would NOT suffice for generalized
-    // deployments like Example 2, where some incorruptible sets are still
-    // unqualified for reconstruction.
-    if (!pk.scheme().qualified(supporters)) return;
-    const Bytes statement = reply_statement(service_tag_, pending->second.envelope, content);
-    auto combined = crypto::batch::combine_sig_optimistic(pk, statement, vote_shares, rng_);
-    if (!combined.signature.has_value()) {
-      // A server whose share broke the combine loses its vote, and its
-      // later replies to this request are ignored; wait for honest ones.
-      crypto::PartySet culprits = 0;
-      for (std::size_t i : combined.bad) {
-        culprits |= crypto::party_bit(pk.scheme().unit_owner(vote_shares[i].unit));
-      }
-      pending->second.rejected |= culprits;
-      supporters &= ~culprits;
-      std::erase_if(vote_shares, [&](const crypto::SigShare& s) {
-        return crypto::contains(culprits, pk.scheme().unit_owner(s.unit));
-      });
-      return;
-    }
-    Receipt receipt{std::move(content), std::move(*combined.signature)};
-    RequestEnvelope envelope = pending->second.envelope;
-    if (pending->second.retry_timer != 0) network_.cancel_timer(pending->second.retry_timer);
-    pending_.erase(pending);
-    if (on_reply_) on_reply_(envelope.request_id, std::move(receipt));
+    on_signed_reply(message.from, std::move(signed_reply));
   } catch (const ProtocolError&) {
     // Malformed reply from a corrupted server: ignore.
   }
+}
+
+void ServiceClient::on_signed_reply(int from, SignedReply signed_reply) {
+  auto pending = pending_.find(signed_reply.request_id);
+  if (pending == pending_.end() || crypto::contains(pending->second.rejected, from)) return;
+  // The root comes from our own leaf, never from the wire: a path that
+  // does not lead from this request and this reply reaches no root any
+  // honest replica signed.
+  const std::optional<crypto::Digest> root = crypto::merkle::fold(
+      crypto::merkle::leaf(reply_statement(service_tag_, pending->second.envelope,
+                                           signed_reply.reply)),
+      signed_reply.index, signed_reply.count, signed_reply.path);
+  if (!root) return;
+  Bytes statement = root_statement(service_tag_, signed_reply.count, *root);
+  Receipt receipt{std::move(signed_reply.reply), {}, signed_reply.index, signed_reply.count,
+                  std::move(signed_reply.path)};
+  if (auto memo = certified_.find(statement); memo != certified_.end()) {
+    receipt.signature = memo->second;
+    complete(pending, std::move(receipt));
+    return;
+  }
+  // Structural admission only: exactly the server's own units.  The
+  // shares are checked through the one combined receipt signature.
+  const auto& pk = deployment_.keys->public_keys().reply_sig;
+  if (!crypto::covers_own_units(pk.scheme(), from, signed_reply.shares)) return;
+
+  Vote& vote = pending->second.votes[statement];
+  if (crypto::contains(vote.supporters, from)) return;
+  if (vote.supporters == 0) vote.receipt = std::move(receipt);
+  vote.supporters |= crypto::party_bit(from);
+  for (auto& share : signed_reply.shares) vote.shares.push_back(std::move(share));
+
+  // Accept once the supporters are QUALIFIED under the reply-key sharing
+  // scheme.  Qualified implies beyond one corruptible set (the access
+  // structure under-approximates the complement of A — see DESIGN.md),
+  // so at least one honest server signed this exact root, and the leaf
+  // we folded from our own request is under it; and it is precisely the
+  // condition for the signature shares to combine.  Note
+  // exceeds_fault_set alone would NOT suffice for generalized deployments
+  // like Example 2, where some incorruptible sets are still unqualified
+  // for reconstruction.
+  if (!pk.scheme().qualified(vote.supporters)) return;
+  auto combined = crypto::batch::combine_sig_optimistic(pk, statement, vote.shares, rng_);
+  if (!combined.signature.has_value()) {
+    // A server whose share broke the combine loses its vote, and its
+    // later replies to this request are ignored; wait for honest ones.
+    crypto::PartySet culprits = 0;
+    for (std::size_t i : combined.bad) {
+      culprits |= crypto::party_bit(pk.scheme().unit_owner(vote.shares[i].unit));
+    }
+    pending->second.rejected |= culprits;
+    fingered_ |= culprits;
+    vote.supporters &= ~culprits;
+    std::erase_if(vote.shares, [&](const crypto::SigShare& s) {
+      return crypto::contains(culprits, pk.scheme().unit_owner(s.unit));
+    });
+    return;
+  }
+  certified_.emplace(statement, *combined.signature);
+  certified_fifo_.push_back(std::move(statement));
+  if (certified_fifo_.size() > kCertifiedCap) {
+    certified_.erase(certified_fifo_.front());
+    certified_fifo_.pop_front();
+  }
+  receipt = std::move(vote.receipt);
+  receipt.signature = std::move(*combined.signature);
+  complete(pending, std::move(receipt));
+}
+
+void ServiceClient::complete(std::map<std::uint64_t, Pending>::iterator pending,
+                             Receipt receipt) {
+  const std::uint64_t request_id = pending->first;
+  if (pending->second.retry_timer != 0) network_.cancel_timer(pending->second.retry_timer);
+  pending_.erase(pending);
+  if (on_reply_) on_reply_(request_id, std::move(receipt));
 }
 
 bool ServiceClient::verify_receipt(std::uint64_t request_id, BytesView request_body,
@@ -260,8 +285,13 @@ bool ServiceClient::verify_receipt(std::uint64_t request_id, BytesView request_b
   envelope.client = net_id_;
   envelope.request_id = request_id;
   envelope.body = Bytes(request_body.begin(), request_body.end());
-  const Bytes statement = reply_statement(service_tag_, envelope, receipt.reply);
-  return deployment_.keys->public_keys().reply_sig.verify(statement, receipt.signature);
+  const std::optional<crypto::Digest> root =
+      crypto::merkle::fold(crypto::merkle::leaf(reply_statement(service_tag_, envelope,
+                                                                receipt.reply)),
+                           receipt.index, receipt.count, receipt.path);
+  return root.has_value() &&
+         deployment_.keys->public_keys().reply_sig.verify(
+             root_statement(service_tag_, receipt.count, *root), receipt.signature);
 }
 
 // --- ShardPartitioner ------------------------------------------------------

@@ -7,11 +7,21 @@
 // "more than t", i.e. enough that corrupted servers cannot ignore it),
 // collects replies, and accepts a reply content once servers beyond one
 // corruptible set vouch for it — at that point at least one voucher is
-// honest, and honest replicas all return the same answer.  The matching
-// replies' signature shares recombine into one standard RSA signature
-// under the service key: the client's transferable receipt.
+// honest, and honest replicas all return the same answer.
+//
+// Replicas sign rounds, not replies (app/replica.hpp): each reply carries
+// its index and inclusion path in the round's reply tree, and the
+// sender's shares on that tree's root statement.  The client computes its
+// own leaf from its id, the request id, its body and the reply, folds the
+// path to a root — it never takes a root from the wire — and votes by
+// root statement.  A qualified set of matching shares recombines into one
+// standard RSA signature on the root statement; that signature plus the
+// path is the client's transferable receipt.  Certified roots are
+// memoized: a later reply whose path folds to one completes at once,
+// because the signature already certifies every leaf under that root.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -27,7 +37,10 @@ class ServiceClient final : public net::Process {
  public:
   struct Receipt {
     Bytes reply;
-    crypto::BigInt signature;  ///< service threshold signature over the reply
+    crypto::BigInt signature;  ///< service threshold signature on the root statement
+    std::uint32_t index = 0;   ///< the reply's leaf in its round's reply tree
+    std::uint32_t count = 0;   ///< leaves in that tree
+    std::vector<crypto::Digest> path;  ///< inclusion path (crypto/merkle.hpp)
   };
   using ReplyFn = std::function<void(std::uint64_t request_id, Receipt receipt)>;
 
@@ -92,6 +105,9 @@ class ServiceClient final : public net::Process {
                                     const Receipt& receipt) const;
 
   [[nodiscard]] std::size_t outstanding() const { return pending_.size(); }
+  /// Servers whose reply shares broke a receipt combine, across all
+  /// requests (each is struck only for the request it broke).
+  [[nodiscard]] crypto::PartySet fingered() const { return fingered_; }
   /// Busy replies received (load-shedding servers observed).
   [[nodiscard]] std::uint64_t busy_replies() const { return busy_replies_; }
   /// Gateway rotations triggered by Busy replies (not by retry timeouts).
@@ -100,11 +116,16 @@ class ServiceClient final : public net::Process {
   [[nodiscard]] int gateway() const { return gateway_; }
 
  private:
+  /// Replies whose paths fold to one root statement.
+  struct Vote {
+    crypto::PartySet supporters = 0;
+    std::vector<crypto::SigShare> shares;
+    Receipt receipt;  ///< first voter's reply and path; signature unset
+  };
   struct Pending {
     RequestEnvelope envelope;
     Bytes wire_payload;  ///< what was sent (for resend)
-    /// reply digest -> (supporters, shares, content)
-    std::map<Bytes, std::tuple<crypto::PartySet, std::vector<crypto::SigShare>, Bytes>> votes;
+    std::map<Bytes, Vote> votes;  ///< root statement -> vote
     crypto::PartySet rejected = 0;  ///< servers whose reply share broke a combine
     net::Network::TimerId retry_timer = 0;  ///< 0 = not armed
     int attempts = 0;                       ///< retries fired so far
@@ -112,8 +133,13 @@ class ServiceClient final : public net::Process {
     int busy_hops = 0;  ///< Busy-triggered rotations this lap (reset on retry)
   };
 
+  /// Certified root statements kept for memo hits (FIFO-bounded).
+  static constexpr std::size_t kCertifiedCap = 64;
+
   void send_to_servers(const Bytes& payload, bool broadcast_all);
   void arm_retry(std::uint64_t request_id, Pending& pending);
+  void on_signed_reply(int from, SignedReply signed_reply);
+  void complete(std::map<std::uint64_t, Pending>::iterator pending, Receipt receipt);
 
   net::Network& network_;
   int net_id_;
@@ -130,6 +156,9 @@ class ServiceClient final : public net::Process {
   std::uint64_t busy_rotations_ = 0;
   std::uint32_t config_epoch_ = 0;  ///< epoch of the committee we follow
   std::map<std::uint64_t, Pending> pending_;
+  crypto::PartySet fingered_ = 0;
+  std::map<Bytes, crypto::BigInt> certified_;  ///< root statement -> signature
+  std::deque<Bytes> certified_fifo_;           ///< eviction order
 };
 
 /// Rendezvous (highest-random-weight) mapping from request keys to shard

@@ -1,5 +1,7 @@
 #include "app/replica.hpp"
 
+#include <algorithm>
+
 #include "crypto/sha256.hpp"
 
 namespace sintra::app {
@@ -32,6 +34,47 @@ Bytes reply_statement(const std::string& service_tag, const RequestEnvelope& req
   return w.take();
 }
 
+Bytes root_statement(const std::string& service_tag, std::uint32_t count,
+                     const crypto::Digest& root) {
+  Writer w;
+  w.str("sintra/svc/root");
+  w.str(service_tag);
+  w.u32(count);
+  w.raw(BytesView(root.data(), root.size()));
+  return w.take();
+}
+
+Bytes SignedReply::encode() const {
+  Writer w;
+  w.u8(kReplyOk);
+  w.u64(request_id);
+  w.bytes(reply);
+  w.u32(index);
+  w.u32(count);
+  w.vec(path, [](Writer& wr, const crypto::Digest& d) { wr.raw(BytesView(d.data(), d.size())); });
+  w.vec(shares, [](Writer& wr, const crypto::SigShare& s) { s.encode(wr); });
+  return w.take();
+}
+
+SignedReply SignedReply::decode(Reader& r) {
+  SignedReply out;
+  out.request_id = r.u64();
+  out.reply = r.bytes();
+  out.index = r.u32();
+  out.count = r.u32();
+  // A u32 leaf count allows at most 32 levels, so a longer claimed path
+  // is refused before anything is allocated for it.
+  const std::uint32_t depth = r.u32();
+  SINTRA_REQUIRE(depth <= 32, "reply: path deeper than any tree");
+  out.path.resize(depth);
+  for (crypto::Digest& d : out.path) {
+    const Bytes raw = r.raw(d.size());
+    std::copy(raw.begin(), raw.end(), d.begin());
+  }
+  out.shares = r.vec<crypto::SigShare>([](Reader& rd) { return crypto::SigShare::decode(rd); });
+  return out;
+}
+
 Replica::Replica(net::Party& host, std::string tag, Mode mode,
                  std::unique_ptr<StateMachine> state_machine)
     : ProtocolInstance(host, std::move(tag)), mode_(mode),
@@ -39,7 +82,8 @@ Replica::Replica(net::Party& host, std::string tag, Mode mode,
   if (mode_ == Mode::kAtomic) {
     atomic_ = std::make_unique<protocols::AtomicBroadcast>(
         host_, tag_ + "/abc",
-        [this](int, Bytes payload) { on_ordered_envelope(std::move(payload)); });
+        [this](int, Bytes payload) { on_ordered_envelope(std::move(payload)); },
+        [this] { sign_and_reply(round_answers_); });
   } else {
     causal_ = std::make_unique<protocols::SecureCausalBroadcast>(
         host_, tag_ + "/sc",
@@ -65,8 +109,9 @@ void Replica::handle(int from, Reader& reader) {
     // duplicate is already on its way through ordering — drop silently;
     // (3) a full queue sheds the request with an explicit Busy so the
     // client backs off instead of hammering the retry path.
-    if (auto cached = reply_cache_.find(key); cached != reply_cache_.end()) {
-      execute_and_reply(envelope);
+    if (reply_cache_.contains(key)) {
+      std::vector<Answer> alone{execute(envelope)};
+      sign_and_reply(alone);
       return;
     }
     if (inflight_.contains(key)) return;
@@ -115,7 +160,15 @@ void Replica::on_ordered_envelope(Bytes envelope_bytes) {
       inflight_per_client_.erase(per_client);
     }
   }
-  execute_and_reply(envelope);
+  Answer answer = execute(envelope);
+  if (mode_ == Mode::kCausal) {
+    std::vector<Answer> alone{std::move(answer)};
+    sign_and_reply(alone);
+  } else if (atomic_->delivering_round()) {
+    round_answers_.push_back(std::move(answer));  // signed at the round's end
+  }
+  // Otherwise a checkpoint re-delivery: executed for state, belongs to no
+  // round, and is not answered.
 }
 
 void Replica::cache_reply(const RequestKey& key, Bytes reply) {
@@ -127,7 +180,7 @@ void Replica::cache_reply(const RequestKey& key, Bytes reply) {
   }
 }
 
-void Replica::execute_and_reply(const RequestEnvelope& envelope) {
+Replica::Answer Replica::execute(const RequestEnvelope& envelope) {
   const RequestKey key{envelope.client, envelope.request_id};
   Bytes reply;
   if (auto it = reply_cache_.find(key); it != reply_cache_.end()) {
@@ -137,17 +190,31 @@ void Replica::execute_and_reply(const RequestEnvelope& envelope) {
     cache_reply(key, reply);
     ++executed_count_;
   }
+  const crypto::Digest leaf = crypto::merkle::leaf(reply_statement(tag_, envelope, reply));
+  return Answer{key, std::move(reply), leaf};
+}
 
-  // Threshold-signed reply to the client.
-  const Bytes statement = reply_statement(tag_, envelope, reply);
-  auto shares = host_.keys().reply_sig.sign(host_.public_keys().reply_sig, statement,
-                                            host_.rng());
-  Writer w;
-  w.u8(kReplyOk);
-  w.u64(envelope.request_id);
-  w.bytes(reply);
-  w.vec(shares, [](Writer& wr, const crypto::SigShare& s) { s.encode(wr); });
-  send_reply(envelope.client, w.take());
+void Replica::sign_and_reply(std::vector<Answer>& answers) {
+  if (answers.empty()) return;
+  std::vector<crypto::Digest> leaves;
+  leaves.reserve(answers.size());
+  for (const Answer& answer : answers) leaves.push_back(answer.leaf);
+  const crypto::merkle::Tree tree(std::move(leaves));
+  SignedReply out;
+  out.count = tree.count();
+  out.shares = host_.keys().reply_sig.sign(host_.public_keys().reply_sig,
+                                           root_statement(tag_, out.count, tree.root()),
+                                           host_.rng());
+  ++reply_signatures_;
+  for (std::uint32_t i = 0; i < out.count; ++i) {
+    Answer& answer = answers[i];
+    out.request_id = answer.key.second;
+    out.reply = std::move(answer.reply);
+    out.index = i;
+    out.path = tree.path(i);
+    send_reply(answer.key.first, out.encode());
+  }
+  answers.clear();
 }
 
 void Replica::send_busy(int client, std::uint64_t request_id) {

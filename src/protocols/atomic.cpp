@@ -49,8 +49,10 @@ struct BatchEntry {
 };
 }  // namespace
 
-AtomicBroadcast::AtomicBroadcast(net::Party& host, std::string tag, DeliverFn deliver)
-    : ProtocolInstance(host, std::move(tag)), deliver_(std::move(deliver)) {
+AtomicBroadcast::AtomicBroadcast(net::Party& host, std::string tag, DeliverFn deliver,
+                                 RoundEndFn round_end)
+    : ProtocolInstance(host, std::move(tag)), deliver_(std::move(deliver)),
+      round_end_(std::move(round_end)) {
   host_.register_checkpoint(
       tag_, [this] { return checkpoint_save(); }, [this](Reader& r) { checkpoint_load(r); });
 }
@@ -338,6 +340,7 @@ void AtomicBroadcast::on_round_decided(int round, const Bytes& batch_set) {
   std::sort(entries.begin(), entries.end(),
             [](const BatchEntry& a, const BatchEntry& b) { return a.party < b.party; });
 
+  delivering_round_ = true;
   for (const BatchEntry& entry : entries) {
     for (const Bytes& payload : entry.payloads) {
       Bytes digest = payload_digest(payload);
@@ -349,6 +352,7 @@ void AtomicBroadcast::on_round_decided(int round, const Bytes& batch_set) {
       deliver_(entry.party, payload);
     }
   }
+  delivering_round_ = false;
   // Drop our own now-delivered payloads.
   std::erase_if(queue_, [this](const Bytes& p) { return delivered_.contains(payload_digest(p)); });
 
@@ -361,6 +365,7 @@ void AtomicBroadcast::on_round_decided(int round, const Bytes& batch_set) {
     completed->second.batches.clear();
     completed->second.batches.shrink_to_fit();
   }
+  if (round_end_) round_end_();
   if (ckpt_interval_ > 0 && round % ckpt_interval_ == 0) emit_checkpoint_share(round);
   gc_completed_rounds();
   host_.trace("abc", tag_ + " finished round " + std::to_string(round));

@@ -36,8 +36,14 @@ class AtomicBroadcast final : public ProtocolInstance {
   /// carried the payload (for client accounting), payloads arrive in the
   /// agreed total order, duplicates suppressed.
   using DeliverFn = std::function<void(int origin, Bytes payload)>;
+  /// round_end(): fires once per decided round, after that round's last
+  /// deliver_ and before the next round starts.  Deliveries re-fired by
+  /// checkpoint_load or install_checkpoint belong to no round and never
+  /// fire it.
+  using RoundEndFn = std::function<void()>;
 
-  AtomicBroadcast(net::Party& host, std::string tag, DeliverFn deliver);
+  AtomicBroadcast(net::Party& host, std::string tag, DeliverFn deliver,
+                  RoundEndFn round_end = {});
   ~AtomicBroadcast() override;
 
   /// Queue a payload for total-order delivery.  The submission rides the
@@ -48,6 +54,9 @@ class AtomicBroadcast final : public ProtocolInstance {
 
   [[nodiscard]] std::uint64_t delivered_count() const { return delivered_count_; }
   [[nodiscard]] int rounds_completed() const { return last_finished_; }
+  /// True while a decided round is handing its payloads to deliver_ (the
+  /// deliveries round_end will close); false for checkpoint re-deliveries.
+  [[nodiscard]] bool delivering_round() const { return delivering_round_; }
 
   /// Introspection for the memory-budget tests.
   [[nodiscard]] std::size_t live_rounds() const { return rounds_.size(); }
@@ -154,6 +163,8 @@ class AtomicBroadcast final : public ProtocolInstance {
   [[nodiscard]] bool validate_batch_set(int round, BytesView batch_set);
 
   DeliverFn deliver_;
+  RoundEndFn round_end_;
+  bool delivering_round_ = false;
   std::deque<Bytes> queue_;               ///< undelivered local submissions
   std::set<Bytes> delivered_;             ///< digests of delivered payloads
   std::deque<Bytes> delivered_fifo_;      ///< digest eviction order (kDeliveredCap)

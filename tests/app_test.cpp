@@ -7,6 +7,7 @@
 #include "app/client.hpp"
 #include "app/directory.hpp"
 #include "app/notary.hpp"
+#include "crypto/merkle.hpp"
 #include "protocols/harness.hpp"
 
 namespace sintra::app {
@@ -296,23 +297,18 @@ class LyingReplica final : public net::Process {
   LyingReplica(net::Simulator& sim, int id) : sim_(sim), id_(id) {}
   void on_message(const net::Message& message) override {
     if (message.tag != "svc") return;
-    // Forge: reply "status denied" with garbage shares to the client.
+    // Forge: reply "status denied" as a one-leaf round, whose path folds
+    // for the client, but with zero signature shares.
     try {
       Reader r(message.payload);
       RequestEnvelope envelope = RequestEnvelope::decode(r);
-      Writer w;
-      w.u8(kReplyOk);
-      w.u64(envelope.request_id);
       CaResponse forged;
       forged.status = CaResponse::Status::kDenied;
-      w.bytes(forged.encode());
-      w.u32(0);  // zero signature shares
-      net::Message reply;
-      reply.from = id_;
-      reply.to = envelope.client;
-      reply.tag = "svc/reply";
-      reply.payload = w.take();
-      sim_.submit(std::move(reply));
+      SignedReply lie;
+      lie.request_id = envelope.request_id;
+      lie.reply = forged.encode();
+      lie.count = 1;
+      sim_.submit(net::Message{id_, envelope.client, "svc/reply", lie.encode()});
     } catch (const ProtocolError&) {
     }
   }
@@ -519,6 +515,235 @@ TEST(EndToEndTest, GatewayModeWithHonestGateway) {
   std::uint64_t id = client->request(Bytes(body));
   ASSERT_TRUE(cluster.simulator().run_until([&] { return replies.contains(id); }, 10000000));
   EXPECT_TRUE(client->verify_receipt(id, body, replies.at(id)));
+}
+
+// ---- one reply-key signature per round ---------------------------------------
+
+/// Client endpoint that records every reply before its client sees it.
+class ReplyTap final : public net::Process {
+ public:
+  explicit ReplyTap(std::unique_ptr<ServiceClient> client) : client_(std::move(client)) {}
+  void on_message(const net::Message& message) override {
+    seen.push_back(message);
+    client_->on_message(message);
+  }
+  [[nodiscard]] ServiceClient& client() { return *client_; }
+
+  std::vector<net::Message> seen;
+
+ private:
+  std::unique_ptr<ServiceClient> client_;
+};
+
+/// A tapped reply and the root statement its path folds to for the
+/// client's own request.
+struct TappedReply {
+  int from = -1;
+  SignedReply reply;
+  Bytes statement;
+};
+
+std::vector<TappedReply> fold_tapped(const std::vector<net::Message>& seen,
+                                     const std::map<std::uint64_t, Bytes>& bodies) {
+  std::vector<TappedReply> out;
+  for (const net::Message& message : seen) {
+    Reader r(message.payload);
+    if (r.u8() != kReplyOk) continue;
+    TappedReply tapped;
+    tapped.from = message.from;
+    tapped.reply = SignedReply::decode(r);
+    RequestEnvelope envelope;
+    envelope.client = message.to;
+    envelope.request_id = tapped.reply.request_id;
+    envelope.body = bodies.at(envelope.request_id);
+    const auto root = crypto::merkle::fold(
+        crypto::merkle::leaf(reply_statement("svc", envelope, tapped.reply.reply)),
+        tapped.reply.index, tapped.reply.count, tapped.reply.path);
+    if (!root) ADD_FAILURE() << "reply from " << message.from << " does not fold";
+    if (root) tapped.statement = root_statement("svc", tapped.reply.count, *root);
+    out.push_back(std::move(tapped));
+  }
+  return out;
+}
+
+Bytes encode_shares(const std::vector<crypto::SigShare>& shares) {
+  Writer w;
+  w.vec(shares, [](Writer& wr, const crypto::SigShare& s) { s.encode(wr); });
+  return w.take();
+}
+
+Bytes bind_body(int i) {
+  DirRequest bind;
+  bind.op = DirRequest::Op::kBind;
+  bind.key = "host" + std::to_string(i);
+  bind.value = bytes_of("10.0.0." + std::to_string(i));
+  return bind.encode();
+}
+
+TEST(RoundSigningTest, EveryReplyOfARoundCarriesTheSameShares) {
+  // Twelve requests at once: rounds order several of them, and each
+  // replica signs each round's root once.  Every reply one replica sends
+  // for one round carries byte-identical shares, and a replica's distinct
+  // roots are exactly its reply-key signatures.
+  Rng rng(5);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::RandomScheduler sched(5);
+  protocols::Cluster<SvcState> cluster(
+      deployment, sched,
+      [&](net::Party& party, int) {
+        auto state = std::make_unique<SvcState>();
+        state->replica = std::make_unique<Replica>(party, "svc", Replica::Mode::kAtomic,
+                                                   std::make_unique<SecureDirectory>());
+        return state;
+      },
+      0, /*extra_endpoints=*/1, 5);
+  std::map<std::uint64_t, ServiceClient::Receipt> receipts;
+  auto tap_owner = std::make_unique<ReplyTap>(std::make_unique<ServiceClient>(
+      cluster.simulator(), 4, deployment, "svc", Replica::Mode::kAtomic, 9,
+      [&](std::uint64_t id, ServiceClient::Receipt receipt) {
+        receipts.emplace(id, std::move(receipt));
+      }));
+  ReplyTap* tap = tap_owner.get();
+  cluster.attach_client(4, std::move(tap_owner));
+  cluster.start();
+
+  std::map<std::uint64_t, Bytes> bodies;
+  for (int i = 0; i < 12; ++i) {
+    const Bytes body = bind_body(i);
+    bodies.emplace(tap->client().request(Bytes(body)), body);
+  }
+  ASSERT_TRUE(cluster.simulator().run_until([&] { return receipts.size() == 12; }, 20000000));
+  cluster.simulator().run(2000000);  // drain the slower replicas' replies
+  for (const auto& [id, receipt] : receipts) {
+    EXPECT_TRUE(tap->client().verify_receipt(id, bodies.at(id), receipt));
+  }
+
+  std::map<std::pair<int, Bytes>, std::vector<Bytes>> by_round;  // (server, root) -> shares
+  for (const TappedReply& tapped : fold_tapped(tap->seen, bodies)) {
+    by_round[{tapped.from, tapped.statement}].push_back(encode_shares(tapped.reply.shares));
+  }
+  std::size_t widest = 0;
+  std::map<int, std::uint64_t> roots_per_server;
+  for (const auto& [key, shares] : by_round) {
+    widest = std::max(widest, shares.size());
+    ++roots_per_server[key.first];
+    for (const Bytes& s : shares) EXPECT_EQ(s, shares.front()) << "server " << key.first;
+  }
+  EXPECT_GE(widest, 2u) << "no round ordered more than one request";
+  cluster.for_each([&](int id, SvcState& s) {
+    EXPECT_EQ(s.replica->reply_signatures(), roots_per_server[id]) << "server " << id;
+    EXPECT_LT(s.replica->reply_signatures(), s.replica->executed_count()) << "server " << id;
+  });
+  EXPECT_EQ(tap->client().fingered(), 0u);
+}
+
+/// Random delivery, except that while `hold` is set all traffic to and
+/// from `victim` stays in flight.
+class HoldPartyScheduler final : public net::Scheduler {
+ public:
+  HoldPartyScheduler(std::uint64_t seed, int victim) : rng_(seed), victim_(victim) {}
+  std::optional<std::size_t> pick(const std::vector<net::Message>& pending,
+                                  std::uint64_t) override {
+    std::vector<std::size_t> free;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (!hold || (pending[i].from != victim_ && pending[i].to != victim_)) free.push_back(i);
+    }
+    if (free.empty()) return std::nullopt;
+    return free[rng_.below(free.size())];
+  }
+  bool hold = true;
+
+ private:
+  Rng rng_;
+  int victim_;
+};
+
+TEST(RoundSigningTest, CatchUpInstallNeverEntersARoundTree) {
+  // Replica 3 is cut off while six requests complete, then installs a
+  // certified checkpoint and rejoins as the client keeps going.  Its
+  // installed deliveries belong to no round: they must not enter the
+  // tree of its next round, whose root would then differ from every
+  // other replica's.  Its only answers to the installed requests are the
+  // one-leaf ones its reply cache gives their held copies, every other
+  // reply it sends is under a root an honest peer also signed, nobody is
+  // fingered, and receipts keep completing.
+  Rng rng(71);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  HoldPartyScheduler sched(71, /*victim=*/3);
+  protocols::Cluster<SvcState> cluster(
+      deployment, sched,
+      [&](net::Party& party, int) {
+        party.enable_wal();
+        auto state = std::make_unique<SvcState>();
+        state->replica = std::make_unique<Replica>(party, "svc", Replica::Mode::kAtomic,
+                                                   std::make_unique<SecureDirectory>());
+        state->replica->enable_checkpoints(1);
+        return state;
+      },
+      0, /*extra_endpoints=*/1, 71);
+  std::map<std::uint64_t, ServiceClient::Receipt> receipts;
+  auto tap_owner = std::make_unique<ReplyTap>(std::make_unique<ServiceClient>(
+      cluster.simulator(), 4, deployment, "svc", Replica::Mode::kAtomic, 73,
+      [&](std::uint64_t id, ServiceClient::Receipt receipt) {
+        receipts.emplace(id, std::move(receipt));
+      }));
+  ReplyTap* tap = tap_owner.get();
+  cluster.attach_client(4, std::move(tap_owner));
+  cluster.start();
+
+  std::map<std::uint64_t, Bytes> bodies;
+  auto bind_all = [&](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      const Bytes body = bind_body(i);
+      bodies.emplace(tap->client().request(Bytes(body)), body);
+    }
+    return cluster.simulator().run_until([&] { return receipts.size() == bodies.size(); },
+                                         20000000);
+  };
+  ASSERT_TRUE(bind_all(0, 6));
+  protocols::AtomicBroadcast& leader = *cluster.protocol(0)->replica->atomic();
+  ASSERT_TRUE(cluster.simulator().run_until(
+      [&] {
+        const auto& cert = leader.latest_certificate();
+        return cert.has_value() && cert->delivered_count == leader.delivered_count();
+      },
+      20000000));
+  const crypto::CheckpointCert cert = *leader.latest_certificate();
+  Replica& laggard = *cluster.protocol(3)->replica;
+  ASSERT_TRUE(laggard.atomic()->install_checkpoint(cert, leader.certified_state(cert)));
+  EXPECT_EQ(laggard.executed_count(), 6u);
+  const std::size_t installed = bodies.size();
+
+  sched.hold = false;
+  ASSERT_TRUE(bind_all(6, 9));
+  ASSERT_TRUE(bind_all(9, 12));
+  ASSERT_TRUE(bind_all(12, 15));
+  cluster.simulator().run(3000000);
+  EXPECT_EQ(laggard.executed_count(), 15u);
+  for (const auto& [id, receipt] : receipts) {
+    EXPECT_TRUE(tap->client().verify_receipt(id, bodies.at(id), receipt));
+  }
+  EXPECT_EQ(tap->client().fingered(), 0u);
+
+  const std::vector<TappedReply> tapped = fold_tapped(tap->seen, bodies);
+  std::map<std::uint64_t, std::set<Bytes>> honest_roots;
+  for (const TappedReply& t : tapped) {
+    if (t.from != 3) honest_roots[t.reply.request_id].insert(t.statement);
+  }
+  int shared_rounds = 0;
+  for (const TappedReply& t : tapped) {
+    if (t.from != 3) continue;
+    if (t.reply.request_id <= installed) {
+      EXPECT_EQ(t.reply.count, 1u) << "installed request " << t.reply.request_id
+                                   << " answered inside a round tree";
+    } else if (honest_roots[t.reply.request_id].contains(t.statement)) {
+      ++shared_rounds;
+    } else {
+      EXPECT_EQ(t.reply.count, 1u) << "request " << t.reply.request_id
+                                   << " under a root no honest peer signed";
+    }
+  }
+  EXPECT_GE(shared_rounds, 1) << "replica 3 never answered inside a shared round";
 }
 
 }  // namespace

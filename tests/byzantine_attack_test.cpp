@@ -10,6 +10,7 @@
 #include "adversary/examples.hpp"
 #include "app/ca.hpp"
 #include "app/client.hpp"
+#include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
 #include "protocols/abba.hpp"
 #include "protocols/atomic.hpp"
@@ -944,25 +945,20 @@ class ShareMisattributor final : public net::Process {
     try {
       Reader r(message.payload);
       app::RequestEnvelope envelope = app::RequestEnvelope::decode(r);
-      // Craft a denial and sign it with our OWN reply key shares — a real
-      // signature on fraudulent content.  The client must outvote it.
+      // Craft a denial, make it a one-leaf round and sign that root with
+      // our OWN reply key shares — a real signature on fraudulent content,
+      // whose path folds for the client.  The client must outvote it.
       app::CaResponse forged;
       forged.status = app::CaResponse::Status::kDenied;
-      Bytes reply = forged.encode();
-      const Bytes stmt = app::reply_statement("svc", envelope, reply);
-      auto shares = deployment_.keys->share(id_).reply_sig.sign(
-          deployment_.keys->public_keys().reply_sig, stmt, rng_);
-      Writer w;
-      w.u8(app::kReplyOk);
-      w.u64(envelope.request_id);
-      w.bytes(reply);
-      w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
-      net::Message out;
-      out.from = id_;
-      out.to = envelope.client;
-      out.tag = "svc/reply";
-      out.payload = w.take();
-      sim_.submit(std::move(out));
+      app::SignedReply out;
+      out.request_id = envelope.request_id;
+      out.reply = forged.encode();
+      out.count = 1;
+      const crypto::Digest root =
+          crypto::merkle::leaf(app::reply_statement("svc", envelope, out.reply));
+      out.shares = deployment_.keys->share(id_).reply_sig.sign(
+          deployment_.keys->public_keys().reply_sig, app::root_statement("svc", 1, root), rng_);
+      sim_.submit(net::Message{id_, envelope.client, "svc/reply", out.encode()});
     } catch (const ProtocolError&) {
     }
   }
@@ -1018,61 +1014,384 @@ TEST(ClientAttackTest, ValidlySignedLieStillOutvoted) {
   EXPECT_EQ(app::CaResponse::decode(replies.at(id).reply).status,
             app::CaResponse::Status::kOk);
   EXPECT_TRUE(client->verify_receipt(id, body, replies.at(id)));
+  EXPECT_EQ(client->fingered(), 0u) << "a valid share on a lie is outvoted, not fingered";
 }
+
+// ---- receipts: one signed root per round -------------------------------------
+
+/// Two clients (endpoints 4 and 5) on a simulator nobody runs, fed replies
+/// by hand in an exact order.  Replies are built the way replicas build
+/// them: a reply tree over one round's leaves, every reply carrying its
+/// path and the sender's shares on that tree's root statement.
+struct HandDriven {
+  /// One round: the requests it ordered and the replies they got.
+  struct Round {
+    std::vector<app::RequestEnvelope> requests;
+    std::vector<Bytes> replies;
+
+    void add(int client, std::uint64_t request_id, const std::string& body,
+             const std::string& reply) {
+      app::RequestEnvelope envelope;
+      envelope.client = client;
+      envelope.request_id = request_id;
+      envelope.body = bytes_of(body);
+      requests.push_back(std::move(envelope));
+      replies.push_back(bytes_of(reply));
+    }
+    [[nodiscard]] crypto::merkle::Tree tree() const {
+      std::vector<crypto::Digest> leaves;
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        leaves.push_back(crypto::merkle::leaf(app::reply_statement("svc", requests[i], replies[i])));
+      }
+      return crypto::merkle::Tree(std::move(leaves));
+    }
+  };
+
+  HandDriven()
+      : rng(41), deployment(adversary::Deployment::threshold(4, 1, rng)),
+        sim(deployment.n() + 2, sched),
+        a(sim, 4, deployment, "svc", app::Replica::Mode::kAtomic, 43, record(a_receipts)),
+        b(sim, 5, deployment, "svc", app::Replica::Mode::kAtomic, 44, record(b_receipts)) {}
+
+  using Receipts = std::map<std::uint64_t, app::ServiceClient::Receipt>;
+  static app::ServiceClient::ReplyFn record(Receipts& into) {
+    return [&into](std::uint64_t id, app::ServiceClient::Receipt receipt) {
+      into.emplace(id, std::move(receipt));
+    };
+  }
+
+  [[nodiscard]] const crypto::ThresholdSigPublicKey& pk() const {
+    return deployment.keys->public_keys().reply_sig;
+  }
+  /// `server`'s shares on the root statement of `tree`.
+  std::vector<SigShare> sign(int server, const crypto::merkle::Tree& tree) {
+    return deployment.keys->share(server).reply_sig.sign(
+        pk(), app::root_statement("svc", tree.count(), tree.root()), sign_rng);
+  }
+  /// `server`'s reply for leaf `index` of `round`, as an honest replica sends it.
+  app::SignedReply reply(int server, const Round& round, std::uint32_t index) {
+    const crypto::merkle::Tree tree = round.tree();
+    app::SignedReply out;
+    out.request_id = round.requests[index].request_id;
+    out.reply = round.replies[index];
+    out.index = index;
+    out.count = tree.count();
+    out.path = tree.path(index);
+    out.shares = sign(server, tree);
+    return out;
+  }
+  void deliver(int server, int to, const app::SignedReply& signed_reply) {
+    net::Message message{server, to, "svc/reply", signed_reply.encode()};
+    (to == 4 ? a : b).on_message(message);
+  }
+
+  Rng rng;
+  adversary::Deployment deployment;
+  net::FifoScheduler sched;
+  net::Simulator sim;
+  Receipts a_receipts;
+  Receipts b_receipts;
+  app::ServiceClient a;
+  app::ServiceClient b;
+  Rng sign_rng{47};
+};
 
 TEST(ClientAttackTest, InvalidReplyShareFingeredReceiptStillValid) {
   // Reply shares are combined before they are verified.  Server 3 sends
-  // the correct reply with a tampered share, and it arrives first: the
-  // receipt combine that meets it must bisect it out, strike server 3 for
-  // this request (its later honest reply included) and finish on honest
-  // servers.  The client is driven by hand so the arrival order is exact.
-  Rng rng(41);
-  auto deployment = adversary::Deployment::threshold(4, 1, rng);
-  net::FifoScheduler sched;
-  net::Simulator sim(deployment.n() + 1, sched);
-  std::map<std::uint64_t, app::ServiceClient::Receipt> receipts;
-  app::ServiceClient client(sim, 4, deployment, "svc", app::Replica::Mode::kAtomic, 43,
-                            [&](std::uint64_t id, app::ServiceClient::Receipt receipt) {
-                              receipts.emplace(id, std::move(receipt));
-                            });
+  // the correct reply and path with a tampered share, and it arrives
+  // first: the receipt combine that meets it must bisect it out, strike
+  // server 3 for this request (its later honest reply included) and
+  // finish on honest servers.
+  HandDriven h;
+  const std::uint64_t id = h.a.request(bytes_of("lookup alice"));
+  HandDriven::Round round;
+  round.add(5, 1, "lookup bob", "bob -> 10.0.0.9");
+  round.add(4, id, "lookup alice", "alice -> 10.0.0.7");
+  round.add(5, 2, "lookup carol", "carol -> 10.0.0.3");
+  app::SignedReply tampered = h.reply(3, round, 1);
+  for (auto& s : tampered.shares) s.value = BigInt::mul_mod(s.value, BigInt(2), h.pk().modulus());
+  h.deliver(3, 4, tampered);
+  h.deliver(0, 4, h.reply(0, round, 1));  // {0, 3} qualifies; the combine fails and fingers 3
+  EXPECT_TRUE(h.a_receipts.empty());
+  EXPECT_EQ(h.a.fingered(), crypto::party_bit(3));
+  h.deliver(3, 4, h.reply(3, round, 1));  // ignored: with it, {0, 3} would combine
+  EXPECT_TRUE(h.a_receipts.empty());
+  EXPECT_EQ(h.a.outstanding(), 1u);
+  h.deliver(1, 4, h.reply(1, round, 1));
+  ASSERT_TRUE(h.a_receipts.contains(id));
+  EXPECT_EQ(h.a_receipts.at(id).reply, round.replies[1]);
+  EXPECT_TRUE(h.a.verify_receipt(id, bytes_of("lookup alice"), h.a_receipts.at(id)));
+  EXPECT_EQ(h.a.outstanding(), 0u);
+  EXPECT_EQ(h.a.fingered(), crypto::party_bit(3));
+}
+
+TEST(ClientAttackTest, TamperedPathElementNeverReachesTheSignedRoot) {
+  // Server 3 sends the honest reply and valid shares on the honest root,
+  // but with one path element bent: the client folds its own leaf through
+  // that path, reaches a root nobody signed, and keeps the vote apart.
+  // Once the round's root is certified, the memo completes the request's
+  // round-mate from one honest reply — but only a reply whose own path
+  // folds to it: a lie with the real path, or the truth with a bent one,
+  // does not.
+  HandDriven h;
+  const std::uint64_t alice = h.a.request(bytes_of("lookup alice"));
+  const std::uint64_t bob = h.a.request(bytes_of("lookup bob"));
+  HandDriven::Round round;
+  round.add(4, alice, "lookup alice", "alice -> 10.0.0.7");
+  round.add(5, 1, "lookup carol", "carol -> 10.0.0.3");
+  round.add(4, bob, "lookup bob", "bob -> 10.0.0.9");
+  app::SignedReply bent = h.reply(3, round, 0);
+  bent.path[0][5] ^= 0x10;
+  h.deliver(3, 4, bent);
+  h.deliver(0, 4, h.reply(0, round, 0));
+  EXPECT_TRUE(h.a_receipts.empty()) << "the bent path joined the honest root's vote";
+  h.deliver(1, 4, h.reply(1, round, 0));
+  ASSERT_TRUE(h.a_receipts.contains(alice));
+  EXPECT_TRUE(h.a.verify_receipt(alice, bytes_of("lookup alice"), h.a_receipts.at(alice)));
+  EXPECT_EQ(h.a.fingered(), 0u) << "the bent reply's shares never met a combine";
+
+  app::SignedReply lie = h.reply(3, round, 2);
+  lie.reply = bytes_of("bob -> 6.6.6.6");
+  h.deliver(3, 4, lie);
+  app::SignedReply bent_bob = h.reply(3, round, 2);
+  bent_bob.path.back()[0] ^= 0x01;
+  h.deliver(3, 4, bent_bob);
+  EXPECT_FALSE(h.a_receipts.contains(bob)) << "a reply completed without folding to the memo";
+  h.deliver(2, 4, h.reply(2, round, 2));  // one honest reply: a memo hit
+  ASSERT_TRUE(h.a_receipts.contains(bob));
+  EXPECT_EQ(h.a_receipts.at(bob).reply, round.replies[2]);
+  EXPECT_TRUE(h.a.verify_receipt(bob, bytes_of("lookup bob"), h.a_receipts.at(bob)));
+  app::ServiceClient::Receipt forged = h.a_receipts.at(bob);
+  forged.path[0][0] ^= 0x01;
+  EXPECT_FALSE(h.a.verify_receipt(bob, bytes_of("lookup bob"), forged));
+}
+
+TEST(ClientAttackTest, AnotherRoundsSignedRootDoesNotCompleteARequest) {
+  // Server 3 replays its reply for an earlier request under a new
+  // request id with the same body: a valid path and valid shares, for
+  // another round's root — already certified and memoized.  The new
+  // request's own leaf does not fold to that root, so nothing completes
+  // until its own round answers it.
+  HandDriven h;
+  const std::uint64_t first = h.a.request(bytes_of("lookup alice"));
+  HandDriven::Round round1;
+  round1.add(4, first, "lookup alice", "alice -> 10.0.0.7");
+  round1.add(5, 1, "lookup bob", "bob -> 10.0.0.9");
+  h.deliver(0, 4, h.reply(0, round1, 0));
+  h.deliver(1, 4, h.reply(1, round1, 0));
+  ASSERT_TRUE(h.a_receipts.contains(first));
+
+  const std::uint64_t second = h.a.request(bytes_of("lookup alice"));
+  app::SignedReply replay = h.reply(3, round1, 0);
+  replay.request_id = second;
+  h.deliver(3, 4, replay);
+  EXPECT_FALSE(h.a_receipts.contains(second)) << "a memoized root completed another request";
+  EXPECT_EQ(h.a.fingered(), 0u);
+  EXPECT_FALSE(h.a.verify_receipt(second, bytes_of("lookup alice"), h.a_receipts.at(first)));
+
+  HandDriven::Round round2;
+  round2.add(5, 2, "lookup carol", "carol -> 10.0.0.3");
+  round2.add(4, second, "lookup alice", "alice -> 10.0.0.7");
+  h.deliver(2, 4, h.reply(2, round2, 1));
+  EXPECT_FALSE(h.a_receipts.contains(second));
+  h.deliver(3, 4, h.reply(3, round2, 1));
+  ASSERT_TRUE(h.a_receipts.contains(second));
+  EXPECT_EQ(h.a_receipts.at(second).index, 1u);
+  EXPECT_TRUE(h.a.verify_receipt(second, bytes_of("lookup alice"), h.a_receipts.at(second)));
+}
+
+TEST(ClientAttackTest, ReplyForAnotherClientDoesNotCompleteTheRequest) {
+  // Clients A (endpoint 4) and B (endpoint 5) both send request 1 with the
+  // same body, ordered in one round.  Server 3 sends B its reply for A: a
+  // valid path and valid shares on the honest root, but B's leaf binds
+  // B's id, so from B's side that path reaches no signed root and the
+  // reply cannot join the honest replies' vote.  A's receipt is no
+  // receipt for B.
+  HandDriven h;
   const Bytes body = bytes_of("lookup alice");
-  const std::uint64_t id = client.request(Bytes(body));
-  app::RequestEnvelope envelope;
-  envelope.client = 4;
-  envelope.request_id = id;
-  envelope.body = body;
-  const Bytes reply = bytes_of("alice -> 10.0.0.7");
-  const auto& pk = deployment.keys->public_keys().reply_sig;
-  const Bytes stmt = app::reply_statement("svc", envelope, reply);
-  Rng sign_rng(47);
-  auto deliver = [&](int server, bool tamper) {
-    auto shares = deployment.keys->share(server).reply_sig.sign(pk, stmt, sign_rng);
-    if (tamper) {
-      for (auto& s : shares) s.value = BigInt::mul_mod(s.value, BigInt(2), pk.modulus());
-    }
-    Writer w;
-    w.u8(app::kReplyOk);
-    w.u64(id);
-    w.bytes(reply);
-    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
-    net::Message m;
-    m.from = server;
-    m.to = 4;
-    m.tag = "svc/reply";
-    m.payload = w.take();
-    client.on_message(m);
-  };
-  deliver(3, /*tamper=*/true);
-  deliver(0, false);  // {0, 3} qualifies; the combine fails and fingers 3
-  EXPECT_TRUE(receipts.empty());
-  deliver(3, false);  // ignored: with it, {0, 3} would combine
-  EXPECT_TRUE(receipts.empty());
-  EXPECT_EQ(client.outstanding(), 1u);
-  deliver(1, false);
-  ASSERT_TRUE(receipts.contains(id));
-  EXPECT_EQ(receipts.at(id).reply, reply);
-  EXPECT_TRUE(client.verify_receipt(id, body, receipts.at(id)));
-  EXPECT_EQ(client.outstanding(), 0u);
+  ASSERT_EQ(h.a.request(Bytes(body)), 1u);
+  ASSERT_EQ(h.b.request(Bytes(body)), 1u);
+  HandDriven::Round round;
+  round.add(4, 1, "lookup alice", "alice -> 10.0.0.7");
+  round.add(5, 1, "lookup alice", "alice -> 10.0.0.7");
+  h.deliver(3, 5, h.reply(3, round, 0));
+  h.deliver(0, 5, h.reply(0, round, 1));
+  EXPECT_TRUE(h.b_receipts.empty()) << "A's reply joined B's vote";
+  h.deliver(0, 4, h.reply(0, round, 0));
+  h.deliver(1, 4, h.reply(1, round, 0));
+  ASSERT_TRUE(h.a_receipts.contains(1));
+  EXPECT_TRUE(h.a.verify_receipt(1, body, h.a_receipts.at(1)));
+  EXPECT_FALSE(h.b.verify_receipt(1, body, h.a_receipts.at(1)));
+  h.deliver(1, 5, h.reply(1, round, 1));
+  ASSERT_TRUE(h.b_receipts.contains(1));
+  EXPECT_EQ(h.b_receipts.at(1).index, 1u);
+  EXPECT_TRUE(h.b.verify_receipt(1, body, h.b_receipts.at(1)));
+  EXPECT_EQ(h.b.fingered(), 0u);
+}
+
+TEST(ClientAttackTest, SharesOnAnotherRootAreFingered) {
+  // Server 3 sends the honest reply and path, but its shares are valid
+  // signatures on a different root.  It lands in the honest root's vote,
+  // breaks that combine, and is struck; the receipt from the others
+  // verifies.
+  HandDriven h;
+  const std::uint64_t id = h.a.request(bytes_of("lookup alice"));
+  HandDriven::Round round;
+  round.add(4, id, "lookup alice", "alice -> 10.0.0.7");
+  round.add(5, 1, "lookup bob", "bob -> 10.0.0.9");
+  HandDriven::Round other;
+  other.add(5, 2, "lookup carol", "carol -> 10.0.0.3");
+  app::SignedReply swapped = h.reply(3, round, 0);
+  swapped.shares = h.sign(3, other.tree());
+  h.deliver(3, 4, swapped);
+  h.deliver(0, 4, h.reply(0, round, 0));
+  EXPECT_TRUE(h.a_receipts.empty());
+  EXPECT_EQ(h.a.fingered(), crypto::party_bit(3));
+  h.deliver(1, 4, h.reply(1, round, 0));
+  ASSERT_TRUE(h.a_receipts.contains(id));
+  EXPECT_TRUE(h.a.verify_receipt(id, bytes_of("lookup alice"), h.a_receipts.at(id)));
+  EXPECT_EQ(h.a.fingered(), crypto::party_bit(3));
+}
+
+TEST(ClientAttackTest, SelfConsistentFakeTreeOutvoted) {
+  // Server 3 builds its own tree around a forged answer and signs that
+  // root with its own key: the path folds, the shares are valid, and the
+  // vote is real — but it is one server's vote, and the honest root
+  // outvotes it.
+  HandDriven h;
+  const std::uint64_t id = h.a.request(bytes_of("lookup alice"));
+  HandDriven::Round round;
+  round.add(4, id, "lookup alice", "alice -> 10.0.0.7");
+  round.add(5, 1, "lookup bob", "bob -> 10.0.0.9");
+  HandDriven::Round fake;
+  fake.add(5, 7, "lookup mallory", "mallory -> 6.6.6.1");
+  fake.add(4, id, "lookup alice", "alice -> 6.6.6.6");
+  fake.add(5, 8, "lookup trent", "trent -> 6.6.6.2");
+  fake.add(5, 9, "lookup oscar", "oscar -> 6.6.6.3");
+  h.deliver(3, 4, h.reply(3, fake, 1));
+  h.deliver(0, 4, h.reply(0, round, 0));
+  EXPECT_TRUE(h.a_receipts.empty());
+  h.deliver(1, 4, h.reply(1, round, 0));
+  ASSERT_TRUE(h.a_receipts.contains(id));
+  EXPECT_EQ(h.a_receipts.at(id).reply, bytes_of("alice -> 10.0.0.7"));
+  EXPECT_TRUE(h.a.verify_receipt(id, bytes_of("lookup alice"), h.a_receipts.at(id)));
+  EXPECT_EQ(h.a.fingered(), 0u);
+}
+
+TEST(ClientAttackTest, ReshapedPathDoesNotJoinTheHonestRoot) {
+  // Leaf 0 of a 3-leaf tree has the same path shape as leaf 0 of a 4-leaf
+  // tree, so its path folds to the same root under either count.  The
+  // root statement binds the count: a reply that rereads the path against
+  // another tree shape votes apart, and a receipt whose count was changed
+  // no longer verifies.
+  HandDriven h;
+  const std::uint64_t id = h.a.request(bytes_of("lookup alice"));
+  HandDriven::Round round;
+  round.add(4, id, "lookup alice", "alice -> 10.0.0.7");
+  round.add(5, 1, "lookup bob", "bob -> 10.0.0.9");
+  round.add(5, 2, "lookup carol", "carol -> 10.0.0.3");
+  app::SignedReply reshaped = h.reply(3, round, 0);
+  reshaped.count = 4;
+  ASSERT_EQ(crypto::merkle::fold(
+                crypto::merkle::leaf(app::reply_statement("svc", round.requests[0],
+                                                          round.replies[0])),
+                0, 4, reshaped.path),
+            std::optional<crypto::Digest>(round.tree().root()));
+  h.deliver(3, 4, reshaped);
+  h.deliver(0, 4, h.reply(0, round, 0));
+  EXPECT_TRUE(h.a_receipts.empty()) << "a reshaped path joined the honest root's vote";
+  h.deliver(1, 4, h.reply(1, round, 0));
+  ASSERT_TRUE(h.a_receipts.contains(id));
+  const app::ServiceClient::Receipt& receipt = h.a_receipts.at(id);
+  EXPECT_EQ(receipt.count, 3u);
+  EXPECT_TRUE(h.a.verify_receipt(id, bytes_of("lookup alice"), receipt));
+  app::ServiceClient::Receipt recounted = receipt;
+  recounted.count = 4;
+  EXPECT_FALSE(h.a.verify_receipt(id, bytes_of("lookup alice"), recounted));
+}
+
+/// A client endpoint that records every reply and forwards it to whichever
+/// ServiceClient currently owns the endpoint (a restarted client swaps in).
+class ClientTap final : public net::Process {
+ public:
+  void on_message(const net::Message& message) override {
+    seen.push_back(message);
+    if (target != nullptr) target->on_message(message);
+  }
+  app::ServiceClient* target = nullptr;
+  std::vector<net::Message> seen;
+};
+
+TEST(ClientAttackTest, DuplicateAfterCompletionIsAnsweredAsOneLeafRounds) {
+  // A client restarts and re-sends request 1 after its receipt: every
+  // replica finds it in its reply cache and answers, without executing it
+  // again, with a one-leaf round.  All honest replicas build the same
+  // one-leaf root, so their shares combine into a receipt that verifies
+  // and carries the original answer.
+  Rng rng(61);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::RandomScheduler sched(61);
+  protocols::Cluster<SvcState> cluster(
+      deployment, sched,
+      [&](net::Party& party, int) {
+        auto s = std::make_unique<SvcState>();
+        s->replica = std::make_unique<app::Replica>(
+            party, "svc", app::Replica::Mode::kAtomic,
+            std::make_unique<app::CertificationAuthority>());
+        return s;
+      },
+      0, /*extra_endpoints=*/1, 61);
+  auto tap_owner = std::make_unique<ClientTap>();
+  ClientTap* tap = tap_owner.get();
+  cluster.attach_client(4, std::move(tap_owner));
+  cluster.start();
+
+  app::CaRequest issue;
+  issue.op = app::CaRequest::Op::kIssue;
+  issue.subject = "dup";
+  issue.credentials = "credential:dup";
+  const Bytes body = issue.encode();
+  std::map<std::uint64_t, app::ServiceClient::Receipt> first_receipts;
+  std::map<std::uint64_t, app::ServiceClient::Receipt> second_receipts;
+  app::ServiceClient first(cluster.simulator(), 4, deployment, "svc",
+                           app::Replica::Mode::kAtomic, 17, HandDriven::record(first_receipts));
+  tap->target = &first;
+  const std::uint64_t id = first.request(Bytes(body));
+  ASSERT_TRUE(cluster.simulator().run_until([&] { return first_receipts.contains(id); },
+                                            10000000));
+  cluster.simulator().run(1000000);  // drain the other replicas' replies
+  std::vector<std::uint64_t> executed;
+  cluster.for_each([&](int, SvcState& s) { executed.push_back(s.replica->executed_count()); });
+
+  app::ServiceClient second(cluster.simulator(), 4, deployment, "svc",
+                            app::Replica::Mode::kAtomic, 18, HandDriven::record(second_receipts));
+  tap->target = &second;
+  tap->seen.clear();
+  ASSERT_EQ(second.request(Bytes(body)), id);
+  ASSERT_TRUE(cluster.simulator().run_until([&] { return second_receipts.contains(id); },
+                                            10000000));
+  cluster.simulator().run(1000000);
+  const app::ServiceClient::Receipt& receipt = second_receipts.at(id);
+  EXPECT_EQ(receipt.reply, first_receipts.at(id).reply) << "the duplicate was executed again";
+  EXPECT_EQ(receipt.count, 1u);
+  EXPECT_EQ(receipt.index, 0u);
+  EXPECT_TRUE(receipt.path.empty());
+  EXPECT_TRUE(second.verify_receipt(id, body, receipt));
+  EXPECT_TRUE(first.verify_receipt(id, body, receipt));
+  std::vector<std::uint64_t> executed_after;
+  cluster.for_each([&](int, SvcState& s) { executed_after.push_back(s.replica->executed_count()); });
+  EXPECT_EQ(executed_after, executed);
+  int answers = 0;
+  for (const net::Message& message : tap->seen) {
+    Reader r(message.payload);
+    ASSERT_EQ(r.u8(), app::kReplyOk);
+    const app::SignedReply reply = app::SignedReply::decode(r);
+    EXPECT_EQ(reply.count, 1u) << "server " << message.from;
+    ++answers;
+  }
+  EXPECT_EQ(answers, 4) << "every replica answers the duplicate";
+  EXPECT_EQ(second.fingered(), 0u);
+  tap->target = nullptr;
 }
 
 }  // namespace

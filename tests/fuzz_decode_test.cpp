@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "app/ca.hpp"
+#include "app/client.hpp"
 #include "app/directory.hpp"
 #include "app/notary.hpp"
 #include "common/work_pool.hpp"
 #include "crypto/batch.hpp"
 #include "crypto/coin.hpp"
+#include "crypto/merkle.hpp"
 #include "crypto/tdh2.hpp"
 #include "crypto/shamir.hpp"
 #include "crypto/threshold_sig.hpp"
@@ -954,6 +956,97 @@ TEST(FuzzTest, EpochStampedNodePayloadSurvivesFuzzAndTruncation) {
   };
   truncation_sweep(valid, decode);
   fuzz(decode, 64);
+}
+
+// ---- signed replies (ServiceClient::on_message) -----------------------------
+//
+// A reply is the one message a client takes from servers it does not
+// trust with anything: every byte of it — request id, reply, index,
+// count, path, shares — is the sender's to choose.
+
+TEST(FuzzTest, MutatedSignedRepliesNeverCompleteARequest) {
+  // A real reply from server 0 (leaf 1 of a three-leaf round, valid shares
+  // on its root), truncated at every byte and mutated to every other
+  // value at every byte, plus degenerate tree shapes, fed to a client
+  // that has the request outstanding.  Server 0 alone is never a
+  // qualified set, so nothing may complete; nothing may crash or throw.
+  Rng rng(83);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  net::Simulator sim(deployment.n() + 1, sched);
+  int receipts = 0;
+  app::ServiceClient client(sim, 4, deployment, "svc", app::Replica::Mode::kAtomic, 85,
+                            [&](std::uint64_t, app::ServiceClient::Receipt) { ++receipts; });
+  const Bytes body = bytes_of("lookup alice");
+  const std::uint64_t id = client.request(Bytes(body));
+
+  std::vector<crypto::Digest> leaves;
+  for (int i = 0; i < 3; ++i) {
+    app::RequestEnvelope envelope;
+    envelope.client = i == 1 ? 4 : 5;
+    envelope.request_id = i == 1 ? id : static_cast<std::uint64_t>(i + 10);
+    envelope.body = i == 1 ? body : bytes_of("lookup bob");
+    leaves.push_back(crypto::merkle::leaf(
+        app::reply_statement("svc", envelope, bytes_of("reply " + std::to_string(i)))));
+  }
+  const crypto::merkle::Tree tree(leaves);
+  const auto& pk = deployment.keys->public_keys().reply_sig;
+  Rng sign_rng(87);
+  auto honest = [&](int server) {
+    app::SignedReply out;
+    out.request_id = id;
+    out.reply = bytes_of("reply 1");
+    out.index = 1;
+    out.count = tree.count();
+    out.path = tree.path(1);
+    out.shares = deployment.keys->share(server).reply_sig.sign(
+        pk, app::root_statement("svc", tree.count(), tree.root()), sign_rng);
+    return out;
+  };
+  auto feed = [&](int server, Bytes payload) {
+    net::Message message{server, 4, "svc/reply", std::move(payload)};
+    ASSERT_NO_THROW(client.on_message(message));
+  };
+
+  const Bytes wire = honest(0).encode();
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    feed(0, Bytes(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len)));
+  }
+  for (std::size_t pos = 0; pos < wire.size(); ++pos) {
+    for (int flip = 1; flip < 256; ++flip) {
+      Bytes mutated = wire;
+      mutated[pos] ^= static_cast<std::uint8_t>(flip);
+      feed(0, std::move(mutated));
+    }
+  }
+  app::SignedReply shape = honest(0);
+  shape.count = 0;
+  feed(0, shape.encode());
+  shape.count = 3;
+  shape.index = 3;
+  feed(0, shape.encode());
+  shape.index = 0;
+  shape.count = 0xffffffffu;
+  shape.path.clear();
+  feed(0, shape.encode());
+  Writer huge;  // claims a million path elements, carries one
+  huge.u8(app::kReplyOk);
+  huge.u64(id);
+  huge.bytes(bytes_of("reply 1"));
+  huge.u32(1);
+  huge.u32(3);
+  huge.u32(1000000);
+  huge.raw(BytesView(tree.root().data(), tree.root().size()));
+  feed(0, huge.take());
+  EXPECT_EQ(receipts, 0);
+  EXPECT_EQ(client.outstanding(), 1u);
+
+  // The client is not wedged: honest replies from two more servers still
+  // complete the request.
+  feed(1, honest(1).encode());
+  feed(2, honest(2).encode());
+  EXPECT_EQ(receipts, 1);
+  EXPECT_EQ(client.outstanding(), 0u);
 }
 
 }  // namespace
