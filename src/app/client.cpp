@@ -226,13 +226,13 @@ void ServiceClient::on_signed_reply(int from, SignedReply signed_reply) {
   // Structural admission only: exactly the server's own units.  The
   // shares are checked through the one combined receipt signature.
   const auto& pk = deployment_.keys->public_keys().reply_sig;
-  if (!crypto::covers_own_units(pk.scheme(), from, signed_reply.shares)) return;
-
   Vote& vote = pending->second.votes[statement];
-  if (crypto::contains(vote.supporters, from)) return;
-  if (vote.supporters == 0) vote.receipt = std::move(receipt);
-  vote.supporters |= crypto::party_bit(from);
-  for (auto& share : signed_reply.shares) vote.shares.push_back(std::move(share));
+  const bool first = vote.shares.support() == 0;
+  if (!vote.shares.admit(pk.scheme(), from, std::move(signed_reply.shares),
+                         "client: shares not the server's units")) {
+    return;
+  }
+  if (first) vote.receipt = std::move(receipt);
 
   // Accept once the supporters are QUALIFIED under the reply-key sharing
   // scheme.  Qualified implies beyond one corruptible set (the access
@@ -243,31 +243,25 @@ void ServiceClient::on_signed_reply(int from, SignedReply signed_reply) {
   // exceeds_fault_set alone would NOT suffice for generalized deployments
   // like Example 2, where some incorruptible sets are still unqualified
   // for reconstruction.
-  if (!pk.scheme().qualified(vote.supporters)) return;
-  auto combined = crypto::batch::combine_sig_optimistic(pk, statement, vote.shares, rng_);
-  if (!combined.signature.has_value()) {
+  if (!pk.scheme().qualified(vote.shares.support())) return;
+  auto combined =
+      crypto::batch::combine_sig_optimistic(pk, statement, vote.shares.shares(), rng_);
+  if (!combined.value.has_value()) {
     // A server whose share broke the combine loses its vote, and its
     // later replies to this request are ignored; wait for honest ones.
-    crypto::PartySet culprits = 0;
-    for (std::size_t i : combined.bad) {
-      culprits |= crypto::party_bit(pk.scheme().unit_owner(vote.shares[i].unit));
-    }
+    const crypto::PartySet culprits = vote.shares.strike(pk.scheme(), combined.bad);
     pending->second.rejected |= culprits;
     fingered_ |= culprits;
-    vote.supporters &= ~culprits;
-    std::erase_if(vote.shares, [&](const crypto::SigShare& s) {
-      return crypto::contains(culprits, pk.scheme().unit_owner(s.unit));
-    });
     return;
   }
-  certified_.emplace(statement, *combined.signature);
+  certified_.emplace(statement, *combined.value);
   certified_fifo_.push_back(std::move(statement));
   if (certified_fifo_.size() > kCertifiedCap) {
     certified_.erase(certified_fifo_.front());
     certified_fifo_.pop_front();
   }
   receipt = std::move(vote.receipt);
-  receipt.signature = std::move(*combined.signature);
+  receipt.signature = std::move(*combined.value);
   complete(pending, std::move(receipt));
 }
 

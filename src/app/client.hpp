@@ -118,8 +118,7 @@ class ServiceClient final : public net::Process {
  private:
   /// Replies whose paths fold to one root statement.
   struct Vote {
-    crypto::PartySet supporters = 0;
-    std::vector<crypto::SigShare> shares;
+    crypto::ShareTally<crypto::SigShare> shares;
     Receipt receipt;  ///< first voter's reply and path; signature unset
   };
   struct Pending {

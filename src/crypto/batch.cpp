@@ -195,6 +195,29 @@ std::vector<DleqEquation> prepare_cts(const Tdh2PublicKey& pk,
   return eqs;
 }
 
+/// `shares` without the `bad` ones and without any other share of their
+/// senders: the combiner needs complete per-party unit sets, and a sender
+/// who faked one share forfeits its others.
+template <class Share>
+std::vector<Share> without_culprits(const LinearScheme& scheme, const std::vector<Share>& shares,
+                                    const std::vector<std::size_t>& bad) {
+  PartySet culprits = 0;
+  for (std::size_t i : bad) {
+    const int unit = shares[i].unit;
+    if (unit >= 0 && unit < scheme.num_units()) culprits |= party_bit(scheme.unit_owner(unit));
+  }
+  std::vector<Share> good;
+  good.reserve(shares.size());
+  std::size_t next_bad = 0;
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    const bool listed = next_bad < bad.size() && bad[next_bad] == i;
+    if (listed) ++next_bad;
+    if (listed || contains(culprits, scheme.unit_owner(shares[i].unit))) continue;
+    good.push_back(shares[i]);
+  }
+  return good;
+}
+
 }  // namespace
 
 bool verify_dleq(const Group& group, const Element& g1, const Element& g2,
@@ -297,9 +320,9 @@ std::vector<std::size_t> find_invalid_coin_shares(const CoinPublicKey& pk, Bytes
       [&](std::size_t i) { return pk.verify_share(name, shares[i]); });
 }
 
-CoinCombineResult combine_coin_optimistic(const CoinPublicKey& pk, BytesView name,
-                                          const std::vector<CoinShare>& shares, Rng& rng) {
-  CoinCombineResult result;
+CombineResult<Bytes> combine_coin_optimistic(const CoinPublicKey& pk, BytesView name,
+                                             const std::vector<CoinShare>& shares, Rng& rng) {
+  CombineResult<Bytes> result;
   // No cheap check exists for a combined coin value (it is just a hash of
   // the recombined group element), so the optimistic gate is the batch
   // proof check itself: one batched equation in the happy path, bisection
@@ -309,25 +332,7 @@ CoinCombineResult combine_coin_optimistic(const CoinPublicKey& pk, BytesView nam
     return result;
   }
   result.bad = find_invalid_coin_shares(pk, name, shares, rng);
-  // Drop every share of a party that produced a bad one: the combiner
-  // needs complete per-party unit sets, and a sender who faked one share
-  // forfeits its others.
-  PartySet bad_parties = 0;
-  for (std::size_t i : result.bad) {
-    const int unit = shares[i].unit;
-    if (unit >= 0 && unit < pk.scheme().num_units()) {
-      bad_parties |= party_bit(pk.scheme().unit_owner(unit));
-    }
-  }
-  std::vector<CoinShare> good;
-  good.reserve(shares.size());
-  std::size_t next_bad = 0;
-  for (std::size_t i = 0; i < shares.size(); ++i) {
-    const bool listed = next_bad < result.bad.size() && result.bad[next_bad] == i;
-    if (listed) ++next_bad;
-    if (listed || (bad_parties & party_bit(pk.scheme().unit_owner(shares[i].unit)))) continue;
-    good.push_back(shares[i]);
-  }
+  const auto good = without_culprits(pk.scheme(), shares, result.bad);
   if (!good.empty()) result.value = pk.combine(name, good);
   return result;
 }
@@ -500,34 +505,17 @@ bool verify_sig_share_groups(const ThresholdSigPublicKey& pk,
   return check_sig_equations(pk, x_squareds, refs, rng);
 }
 
-SigCombineResult combine_sig_optimistic(const ThresholdSigPublicKey& pk, BytesView message,
-                                        const std::vector<SigShare>& shares, Rng& rng) {
-  SigCombineResult result;
+CombineResult<BigInt> combine_sig_optimistic(const ThresholdSigPublicKey& pk, BytesView message,
+                                             const std::vector<SigShare>& shares, Rng& rng) {
+  CombineResult<BigInt> result;
   // Combining is cheap relative to verifying shares (Lagrange-in-the-
   // exponent plus one e = 65537 check), so try the unverified set first.
-  result.signature = pk.combine(message, shares);
-  if (result.signature) return result;
+  result.value = pk.combine(message, shares);
+  if (result.value) return result;
   result.bad = find_invalid_sig_shares(pk, message, shares, rng);
   if (result.bad.empty()) return result;  // unqualified set, nothing to blame
-  // Drop every share of a party that produced a bad one (the combiner
-  // needs complete per-party unit sets).
-  PartySet bad_parties = 0;
-  for (std::size_t i : result.bad) {
-    const int unit = shares[i].unit;
-    if (unit >= 0 && unit < pk.scheme().num_units()) {
-      bad_parties |= party_bit(pk.scheme().unit_owner(unit));
-    }
-  }
-  std::vector<SigShare> good;
-  good.reserve(shares.size());
-  std::size_t next_bad = 0;
-  for (std::size_t i = 0; i < shares.size(); ++i) {
-    const bool listed = next_bad < result.bad.size() && result.bad[next_bad] == i;
-    if (listed) ++next_bad;
-    if (listed || (bad_parties & party_bit(pk.scheme().unit_owner(shares[i].unit)))) continue;
-    good.push_back(shares[i]);
-  }
-  if (!good.empty()) result.signature = pk.combine(message, good);
+  const auto good = without_culprits(pk.scheme(), shares, result.bad);
+  if (!good.empty()) result.value = pk.combine(message, good);
   return result;
 }
 

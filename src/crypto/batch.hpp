@@ -45,6 +45,7 @@
 
 #include "crypto/coin.hpp"
 #include "crypto/nizk.hpp"
+#include "crypto/share_tally.hpp"
 #include "crypto/tdh2.hpp"
 #include "crypto/threshold_sig.hpp"
 
@@ -93,15 +94,10 @@ struct SchnorrItem {
 [[nodiscard]] std::vector<std::size_t> find_invalid_coin_shares(
     const CoinPublicKey& pk, BytesView name, const std::vector<CoinShare>& shares, Rng& rng);
 
-/// Batch-verify then combine.  On success `value` is the coin output and
-/// `bad` is empty; on failure `value` is nullopt and `bad` lists the
-/// corrupted share indices (empty `bad` with empty `value` means the
-/// honest shares do not form a qualified set).
-struct CoinCombineResult {
-  std::optional<Bytes> value;
-  std::vector<std::size_t> bad;
-};
-[[nodiscard]] CoinCombineResult combine_coin_optimistic(const CoinPublicKey& pk, BytesView name,
+/// Batch-verify then combine into the coin output.  On a failed batch the
+/// corrupted share indices are listed and the rest is combined if it
+/// still can be (empty `bad` with no value: the set is not qualified).
+[[nodiscard]] CombineResult<Bytes> combine_coin_optimistic(const CoinPublicKey& pk, BytesView name,
                                                         const std::vector<CoinShare>& shares,
                                                         Rng& rng);
 
@@ -145,14 +141,10 @@ struct SigShareGroup {
                                            const std::vector<SigShareGroup>& groups, Rng& rng);
 
 /// Combine-then-verify fast path: combine the (unverified) set and check
-/// the single resulting RSA signature.  On success `signature` is set and
-/// `bad` is empty; on failure `bad` lists the corrupted share indices
-/// (empty `bad` with nullopt `signature` means the set was unqualified).
-struct SigCombineResult {
-  std::optional<BigInt> signature;
-  std::vector<std::size_t> bad;
-};
-[[nodiscard]] SigCombineResult combine_sig_optimistic(const ThresholdSigPublicKey& pk,
+/// the single resulting RSA signature.  If that fails, the corrupted share
+/// indices are listed and the rest is combined if it still can be (empty
+/// `bad` with no value: the set is not qualified).
+[[nodiscard]] CombineResult<BigInt> combine_sig_optimistic(const ThresholdSigPublicKey& pk,
                                                       BytesView message,
                                                       const std::vector<SigShare>& shares,
                                                       Rng& rng);

@@ -1,0 +1,140 @@
+// Share collection for threshold combines.  Every broadcast and agreement
+// step certifies by combining: it collects threshold shares (signature,
+// coin or TDH2 decryption shares) until their senders are ready (a quorum,
+// or qualified under the sharing scheme), then combines them into one
+// certificate, coin value or plaintext.  A ShareTally is one such
+// collection.  It owns the admission rule (covers_own_units: a sender's
+// vector counts once, never after the sender was struck, and only if it
+// holds exactly the sender's units), the support set, the shares, strike,
+// and the attempt guard of an off-loop combine (protocols/base.hpp).
+// Readiness, verification policy and what the result is for stay with the
+// caller.
+#pragma once
+
+#include <cstdint>
+#include <iterator>
+#include <optional>
+#include <vector>
+
+#include "common/assert.hpp"
+#include "crypto/sharing.hpp"
+
+namespace sintra::crypto {
+
+/// Structural admission: true iff `shares` carry exactly the units `party`
+/// holds, each once (so never none).  Whether their values are valid is
+/// left to the caller's verification or to the combined result.
+template <class Share>
+[[nodiscard]] bool covers_own_units(const LinearScheme& scheme, int party,
+                                    const std::vector<Share>& shares) {
+  const int units = scheme.num_units();
+  std::size_t held = 0;
+  for (int unit = 0; unit < units; ++unit) held += scheme.unit_owner(unit) == party ? 1 : 0;
+  if (shares.empty() || shares.size() != held) return false;
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    const int unit = shares[i].unit;
+    if (unit < 0 || unit >= units || scheme.unit_owner(unit) != party) return false;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (shares[j].unit == unit) return false;
+    }
+  }
+  return true;
+}
+
+/// Outcome of an optimistic combine (crypto/batch.hpp): the combined value,
+/// if any, and the indices of the corrupted shares, if any.
+template <class T>
+struct CombineResult {
+  std::optional<T> value;
+  std::vector<std::size_t> bad;
+};
+
+template <class Share>
+class ShareTally {
+ public:
+  /// Count `from`'s share vector.  Returns false, changing nothing, when
+  /// `from` was already counted or struck (a duplicate or a replay).
+  /// Throws ProtocolError(`refusal`) unless the vector holds exactly
+  /// `from`'s units; `check`, run after that and before the vector
+  /// counts, may throw ProtocolError too (sites that verify on arrival).
+  template <class Check = void (*)(const std::vector<Share>&)>
+  bool admit(const LinearScheme& scheme, int from, std::vector<Share> shares,
+             const char* refusal, Check&& check = [](const std::vector<Share>&) {}) {
+    if (seen(from)) return false;
+    SINTRA_REQUIRE(covers_own_units(scheme, from, shares), refusal);
+    check(shares);
+    support_ |= party_bit(from);
+    if (shares_.empty()) {
+      shares_ = std::move(shares);
+    } else {
+      shares_.insert(shares_.end(), std::make_move_iterator(shares.begin()),
+                     std::make_move_iterator(shares.end()));
+    }
+    return true;
+  }
+
+  [[nodiscard]] PartySet support() const { return support_; }
+  [[nodiscard]] const std::vector<Share>& shares() const { return shares_; }
+  /// Counted or struck: a vector from `party` is no longer admitted.
+  [[nodiscard]] bool seen(int party) const { return contains(support_ | struck_, party); }
+
+  /// Strike the senders of the shares at indices `bad` (an inline
+  /// combine's result); returns them.
+  PartySet strike(const LinearScheme& scheme, const std::vector<std::size_t>& bad) {
+    PartySet culprits = 0;
+    for (std::size_t i : bad) culprits |= party_bit(scheme.unit_owner(shares_[i].unit));
+    return bar(scheme, culprits);
+  }
+  /// Strike the owners of `units` (an off-loop verdict's bad units, each
+  /// range-checked); returns them.
+  PartySet strike_units(const LinearScheme& scheme, const std::vector<std::uint32_t>& units) {
+    PartySet culprits = 0;
+    for (std::uint32_t unit : units) {
+      SINTRA_REQUIRE(unit < static_cast<std::uint32_t>(scheme.num_units()),
+                     "verdict unit out of range");
+      culprits |= party_bit(scheme.unit_owner(static_cast<int>(unit)));
+    }
+    return bar(scheme, culprits);
+  }
+
+  /// Off-loop combines: mark a new attempt in flight and return its
+  /// number, or 0 while an earlier attempt is still out.
+  int begin_attempt() {
+    if (inflight_) return 0;
+    inflight_ = true;
+    return ++attempt_;
+  }
+  /// True iff `attempt` is the one in flight, which it then settles.  A
+  /// verdict for any other attempt is stale and must change nothing.
+  bool settle(int attempt) {
+    if (!inflight_ || attempt != attempt_) return false;
+    inflight_ = false;
+    return true;
+  }
+
+  /// Free the shares once the combined result subsumes them.
+  void release_shares() {
+    shares_.clear();
+    shares_.shrink_to_fit();
+  }
+
+ private:
+  /// Culprits lose their support and every share, and are barred.
+  PartySet bar(const LinearScheme& scheme, PartySet culprits) {
+    if (culprits == 0) return 0;
+    support_ &= ~culprits;
+    struck_ |= culprits;
+    std::erase_if(shares_, [&](const Share& s) {
+      return contains(culprits, scheme.unit_owner(s.unit));
+    });
+    return culprits;
+  }
+
+  PartySet support_ = 0;
+  PartySet struck_ = 0;
+  std::vector<Share> shares_;
+  int attempt_ = 0;
+  bool inflight_ = false;
+};
+
+}  // namespace sintra::crypto

@@ -1,6 +1,5 @@
 #include "crypto/threshold_sig.hpp"
 
-#include <algorithm>
 
 #include "common/assert.hpp"
 #include "crypto/sha256.hpp"
@@ -87,15 +86,6 @@ SigShare SigShare::decode(Reader& r) {
   share.a2 = BigInt::decode(r);
   share.response = BigInt::decode(r);
   return share;
-}
-
-bool covers_own_units(const LinearScheme& scheme, int party,
-                      const std::vector<SigShare>& shares) {
-  std::vector<int> units;
-  units.reserve(shares.size());
-  for (const SigShare& share : shares) units.push_back(share.unit);
-  std::sort(units.begin(), units.end());
-  return !units.empty() && units == scheme.units_of(party);
 }
 
 ThresholdSigPublicKey::ThresholdSigPublicKey(BigInt modulus, BigInt e, BigInt v,

@@ -62,12 +62,6 @@ BigInt sig_share_challenge(const BigInt& modulus, int unit, const BigInt& v,
                            const BigInt& v_unit, const BigInt& x_squared, const BigInt& share,
                            const BigInt& a1, const BigInt& a2);
 
-/// Structural admission for shares that are combined before they are
-/// verified: true iff `shares` carry exactly the units `party` holds, each
-/// once.  Whether their values are valid is left to the combined signature.
-[[nodiscard]] bool covers_own_units(const LinearScheme& scheme, int party,
-                                    const std::vector<SigShare>& shares);
-
 class ThresholdSigSecretKey {
  public:
   ThresholdSigSecretKey(int party, std::map<int, BigInt> unit_shares)

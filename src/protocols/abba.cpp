@@ -1,5 +1,7 @@
 #include "protocols/abba.hpp"
 
+#include <algorithm>
+
 #include "crypto/batch.hpp"
 #include "crypto/sha256.hpp"
 
@@ -18,13 +20,22 @@ std::vector<SigShare> decode_shares(Reader& r) {
   return r.vec<SigShare>([](Reader& rd) { return SigShare::decode(rd); });
 }
 
-/// Strike the votes of parties whose shares broke a certificate: out of
-/// the round's tally and support set, and barred from voting again.
-void strike(crypto::PartySet culprits, crypto::PartySet& voted, crypto::PartySet& support,
-            crypto::PartySet& rejected) {
-  voted &= ~culprits;
-  support &= ~culprits;
-  rejected |= culprits;
+constexpr const char* kPreVoteRefusal = "abba: pre-vote shares not the sender's units";
+
+/// Parties one of a round's per-value vote tallies counts.
+template <class Tallies>
+crypto::PartySet voted(const Tallies& tallies) {
+  crypto::PartySet set = 0;
+  for (const auto& tally : tallies) set |= tally.support();
+  return set;
+}
+
+/// True once any of a round's per-value vote tallies has counted or struck
+/// `party`: one vote per party and round, none after a proven-bad share.
+template <class Tallies>
+bool has_voted(const Tallies& tallies, int party) {
+  return std::any_of(tallies.begin(), tallies.end(),
+                     [party](const auto& tally) { return tally.seen(party); });
 }
 }  // namespace
 
@@ -141,48 +152,40 @@ void Abba::on_input(int from, Reader& reader) {
   // Structural admission only: exactly the sender's own units.  The shares
   // only feed the anchor combine, which checks its own result; a bad share
   // costs its sender a bisection there.
-  SINTRA_REQUIRE(crypto::covers_own_units(host_.public_keys().reply_sig.scheme(), from, shares),
-                 "abba: input shares not the sender's units");
+  const auto& scheme = host_.public_keys().reply_sig.scheme();
+  constexpr const char* kRefusal = "abba: input shares not the sender's units";
+  SINTRA_REQUIRE(crypto::covers_own_units(scheme, from, shares), kRefusal);
   input_voted_ |= crypto::party_bit(from);
   bump_progress();
   if (anchor_[value].has_value()) return;  // anchored: later shares are not needed
-  input_support_[value] |= crypto::party_bit(from);
-  for (SigShare& share : shares) input_shares_[value].push_back(std::move(share));
+  inputs_[value].admit(scheme, from, std::move(shares), kRefusal);
   maybe_anchor(value);
   try_first_prevote();
 }
 
 void Abba::maybe_anchor(int value) {
   const auto& reply_pk = host_.public_keys().reply_sig;
-  if (anchor_[value].has_value() || !reply_pk.scheme().qualified(input_support_[value])) return;
-  // A culprit's input stays counted in input_voted_; only its shares go.
+  if (anchor_[value].has_value() || !reply_pk.scheme().qualified(inputs_[value].support())) {
+    return;
+  }
   // Without a signature the remaining shares are unqualified: wait for more.
-  crypto::PartySet culprits = 0;
-  anchor_[value] = certify(reply_pk, "input", 0, static_cast<std::uint8_t>(value),
-                           input_shares_[value], culprits);
-  input_support_[value] &= ~culprits;
+  anchor_[value] = certify(reply_pk, "input", 0, static_cast<std::uint8_t>(value), inputs_[value]);
 }
 
 std::optional<BigInt> Abba::certify(const crypto::ThresholdSigPublicKey& pk,
                                     std::string_view kind, int round, std::uint8_t value,
-                                    std::vector<SigShare>& shares, crypto::PartySet& culprits) {
-  auto result = crypto::batch::combine_sig_optimistic(pk, statement(kind, round, value), shares,
-                                                      host_.rng());
-  culprits = 0;
-  for (std::size_t i : result.bad) {
-    culprits |= crypto::party_bit(pk.scheme().unit_owner(shares[i].unit));
-  }
+                                    VoteTally& tally) {
+  auto result = crypto::batch::combine_sig_optimistic(pk, statement(kind, round, value),
+                                                      tally.shares(), host_.rng());
+  // Byzantine sender pays: its shares leave the set for good and the party
+  // is fingered.
+  const crypto::PartySet culprits = tally.strike(pk.scheme(), result.bad);
   if (culprits != 0) {
-    // Byzantine sender pays: its shares leave the set for good and the
-    // party is fingered.
     suspected_ |= culprits;
-    std::erase_if(shares, [&](const SigShare& s) {
-      return (culprits & crypto::party_bit(pk.scheme().unit_owner(s.unit))) != 0;
-    });
     host_.trace("abba", tag_ + " " + std::string(kind) + " r" + std::to_string(round) + " v" +
                             std::to_string(value) + " rejected invalid shares (suspects fingered)");
   }
-  return std::move(result.signature);
+  return std::move(result.value);
 }
 
 void Abba::try_first_prevote() {
@@ -295,13 +298,11 @@ void Abba::on_prevote(int from, Reader& reader) {
   reader.expect_done();
 
   const auto& cert_pk = host_.public_keys().cert_sig;
-  const Round& state = round_state(round);
-  if (crypto::contains(state.prevoted | state.prevote_rejected, from)) return;
+  if (has_voted(round_state(round).prevotes, from)) return;
   // Structure first (exactly the sender's units), so a vote parked for the
   // coin below cannot fail later; the shares themselves are checked only
   // through sigma_pre.
-  SINTRA_REQUIRE(crypto::covers_own_units(cert_pk.scheme(), from, shares),
-                 "abba: pre-vote shares not the sender's units");
+  SINTRA_REQUIRE(crypto::covers_own_units(cert_pk.scheme(), from, shares), kPreVoteRefusal);
   if (round == 1) {
     SINTRA_REQUIRE(justification == kJustAnchor, "abba: round-1 pre-vote must be anchored");
     SINTRA_REQUIRE(
@@ -322,45 +323,37 @@ void Abba::on_prevote(int from, Reader& reader) {
   } else {
     throw ProtocolError("abba: bad justification kind");
   }
-  accept_prevote(round, from, value, shares);
+  accept_prevote(round, from, value, std::move(shares));
 }
 
-void Abba::accept_prevote(int round, int from, bool value,
-                          const std::vector<SigShare>& shares) {
+void Abba::accept_prevote(int round, int from, bool value, std::vector<SigShare> shares) {
   Round& state = round_state(round);
-  // One pre-vote per party, and none after a proven-bad share this round.
-  if (crypto::contains(state.prevoted | state.prevote_rejected, from)) return;
-  state.prevoted |= crypto::party_bit(from);
-  bump_progress();
+  if (has_voted(state.prevotes, from)) return;
+  const auto& cert_pk = host_.public_keys().cert_sig;
   const int v = value ? 1 : 0;
-  state.prevote_support[v] |= crypto::party_bit(from);
-  if (!state.sigma_pre[v].has_value()) {
-    for (const SigShare& share : shares) state.prevote_shares[v].push_back(share);
-    // Combine-then-verify sigma_pre(round, v) as soon as a full quorum
-    // supports v, before maybe_mainvote looks at the tally: a unanimous
-    // quorum then always has its certificate.
-    const auto& cert_pk = host_.public_keys().cert_sig;
-    if (cert_pk.scheme().qualified(state.prevote_support[v])) {
-      crypto::PartySet culprits = 0;
-      state.sigma_pre[v] = certify(cert_pk, "pre", round, static_cast<std::uint8_t>(v),
-                                   state.prevote_shares[v], culprits);
-      strike(culprits, state.prevoted, state.prevote_support[v], state.prevote_rejected);
-    }
+  state.prevotes[v].admit(cert_pk.scheme(), from, std::move(shares), kPreVoteRefusal);
+  bump_progress();
+  // Combine-then-verify sigma_pre(round, v) as soon as a full quorum
+  // supports v, before maybe_mainvote looks at the tally: a unanimous
+  // quorum then always has its certificate.
+  if (!state.sigma_pre[v].has_value() && cert_pk.scheme().qualified(state.prevotes[v].support())) {
+    state.sigma_pre[v] =
+        certify(cert_pk, "pre", round, static_cast<std::uint8_t>(v), state.prevotes[v]);
   }
   maybe_mainvote(round);
 }
 
 void Abba::maybe_mainvote(int round) {
   Round& state = round_state(round);
-  if (state.sent_mainvote || !quorum().is_quorum(state.prevoted)) return;
+  if (state.sent_mainvote || !quorum().is_quorum(voted(state.prevotes))) return;
   state.sent_mainvote = true;
 
   std::uint8_t vote = kAbstain;
   std::optional<BigInt> evidence;
-  if (state.prevote_support[0] != 0 && state.prevote_support[1] != 0) {
+  if (state.prevotes[0].support() != 0 && state.prevotes[1].support() != 0) {
     vote = kAbstain;  // conflicting pre-votes seen
   } else {
-    const int v = state.prevote_support[1] != 0 ? 1 : 0;
+    const int v = state.prevotes[1].support() != 0 ? 1 : 0;
     SINTRA_INVARIANT(state.sigma_pre[v].has_value(),
                      "abba: unanimous quorum but no combined certificate");
     vote = static_cast<std::uint8_t>(v);
@@ -392,45 +385,38 @@ void Abba::on_mainvote(int from, Reader& reader) {
   auto shares = decode_shares(reader);
   reader.expect_done();
   Round& state = round_state(round);
-  // One main-vote per party, and none after a proven-bad share this round.
-  if (crypto::contains(state.mainvoted | state.mainvote_rejected, from)) return;
+  if (has_voted(state.mainvotes, from)) return;
   const auto& cert_pk = host_.public_keys().cert_sig;
-  SINTRA_REQUIRE(crypto::covers_own_units(cert_pk.scheme(), from, shares),
-                 "abba: main-vote shares not the sender's units");
+  constexpr const char* kRefusal = "abba: main-vote shares not the sender's units";
+  SINTRA_REQUIRE(crypto::covers_own_units(cert_pk.scheme(), from, shares), kRefusal);
   if (vote != kAbstain) {
     SINTRA_REQUIRE(cert_pk.verify(statement("pre", round, vote), *sigma_pre),
                    "abba: main-vote without valid pre-vote certificate");
     if (!state.sigma_pre[vote].has_value()) state.sigma_pre[vote] = std::move(sigma_pre);
   }
-  state.mainvoted |= crypto::party_bit(from);
+  state.mainvotes[vote].admit(cert_pk.scheme(), from, std::move(shares), kRefusal);
   bump_progress();
-  state.mainvote_support[vote] |= crypto::party_bit(from);
-  if (vote != kAbstain || !state.sigma_main_abstain.has_value()) {
-    for (SigShare& share : shares) state.mainvote_shares[vote].push_back(std::move(share));
-  }
 
   // Decision check runs on *every* arrival (not only at round close): the
   // first quorum of main-votes may mix corrupted abstains with honest
   // value votes, and the unanimous certificate only completes later.
-  if (vote != kAbstain && cert_pk.scheme().qualified(state.mainvote_support[vote])) {
-    crypto::PartySet culprits = 0;
-    auto sigma_main = certify(cert_pk, "main", round, vote, state.mainvote_shares[vote], culprits);
+  if (vote != kAbstain && cert_pk.scheme().qualified(state.mainvotes[vote].support())) {
+    auto sigma_main = certify(cert_pk, "main", round, vote, state.mainvotes[vote]);
     if (sigma_main.has_value()) {
       decide(vote == 1, round, *sigma_main);
       return;
     }
-    strike(culprits, state.mainvoted, state.mainvote_support[vote], state.mainvote_rejected);
   }
   maybe_close_round(round);
 }
 
 void Abba::maybe_close_round(int round) {
   Round& state = round_state(round);
-  if (state.round_closed || !quorum().is_quorum(state.mainvoted)) return;
+  if (state.round_closed || !quorum().is_quorum(voted(state.mainvotes))) return;
   // Some main-vote carried a value (and its verified sigma_pre): adopt it
   // with hard justification.
   for (int v = 0; v < 2; ++v) {
-    if (state.mainvote_support[v] != 0) {
+    if (state.mainvotes[v].support() != 0) {
       SINTRA_INVARIANT(state.sigma_pre[v].has_value(), "abba: value main-vote lost its cert");
       state.round_closed = true;
       release_coin(round);
@@ -442,10 +428,8 @@ void Abba::maybe_close_round(int round) {
   // the abstain certificate has combined; after a struck vote the round
   // waits for another abstain.
   if (!state.sigma_main_abstain.has_value()) {
-    crypto::PartySet culprits = 0;
-    state.sigma_main_abstain = certify(host_.public_keys().cert_sig, "main", round, kAbstain,
-                                       state.mainvote_shares[kAbstain], culprits);
-    strike(culprits, state.mainvoted, state.mainvote_support[kAbstain], state.mainvote_rejected);
+    state.sigma_main_abstain =
+        certify(host_.public_keys().cert_sig, "main", round, kAbstain, state.mainvotes[kAbstain]);
     if (!state.sigma_main_abstain.has_value()) return;
   }
   state.round_closed = true;
@@ -483,99 +467,38 @@ void Abba::on_coin_share(int from, Reader& reader) {
       [&](Reader& r) { return CoinShare::decode(r, coin_pk.group()); });
   reader.expect_done();
   Round& state = round_state(round);
-  if (crypto::contains(state.coin_support, from) || crypto::contains(state.coin_rejected, from) ||
-      state.coin.has_value()) {
-    return;
+  if (state.coin.has_value()) return;
+  // Structural admission only: the NIZK proofs are *not* checked here —
+  // they are deferred to one batched verification over the whole
+  // threshold set, run off the event loop.
+  if (state.coin_shares.admit(coin_pk.scheme(), from, std::move(shares),
+                              "abba: coin shares not the sender's units")) {
+    bump_progress();
+    maybe_combine_coin(round);
   }
-  // Structural admission only: unit ownership and decode bounds.  The NIZK
-  // proofs are *not* checked here — they are deferred to one batched
-  // verification over the whole threshold set, run off the event loop.
-  for (const CoinShare& share : shares) {
-    SINTRA_REQUIRE(coin_pk.scheme().unit_owner(share.unit) == from,
-                   "abba: coin share unit not owned by sender");
-  }
-  state.coin_support |= crypto::party_bit(from);
-  bump_progress();
-  for (const CoinShare& share : shares) state.coin_shares.push_back(share);
-  maybe_combine_coin(round);
 }
 
 void Abba::maybe_combine_coin(int round) {
   Round& state = round_state(round);
-  if (state.coin.has_value() || state.coin_inflight) return;
   const auto& coin_pk = host_.public_keys().coin;
-  if (!coin_pk.scheme().qualified(state.coin_support)) return;
-  state.coin_inflight = true;
-  const int attempt = ++state.coin_attempt;
-  // The random-linear-combination weights are seeded on the loop thread so
-  // sequential (deterministic-mode) runs replay bit-exactly.
-  const std::uint64_t seed = host_.rng().next();
-  // The job owns copies of everything except coin_pk, which is immutable
-  // for the party's lifetime and therefore safe to read from a worker.
-  host_.offload(tag_, [&coin_pk, name = coin_name(round), shares = state.coin_shares, round,
-                       attempt, seed]() -> Bytes {
-    Rng rng(seed);
-    auto result = crypto::batch::combine_coin_optimistic(coin_pk, name, shares, rng);
-    Writer w;
-    w.u8(kCoinVerdict);
-    w.u32(static_cast<std::uint32_t>(round));
-    w.u32(static_cast<std::uint32_t>(attempt));
-    w.vec(result.bad, [&](Writer& wr, const std::size_t& i) {
-      wr.u32(static_cast<std::uint32_t>(shares[i].unit));
-    });
-    if (result.value.has_value()) {
-      w.u8(1);
-      w.bytes(*result.value);
-    } else {
-      w.u8(0);
-    }
-    return w.take();
-  });
+  if (state.coin.has_value() || !coin_pk.scheme().qualified(state.coin_shares.support())) return;
+  Writer prefix;
+  prefix.u8(kCoinVerdict);
+  prefix.u32(static_cast<std::uint32_t>(round));
+  offload_combine(state.coin_shares, coin_pk, coin_name(round), prefix.take());
 }
 
 void Abba::on_coin_verdict(int from, Reader& reader) {
-  // Verdicts are verification results this party computed for itself; a
-  // peer has no business injecting one.
-  SINTRA_REQUIRE(from == me(), "abba: coin verdict from another party");
-  const int round = static_cast<int>(reader.u32());
-  const int attempt = static_cast<int>(reader.u32());
-  auto bad_units = reader.vec<std::uint32_t>([](Reader& r) { return r.u32(); });
-  const bool ok = reader.u8() == 1;
-  Bytes value;
-  if (ok) value = reader.bytes();
-  reader.expect_done();
-  SINTRA_REQUIRE(round >= 1 && round < 1 << 20, "abba: implausible verdict round");
-  Round& state = round_state(round);
-  // Idempotency: threaded-mode verdicts are WAL-logged *and* regenerated
-  // when the triggering shares replay, so a verdict acts only if it is the
-  // one the current in-flight attempt is waiting for.
-  if (!state.coin_inflight || attempt != state.coin_attempt || state.coin.has_value()) return;
-  state.coin_inflight = false;
-  const auto& coin_pk = host_.public_keys().coin;
-  crypto::PartySet culprits = 0;
-  for (std::uint32_t unit : bad_units) {
-    SINTRA_REQUIRE(static_cast<int>(unit) < coin_pk.scheme().num_units(),
-                   "abba: verdict unit out of range");
-    culprits |= crypto::party_bit(coin_pk.scheme().unit_owner(static_cast<int>(unit)));
-  }
-  if (culprits != 0) {
-    // Byzantine sender pays: its shares leave the set for good and the
-    // party is fingered for the caller.
-    suspected_ |= culprits;
-    state.coin_rejected |= culprits;
-    state.coin_support &= ~culprits;
-    std::erase_if(state.coin_shares, [&](const CoinShare& s) {
-      return (culprits & crypto::party_bit(coin_pk.scheme().unit_owner(s.unit))) != 0;
-    });
-    host_.trace("abba", tag_ + " coin r" + std::to_string(round) +
-                            " rejected invalid shares (suspects fingered)");
-  }
-  if (!ok) {
-    SINTRA_INVARIANT(culprits != 0, "abba: coin verdict failed without culprits");
-    maybe_combine_coin(round);  // remaining honest shares may still qualify
-    return;
-  }
-  adopt_coin(round, value);
+  int round = 0;
+  const auto coin_value = settle_verdict<Bytes>(
+      from, reader, host_.public_keys().coin.scheme(), suspected_,
+      [&](Reader& r) -> auto& {
+        round = static_cast<int>(r.u32());
+        SINTRA_REQUIRE(round >= 1 && round < 1 << 20, "abba: implausible verdict round");
+        return round_state(round).coin_shares;
+      },
+      [&] { maybe_combine_coin(round); });
+  if (coin_value.has_value()) adopt_coin(round, *coin_value);
 }
 
 void Abba::adopt_coin(int round, BytesView value) {
@@ -589,7 +512,7 @@ void Abba::adopt_coin(int round, BytesView value) {
   state.deferred_coin_prevotes.clear();
   for (auto& [from, value_bit, shares] : deferred) {
     if (value_bit != *state.coin) continue;  // contradiction: drop
-    if (!decided_) accept_prevote(round + 1, from, value_bit, shares);
+    if (!decided_) accept_prevote(round + 1, from, value_bit, std::move(shares));
   }
   if (state.waiting_for_coin && !decided_) {
     state.waiting_for_coin = false;
@@ -661,10 +584,7 @@ void Abba::decide(bool value, int round, const BigInt& sigma_main) {
   // and maybe_combine_coin's chain cannot reach decide()).
   rounds_.clear();
   deferred_.clear();
-  for (auto& shares : input_shares_) {
-    shares.clear();
-    shares.shrink_to_fit();
-  }
+  for (VoteTally& tally : inputs_) tally.release_shares();
   host_.budget().release_instance(tag_);
   if (watchdog_) watchdog_->disarm();
   if (compaction_) {

@@ -113,35 +113,30 @@ class Abba final : public ProtocolInstance {
   enum Justification : std::uint8_t { kJustAnchor = 0, kJustHard = 1, kJustCoin = 2 };
   static constexpr std::uint8_t kAbstain = 2;
 
+  using VoteTally = crypto::ShareTally<crypto::SigShare>;
+
   // Vote shares are admitted on structure alone (exactly the sender's
-  // units) and checked only through the certificate they combine into; a
-  // sender whose share breaks a combine loses its vote for the round.
+  // units), one tally per value, and checked only through the certificate
+  // they combine into.  A party has voted when one of the round's tallies
+  // counts it, and may not vote again once any of them has seen it: a
+  // sender whose share breaks a combine loses its vote for the round, for
+  // either value.
   struct Round {
     // Pre-votes.
-    crypto::PartySet prevoted = 0;
-    crypto::PartySet prevote_rejected = 0;  ///< senders with a proven-bad share
-    std::array<crypto::PartySet, 2> prevote_support{};
-    std::array<std::vector<crypto::SigShare>, 2> prevote_shares;
+    std::array<VoteTally, 2> prevotes;
     std::array<std::optional<crypto::BigInt>, 2> sigma_pre;  ///< combined cert per value
     bool sent_prevote = false;
     // Main-votes.
-    crypto::PartySet mainvoted = 0;
-    crypto::PartySet mainvote_rejected = 0;  ///< senders with a proven-bad share
-    std::array<crypto::PartySet, 3> mainvote_support{};
-    std::array<std::vector<crypto::SigShare>, 3> mainvote_shares;
+    std::array<VoteTally, 3> mainvotes;
     std::optional<crypto::BigInt> sigma_main_abstain;
     bool sent_mainvote = false;
     bool round_closed = false;  ///< certified main-vote quorum processed
     bool waiting_for_coin = false;
     // Coin.  Shares are buffered after structural checks only; the NIZK
-    // batch verification + combine runs off-loop (Party::offload) and
+    // batch verification + combine runs off-loop (offload_combine) and
     // reports back as a kCoinVerdict self-message.
     bool coin_released = false;
-    crypto::PartySet coin_support = 0;
-    crypto::PartySet coin_rejected = 0;  ///< senders with a proven-bad share
-    std::vector<crypto::CoinShare> coin_shares;
-    int coin_attempt = 0;        ///< verdicts are matched to the attempt
-    bool coin_inflight = false;  ///< a verification job is outstanding
+    crypto::ShareTally<crypto::CoinShare> coin_shares;
     std::optional<bool> coin;
     /// COIN-justified pre-votes for round r+1 awaiting this round's coin:
     /// (voter, value, cert-signature shares); evidence already verified.
@@ -156,14 +151,12 @@ class Abba final : public ProtocolInstance {
   void broadcast_input();
   void on_input(int from, Reader& reader);
   void maybe_anchor(int value);
-  /// Combine-then-verify `shares` into the signature on statement(kind,
-  /// round, value).  Senders of bad shares are fingered, returned in
-  /// `culprits` and their shares erased; nullopt means the rest is not
-  /// (yet) qualified.
+  /// Combine-then-verify `tally` into the signature on statement(kind,
+  /// round, value).  Senders of bad shares are struck from the tally and
+  /// fingered; nullopt means the rest is not (yet) qualified.
   std::optional<crypto::BigInt> certify(const crypto::ThresholdSigPublicKey& pk,
                                         std::string_view kind, int round, std::uint8_t value,
-                                        std::vector<crypto::SigShare>& shares,
-                                        crypto::PartySet& culprits);
+                                        VoteTally& tally);
   void try_first_prevote();
   void on_prevote(int from, Reader& reader);
   void on_mainvote(int from, Reader& reader);
@@ -171,8 +164,7 @@ class Abba final : public ProtocolInstance {
   void on_coin_verdict(int from, Reader& reader);
   void on_decide(int from, Reader& reader);
 
-  void accept_prevote(int round, int from, bool value,
-                      const std::vector<crypto::SigShare>& shares);
+  void accept_prevote(int round, int from, bool value, std::vector<crypto::SigShare> shares);
   void maybe_mainvote(int round);
   void maybe_close_round(int round);
   void release_coin(int round);
@@ -195,10 +187,10 @@ class Abba final : public ProtocolInstance {
   std::optional<bool> decision_;
   int decide_round_ = 0;
   std::optional<bool> my_input_;
-  // Input anchoring.
+  // Input anchoring.  A sender whose input share breaks the anchor stays
+  // in input_voted_: its input is spent, only its shares go.
   crypto::PartySet input_voted_ = 0;
-  std::array<crypto::PartySet, 2> input_support_{};
-  std::array<std::vector<crypto::SigShare>, 2> input_shares_;
+  std::array<VoteTally, 2> inputs_;
   std::array<std::optional<crypto::BigInt>, 2> anchor_;
   int current_round_ = 1;
   std::map<int, Round> rounds_;

@@ -161,7 +161,6 @@ void AtomicBroadcast::handle(int from, Reader& reader) {
   Bytes payload_block = reader.bytes();
   auto shares = reader.vec<SigShare>([](Reader& rd) { return SigShare::decode(rd); });
   reader.expect_done();
-  SINTRA_REQUIRE(!shares.empty(), "abc: batch without signature shares");
   if (round <= last_finished_) return;  // stale: that round already completed
   if (round > last_finished_ + kRoundLookahead) {
     // Far-future spray: honest parties stay within a round or two of each
@@ -176,10 +175,8 @@ void AtomicBroadcast::handle(int from, Reader& reader) {
   }
 
   const auto& cert_pk = host_.public_keys().cert_sig;
-  for (const SigShare& share : shares) {
-    SINTRA_REQUIRE(cert_pk.scheme().unit_owner(share.unit) == from,
-                   "abc: batch share unit not owned by sender");
-  }
+  SINTRA_REQUIRE(crypto::covers_own_units(cert_pk.scheme(), from, shares),
+                 "abc: batch shares not the sender's units");
   BatchEntry entry;
   entry.party = from;
   Reader block(payload_block);
@@ -302,10 +299,7 @@ bool AtomicBroadcast::validate_batch_set(int round, BytesView batch_set) {
       entry_reader.expect_done();
       if (entry.party < 0 || entry.party >= host_.n()) return false;
       if (crypto::contains(senders, entry.party)) return false;  // duplicate sender
-      for (const SigShare& share : entry.shares) {
-        if (cert_pk.scheme().unit_owner(share.unit) != entry.party) return false;
-      }
-      if (entry.shares.empty()) return false;
+      if (!crypto::covers_own_units(cert_pk.scheme(), entry.party, entry.shares)) return false;
       senders |= crypto::party_bit(entry.party);
       const crypto::Digest digest = entry_digest(raw);
       if (memo != nullptr && memo->contains(digest)) continue;
@@ -484,7 +478,7 @@ void AtomicBroadcast::handle_ckpt_share(int from, Reader& reader) {
   }
 
   auto existing = ckpts_.find(round);
-  if (existing != ckpts_.end() && crypto::contains(existing->second.from, from)) return;
+  if (existing != ckpts_.end() && existing->second.shares.seen(from)) return;
   if (existing != ckpts_.end() && !existing->second.reached) {
     for (const auto& [peer, raw] : existing->second.waiting) {
       if (peer == from) return;  // one stash per peer per round
@@ -517,24 +511,20 @@ void AtomicBroadcast::process_ckpt_shares(int from, int round, std::vector<SigSh
   auto it = ckpts_.find(round);
   if (it == ckpts_.end() || !it->second.reached) return;
   CkptPending& cp = it->second;
-  if (crypto::contains(cp.from, from)) return;
-  SINTRA_REQUIRE(!shares.empty(), "abc: empty checkpoint share vector");
   const auto& cert_pk = host_.public_keys().cert_sig;
-  for (const SigShare& share : shares) {
-    SINTRA_REQUIRE(cert_pk.scheme().unit_owner(share.unit) == from,
-                   "abc: ckpt share unit not owned by sender");
-  }
   crypto::CheckpointCert draft;
   draft.round = static_cast<std::uint32_t>(round);
   draft.delivered_count = cp.delivered;
   draft.chain_digest = cp.chain_digest;
   const Bytes stmt = draft.statement(tag_);
-  SINTRA_REQUIRE(crypto::batch::verify_sig_shares(cert_pk, stmt, shares, host_.rng()),
-                 "abc: invalid checkpoint signature share");
-  cp.from |= crypto::party_bit(from);
-  for (SigShare& share : shares) cp.shares.push_back(std::move(share));
-  if (!cert_pk.scheme().qualified(cp.from)) return;
-  auto signature = cert_pk.combine(stmt, cp.shares);
+  const bool admitted = cp.shares.admit(
+      cert_pk.scheme(), from, std::move(shares), "abc: ckpt shares not the sender's units",
+      [&](const std::vector<SigShare>& incoming) {
+        SINTRA_REQUIRE(crypto::batch::verify_sig_shares(cert_pk, stmt, incoming, host_.rng()),
+                       "abc: invalid checkpoint signature share");
+      });
+  if (!admitted || !cert_pk.scheme().qualified(cp.shares.support())) return;
+  auto signature = cert_pk.combine(stmt, cp.shares.shares());
   if (!signature) return;  // cannot happen: every stored share verified
   draft.signature = std::move(*signature);
   latest_cert_ = std::move(draft);

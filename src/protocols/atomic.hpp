@@ -139,8 +139,7 @@ class AtomicBroadcast final : public ProtocolInstance {
     bool reached = false;
     std::uint64_t delivered = 0;   ///< delivered_count_ at the round boundary
     Bytes chain_digest;            ///< chain digest at the round boundary
-    crypto::PartySet from = 0;
-    std::vector<crypto::SigShare> shares;
+    crypto::ShareTally<crypto::SigShare> shares;  ///< verified on arrival
     std::vector<std::pair<int, Bytes>> waiting;  ///< (peer, raw shares) pre-reach
     std::vector<std::pair<int, std::size_t>> charges;
   };

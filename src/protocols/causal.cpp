@@ -65,9 +65,10 @@ void SecureCausalBroadcast::on_ordered(int origin, Bytes ciphertext_bytes) {
       auto shares = reader.vec<Tdh2DecShare>(
           [&](Reader& r) { return Tdh2DecShare::decode(r, pk.group()); });
       reader.expect_done();
-      add_share(slot, from, shares);
-    } catch (const ProtocolError&) {
-      // Malformed early share: drop.
+      add_share(slot, from, std::move(shares));
+    } catch (const ProtocolError& error) {
+      host_.trace("sc-abc", tag_ + " dropped early shares from " + std::to_string(from) + ": " +
+                                error.what());
     }
   }
 }
@@ -86,23 +87,20 @@ void SecureCausalBroadcast::handle(int from, Reader& reader) {
   auto shares =
       reader.vec<Tdh2DecShare>([&](Reader& r) { return Tdh2DecShare::decode(r, pk.group()); });
   reader.expect_done();
-  add_share(slot, from, shares);
+  add_share(slot, from, std::move(shares));
 }
 
-void SecureCausalBroadcast::add_share(Slot& slot, int from,
-                                      const std::vector<Tdh2DecShare>& shares) {
-  if (slot.done || crypto::contains(slot.share_from, from)) return;
+void SecureCausalBroadcast::add_share(Slot& slot, int from, std::vector<Tdh2DecShare> shares) {
+  if (slot.done) return;
   const auto& pk = host_.public_keys().encryption;
-  for (const Tdh2DecShare& share : shares) {
-    SINTRA_REQUIRE(pk.scheme().unit_owner(share.unit) == from,
-                   "sc-abc: share unit not owned by sender");
-    SINTRA_REQUIRE(pk.verify_share(slot.ciphertext, share), "sc-abc: invalid decryption share");
-  }
-  slot.share_from |= crypto::party_bit(from);
-  for (const Tdh2DecShare& share : shares) slot.shares.push_back(share);
-
-  if (!slot.sequenced || !pk.scheme().qualified(slot.share_from)) return;
-  auto plaintext = pk.combine(slot.ciphertext, slot.shares);
+  const bool admitted = slot.shares.admit(
+      pk.scheme(), from, std::move(shares), "sc-abc: shares not the sender's units",
+      [&](const std::vector<Tdh2DecShare>& incoming) {
+        SINTRA_REQUIRE(crypto::batch::verify_dec_shares(pk, slot.ciphertext, incoming, host_.rng()),
+                       "sc-abc: invalid decryption share");
+      });
+  if (!admitted || !slot.sequenced || !pk.scheme().qualified(slot.shares.support())) return;
+  auto plaintext = pk.combine(slot.ciphertext, slot.shares.shares());
   SINTRA_INVARIANT(plaintext.has_value(), "sc-abc: combine failed on qualified set");
   slot.done = true;
   ready_[slot.sequence] = {std::move(*plaintext), slot.ciphertext.label};

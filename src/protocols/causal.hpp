@@ -47,15 +47,14 @@ class SecureCausalBroadcast final : public ProtocolInstance {
     std::uint64_t sequence = 0;
     bool sequenced = false;
     bool done = false;
-    crypto::PartySet share_from = 0;
-    std::vector<crypto::Tdh2DecShare> shares;
+    crypto::ShareTally<crypto::Tdh2DecShare> shares;  ///< verified on arrival
     /// Shares that arrived before we saw the ciphertext (unverifiable yet).
     std::vector<std::pair<int, Bytes>> early_shares;
   };
 
   void handle(int from, Reader& reader) override;
   void on_ordered(int origin, Bytes ciphertext_bytes);
-  void add_share(Slot& slot, int from, const std::vector<crypto::Tdh2DecShare>& shares);
+  void add_share(Slot& slot, int from, std::vector<crypto::Tdh2DecShare> shares);
   void maybe_flush();
 
   DeliverFn deliver_;

@@ -1,6 +1,5 @@
 #include "protocols/consistent.hpp"
 
-#include "crypto/batch.hpp"
 #include "crypto/sha256.hpp"
 
 namespace sintra::protocols {
@@ -94,87 +93,34 @@ void ConsistentBroadcast::handle(int from, Reader& reader) {
 }
 
 void ConsistentBroadcast::on_share(int from, Reader& reader) {
-  if (me() != sender_ || finalized_) return;
-  // One share message per party: a duplicated/replayed copy must not
-  // append its shares again (combine expects distinct units).
-  if ((share_owners_ | share_rejected_) & crypto::party_bit(from)) return;
+  if (me() != sender_ || finalized_ || shares_.seen(from)) return;
   auto incoming = reader.vec<crypto::SigShare>(
       [](Reader& r) { return crypto::SigShare::decode(r); });
   reader.expect_done();
-  const auto& pk = host_.public_keys().cert_sig;
-  // Structural admission only (exactly the signer's units): the shares are
-  // *not* verified here.  The sender combines an unverified quorum
-  // optimistically and checks the one combined signature off the event
-  // loop — Byzantine signers pay for the bisection fallback, honest
-  // executions never verify a single share.
-  SINTRA_REQUIRE(crypto::covers_own_units(pk.scheme(), from, incoming),
-                 "cbc: shares not the signer's units");
-  for (auto& share : incoming) shares_.push_back(std::move(share));
-  share_owners_ |= crypto::party_bit(from);
+  // Structural admission only: the shares are *not* verified here.  The
+  // sender combines an unverified quorum optimistically and checks the one
+  // combined signature off the event loop — Byzantine signers pay for the
+  // bisection fallback, honest executions never verify a single share.
+  shares_.admit(host_.public_keys().cert_sig.scheme(), from, std::move(incoming),
+                "cbc: shares not the signer's units");
   maybe_combine();
 }
 
 void ConsistentBroadcast::maybe_combine() {
-  if (finalized_ || combine_inflight_ || !quorum().is_quorum(share_owners_)) return;
-  combine_inflight_ = true;
-  const int attempt = ++combine_attempt_;
-  const std::uint64_t seed = host_.rng().next();  // weight seed drawn on the loop thread
-  const auto& pk = host_.public_keys().cert_sig;
-  host_.offload(tag_, [&pk, stmt = consistent_statement(tag_, my_message_), shares = shares_,
-                       attempt, seed]() -> Bytes {
-    Rng rng(seed);
-    auto result = crypto::batch::combine_sig_optimistic(pk, stmt, shares, rng);
-    Writer w;
-    w.u8(kVerdict);
-    w.u32(static_cast<std::uint32_t>(attempt));
-    w.vec(result.bad, [&](Writer& wr, const std::size_t& i) {
-      wr.u32(static_cast<std::uint32_t>(shares[i].unit));
-    });
-    if (result.signature.has_value()) {
-      w.u8(1);
-      result.signature->encode(w);
-    } else {
-      w.u8(0);
-    }
-    return w.take();
-  });
+  if (finalized_ || !quorum().is_quorum(shares_.support())) return;
+  offload_combine(shares_, host_.public_keys().cert_sig, consistent_statement(tag_, my_message_),
+                  Bytes{kVerdict});
 }
 
 void ConsistentBroadcast::on_verdict(int from, Reader& reader) {
-  SINTRA_REQUIRE(from == me(), "cbc: verdict from another party");
-  const int attempt = static_cast<int>(reader.u32());
-  auto bad_units = reader.vec<std::uint32_t>([](Reader& r) { return r.u32(); });
-  const bool ok = reader.u8() == 1;
-  std::optional<crypto::BigInt> certificate;
-  if (ok) certificate = crypto::BigInt::decode(reader);
-  reader.expect_done();
-  // Idempotent against WAL-replayed duplicates.
-  if (!combine_inflight_ || attempt != combine_attempt_ || finalized_) return;
-  combine_inflight_ = false;
-  const auto& pk = host_.public_keys().cert_sig;
-  crypto::PartySet culprits = 0;
-  for (std::uint32_t unit : bad_units) {
-    SINTRA_REQUIRE(static_cast<int>(unit) < pk.scheme().num_units(),
-                   "cbc: verdict unit out of range");
-    culprits |= crypto::party_bit(pk.scheme().unit_owner(static_cast<int>(unit)));
-  }
-  if (culprits != 0) {
-    suspected_ |= culprits;
-    share_rejected_ |= culprits;
-    share_owners_ &= ~culprits;
-    std::erase_if(shares_, [&](const crypto::SigShare& s) {
-      return (culprits & crypto::party_bit(pk.scheme().unit_owner(s.unit))) != 0;
-    });
-    host_.trace("cbc", tag_ + " rejected invalid signature shares (suspects fingered)");
-  }
-  if (!ok) {
-    maybe_combine();  // remaining honest shares may still form a quorum
-    return;
-  }
+  auto certificate = settle_verdict<crypto::BigInt>(
+      from, reader, host_.public_keys().cert_sig.scheme(), suspected_,
+      [this](Reader&) -> auto& { return shares_; }, [this] { maybe_combine(); });
+  if (!certificate.has_value()) return;
   finalized_ = true;
   Writer w;
   w.u8(kFinal);
-  CertifiedMessage cm{my_message_, *certificate};
+  CertifiedMessage cm{my_message_, std::move(*certificate)};
   cm.encode(w);
   broadcast(w.take());
 }

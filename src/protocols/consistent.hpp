@@ -78,12 +78,8 @@ class ConsistentBroadcast final : public ProtocolInstance {
   bool delivered_ = false;
   bool finalized_ = false;
   Bytes my_message_;  ///< sender: the message being certified
-  crypto::PartySet share_owners_ = 0;
-  crypto::PartySet share_rejected_ = 0;  ///< senders with a proven-bad share
+  crypto::ShareTally<crypto::SigShare> shares_;  ///< sender: certificate shares
   crypto::PartySet suspected_ = 0;
-  int combine_attempt_ = 0;
-  bool combine_inflight_ = false;
-  std::vector<crypto::SigShare> shares_;
 };
 
 }  // namespace sintra::protocols

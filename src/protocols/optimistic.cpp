@@ -148,85 +148,38 @@ void OptimisticBroadcast::on_share(int from, Reader& reader) {
   reader.expect_done();
   SINTRA_REQUIRE(seq < next_assign_, "opt: share for unassigned slot");
   Slot& slot = slots_[seq];
-  if (slot.commit_sent || slot.statement.empty() ||
-      crypto::contains(slot.share_from | slot.share_rejected, from)) {
-    return;
+  if (slot.commit_sent || slot.statement.empty()) return;
+  // Structural admission only: the sequencer combines an unverified quorum
+  // optimistically and checks the one combined certificate off the event
+  // loop, so the fast path never verifies an individual share.
+  if (slot.shares.admit(host_.public_keys().cert_sig.scheme(), from, std::move(shares),
+                        "opt: shares not the sender's units")) {
+    maybe_commit_slot(seq);
   }
-  // Structural admission only (exactly the sender's units): the sequencer
-  // combines an unverified quorum optimistically and checks the one
-  // combined certificate off the event loop, so the fast path never
-  // verifies an individual share.
-  SINTRA_REQUIRE(crypto::covers_own_units(host_.public_keys().cert_sig.scheme(), from, shares),
-                 "opt: shares not the sender's units");
-  slot.share_from |= crypto::party_bit(from);
-  for (SigShare& share : shares) slot.shares.push_back(std::move(share));
-  maybe_commit_slot(seq);
 }
 
 void OptimisticBroadcast::maybe_commit_slot(std::uint64_t seq) {
   Slot& slot = slots_[seq];
-  if (slot.commit_sent || slot.share_inflight || slot.statement.empty()) return;
-  if (!quorum().is_quorum(slot.share_from)) return;
-  slot.share_inflight = true;
-  const int attempt = ++slot.share_attempt;
-  const std::uint64_t seed = host_.rng().next();  // weight seed drawn on the loop thread
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  host_.offload(tag_, [&cert_pk, stmt = slot.statement, shares = slot.shares, seq, attempt,
-                       seed]() -> Bytes {
-    Rng rng(seed);
-    auto result = crypto::batch::combine_sig_optimistic(cert_pk, stmt, shares, rng);
-    Writer w;
-    w.u8(kShareVerdict);
-    w.u64(seq);
-    w.u32(static_cast<std::uint32_t>(attempt));
-    w.vec(result.bad, [&](Writer& wr, const std::size_t& i) {
-      wr.u32(static_cast<std::uint32_t>(shares[i].unit));
-    });
-    if (result.signature.has_value()) {
-      w.u8(1);
-      result.signature->encode(w);
-    } else {
-      w.u8(0);
-    }
-    return w.take();
-  });
+  if (slot.commit_sent || slot.statement.empty()) return;
+  if (!quorum().is_quorum(slot.shares.support())) return;
+  Writer prefix;
+  prefix.u8(kShareVerdict);
+  prefix.u64(seq);
+  offload_combine(slot.shares, host_.public_keys().cert_sig, slot.statement, prefix.take());
 }
 
 void OptimisticBroadcast::on_share_verdict(int from, Reader& reader) {
-  SINTRA_REQUIRE(from == me(), "opt: share verdict from another party");
-  const std::uint64_t seq = reader.u64();
-  const int attempt = static_cast<int>(reader.u32());
-  auto bad_units = reader.vec<std::uint32_t>([](Reader& r) { return r.u32(); });
-  const bool ok = reader.u8() == 1;
-  std::optional<BigInt> certificate;
-  if (ok) certificate = BigInt::decode(reader);
-  reader.expect_done();
-  SINTRA_REQUIRE(seq < 1 << 24, "opt: implausible verdict sequence");
+  std::uint64_t seq = 0;
+  const auto certificate = settle_verdict<BigInt>(
+      from, reader, host_.public_keys().cert_sig.scheme(), suspected_,
+      [&](Reader& r) -> auto& {
+        seq = r.u64();
+        SINTRA_REQUIRE(seq < 1 << 24, "opt: implausible verdict sequence");
+        return slots_[seq].shares;
+      },
+      [&] { maybe_commit_slot(seq); });
+  if (!certificate.has_value()) return;
   Slot& slot = slots_[seq];
-  // Idempotent against WAL-replayed duplicates.
-  if (!slot.share_inflight || attempt != slot.share_attempt || slot.commit_sent) return;
-  slot.share_inflight = false;
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  crypto::PartySet culprits = 0;
-  for (std::uint32_t unit : bad_units) {
-    SINTRA_REQUIRE(static_cast<int>(unit) < cert_pk.scheme().num_units(),
-                   "opt: verdict unit out of range");
-    culprits |= crypto::party_bit(cert_pk.scheme().unit_owner(static_cast<int>(unit)));
-  }
-  if (culprits != 0) {
-    suspected_ |= culprits;
-    slot.share_rejected |= culprits;
-    slot.share_from &= ~culprits;
-    std::erase_if(slot.shares, [&](const SigShare& s) {
-      return (culprits & crypto::party_bit(cert_pk.scheme().unit_owner(s.unit))) != 0;
-    });
-    host_.trace("opt", tag_ + " slot " + std::to_string(seq) +
-                           " rejected invalid shares (suspects fingered)");
-  }
-  if (!ok) {
-    maybe_commit_slot(seq);  // remaining honest shares may still form a quorum
-    return;
-  }
   slot.commit_sent = true;
   Writer w;
   w.u8(kCommit);
@@ -362,12 +315,11 @@ bool OptimisticBroadcast::validate_claim(BytesView claim_body, int claimant,
   const auto& cert_pk = host_.public_keys().cert_sig;
   try {
     // Claimant signature over the body: one batched check for the vector.
-    if (shares.empty()) return false;
-    const Bytes stmt = claim_statement(claim_body);
-    for (const SigShare& share : shares) {
-      if (cert_pk.scheme().unit_owner(share.unit) != claimant) return false;
+    if (!crypto::covers_own_units(cert_pk.scheme(), claimant, shares)) return false;
+    if (!crypto::batch::verify_sig_shares(cert_pk, claim_statement(claim_body), shares,
+                                          host_.rng())) {
+      return false;
     }
-    if (!crypto::batch::verify_sig_shares(cert_pk, stmt, shares, host_.rng())) return false;
     // Chain integrity + certificate.
     Reader r(claim_body);
     const std::uint64_t length = r.u64();

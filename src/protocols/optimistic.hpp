@@ -81,11 +81,7 @@ class OptimisticBroadcast final : public ProtocolInstance {
     bool delivered = false;
     // Sequencer bookkeeping:
     Bytes statement;              ///< canonical signed statement for the slot
-    crypto::PartySet share_from = 0;
-    crypto::PartySet share_rejected = 0;  ///< senders with a proven-bad share
-    std::vector<crypto::SigShare> shares;
-    int share_attempt = 0;
-    bool share_inflight = false;
+    crypto::ShareTally<crypto::SigShare> shares;
     bool commit_sent = false;
   };
 

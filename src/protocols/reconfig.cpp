@@ -623,28 +623,25 @@ void Reconfig::submit_sig_shares() {
 }
 
 void Reconfig::handle_sig(int origin, Reader& reader) {
-  if (result_.has_value() || !pending_.has_value()) return;
-  if (crypto::contains(sig_from_, origin)) return;
+  if (result_.has_value() || !pending_.has_value() || sig_shares_.seen(origin)) return;
   auto shares =
       reader.vec<crypto::SigShare>([](Reader& rr) { return crypto::SigShare::decode(rr); });
   reader.expect_done();
-  const auto& pub = host_.public_keys();
-  for (const crypto::SigShare& share : shares) {
-    SINTRA_REQUIRE(pub.reply_sig.scheme().unit_owner(share.unit) == origin,
-                   "reconfig: signature share for a foreign unit");
-    SINTRA_REQUIRE(pub.reply_sig.verify_share(pending_statement_, share),
-                   "reconfig: invalid signature share");
-  }
-  sig_from_ |= crypto::party_bit(origin);
-  for (crypto::SigShare& share : shares) sig_shares_.push_back(std::move(share));
-  if (!pub.reply_sig.scheme().qualified(sig_from_)) return;
-  auto combined = pub.reply_sig.combine(pending_statement_, sig_shares_);
+  const auto& reply_pk = host_.public_keys().reply_sig;
+  const bool admitted = sig_shares_.admit(
+      reply_pk.scheme(), origin, std::move(shares), "reconfig: shares not the member's units",
+      [&](const std::vector<crypto::SigShare>& incoming) {
+        SINTRA_REQUIRE(
+            crypto::batch::verify_sig_shares(reply_pk, pending_statement_, incoming, host_.rng()),
+            "reconfig: invalid signature share");
+      });
+  if (!admitted || !reply_pk.scheme().qualified(sig_shares_.support())) return;
+  auto combined = reply_pk.combine(pending_statement_, sig_shares_.shares());
   if (!combined.has_value()) return;
   pending_->config.signature = std::move(*combined);
   result_ = std::move(pending_);
   pending_.reset();
-  sig_shares_.clear();
-  sig_shares_.shrink_to_fit();
+  sig_shares_.release_shares();
   verdicts_.clear();
   host_.trace("reconfig", tag_ + " epoch " + std::to_string(plan_.new_epoch) + " completed (" +
                               std::to_string(result_->dealings_applied) + " dealings applied)");

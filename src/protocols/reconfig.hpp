@@ -270,8 +270,7 @@ class Reconfig final : public ProtocolInstance {
   std::optional<ReconfigResult> pending_;
   Bytes pending_statement_;
   std::vector<int> applied_order_;  ///< applied old slots, ABC dealing order
-  std::vector<crypto::SigShare> sig_shares_;
-  crypto::PartySet sig_from_ = 0;
+  crypto::ShareTally<crypto::SigShare> sig_shares_;  ///< verified on arrival
   /// kSig payloads ordered before this member concluded (can only happen
   /// with a Byzantine early submitter); bounded by one per origin.
   std::map<int, Bytes> sig_stash_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "crypto/batch.hpp"
 #include "crypto/sha256.hpp"
 
 namespace sintra::protocols {
@@ -112,82 +111,26 @@ void Vba::on_perm_share(int from, Reader& reader) {
   auto shares = reader.vec<CoinShare>(
       [&](Reader& r) { return CoinShare::decode(r, coin_pk.group()); });
   reader.expect_done();
-  if (permutation_.has_value() || crypto::contains(perm_support_, from) ||
-      crypto::contains(perm_rejected_, from)) {
-    return;
-  }
+  if (permutation_.has_value()) return;
   // Structural admission only; the NIZK proofs are batch-verified off the
   // event loop once a qualified set has accumulated.
-  for (const CoinShare& share : shares) {
-    SINTRA_REQUIRE(coin_pk.scheme().unit_owner(share.unit) == from,
-                   "vba: perm share unit not owned by sender");
+  if (perm_shares_.admit(coin_pk.scheme(), from, std::move(shares),
+                         "vba: perm shares not the sender's units")) {
+    maybe_combine_perm();
   }
-  perm_support_ |= crypto::party_bit(from);
-  for (const CoinShare& share : shares) perm_shares_.push_back(share);
-  maybe_combine_perm();
 }
 
 void Vba::maybe_combine_perm() {
-  if (permutation_.has_value() || perm_inflight_) return;
   const auto& coin_pk = host_.public_keys().coin;
-  if (!coin_pk.scheme().qualified(perm_support_)) return;
-  perm_inflight_ = true;
-  const int attempt = ++perm_attempt_;
-  const std::uint64_t seed = host_.rng().next();  // weight seed drawn on the loop thread
-  host_.offload(tag_, [&coin_pk, name = perm_coin_name(), shares = perm_shares_, attempt,
-                       seed]() -> Bytes {
-    Rng rng(seed);
-    auto result = crypto::batch::combine_coin_optimistic(coin_pk, name, shares, rng);
-    Writer w;
-    w.u8(kPermVerdict);
-    w.u32(static_cast<std::uint32_t>(attempt));
-    w.vec(result.bad, [&](Writer& wr, const std::size_t& i) {
-      wr.u32(static_cast<std::uint32_t>(shares[i].unit));
-    });
-    if (result.value.has_value()) {
-      w.u8(1);
-      w.bytes(*result.value);
-    } else {
-      w.u8(0);
-    }
-    return w.take();
-  });
+  if (permutation_.has_value() || !coin_pk.scheme().qualified(perm_shares_.support())) return;
+  offload_combine(perm_shares_, coin_pk, perm_coin_name(), Bytes{kPermVerdict});
 }
 
 void Vba::on_perm_verdict(int from, Reader& reader) {
-  SINTRA_REQUIRE(from == me(), "vba: perm verdict from another party");
-  const int attempt = static_cast<int>(reader.u32());
-  auto bad_units = reader.vec<std::uint32_t>([](Reader& r) { return r.u32(); });
-  const bool ok = reader.u8() == 1;
-  Bytes value;
-  if (ok) value = reader.bytes();
-  reader.expect_done();
-  // Idempotent against WAL-replayed duplicates: only the verdict for the
-  // current in-flight attempt acts.
-  if (!perm_inflight_ || attempt != perm_attempt_ || permutation_.has_value()) return;
-  perm_inflight_ = false;
-  const auto& coin_pk = host_.public_keys().coin;
-  crypto::PartySet culprits = 0;
-  for (std::uint32_t unit : bad_units) {
-    SINTRA_REQUIRE(static_cast<int>(unit) < coin_pk.scheme().num_units(),
-                   "vba: verdict unit out of range");
-    culprits |= crypto::party_bit(coin_pk.scheme().unit_owner(static_cast<int>(unit)));
-  }
-  if (culprits != 0) {
-    suspected_ |= culprits;
-    perm_rejected_ |= culprits;
-    perm_support_ &= ~culprits;
-    std::erase_if(perm_shares_, [&](const CoinShare& s) {
-      return (culprits & crypto::party_bit(coin_pk.scheme().unit_owner(s.unit))) != 0;
-    });
-    host_.trace("vba", tag_ + " rejected invalid perm coin shares (suspects fingered)");
-  }
-  if (!ok) {
-    SINTRA_INVARIANT(culprits != 0, "vba: perm verdict failed without culprits");
-    maybe_combine_perm();
-    return;
-  }
-  adopt_permutation(value);
+  const auto coin_value = settle_verdict<Bytes>(
+      from, reader, host_.public_keys().coin.scheme(), suspected_,
+      [this](Reader&) -> auto& { return perm_shares_; }, [this] { maybe_combine_perm(); });
+  if (coin_value.has_value()) adopt_permutation(*coin_value);
 }
 
 void Vba::adopt_permutation(BytesView coin_value) {
@@ -248,8 +191,7 @@ void Vba::finish(int sender) {
   // Instance GC: the combined permutation subsumes the coin shares.  The
   // proposals stay — we keep answering laggards' kFetch until the parent
   // retires this instance.
-  perm_shares_.clear();
-  perm_shares_.shrink_to_fit();
+  perm_shares_.release_shares();
   host_.trace("vba", tag_ + " decided on proposal of " + std::to_string(sender));
   decide_(proposals_[static_cast<std::size_t>(sender)]->message);
 }

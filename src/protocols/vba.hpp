@@ -89,11 +89,7 @@ class Vba final : public ProtocolInstance {
   crypto::PartySet have_ = 0;
 
   bool perm_released_ = false;
-  crypto::PartySet perm_support_ = 0;
-  crypto::PartySet perm_rejected_ = 0;  ///< senders with a proven-bad share
-  std::vector<crypto::CoinShare> perm_shares_;
-  int perm_attempt_ = 0;
-  bool perm_inflight_ = false;
+  crypto::ShareTally<crypto::CoinShare> perm_shares_;
   crypto::PartySet suspected_ = 0;
   std::optional<std::vector<int>> permutation_;
 

@@ -371,17 +371,17 @@ TEST_F(BatchSigTest, OptimisticCombineCleanAndFallback) {
   Bytes message = bytes_of("optimistic");
   auto shares = shares_for(message, {0, 1, 2});
   auto clean = batch::combine_sig_optimistic(deal_.public_key, message, shares, rng_);
-  ASSERT_TRUE(clean.signature.has_value());
+  ASSERT_TRUE(clean.value.has_value());
   EXPECT_TRUE(clean.bad.empty());
-  EXPECT_TRUE(deal_.public_key.verify(message, *clean.signature));
+  EXPECT_TRUE(deal_.public_key.verify(message, *clean.value));
 
   // One corrupted share among three (threshold two): fallback must finger
   // exactly the culprit and still deliver a valid signature.
   shares[0].value = BigInt::mul_mod(shares[0].value, BigInt(2), deal_.public_key.modulus());
   auto result = batch::combine_sig_optimistic(deal_.public_key, message, shares, rng_);
   EXPECT_EQ(result.bad, std::vector<std::size_t>{0});
-  ASSERT_TRUE(result.signature.has_value());
-  EXPECT_TRUE(deal_.public_key.verify(message, *result.signature));
+  ASSERT_TRUE(result.value.has_value());
+  EXPECT_TRUE(deal_.public_key.verify(message, *result.value));
 
   // Values outside Z_N* (no inverse for a negative Lagrange coefficient)
   // are fingered the same way, in any position, instead of throwing.
@@ -391,8 +391,8 @@ TEST_F(BatchSigTest, OptimisticCombineCleanAndFallback) {
       tampered[i].value = bogus;
       auto fingered = batch::combine_sig_optimistic(deal_.public_key, message, tampered, rng_);
       EXPECT_EQ(fingered.bad, std::vector<std::size_t>{i});
-      ASSERT_TRUE(fingered.signature.has_value());
-      EXPECT_TRUE(deal_.public_key.verify(message, *fingered.signature));
+      ASSERT_TRUE(fingered.value.has_value());
+      EXPECT_TRUE(deal_.public_key.verify(message, *fingered.value));
     }
   }
 }
@@ -401,7 +401,7 @@ TEST_F(BatchSigTest, OptimisticCombineUnqualifiedSet) {
   Bytes message = bytes_of("unqualified");
   auto shares = shares_for(message, {0});
   auto result = batch::combine_sig_optimistic(deal_.public_key, message, shares, rng_);
-  EXPECT_FALSE(result.signature.has_value());
+  EXPECT_FALSE(result.value.has_value());
   EXPECT_TRUE(result.bad.empty());
 }
 

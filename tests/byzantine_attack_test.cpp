@@ -14,8 +14,11 @@
 #include "crypto/sha256.hpp"
 #include "protocols/abba.hpp"
 #include "protocols/atomic.hpp"
+#include "protocols/causal.hpp"
 #include "protocols/consistent.hpp"
 #include "protocols/harness.hpp"
+#include "protocols/optimistic.hpp"
+#include "protocols/vba.hpp"
 
 namespace sintra {
 namespace {
@@ -1393,6 +1396,461 @@ TEST(ClientAttackTest, DuplicateAfterCompletionIsAnsweredAsOneLeafRounds) {
   EXPECT_EQ(second.fingered(), 0u);
   tap->target = nullptr;
 }
+
+// ---- short share vectors: one admission rule at every collection site -------
+//
+// A share vector counts its sender only if it holds exactly that sender's
+// units.  Party `attacker` runs honestly, but a copy of its share message
+// with the last share dropped is injected under its identity first: under
+// threshold(4, 1) (one unit per party) that is an EMPTY vector, under
+// Example 2 (nine units for party 15) it is eight of the nine.  FIFO
+// delivery lands the short copy first.  It must be refused at admission —
+// not counted as support, which lets a combine fail with no culprit — so
+// the honest copy still counts, every honest party finishes and nobody is
+// fingered.
+
+struct ShortVectorCase {
+  adversary::Deployment deployment;
+  int attacker = 0;
+};
+
+ShortVectorCase short_vector_case(bool example2, std::uint64_t seed) {
+  Rng rng(seed);
+  if (example2) return {adversary::example2_deployment(rng), 15};
+  return {adversary::Deployment::threshold(4, 1, rng), 3};
+}
+
+/// Deliver `payload` on `tag` from `from` to every other party.
+void inject_from(net::Simulator& sim, int n, int from, const std::string& tag,
+                 const Bytes& payload) {
+  for (int to = 0; to < n; ++to) {
+    if (to == from) continue;
+    net::Message m;
+    m.from = from;
+    m.to = to;
+    m.tag = tag;
+    m.payload = payload;
+    sim.submit(std::move(m));
+  }
+}
+
+/// Trace events at parties other than `except` that mention `text`.
+std::size_t trace_count(const TraceLog& log, std::string_view text, int except = -1) {
+  return static_cast<std::size_t>(
+      std::count_if(log.events().begin(), log.events().end(), [&](const TraceEvent& e) {
+        return e.party != except && e.message.find(text) != std::string::npos;
+      }));
+}
+
+void expect_abba_refuses_short_coin_vector(bool example2) {
+  auto [deployment, attacker] = short_vector_case(example2, 41);
+  const int n = deployment.n();
+  net::FifoScheduler sched;
+  TraceLog log;
+  log.set_enabled(true);
+  protocols::Cluster<AbbaState> cluster(
+      deployment, sched,
+      [](net::Party& party, int) {
+        auto s = std::make_unique<AbbaState>();
+        s->abba = std::make_unique<protocols::Abba>(
+            party, "ba/0", [p = s.get()](bool v, int) { p->decision = v; });
+        return s;
+      },
+      0, 0, 41, &log);
+  cluster.start();
+  {
+    Rng attacker_rng(4141);
+    const auto& pk = deployment.keys->public_keys().coin;
+    Writer name;  // Abba::coin_name(tag="ba/0", round=1)
+    name.str("sintra/abba/coin");
+    name.str("ba/0");
+    name.u32(1);
+    auto shares = deployment.keys->share(attacker).coin.share(pk, name.data(), attacker_rng);
+    shares.pop_back();
+    Writer w;
+    w.u8(2);  // Abba::kCoinShare
+    w.u32(1);
+    w.vec(shares, [&](Writer& wr, const CoinShare& s) { s.encode(wr, pk.group()); });
+    inject_from(cluster.simulator(), n, attacker, "ba/0", w.data());
+  }
+  // Split inputs: round 1 cannot hard-decide, so the coin is consulted.
+  cluster.for_each([](int id, AbbaState& s) { s.abba->start(id % 2 == 0); });
+  bool done = false;
+  ASSERT_NO_THROW(done = cluster.run_until_all(
+                      [](AbbaState& s) { return s.decision.has_value(); }, 20000000));
+  ASSERT_TRUE(done);
+  std::optional<bool> common;
+  cluster.for_each([&](int id, AbbaState& s) {
+    if (!common.has_value()) common = s.decision;
+    EXPECT_EQ(*s.decision, *common) << "party " << id;
+    EXPECT_EQ(s.abba->suspected(), 0u) << "party " << id;
+  });
+  EXPECT_EQ(trace_count(log, "abba: coin shares not the sender's units", attacker),
+            static_cast<std::size_t>(n - 1));
+}
+
+TEST(ShortShareVectorTest, AbbaCoinRefusesEmptyVector) {
+  expect_abba_refuses_short_coin_vector(false);
+}
+
+TEST(ShortShareVectorTest, AbbaCoinRefusesPartialUnitSetUnderExample2) {
+  expect_abba_refuses_short_coin_vector(true);
+}
+
+struct VbaState {
+  std::unique_ptr<protocols::Vba> vba;
+  std::optional<Bytes> decision;
+};
+
+protocols::Cluster<VbaState> make_vba_cluster(const adversary::Deployment& deployment,
+                                              net::Scheduler& sched, std::uint64_t seed,
+                                              TraceLog* log = nullptr) {
+  return protocols::Cluster<VbaState>(
+      deployment, sched,
+      [](net::Party& party, int) {
+        auto s = std::make_unique<VbaState>();
+        s->vba = std::make_unique<protocols::Vba>(
+            party, "vba/0", [](BytesView) { return true; },
+            [p = s.get()](Bytes value) { p->decision = std::move(value); });
+        return s;
+      },
+      0, 0, seed, log);
+}
+
+/// Vba::perm_coin_name() for instance tag "vba/0".
+Bytes vba_perm_coin_name() {
+  Writer w;
+  w.str("sintra/vba/perm");
+  w.str("vba/0");
+  return w.take();
+}
+
+/// A VBA permutation-coin share message carrying `shares`.
+Bytes perm_share_payload(const crypto::CoinPublicKey& pk, const std::vector<CoinShare>& shares) {
+  Writer w;
+  w.u8(0);  // Vba::kPermShare
+  w.vec(shares, [&](Writer& wr, const CoinShare& s) { s.encode(wr, pk.group()); });
+  return w.take();
+}
+
+void expect_vba_refuses_short_perm_vector(bool example2) {
+  auto [deployment, attacker] = short_vector_case(example2, 43);
+  const int n = deployment.n();
+  net::FifoScheduler sched;
+  TraceLog log;
+  log.set_enabled(true);
+  auto cluster = make_vba_cluster(deployment, sched, 43, &log);
+  cluster.start();
+  {
+    Rng attacker_rng(4343);
+    const auto& pk = deployment.keys->public_keys().coin;
+    auto shares = deployment.keys->share(attacker).coin.share(pk, vba_perm_coin_name(),
+                                                              attacker_rng);
+    shares.pop_back();
+    inject_from(cluster.simulator(), n, attacker, "vba/0", perm_share_payload(pk, shares));
+  }
+  cluster.for_each([](int id, VbaState& s) { s.vba->propose(bytes_of("v" + std::to_string(id))); });
+  bool done = false;
+  ASSERT_NO_THROW(done = cluster.run_until_all(
+                      [](VbaState& s) { return s.decision.has_value(); }, 50000000));
+  ASSERT_TRUE(done);
+  const Bytes common = *cluster.protocol(0)->decision;
+  cluster.for_each([&](int id, VbaState& s) {
+    EXPECT_EQ(*s.decision, common) << "party " << id;
+    EXPECT_EQ(s.vba->suspected(), 0u) << "party " << id;
+  });
+  EXPECT_EQ(trace_count(log, "vba: perm shares not the sender's units", attacker),
+            static_cast<std::size_t>(n - 1));
+}
+
+TEST(ShortShareVectorTest, VbaPermCoinRefusesEmptyVector) {
+  expect_vba_refuses_short_perm_vector(false);
+}
+
+TEST(ShortShareVectorTest, VbaPermCoinRefusesPartialUnitSetUnderExample2) {
+  expect_vba_refuses_short_perm_vector(true);
+}
+
+struct ScState {
+  std::unique_ptr<protocols::SecureCausalBroadcast> sc;
+  std::vector<Bytes> delivered;
+};
+
+void expect_causal_refuses_short_decryption_vector(bool example2) {
+  auto [deployment, attacker] = short_vector_case(example2, 47);
+  const int n = deployment.n();
+  net::FifoScheduler sched;
+  TraceLog log;
+  log.set_enabled(true);
+  protocols::Cluster<ScState> cluster(
+      deployment, sched,
+      [](net::Party& party, int) {
+        auto s = std::make_unique<ScState>();
+        s->sc = std::make_unique<protocols::SecureCausalBroadcast>(
+            party, "sc", [p = s.get()](std::uint64_t, Bytes plaintext, Bytes) {
+              p->delivered.push_back(std::move(plaintext));
+            });
+        return s;
+      },
+      0, 0, 47, &log);
+  cluster.start();
+  const auto& pk = deployment.keys->public_keys().encryption;
+  Rng client_rng(4747);
+  const auto ciphertext = pk.encrypt(bytes_of("notarize me"), bytes_of("svc"), client_rng);
+  {
+    auto shares = deployment.keys->share(attacker).decryption.decrypt_shares(pk, ciphertext,
+                                                                            client_rng);
+    shares.pop_back();
+    Writer w;
+    w.bytes(ciphertext.id(pk.group()));
+    w.vec(shares, [&](Writer& wr, const crypto::Tdh2DecShare& s) { s.encode(wr, pk.group()); });
+    inject_from(cluster.simulator(), n, attacker, "sc", w.data());
+  }
+  cluster.protocol(0)->sc->submit(ciphertext);
+  bool done = false;
+  ASSERT_NO_THROW(done = cluster.run_until_all(
+                      [](ScState& s) { return !s.delivered.empty(); }, 50000000));
+  ASSERT_TRUE(done);
+  cluster.for_each([](int id, ScState& s) {
+    ASSERT_EQ(s.delivered.size(), 1u) << "party " << id;
+    EXPECT_EQ(s.delivered[0], bytes_of("notarize me")) << "party " << id;
+  });
+  EXPECT_EQ(trace_count(log, "sc-abc: shares not the sender's units", attacker),
+            static_cast<std::size_t>(n - 1));
+}
+
+TEST(ShortShareVectorTest, CausalRefusesEmptyDecryptionShareVector) {
+  expect_causal_refuses_short_decryption_vector(false);
+}
+
+TEST(ShortShareVectorTest, CausalRefusesPartialUnitSetUnderExample2) {
+  expect_causal_refuses_short_decryption_vector(true);
+}
+
+// ---- culprits of the permutation coin ----------------------------------------
+
+TEST(OptimisticCombineAttackTest, VbaPermCoinFingersInvalidShareAndDecides) {
+  // Party 3 runs honestly, but a permutation-coin share with a perturbed
+  // proof is injected under its identity first; FIFO delivery makes the
+  // honest copy a duplicate, so the first perm-coin combine at every peer
+  // holds the tampered share.  The batch verifier's bisection must finger
+  // exactly party 3, and the VBA still decides.
+  Rng rng(53);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  auto cluster = make_vba_cluster(deployment, sched, 53);
+  cluster.start();
+  {
+    Rng attacker_rng(5353);
+    const auto& pk = deployment.keys->public_keys().coin;
+    auto shares = deployment.keys->share(3).coin.share(pk, vba_perm_coin_name(), attacker_rng);
+    for (auto& s : shares) s.proof.z = pk.group().scalar_add(s.proof.z, BigInt(1));
+    inject_from(cluster.simulator(), 4, 3, "vba/0", perm_share_payload(pk, shares));
+  }
+  cluster.for_each([](int id, VbaState& s) { s.vba->propose(bytes_of("v" + std::to_string(id))); });
+  ASSERT_TRUE(cluster.run_until_all([](VbaState& s) { return s.decision.has_value(); },
+                                    20000000));
+  const Bytes common = *cluster.protocol(0)->decision;
+  crypto::PartySet fingered_union = 0;
+  cluster.for_each([&](int id, VbaState& s) {
+    EXPECT_EQ(*s.decision, common) << "party " << id;
+    fingered_union |= s.vba->suspected();
+  });
+  EXPECT_EQ(fingered_union, crypto::party_bit(3));
+}
+
+// ---- verdict self-messages -----------------------------------------------------
+//
+// An off-loop combine reports back as a self-message:
+//   [type][key][u32 attempt][vec<u32> bad units][u8 ok][result].
+// For every instance that combines off the event loop, a verdict from a
+// peer is refused (and changes nothing), and a replayed verdict for an
+// attempt that already settled — what WAL replay re-delivers — is ignored.
+// Both forged verdicts name party 1 (honest) as the owner of a bad share:
+// acting on either would finger it.
+
+/// A failed verdict: `prefix` (type and key), then `attempt`, then party
+/// 1's units as the bad ones.
+Bytes forged_verdict(const adversary::Deployment& deployment, bool coin, const Bytes& prefix,
+                     std::uint32_t attempt) {
+  const auto& pub = deployment.keys->public_keys();
+  const crypto::LinearScheme& scheme = coin ? pub.coin.scheme() : pub.cert_sig.scheme();
+  Writer w;
+  w.raw(prefix);
+  w.u32(attempt);
+  w.vec(scheme.units_of(1), [](Writer& wr, const int& unit) {
+    wr.u32(static_cast<std::uint32_t>(unit));
+  });
+  w.u8(0);
+  return w.take();
+}
+
+/// Hand `payload` to party `id` as a message from itself, as WAL replay
+/// does.
+void replay_to_self(net::Party& party, const std::string& tag, Bytes payload) {
+  net::Message m;
+  m.from = party.id();
+  m.to = party.id();
+  m.tag = tag;
+  m.payload = std::move(payload);
+  party.on_message(m);
+}
+
+enum class VerdictSite { kCbc, kSlot, kVba, kAbbaCoin };
+
+std::string verdict_site_name(const ::testing::TestParamInfo<VerdictSite>& info) {
+  switch (info.param) {
+    case VerdictSite::kCbc: return "Cbc";
+    case VerdictSite::kSlot: return "OptimisticSlot";
+    case VerdictSite::kVba: return "VbaPermCoin";
+    case VerdictSite::kAbbaCoin: return "AbbaCoin";
+  }
+  return "Unknown";
+}
+
+struct OptState {
+  std::unique_ptr<protocols::OptimisticBroadcast> opt;
+  std::vector<Bytes> log;
+};
+
+class VerdictSelfMessageTest : public ::testing::TestWithParam<VerdictSite> {};
+
+TEST_P(VerdictSelfMessageTest, PeerVerdictDroppedAndStaleReplayIgnored) {
+  Rng rng(59);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  TraceLog log;
+  log.set_enabled(true);
+  constexpr std::uint64_t kSteps = 20000000;
+  // Peer verdicts go to parties 0..2 ahead of any protocol traffic.
+  auto expect_peer_verdicts_refused = [&] {
+    EXPECT_EQ(trace_count(log, "verdict from another party"), 3u);
+  };
+  switch (GetParam()) {
+    case VerdictSite::kCbc: {
+      protocols::Cluster<CbcState> cluster(
+          deployment, sched,
+          [](net::Party& party, int) {
+            auto s = std::make_unique<CbcState>();
+            s->cbc = std::make_unique<protocols::ConsistentBroadcast>(
+                party, "cbc/x", 0,
+                [p = s.get()](protocols::CertifiedMessage cm) { p->delivered = cm.message; });
+            return s;
+          },
+          0, 0, 59, &log);
+      const Bytes prefix{3};  // ConsistentBroadcast::kVerdict
+      cluster.start();
+      inject_from(cluster.simulator(), 4, 3, "cbc/x", forged_verdict(deployment, false, prefix, 1));
+      cluster.protocol(0)->cbc->start(bytes_of("certify me"));
+      ASSERT_TRUE(cluster.run_until_all([](CbcState& s) { return s.delivered.has_value(); },
+                                        kSteps));
+      expect_peer_verdicts_refused();
+      ASSERT_NO_THROW(replay_to_self(*cluster.party(0), "cbc/x",
+                                     forged_verdict(deployment, false, prefix, 1)));
+      cluster.simulator().run(kSteps);
+      cluster.for_each([](int id, CbcState& s) {
+        EXPECT_EQ(*s.delivered, bytes_of("certify me")) << "party " << id;
+        EXPECT_EQ(s.cbc->suspected(), 0u) << "party " << id;
+      });
+      break;
+    }
+    case VerdictSite::kSlot: {
+      protocols::Cluster<OptState> cluster(
+          deployment, sched,
+          [](net::Party& party, int) {
+            auto s = std::make_unique<OptState>();
+            s->opt = std::make_unique<protocols::OptimisticBroadcast>(
+                party, "opt", 0, [p = s.get()](Bytes payload) { p->log.push_back(payload); });
+            return s;
+          },
+          0, 0, 59, &log);
+      Writer prefix;
+      prefix.u8(6);  // OptimisticBroadcast::kShareVerdict
+      prefix.u64(0);
+      cluster.start();
+      inject_from(cluster.simulator(), 4, 3, "opt",
+                  forged_verdict(deployment, false, prefix.data(), 1));
+      cluster.protocol(0)->opt->submit(bytes_of("slot zero"));
+      ASSERT_TRUE(cluster.run_until_all([](OptState& s) { return !s.log.empty(); }, kSteps));
+      expect_peer_verdicts_refused();
+      ASSERT_NO_THROW(replay_to_self(*cluster.party(0), "opt",
+                                     forged_verdict(deployment, false, prefix.data(), 1)));
+      cluster.simulator().run(kSteps);
+      cluster.for_each([](int id, OptState& s) {
+        EXPECT_EQ(s.log, std::vector<Bytes>{bytes_of("slot zero")}) << "party " << id;
+        EXPECT_FALSE(s.opt->pessimistic()) << "party " << id;
+        EXPECT_EQ(s.opt->suspected(), 0u) << "party " << id;
+      });
+      break;
+    }
+    case VerdictSite::kVba: {
+      auto cluster = make_vba_cluster(deployment, sched, 59, &log);
+      const Bytes prefix{3};  // Vba::kPermVerdict
+      cluster.start();
+      inject_from(cluster.simulator(), 4, 3, "vba/0", forged_verdict(deployment, true, prefix, 1));
+      cluster.for_each(
+          [](int id, VbaState& s) { s.vba->propose(bytes_of("v" + std::to_string(id))); });
+      ASSERT_TRUE(cluster.run_until_all([](VbaState& s) { return s.decision.has_value(); },
+                                        kSteps));
+      expect_peer_verdicts_refused();
+      ASSERT_NO_THROW(replay_to_self(*cluster.party(0), "vba/0",
+                                     forged_verdict(deployment, true, prefix, 1)));
+      cluster.simulator().run(kSteps);
+      const Bytes common = *cluster.protocol(0)->decision;
+      cluster.for_each([&](int id, VbaState& s) {
+        EXPECT_EQ(*s.decision, common) << "party " << id;
+        EXPECT_EQ(s.vba->suspected(), 0u) << "party " << id;
+      });
+      break;
+    }
+    case VerdictSite::kAbbaCoin: {
+      protocols::Cluster<AbbaState> cluster(
+          deployment, sched,
+          [](net::Party& party, int) {
+            auto s = std::make_unique<AbbaState>();
+            s->abba = std::make_unique<protocols::Abba>(
+                party, "ba/0", [p = s.get()](bool v, int) { p->decision = v; });
+            return s;
+          },
+          0, 0, 59, &log);
+      Writer prefix;
+      prefix.u8(5);  // Abba::kCoinVerdict
+      prefix.u32(1);
+      cluster.start();
+      inject_from(cluster.simulator(), 4, 3, "ba/0",
+                  forged_verdict(deployment, true, prefix.data(), 1));
+      // Split inputs: round 1 needs its coin.  A decided instance drops
+      // every message unread, so the stale verdict is replayed while the
+      // instance still runs: right after party 0 adopted the round-1 coin.
+      cluster.for_each([](int id, AbbaState& s) { s.abba->start(id % 2 == 0); });
+      ASSERT_TRUE(cluster.simulator().run_until(
+          [&] {
+            return std::any_of(log.events().begin(), log.events().end(), [](const TraceEvent& e) {
+              return e.party == 0 && e.message.find("ba/0 coin r1 =") != std::string::npos;
+            });
+          },
+          kSteps));
+      ASSERT_FALSE(cluster.protocol(0)->decision.has_value());
+      ASSERT_NO_THROW(replay_to_self(*cluster.party(0), "ba/0",
+                                     forged_verdict(deployment, true, prefix.data(), 1)));
+      ASSERT_TRUE(cluster.run_until_all([](AbbaState& s) { return s.decision.has_value(); },
+                                        kSteps));
+      expect_peer_verdicts_refused();
+      std::optional<bool> common;
+      cluster.for_each([&](int id, AbbaState& s) {
+        if (!common.has_value()) common = s.decision;
+        EXPECT_EQ(*s.decision, *common) << "party " << id;
+        EXPECT_EQ(s.abba->suspected(), 0u) << "party " << id;
+      });
+      break;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(OffLoopCombines, VerdictSelfMessageTest,
+                         ::testing::Values(VerdictSite::kCbc, VerdictSite::kSlot,
+                                           VerdictSite::kVba, VerdictSite::kAbbaCoin),
+                         verdict_site_name);
 
 }  // namespace
 }  // namespace sintra

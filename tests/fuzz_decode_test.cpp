@@ -428,7 +428,7 @@ TEST(FuzzTest, MalformedBatchesNeverWedgeTheWorkPool) {
             auto result =
                 crypto::batch::combine_sig_optimistic(sig.public_key, message, dup, job_rng);
             Writer w;
-            w.u8(result.signature.has_value() ? 1 : 0);
+            w.u8(result.value.has_value() ? 1 : 0);
             return w.take();
           },
           [&](Bytes) { ++completions; });

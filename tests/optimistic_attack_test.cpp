@@ -252,5 +252,60 @@ TEST(OptimisticAttackTest, ForgedCommitRejected) {
   cluster.for_each([](int, OptState& s) { EXPECT_TRUE(s.log.empty()); });
 }
 
+/// OptimisticBroadcast::slot_statement for instance tag "opt", slot 0
+/// holding `payload`.
+Bytes first_slot_statement(BytesView payload) {
+  auto genesis = crypto::hash_domain("sintra/opt/genesis", bytes_of("opt"));
+  Writer link;
+  link.raw(BytesView(genesis.data(), genesis.size()));
+  link.u64(0);
+  link.bytes(payload);
+  auto chain = crypto::hash_domain("sintra/opt/chain", link.data());
+  Writer w;
+  w.str("sintra/opt/slot");
+  w.str("opt");
+  w.u64(0);
+  w.raw(BytesView(chain.data(), chain.size()));
+  return w.take();
+}
+
+TEST(OptimisticAttackTest, TamperedSlotShareFingeredAndFastPathCommits) {
+  // Party 3 runs honestly, but a slot-0 share with a doubled value is
+  // injected under its identity right after the sequencer assigned slot 0;
+  // FIFO delivery makes party 3's honest share a duplicate, so the
+  // sequencer's first certificate combine holds the tampered share.  It
+  // must finger exactly party 3 and still commit on the fast path.
+  Rng rng(6);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  auto cluster = make_cluster(deployment, sched, 6);
+  cluster.start();
+  const Bytes payload = bytes_of("fast path");
+  cluster.protocol(0)->opt->submit(payload);
+  {
+    Rng attacker_rng(66);
+    const auto& pk = deployment.keys->public_keys().cert_sig;
+    auto shares = deployment.keys->share(3).cert_sig.sign(pk, first_slot_statement(payload),
+                                                          attacker_rng);
+    for (auto& s : shares) s.value = BigInt::mul_mod(s.value, BigInt(2), pk.modulus());
+    Writer w;
+    w.u8(1);  // kShare
+    w.u64(0);
+    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    net::Message m;
+    m.from = 3;
+    m.to = 0;
+    m.tag = "opt";
+    m.payload = w.take();
+    cluster.simulator().submit(std::move(m));
+  }
+  ASSERT_TRUE(cluster.run_until_all([](OptState& s) { return !s.log.empty(); }, 20000000));
+  cluster.for_each([&](int id, OptState& s) {
+    EXPECT_EQ(s.log, std::vector<Bytes>{payload}) << "party " << id;
+    EXPECT_FALSE(s.opt->pessimistic()) << "party " << id;
+  });
+  EXPECT_EQ(cluster.protocol(0)->opt->suspected(), crypto::party_bit(3));
+}
+
 }  // namespace
 }  // namespace sintra::protocols

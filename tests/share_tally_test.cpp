@@ -1,0 +1,126 @@
+// ShareTally unit tests: the one admission rule, strike and the off-loop
+// attempt guard, over the Example 2 LSSS scheme, where every party holds
+// several units and a partial vector is possible.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+
+#include "adversary/examples.hpp"
+#include "adversary/lsss.hpp"
+#include "crypto/share_tally.hpp"
+
+namespace sintra::crypto {
+namespace {
+
+/// Any type with a `unit` field is a share to the tally.
+struct FakeShare {
+  int unit = 0;
+  int value = 0;
+};
+
+class ShareTallyTest : public ::testing::Test {
+ protected:
+  ShareTallyTest() : scheme_(adversary::example2_access(), 16) {}
+
+  /// One share for every unit `party` holds, in order.
+  std::vector<FakeShare> own(int party) const {
+    std::vector<FakeShare> shares;
+    for (int unit : scheme_.units_of(party)) shares.push_back({unit, party});
+    return shares;
+  }
+
+  bool admit(int party, std::vector<FakeShare> shares) {
+    return tally_.admit(scheme_, party, std::move(shares), "not the sender's units");
+  }
+
+  adversary::LsssScheme scheme_;
+  ShareTally<FakeShare> tally_;
+};
+
+TEST_F(ShareTallyTest, CountsExactlyTheSendersUnitsOnce) {
+  ASSERT_GT(scheme_.units_of(15).size(), 1u);
+  EXPECT_TRUE(admit(15, own(15)));
+  EXPECT_EQ(tally_.support(), party_bit(15));
+  EXPECT_EQ(tally_.shares().size(), scheme_.units_of(15).size());
+  EXPECT_TRUE(tally_.seen(15));
+  // A replay is no error, and counts nothing.
+  EXPECT_FALSE(admit(15, own(15)));
+  EXPECT_EQ(tally_.shares().size(), scheme_.units_of(15).size());
+  // Unit order within the vector does not matter.
+  auto reversed = own(3);
+  std::reverse(reversed.begin(), reversed.end());
+  EXPECT_TRUE(admit(3, std::move(reversed)));
+  EXPECT_EQ(tally_.support(), party_bit(15) | party_bit(3));
+}
+
+TEST_F(ShareTallyTest, RefusesEveryOtherVectorAndStillCountsTheHonestCopy) {
+  auto partial = own(15);
+  partial.pop_back();
+  auto duplicated = own(15);
+  duplicated.back() = duplicated.front();
+  auto foreign = own(15);
+  foreign.back().unit = scheme_.units_of(14).front();
+  auto out_of_range = own(15);
+  out_of_range.back().unit = scheme_.num_units();
+  auto extra = own(15);
+  extra.push_back(extra.front());
+  for (auto* shares : {&partial, &duplicated, &foreign, &out_of_range, &extra}) {
+    EXPECT_THROW(admit(15, *shares), ProtocolError);
+  }
+  EXPECT_THROW(admit(15, {}), ProtocolError);
+  EXPECT_EQ(tally_.support(), 0u);
+  EXPECT_TRUE(tally_.shares().empty());
+  EXPECT_FALSE(tally_.seen(15));
+  EXPECT_TRUE(admit(15, own(15)));
+}
+
+TEST_F(ShareTallyTest, VerifyOnArrivalCheckRunsAfterTheStructureCheck) {
+  int checked = 0;
+  auto check = [&](const std::vector<FakeShare>&) { ++checked; };
+  auto partial = own(15);
+  partial.pop_back();
+  EXPECT_THROW(tally_.admit(scheme_, 15, partial, "refused", check), ProtocolError);
+  EXPECT_EQ(checked, 0);
+  auto reject = [](const std::vector<FakeShare>&) { throw ProtocolError("invalid share"); };
+  EXPECT_THROW(tally_.admit(scheme_, 15, own(15), "refused", reject), ProtocolError);
+  EXPECT_FALSE(tally_.seen(15));
+  EXPECT_TRUE(tally_.admit(scheme_, 15, own(15), "refused", check));
+  EXPECT_EQ(checked, 1);
+}
+
+TEST_F(ShareTallyTest, StrikeErasesEveryShareOfTheCulpritAndBarsIt) {
+  ASSERT_TRUE(admit(15, own(15)));
+  ASSERT_TRUE(admit(3, own(3)));
+  // One bad share of party 15 strikes all of its shares.
+  EXPECT_EQ(tally_.strike(scheme_, {1}), party_bit(15));
+  EXPECT_EQ(tally_.support(), party_bit(3));
+  EXPECT_EQ(tally_.shares().size(), scheme_.units_of(3).size());
+  for (const FakeShare& share : tally_.shares()) EXPECT_EQ(share.value, 3);
+  EXPECT_TRUE(tally_.seen(15));
+  EXPECT_FALSE(admit(15, own(15)));
+  EXPECT_EQ(tally_.strike(scheme_, {}), 0u);
+}
+
+TEST_F(ShareTallyTest, StrikeUnitsRangeChecksEveryUnit) {
+  ASSERT_TRUE(admit(3, own(3)));
+  EXPECT_THROW(tally_.strike_units(scheme_, {static_cast<std::uint32_t>(scheme_.num_units())}),
+               ProtocolError);
+  EXPECT_EQ(tally_.support(), party_bit(3));
+  const auto unit = static_cast<std::uint32_t>(scheme_.units_of(3).back());
+  EXPECT_EQ(tally_.strike_units(scheme_, {unit}), party_bit(3));
+  EXPECT_EQ(tally_.support(), 0u);
+  EXPECT_TRUE(tally_.shares().empty());
+}
+
+TEST_F(ShareTallyTest, OneAttemptInFlightAndStaleVerdictsSettleNothing) {
+  const int first = tally_.begin_attempt();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(tally_.begin_attempt(), 0);  // still in flight
+  EXPECT_FALSE(tally_.settle(first + 1));
+  EXPECT_TRUE(tally_.settle(first));
+  EXPECT_FALSE(tally_.settle(first));  // a replayed verdict
+  EXPECT_EQ(tally_.begin_attempt(), 2);
+}
+
+}  // namespace
+}  // namespace sintra::crypto

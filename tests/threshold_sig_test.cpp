@@ -6,6 +6,7 @@
 #include "adversary/examples.hpp"
 #include "crypto/reshare.hpp"
 #include "crypto/shamir.hpp"
+#include "crypto/share_tally.hpp"
 #include "crypto/threshold_sig.hpp"
 
 namespace sintra::crypto {
