@@ -14,9 +14,13 @@ crypto::Digest frame_mac(FrameType type, BytesView body, BytesView mac_key) {
   return crypto::hmac_sha256(mac_key, covered);
 }
 
+/// Type 2, the retired single-payload DATA frame, is as unknown as any
+/// other type outside the enum: it poisons the stream.
+constexpr std::uint8_t kRetiredData = 2;
+
 bool known_type(std::uint8_t type) {
   return type >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         type <= static_cast<std::uint8_t>(FrameType::kDataBatch);
+         type <= static_cast<std::uint8_t>(FrameType::kDataBatch) && type != kRetiredData;
 }
 
 }  // namespace
@@ -40,29 +44,6 @@ HelloBody HelloBody::decode(Reader& reader) {
   hello.epoch = reader.u32();
   reader.expect_done();
   return hello;
-}
-
-Bytes DataBody::encode() const {
-  Writer w;
-  w.u64(seq);
-  w.u64(ack);
-  w.u64(base);
-  w.u32(epoch);
-  w.u32(group);
-  w.bytes(payload);
-  return w.take();
-}
-
-DataBody DataBody::decode(Reader& reader) {
-  DataBody data;
-  data.seq = reader.u64();
-  data.ack = reader.u64();
-  data.base = reader.u64();
-  data.epoch = reader.u32();
-  data.group = reader.u32();
-  data.payload = reader.bytes();
-  reader.expect_done();
-  return data;
 }
 
 Bytes DataBatchBody::encode() const {

@@ -20,7 +20,6 @@
 // Frame bodies are typed and serialized with the deterministic
 // Writer/Reader encoding used by every protocol message:
 //   HELLO: u16 version, u32 node_id, u64 nonce, u64 recv_cursor, u32 epoch
-//   DATA:  u64 seq, u64 ack, u64 base, u32 epoch, u32 group, bytes payload
 //   BATCH: u64 ack, u64 base, u32 epoch, u32 count,
 //          count x { u64 seq, u32 group, bytes payload }
 //   ACK:   u64 ack
@@ -45,10 +44,10 @@
 // not of any one tenant.  Single-tenant deployments stamp group 0
 // everywhere, which is also what a decoder reports for pre-v4 semantics.
 //
-// BATCH is the coalesced super-frame (issue 7): every DATA payload bound
-// for a peer in one event-loop flush rides one frame — one length prefix,
-// one HMAC over the whole batch, one syscall — amortizing per-message
-// authentication the way TNIC amortizes attestation.  The cursors
+// BATCH is the coalesced super-frame and the only data frame: every
+// payload bound for a peer in one event-loop flush rides one frame — one
+// length prefix, one HMAC over the whole batch, one syscall — amortizing
+// per-message authentication the way TNIC amortizes attestation.  The cursors
 // (ack/base) are link-level state valid for the entire flush, so they
 // appear once per batch rather than once per message.  Receivers slice
 // payload views straight out of the decoder's buffer (DataBatchView) —
@@ -72,7 +71,7 @@ constexpr std::size_t kFrameOverhead = 4 + 1 + kMacSize;
 
 enum class FrameType : std::uint8_t {
   kHello = 1,
-  kData = 2,
+  // 2 was the retired single-payload DATA frame; it is now an unknown type.
   kAck = 3,
   kPing = 4,
   kPong = 5,
@@ -98,18 +97,6 @@ struct HelloBody {
 
   [[nodiscard]] Bytes encode() const;
   static HelloBody decode(Reader& reader);  ///< throws ProtocolError
-};
-
-struct DataBody {
-  std::uint64_t seq = 0;
-  std::uint64_t ack = 0;
-  std::uint64_t base = 0;
-  std::uint32_t epoch = 0;
-  std::uint32_t group = 0;  ///< multi-tenant shard stamp (wire v4)
-  Bytes payload;
-
-  [[nodiscard]] Bytes encode() const;
-  static DataBody decode(Reader& reader);  ///< throws ProtocolError
 };
 
 struct DataBatchBody {

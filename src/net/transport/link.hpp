@@ -50,7 +50,7 @@ struct LinkConfig {
 
 class ReliableLink {
  public:
-  /// A DATA frame to put on the wire (ack is piggybacked by the caller
+  /// A data record to put on the wire (ack is piggybacked by the caller
   /// from recv_cursor()).
   struct OutFrame {
     std::uint64_t seq = 0;
@@ -110,7 +110,7 @@ class ReliableLink {
     bool ack_now = false;               ///< send an explicit ack immediately
   };
 
-  /// Process a received DATA frame (already authenticated).
+  /// Process a received data record (already authenticated).
   Incoming on_data(std::uint64_t seq, std::uint64_t base, Bytes payload,
                    std::uint32_t group = 0);
 

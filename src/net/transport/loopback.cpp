@@ -230,16 +230,6 @@ void LoopbackHub::deliver_wire_front(int from, int to) {
           }
           ack_now = ack_now || incoming.ack_now;
         }
-      } else if (type == FrameType::kData) {
-        Reader reader(body);
-        DataBody data = DataBody::decode(reader);
-        recv_link.on_ack(data.ack);
-        ReliableLink::Incoming incoming =
-            recv_link.on_data(data.seq, data.base, std::move(data.payload), data.group);
-        for (const GroupPayload& delivery : incoming.deliver) {
-          if (receive) receive(from, delivery.group, delivery.payload);
-        }
-        ack_now = incoming.ack_now;
       } else if (type == FrameType::kAck) {
         Reader reader(body);
         const std::uint64_t ack = reader.u64();

@@ -505,8 +505,9 @@ void TcpTransport::handle_frame(int peer, FrameType type, BytesView body) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.frames_received;
   }
-  // Shared ack policy for DATA/BATCH: explicit ack now when the link asks,
-  // else arm the delayed-ack timer so acks still flow under one-way load.
+  // Ack policy after a BATCH's deliveries: explicit ack now when the link
+  // asks, else arm the delayed-ack timer so acks still flow under one-way
+  // load.
   const auto after_deliveries = [this, peer, &p](bool ack_now) {
     if (ack_now) {
       send_ack(peer);
@@ -597,29 +598,6 @@ void TcpTransport::handle_frame(int peer, FrameType type, BytesView body) {
           stats_.epoch_filtered += filtered;
         }
         after_deliveries(ack_now);
-        return;
-      }
-      case FrameType::kData: {
-        Reader reader(body);
-        DataBody data = DataBody::decode(reader);
-        p.link.on_ack(data.ack);
-        const bool fenced = !epoch_compatible(data.epoch);
-        ReliableLink::Incoming incoming =
-            p.link.on_data(data.seq, data.base, std::move(data.payload), data.group);
-        if (!incoming.deliver.empty()) {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          if (fenced) {
-            stats_.epoch_filtered += incoming.deliver.size();
-          } else {
-            stats_.payloads_delivered += incoming.deliver.size();
-          }
-        }
-        if (!fenced) {
-          for (const GroupPayload& delivery : incoming.deliver) {
-            receive_(peer, delivery.group, delivery.payload);
-          }
-        }
-        after_deliveries(incoming.ack_now);
         return;
       }
       case FrameType::kAck: {

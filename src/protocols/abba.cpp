@@ -76,26 +76,6 @@ void Abba::checkpoint_load(Reader& reader) {
   }
 }
 
-void Abba::enable_watchdog(std::uint64_t timeout) {
-  if (!watchdog_) watchdog_ = std::make_unique<StallWatchdog>(host_);
-  watchdog_->arm(
-      timeout, [this] { return decided_; }, [this] { return progress_; },
-      [this] { resummarize(); });
-}
-
-void Abba::resummarize() {
-  // Re-send our own (already broadcast, receiver-deduped) current state so
-  // a peer that lost it — a restart with a lossy network — can catch up.
-  if (decided_) {
-    if (!decide_raw_.empty()) broadcast(decide_raw_);
-    return;
-  }
-  if (started_) broadcast_input();
-  if (!last_prevote_raw_.empty()) broadcast(last_prevote_raw_);
-  if (!last_mainvote_raw_.empty()) broadcast(last_mainvote_raw_);
-  if (!last_coin_raw_.empty()) broadcast(last_coin_raw_);
-}
-
 Bytes Abba::statement(std::string_view kind, int round, std::uint8_t value) const {
   Writer w;
   w.str("sintra/abba");
@@ -156,7 +136,6 @@ void Abba::on_input(int from, Reader& reader) {
   constexpr const char* kRefusal = "abba: input shares not the sender's units";
   SINTRA_REQUIRE(crypto::covers_own_units(scheme, from, shares), kRefusal);
   input_voted_ |= crypto::party_bit(from);
-  bump_progress();
   if (anchor_[value].has_value()) return;  // anchored: later shares are not needed
   inputs_[value].admit(scheme, from, std::move(shares), kRefusal);
   maybe_anchor(value);
@@ -215,8 +194,7 @@ void Abba::send_prevote(int round, bool value, Justification justification,
   auto shares = host_.keys().cert_sig.sign(host_.public_keys().cert_sig,
                                            statement("pre", round, value ? 1 : 0), host_.rng());
   encode_shares(w, shares);
-  last_prevote_raw_ = w.take();
-  broadcast(last_prevote_raw_);
+  broadcast(w.take());
 }
 
 void Abba::park_deferred(std::uint8_t type, int round, int from, Reader& reader) {
@@ -332,7 +310,6 @@ void Abba::accept_prevote(int round, int from, bool value, std::vector<SigShare>
   const auto& cert_pk = host_.public_keys().cert_sig;
   const int v = value ? 1 : 0;
   state.prevotes[v].admit(cert_pk.scheme(), from, std::move(shares), kPreVoteRefusal);
-  bump_progress();
   // Combine-then-verify sigma_pre(round, v) as soon as a full quorum
   // supports v, before maybe_mainvote looks at the tally: a unanimous
   // quorum then always has its certificate.
@@ -368,8 +345,7 @@ void Abba::maybe_mainvote(int round) {
   auto shares = host_.keys().cert_sig.sign(host_.public_keys().cert_sig,
                                            statement("main", round, vote), host_.rng());
   encode_shares(w, shares);
-  last_mainvote_raw_ = w.take();
-  broadcast(last_mainvote_raw_);
+  broadcast(w.take());
 }
 
 void Abba::on_mainvote(int from, Reader& reader) {
@@ -395,7 +371,6 @@ void Abba::on_mainvote(int from, Reader& reader) {
     if (!state.sigma_pre[vote].has_value()) state.sigma_pre[vote] = std::move(sigma_pre);
   }
   state.mainvotes[vote].admit(cert_pk.scheme(), from, std::move(shares), kRefusal);
-  bump_progress();
 
   // Decision check runs on *every* arrival (not only at round close): the
   // first quorum of main-votes may mix corrupted abstains with honest
@@ -452,8 +427,7 @@ void Abba::release_coin(int round) {
   w.vec(shares, [&](Writer& wr, const CoinShare& s) {
     s.encode(wr, host_.public_keys().coin.group());
   });
-  last_coin_raw_ = w.take();
-  broadcast(last_coin_raw_);
+  broadcast(w.take());
 }
 
 void Abba::on_coin_share(int from, Reader& reader) {
@@ -473,7 +447,6 @@ void Abba::on_coin_share(int from, Reader& reader) {
   // threshold set, run off the event loop.
   if (state.coin_shares.admit(coin_pk.scheme(), from, std::move(shares),
                               "abba: coin shares not the sender's units")) {
-    bump_progress();
     maybe_combine_coin(round);
   }
 }
@@ -525,7 +498,6 @@ void Abba::advance(int round, bool value, Justification justification, const Big
   if (decided_) return;
   if (round > current_round_) {
     current_round_ = round;
-    bump_progress();
     host_.trace("abba", tag_ + " advancing to round " + std::to_string(round));
   }
   send_prevote(round, value, justification, evidence);
@@ -586,7 +558,6 @@ void Abba::decide(bool value, int round, const BigInt& sigma_main) {
   deferred_.clear();
   for (VoteTally& tally : inputs_) tally.release_shares();
   host_.budget().release_instance(tag_);
-  if (watchdog_) watchdog_->disarm();
   if (compaction_) {
     // WAL compaction: the checkpoint carries the decision across restarts,
     // so replaying this instance's message history is dead weight.

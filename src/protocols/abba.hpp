@@ -53,11 +53,9 @@
 #include <array>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 
 #include "protocols/base.hpp"
-#include "protocols/watchdog.hpp"
 
 namespace sintra::protocols {
 
@@ -73,14 +71,6 @@ class Abba final : public ProtocolInstance {
   /// Re-entry with the same input re-broadcasts INPUT (crash-recovery
   /// replay); a flipped input throws.
   void start(bool input);
-
-  /// Liveness watchdog: on a stall, re-broadcast our own current-state
-  /// messages (input / pre-vote / main-vote / coin share, or the decide
-  /// certificate) — idempotent, receivers dedup.
-  void enable_watchdog(std::uint64_t timeout);
-  [[nodiscard]] std::uint64_t recoveries() const {
-    return watchdog_ ? watchdog_->recoveries() : 0;
-  }
 
   /// WAL compaction (opt-in): once decided, this instance's WAL entries
   /// are pruned — the registered checkpoint carries the decision across a
@@ -145,7 +135,6 @@ class Abba final : public ProtocolInstance {
 
   void handle(int from, Reader& reader) override;
   void park_deferred(std::uint8_t type, int round, int from, Reader& reader);
-  void resummarize();
   [[nodiscard]] Bytes checkpoint_save() const;
   void checkpoint_load(Reader& reader);
   void broadcast_input();
@@ -196,19 +185,8 @@ class Abba final : public ProtocolInstance {
   std::map<int, Round> rounds_;
   std::vector<std::tuple<int, int, Bytes>> deferred_;  ///< (round, from, raw) for far-future rounds
   Bytes decide_raw_;  ///< the kDecide broadcast (responder + checkpoint material)
-  Bytes last_prevote_raw_;    ///< watchdog resummary material
-  Bytes last_mainvote_raw_;
-  Bytes last_coin_raw_;
   crypto::PartySet helped_ = 0;     ///< peers already re-sent the decide cert
   crypto::PartySet suspected_ = 0;  ///< proven bad-share senders
-  std::uint64_t progress_ = 0;   ///< counted protocol events (watchdog token)
-  /// Count one protocol event and snap the watchdog's grown timeout back
-  /// to base (no-op unless an earlier stall inflated it).
-  void bump_progress() {
-    ++progress_;
-    if (watchdog_) watchdog_->note_progress();
-  }
-  std::unique_ptr<StallWatchdog> watchdog_;
 };
 
 }  // namespace sintra::protocols

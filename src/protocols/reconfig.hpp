@@ -5,7 +5,9 @@
 // redistribution (crypto/reshare.hpp) for all four dealt keys — coin,
 // TDH2, reply-signature and certificate-signature — totally ordered over
 // an embedded atomic broadcast, fenced at a checkpoint certificate of the
-// service's delivery log.  The protocol produces
+// service's delivery log; every step is one loop over the dealt-key table
+// (DealtKey: each key's kind, sharing degree and old public key).  The
+// protocol produces
 //
 //  * a signed NEW-CONFIG announcement (the new committee geometry, the
 //    fence, and all new public verification values, threshold-signed under
@@ -37,8 +39,9 @@
 // A joining replica holds no old share: it bootstraps its protocol state
 // via net/state_transfer (anchored at the fence certificate) and receives
 // a JoinPackage — the signed announcement plus the applied dealings'
-// commitments and its own masked sub-shares — from any old member, fully
-// verifying everything against public values before accepting (first valid
+// commitments and its own masked sub-shares — from any old member, and
+// derives its shares through the members' own apply path, which for a
+// joiner first checks everything against public values (first valid
 // package wins; a dealing whose sub-share targets the joiner with garbage
 // is fingered and the join aborts cleanly).
 //
@@ -58,6 +61,7 @@
 // recovers from via a subsequent identity reshare.
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "crypto/checkpoint.hpp"
@@ -65,6 +69,11 @@
 #include "protocols/atomic.hpp"
 
 namespace sintra::protocols {
+
+/// The dealt keys, in wire and mask order; per-key arrays are indexed by
+/// it.  Coin and TDH2 are discrete-log keys, reply and cert threshold-RSA
+/// keys; cert alone is dealt at the high sharing degree.
+enum DealtKey : std::size_t { kKeyCoin = 0, kKeyTdh2, kKeyReply, kKeyCert, kDealtKeys };
 
 /// Committee geometry of one epoch change, as carried by the totally
 /// ordered RECONFIG command.  Contains no secret material.
@@ -114,17 +123,14 @@ struct NewConfig {
   /// Fence: the epoch cuts the delivery log at this certificate (round 0 =
   /// unfenced, for key-rotation-only uses).
   crypto::CheckpointCert fence;
-  std::vector<crypto::Element> coin_verification;   ///< g^{x'_i} per new slot
-  std::vector<crypto::Element> tdh2_verification;
-  std::vector<crypto::BigInt> reply_verification;   ///< v^{d'_i} per new slot
-  std::vector<crypto::BigInt> cert_verification;
-  /// Compounded Δ scale of the post-epoch RSA schemes (crypto/reshare.hpp
-  /// ScaledScheme): the OLD scheme's effective delta.
-  crypto::BigInt reply_scale;
-  crypto::BigInt cert_scale;
-  /// Public width bounds of the new (signed integer) RSA shares.
-  std::uint32_t reply_share_bits = 0;
-  std::uint32_t cert_share_bits = 0;
+  /// Per key, one verification value per new slot: g^{x'_i}, or for the
+  /// RSA keys v^{d'_i} carried as a residue mod N.
+  std::array<std::vector<crypto::Element>, kDealtKeys> verification;
+  /// RSA keys only: the compounded Δ scale of the post-epoch scheme
+  /// (crypto/reshare.hpp ScaledScheme), i.e. the OLD scheme's effective
+  /// delta, and the public width bound of the new (signed integer) shares.
+  std::array<crypto::BigInt, kDealtKeys> scale;
+  std::array<std::uint32_t, kDealtKeys> share_bits{};
   /// Combined OLD-reply-key threshold signature over statement().
   crypto::BigInt signature;
 
@@ -150,10 +156,8 @@ struct ReconfigResult {
   /// member holds an unusable share (detectable Byzantine targeting) and
   /// must recover before serving.
   bool share_valid = false;
-  crypto::BigInt coin_share;   ///< new Z_q shares (new_slot >= 0)
-  crypto::BigInt tdh2_share;
-  crypto::BigInt reply_share;  ///< new SIGNED integer RSA shares
-  crypto::BigInt cert_share;
+  /// New shares (new_slot >= 0): over Z_q, or SIGNED integers for RSA.
+  std::array<crypto::BigInt, kDealtKeys> shares;
   /// Old slots fingered as misbehaving dealers (excluded dealings).
   crypto::PartySet suspected = 0;
   int dealings_applied = 0;
@@ -162,21 +166,16 @@ struct ReconfigResult {
 /// The package an old member hands a joining replica after the epoch
 /// completes: the signed announcement plus the applied dealings — enough
 /// for the joiner to verify everything and interpolate its own shares.
-/// All vectors are aligned with `applied` (old slots in ABC dealing
-/// order; the first t_old+1 feed the low keys, all n_old-t_old the cert
-/// key).  The sub-shares are still masked with the joiner's provisioned
-/// join keys, so the package transits untrusted members verbatim.
+/// Per key, the vectors are aligned with `applied` (old slots in ABC
+/// dealing order; the first t_old+1 feed the low keys, all n_old-t_old the
+/// cert key).  The sub-shares are still masked with the joiner's join
+/// keys, so the package transits untrusted members verbatim.
 struct JoinPackage {
   NewConfig config;
   std::vector<std::int32_t> applied;
-  std::vector<std::vector<crypto::Element>> coin_commitments;
-  std::vector<std::vector<crypto::Element>> tdh2_commitments;
-  std::vector<std::vector<crypto::BigInt>> reply_commitments;
-  std::vector<std::vector<crypto::BigInt>> cert_commitments;
-  std::vector<crypto::BigInt> coin_subshares;  ///< masked, joiner slot
-  std::vector<crypto::BigInt> tdh2_subshares;
-  std::vector<crypto::BigInt> reply_subshares;
-  std::vector<crypto::BigInt> cert_subshares;
+  /// Each applied dealing's commitments (C_0 first; RSA values as residues).
+  std::array<std::vector<std::vector<crypto::Element>>, kDealtKeys> commitments;
+  std::array<std::vector<crypto::BigInt>, kDealtKeys> subshares;  ///< masked, joiner slot
 
   void encode(Writer& w, const crypto::Group& group) const;
   static JoinPackage decode(Reader& r, const crypto::Group& group);
@@ -222,17 +221,13 @@ class Reconfig final : public ProtocolInstance {
     throw ProtocolError("reconfig: direct messages unused");
   }
   [[nodiscard]] Bytes pair_key(int dealer, int new_slot) const;
-  [[nodiscard]] crypto::BigInt dl_mask(int key, int dealer, int new_slot) const;
-  [[nodiscard]] crypto::BigInt rsa_mask(int key, int dealer, int new_slot,
-                                        std::size_t subshare_bits) const;
-  [[nodiscard]] std::size_t reply_subshare_width() const;
-  [[nodiscard]] std::size_t cert_subshare_width() const;
+  /// The applied dealings as new slot `slot` receives them (-1: none).
+  [[nodiscard]] JoinPackage applied_dealings(int slot) const;
   void handle_dealing(int origin, Reader& reader);
   void handle_verdict(int origin, Reader& reader);
   void handle_sig(int origin, Reader& reader);
   void maybe_submit_verdict();
   void maybe_conclude();
-  void finish_abort(crypto::PartySet suspected);
   void submit_sig_shares();
 
   ReconfigPlan plan_;
@@ -245,19 +240,13 @@ class Reconfig final : public ProtocolInstance {
 
   struct Dealing {
     int dealer = -1;
-    std::vector<crypto::Element> coin_commitments;
-    std::vector<crypto::Element> tdh2_commitments;
-    std::vector<crypto::BigInt> reply_commitments;
-    std::vector<crypto::BigInt> cert_commitments;
-    std::vector<crypto::BigInt> coin_subshares;  ///< masked, all new slots
-    std::vector<crypto::BigInt> tdh2_subshares;
-    std::vector<crypto::BigInt> reply_subshares;
-    std::vector<crypto::BigInt> cert_subshares;
-    bool valid = false;  ///< my own sub-shares verify (or I hold no slot)
+    std::array<std::vector<crypto::Element>, kDealtKeys> commitments;
+    std::array<std::vector<crypto::BigInt>, kDealtKeys> subshares;  ///< masked, all new slots
   };
-  std::vector<Dealing> dealings_;  ///< ABC order, one per dealer
+  /// ABC order, one per dealer; once concluded, only the applied ones.
+  std::vector<Dealing> dealings_;
   crypto::PartySet dealers_seen_ = 0;
-  crypto::PartySet dealers_valid_ = 0;
+  crypto::PartySet dealers_valid_ = 0;  ///< my own sub-shares verify (or I hold no slot)
   bool verdict_sent_ = false;
   struct Verdict {
     crypto::PartySet seen = 0;
@@ -269,27 +258,11 @@ class Reconfig final : public ProtocolInstance {
   /// pending_statement_.
   std::optional<ReconfigResult> pending_;
   Bytes pending_statement_;
-  std::vector<int> applied_order_;  ///< applied old slots, ABC dealing order
   crypto::ShareTally<crypto::SigShare> sig_shares_;  ///< verified on arrival
   /// kSig payloads ordered before this member concluded (can only happen
   /// with a Byzantine early submitter); bounded by one per origin.
   std::map<int, Bytes> sig_stash_;
 };
-
-/// Post-epoch channel key for a surviving pair: both ends derive it from
-/// the old dealer-dealt pair key, domain-separated by epoch.  Joiner pairs
-/// run the same derivation over the provisioned join key.
-Bytes reconfig_channel_key(std::uint32_t epoch, BytesView pair_key);
-
-/// Assemble the new committee Deployment for one member from its epoch
-/// result: quorum ThresholdQuorum(n', t'), rebuilt public keys (DL keys
-/// over fresh ThresholdSchemes, RSA keys over ScaledSchemes carrying the
-/// compounded Δ and grown share-width bounds), and real secret material
-/// only at `result.new_slot`.  `channel_keys` is the member's post-epoch
-/// pairwise key vector (reconfig_channel_key per peer).
-adversary::Deployment reconfig_deployment(const ReconfigResult& result, crypto::GroupPtr group,
-                                          const crypto::PublicKeys& old_public,
-                                          std::vector<Bytes> channel_keys);
 
 /// Provisioned join key between old member `dealer` and the joiner filling
 /// new slot `joiner_slot` (the operator channel of PROTOCOLS.md).
@@ -298,8 +271,8 @@ using JoinKeyFn = std::function<Bytes(int dealer, int joiner_slot)>;
 /// The full new-committee Deployment, every slot with its REAL share —
 /// what an operator rolling the whole fleet to the new epoch holds
 /// collectively.  `results` is indexed by new slot (joiner slots take the
-/// JoinListener's result); channel keys follow reconfig_channel_key over
-/// `old`'s pair keys, or over `join_key` for pairs with a joiner.  A
+/// JoinListener's result); each post-epoch channel key is derived from
+/// `old`'s pair key, or from `join_key` for a pair with a joiner.  A
 /// same-committee plan never asks for a join key.
 adversary::Deployment assemble_committee(const adversary::Deployment& old,
                                          const ReconfigPlan& plan,

@@ -1,18 +1,19 @@
 // Per-instance liveness watchdog (issue 4).
 //
 // Detects a stalled protocol instance — no observable progress for a full
-// timeout — and triggers a protocol-specific recovery action (state-summary
-// retransmission for RBC/ABBA, a view-change vote for PbftLike).  Time is
-// the host Network's notion: delivery steps under the deterministic
-// simulator (where timers model a failure detector and only fire once the
-// network has quiesced), milliseconds over the real transport's TimerWheel.
+// timeout — and triggers a protocol-specific recovery action.  Its one
+// protocol user is RBC, whose recovery is a state-summary retransmission
+// (PbftLike runs its own failure detector instead).  Time is the host
+// Network's notion: delivery steps under the deterministic simulator
+// (where timers model a failure detector and only fire once the network
+// has quiesced), milliseconds over the real transport's TimerWheel.
 //
 // The watchdog never decides anything itself; recovery must be a safe,
-// idempotent action (rebroadcasting already-sent messages, voting for the
-// next view) so that a *false* stall detection costs bandwidth, not
-// correctness.  Recoveries are capped: an instance that cannot be revived
-// (e.g. too many peers are really gone) stops burning timers instead of
-// spinning the scheduler forever.
+// idempotent action (rebroadcasting already-sent messages) so that a
+// *false* stall detection costs bandwidth, not correctness.  Recoveries
+// are capped: an instance that cannot be revived (e.g. too many peers are
+// really gone) stops burning timers instead of spinning the scheduler
+// forever.
 //
 // Timeout growth follows CL99's failure-detector discipline: every
 // fruitless recovery doubles the next timeout (capped at 64x base) so a

@@ -13,14 +13,14 @@ Bytes test_key(char fill) { return Bytes(32, static_cast<std::uint8_t>(fill)); }
 TEST(FramingTest, RoundTrip) {
   const Bytes key = test_key('k');
   const Bytes body = bytes_of("hello frames");
-  const Bytes wire = encode_frame(FrameType::kData, body, key);
+  const Bytes wire = encode_frame(FrameType::kDataBatch, body, key);
   EXPECT_EQ(wire.size(), kFrameOverhead + body.size());
 
   FrameDecoder decoder;
   decoder.feed(wire);
   Frame frame;
   ASSERT_EQ(decoder.next(key, frame), FrameDecoder::Status::kFrame);
-  EXPECT_EQ(frame.type, FrameType::kData);
+  EXPECT_EQ(frame.type, FrameType::kDataBatch);
   EXPECT_EQ(frame.body, body);
   EXPECT_EQ(decoder.next(key, frame), FrameDecoder::Status::kNeedMore);
 }
@@ -29,7 +29,7 @@ TEST(FramingTest, DecodesAcrossArbitraryBoundaries) {
   const Bytes key = test_key('k');
   Bytes stream;
   for (int i = 0; i < 5; ++i) {
-    append(stream, encode_frame(FrameType::kData, bytes_of("m" + std::to_string(i)), key));
+    append(stream, encode_frame(FrameType::kDataBatch, bytes_of("m" + std::to_string(i)), key));
   }
   // Feed one byte at a time — worst-case TCP fragmentation.
   FrameDecoder decoder;
@@ -46,14 +46,14 @@ TEST(FramingTest, DecodesAcrossArbitraryBoundaries) {
 }
 
 TEST(FramingTest, WrongKeyPoisonsStream) {
-  const Bytes wire = encode_frame(FrameType::kData, bytes_of("x"), test_key('a'));
+  const Bytes wire = encode_frame(FrameType::kDataBatch, bytes_of("x"), test_key('a'));
   FrameDecoder decoder;
   decoder.feed(wire);
   Frame frame;
   EXPECT_EQ(decoder.next(test_key('b'), frame), FrameDecoder::Status::kCorrupt);
   EXPECT_TRUE(decoder.corrupt());
   // Terminal: even valid follow-up data is rejected.
-  decoder.feed(encode_frame(FrameType::kData, bytes_of("y"), test_key('b')));
+  decoder.feed(encode_frame(FrameType::kDataBatch, bytes_of("y"), test_key('b')));
   EXPECT_EQ(decoder.next(test_key('b'), frame), FrameDecoder::Status::kCorrupt);
 }
 
@@ -88,7 +88,26 @@ TEST(FramingTest, UnknownTypeIsRejected) {
   EXPECT_EQ(decoder.next(key, frame), FrameDecoder::Status::kCorrupt);
 }
 
-TEST(FramingTest, HelloAndDataBodiesRoundTrip) {
+TEST(FramingTest, RetiredDataTypeIsRejectedEvenWhenAuthenticated) {
+  // Type 2 was the single-payload DATA frame.  Nothing sends it any more,
+  // so a correctly tagged type-2 frame poisons the stream like any other
+  // unknown type, on the authenticated and the accept-path decoder alike.
+  const Bytes key = test_key('k');
+  const auto retired = static_cast<FrameType>(2);
+  const Bytes wire = encode_frame(retired, bytes_of("payload"), key);
+  FrameDecoder decoder;
+  decoder.feed(wire);
+  Frame frame;
+  EXPECT_EQ(decoder.next(key, frame), FrameDecoder::Status::kCorrupt);
+  decoder.feed(encode_frame(FrameType::kPing, {}, key));
+  EXPECT_EQ(decoder.next(key, frame), FrameDecoder::Status::kCorrupt);
+
+  bool corrupt = false;
+  EXPECT_FALSE(peek_frame_unauthenticated(wire, &corrupt).has_value());
+  EXPECT_TRUE(corrupt);
+}
+
+TEST(FramingTest, HelloBodyRoundTrips) {
   HelloBody hello;
   hello.node_id = 3;
   hello.nonce = 0x1122334455667788ULL;
@@ -100,19 +119,6 @@ TEST(FramingTest, HelloAndDataBodiesRoundTrip) {
   EXPECT_EQ(hello2.node_id, 3u);
   EXPECT_EQ(hello2.nonce, hello.nonce);
   EXPECT_EQ(hello2.recv_cursor, 42u);
-
-  DataBody data;
-  data.seq = 7;
-  data.ack = 5;
-  data.base = 2;
-  data.payload = bytes_of("payload");
-  const Bytes data_wire = data.encode();
-  Reader dr(data_wire);
-  const DataBody data2 = DataBody::decode(dr);
-  EXPECT_EQ(data2.seq, 7u);
-  EXPECT_EQ(data2.ack, 5u);
-  EXPECT_EQ(data2.base, 2u);
-  EXPECT_EQ(data2.payload, bytes_of("payload"));
 }
 
 TEST(FramingTest, BatchBodyRoundTripsThroughOwningAndViewDecoders) {

@@ -536,10 +536,10 @@ TEST(FuzzTest, DuplicatedAndReorderedBatchFramesDeliverExactlyOnce) {
 
 // ---- group-stamped BATCH super-frames (wire v4, issue 10) --------------
 //
-// Wire v4 adds a u32 group id to every batch record (and to DATA bodies)
-// so one super-frame can carry many tenants' payloads.  A Byzantine peer
-// controls that stamp completely: it can truncate mid-group-field, claim
-// groups the host does not run, and mix arbitrary group/epoch combos.
+// Wire v4 adds a u32 group id to every batch record so one super-frame
+// can carry many tenants' payloads.  A Byzantine peer controls that stamp
+// completely: it can truncate mid-group-field, claim groups the host does
+// not run, and mix arbitrary group/epoch combos.
 // Every such input must decode-or-reject — never over-read, never crash,
 // never leak one tenant's payload into another.
 
@@ -891,19 +891,21 @@ TEST(FuzzTest, ReconfigWireDecodersSurviveFuzzAndTruncation) {
     fuzz(decode, 61);
   }
 
+  // RSA verification values and commitments ride as residues mod N.
+  const auto residue = [](int v) { return crypto::Element::from_residue(crypto::BigInt(v)); };
   protocols::NewConfig config;
   config.plan = plan;
   config.fence.chain_digest = crypto::chain_initial();  // unfenced placeholder
   for (int i = 0; i < 4; ++i) {
-    config.coin_verification.push_back(group->exp_g(crypto::BigInt(i + 2)));
-    config.tdh2_verification.push_back(group->exp_g(crypto::BigInt(i + 3)));
-    config.reply_verification.push_back(crypto::BigInt(1000 + i));
-    config.cert_verification.push_back(crypto::BigInt(2000 + i));
+    config.verification[protocols::kKeyCoin].push_back(group->exp_g(crypto::BigInt(i + 2)));
+    config.verification[protocols::kKeyTdh2].push_back(group->exp_g(crypto::BigInt(i + 3)));
+    config.verification[protocols::kKeyReply].push_back(residue(1000 + i));
+    config.verification[protocols::kKeyCert].push_back(residue(2000 + i));
   }
-  config.reply_scale = crypto::BigInt(1);
-  config.cert_scale = crypto::BigInt(1);
-  config.reply_share_bits = 512;
-  config.cert_share_bits = 512;
+  config.scale[protocols::kKeyReply] = crypto::BigInt(1);
+  config.scale[protocols::kKeyCert] = crypto::BigInt(1);
+  config.share_bits[protocols::kKeyReply] = 512;
+  config.share_bits[protocols::kKeyCert] = 512;
   config.signature = crypto::BigInt(7);
   {
     Writer w;
@@ -921,14 +923,15 @@ TEST(FuzzTest, ReconfigWireDecodersSurviveFuzzAndTruncation) {
   package.config = config;
   package.applied = {0, 1};
   for (int d = 0; d < 2; ++d) {
-    package.coin_commitments.push_back({group->exp_g(crypto::BigInt(d + 5)), group->g()});
-    package.tdh2_commitments.push_back({group->exp_g(crypto::BigInt(d + 6)), group->g()});
-    package.reply_commitments.push_back({crypto::BigInt(10 + d), crypto::BigInt(11 + d)});
-    package.cert_commitments.push_back({crypto::BigInt(20 + d), crypto::BigInt(21 + d)});
-    package.coin_subshares.push_back(crypto::BigInt(30 + d));
-    package.tdh2_subshares.push_back(crypto::BigInt(40 + d));
-    package.reply_subshares.push_back(crypto::BigInt(50 + d));
-    package.cert_subshares.push_back(crypto::BigInt(60 + d));
+    package.commitments[protocols::kKeyCoin].push_back(
+        {group->exp_g(crypto::BigInt(d + 5)), group->g()});
+    package.commitments[protocols::kKeyTdh2].push_back(
+        {group->exp_g(crypto::BigInt(d + 6)), group->g()});
+    package.commitments[protocols::kKeyReply].push_back({residue(10 + d), residue(11 + d)});
+    package.commitments[protocols::kKeyCert].push_back({residue(20 + d), residue(21 + d)});
+    for (std::size_t k = 0; k < protocols::kDealtKeys; ++k) {
+      package.subshares[k].push_back(crypto::BigInt(30 + 10 * static_cast<int>(k) + d));
+    }
   }
   {
     Writer w;

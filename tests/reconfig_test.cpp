@@ -23,9 +23,12 @@
 //     later.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -71,6 +74,10 @@ using protocols::ReconfigOptions;
 using protocols::ReconfigPlan;
 using protocols::ReconfigResult;
 using protocols::assemble_committee;
+using protocols::kKeyCert;
+using protocols::kKeyCoin;
+using protocols::kKeyReply;
+using protocols::kKeyTdh2;
 using protocols::reconfig_public_deployment;
 
 constexpr const char* kTag = "reconfig";
@@ -344,7 +351,7 @@ TEST(ReconfigTest, SwapsOneReplicaOnline) {
   EXPECT_TRUE(joiner.share_valid);
   EXPECT_EQ(joiner.new_slot, 3);
   const auto& group = old_public.coin.group();
-  EXPECT_EQ(group.exp_g(joiner.coin_share), reference.config.coin_verification[3]);
+  EXPECT_EQ(group.exp_g(joiner.shares[kKeyCoin]), reference.config.verification[kKeyCoin][3]);
 
   // Secret preservation: old and new coin shares interpolate to the same
   // key, and the retiree's wiped share is useless in the new epoch.
@@ -353,14 +360,14 @@ TEST(ReconfigTest, SwapsOneReplicaOnline) {
   std::map<int, BigInt> new_shares;
   for (int id : {0, 2}) {
     old_shares[id] = h.deployment.keys->share(id).coin.unit_shares().at(id);
-    new_shares[id] = h.result(id).coin_share;
+    new_shares[id] = h.result(id).shares[kKeyCoin];
   }
   EXPECT_EQ(scheme.reconstruct(old_shares, group.q()),
             scheme.reconstruct(new_shares, group.q()));
   std::map<int, BigInt> with_retired{
-      {1, h.result(1).coin_share},
+      {1, h.result(1).shares[kKeyCoin]},
       {3, h.deployment.keys->share(3).coin.unit_shares().at(3)}};  // retired old share
-  std::map<int, BigInt> pure{{1, h.result(1).coin_share}, {3, joiner.coin_share}};
+  std::map<int, BigInt> pure{{1, h.result(1).shares[kKeyCoin]}, {3, joiner.shares[kKeyCoin]}};
   EXPECT_NE(scheme.reconstruct(with_retired, group.q()),
             scheme.reconstruct(pure, group.q()));
 }
@@ -449,15 +456,15 @@ TEST(ReconfigTest, GrowsThresholdWithCommittee) {
   std::map<int, BigInt> old_shares{
       {0, h.deployment.keys->share(0).coin.unit_shares().at(0)},
       {1, h.deployment.keys->share(1).coin.unit_shares().at(1)}};
-  std::map<int, BigInt> new_shares{{1, results[1].coin_share},
-                                   {4, results[4].coin_share},
-                                   {6, results[6].coin_share}};
+  std::map<int, BigInt> new_shares{{1, results[1].shares[kKeyCoin]},
+                                   {4, results[4].shares[kKeyCoin]},
+                                   {6, results[6].shares[kKeyCoin]}};
   EXPECT_EQ(old_scheme.reconstruct(old_shares, group.q()),
             new_scheme.reconstruct(new_shares, group.q()));
   EXPECT_FALSE(new_scheme.qualified(party_bit(1) | party_bit(4)));
   for (int slot = 0; slot < 7; ++slot) {
-    EXPECT_EQ(group.exp_g(results[static_cast<std::size_t>(slot)].coin_share),
-              results[0].config.coin_verification[static_cast<std::size_t>(slot)]);
+    EXPECT_EQ(group.exp_g(results[static_cast<std::size_t>(slot)].shares[kKeyCoin]),
+              results[0].config.verification[kKeyCoin][static_cast<std::size_t>(slot)]);
   }
 }
 
@@ -473,8 +480,86 @@ TEST(ReconfigTest, ByzantineDealerIsFingeredAndEpochCompletes) {
   // The joiner's package excludes the garbage dealing and still verifies.
   const ReconfigResult joiner = h.join(4, 0);
   EXPECT_TRUE(joiner.completed);
-  EXPECT_EQ(h.deployment.keys->public_keys().coin.group().exp_g(joiner.coin_share),
-            h.result(0).config.coin_verification[4]);
+  EXPECT_EQ(h.deployment.keys->public_keys().coin.group().exp_g(joiner.shares[kKeyCoin]),
+            h.result(0).config.verification[kKeyCoin][4]);
+}
+
+TEST(ReconfigTest, DealerHoldingAWrongShareIsExcludedForEveryKey) {
+  // Old member 2 holds a share of one key that its published verification
+  // value does not commit to.  For a discrete-log key its dealing is a
+  // self-consistent sharing of that wrong share — every sub-share verifies
+  // — and only the C_0 binding to the old verification value exposes it;
+  // for an RSA key C_0 is the published value and the sub-shares fail
+  // instead.  The dealing is never applied, and a member fingers dealer 2
+  // whenever a first-quorum verdict saw its dealing (lateness is no
+  // evidence); at least one seed per key must exhibit the fingering.  The
+  // cert key is the exception: it also signs the dealer's atomic-broadcast
+  // batches, so with a wrong cert share the dealing is never ordered.
+  for (std::size_t key = 0; key < protocols::kDealtKeys; ++key) {
+    bool fingered = false;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("key " + std::to_string(key) + ", seed " + std::to_string(seed));
+      Rng rng(seed);
+      auto deployment = Deployment::threshold(4, 1, rng);
+      std::vector<crypto::PartyKeyShare> shares;
+      for (int id = 0; id < 4; ++id) shares.push_back(deployment.keys->share(id));
+      crypto::PartyKeyShare& bad = shares[2];
+      const auto off_by_one = [](std::map<int, BigInt> units) {
+        for (auto& [unit, share] : units) share = share + BigInt(1);
+        return units;
+      };
+      if (key == kKeyCoin) bad.coin = crypto::CoinSecretKey(2, off_by_one(bad.coin.unit_shares()));
+      if (key == kKeyTdh2) {
+        bad.decryption = crypto::Tdh2SecretKey(2, off_by_one(bad.decryption.unit_shares()));
+      }
+      if (key == kKeyReply) {
+        bad.reply_sig = crypto::ThresholdSigSecretKey(2, off_by_one(bad.reply_sig.unit_shares()));
+      }
+      if (key == kKeyCert) {
+        bad.cert_sig = crypto::ThresholdSigSecretKey(2, off_by_one(bad.cert_sig.unit_shares()));
+      }
+      Deployment tampered;
+      tampered.quorum = deployment.quorum;
+      tampered.keys =
+          std::make_shared<const crypto::KeyBundle>(deployment.keys->public_keys(), shares);
+
+      const ReconfigPlan plan = grow_plan();
+      const auto factory = [&plan](net::Party& party, int id) {
+        auto state = std::make_unique<ReconfigState>();
+        state->reconfig = std::make_unique<Reconfig>(
+            party, kTag, plan, std::nullopt, options_for(plan, id, 0),
+            [s = state.get()](const ReconfigResult& r) { s->result = r; });
+        return state;
+      };
+      net::RandomScheduler sched(seed * 3 + 1);
+      Cluster<ReconfigState> cluster(deployment, sched, factory, 0, 0, seed);
+      auto dealer = std::make_unique<HostedParty<ReconfigState>>(
+          cluster.simulator(), 2, tampered, seed * 7919 + 2,
+          [&](net::Party& party) { return factory(party, 2); });
+      ReconfigState& dealer_state = dealer->protocol();
+      cluster.attach_custom(2, std::move(dealer));
+      cluster.start();
+      cluster.for_each([](int, ReconfigState& s) { s.reconfig->start(); });
+      dealer_state.reconfig->start();
+      ASSERT_TRUE(cluster.simulator().run_until(
+          [&] {
+            bool done = dealer_state.result.has_value();
+            for (int id : {0, 1, 3}) done = done && cluster.protocol(id)->result.has_value();
+            return done;
+          },
+          60000000));
+      for (int id : {0, 1, 3}) {
+        const ReconfigResult& r = *cluster.protocol(id)->result;
+        ASSERT_TRUE(r.completed) << "member " << id;
+        EXPECT_TRUE(r.share_valid) << "member " << id;
+        EXPECT_EQ(r.suspected & ~party_bit(2), 0u) << "member " << id;
+        fingered = fingered || r.suspected == party_bit(2);
+        const auto applied = cluster.protocol(id)->reconfig->join_package(4).applied;
+        EXPECT_EQ(std::count(applied.begin(), applied.end(), 2), 0) << "member " << id;
+      }
+    }
+    EXPECT_TRUE(fingered || key == kKeyCert) << "no seed fingered the wrong-share dealer";
+  }
 }
 
 TEST(ReconfigTest, AbortsCleanlyWhenTooFewDealingsApply) {
@@ -501,24 +586,138 @@ TEST(ReconfigTest, AbortsCleanlyWhenTooFewDealingsApply) {
 }
 
 TEST(ReconfigTest, JoinListenerRejectsTamperedPackageAndFingersDealer) {
+  // One tampering per check a joiner runs on a package.  A bad sub-share
+  // for the joiner inside an applied dealing is provable misbehaviour of
+  // its dealer, who is fingered; a package failing a package-level check
+  // proves nothing about any dealer, and nobody is fingered.  Either way
+  // the package is refused and an honest one still wins afterwards.
   auto h = EpochHarness::fresh(swap_plan(), 15);
   ASSERT_TRUE(h.run());
-  auto package = h.cluster.protocol(0)->reconfig->join_package(3);
-  // Garbage in the sub-share targeting the joiner, inside an applied
-  // dealing: provable misbehavior of that dealer.
-  package.coin_subshares[1] = package.coin_subshares[1] + BigInt(1);
+  const auto& old_public = h.deployment.keys->public_keys();
+  const auto& group = old_public.coin.group();
+  // Re-sign a doctored announcement under the old reply key, so the case
+  // reaches the checks behind the signature.
+  const auto resign = [&](NewConfig& config) {
+    Rng rng(151);
+    const Bytes statement = config.statement(kTag, group);
+    std::vector<crypto::SigShare> shares;
+    for (int id = 0; id < 4; ++id) {
+      for (auto& share :
+           h.deployment.keys->share(id).reply_sig.sign(old_public.reply_sig, statement, rng)) {
+        shares.push_back(share);
+      }
+    }
+    config.signature = *old_public.reply_sig.combine(statement, shares);
+  };
+  const BigInt one(1);
+  // An RSA commitment rides as a residue mod N; move it by one.
+  const auto bump = [&](crypto::Element& e) {
+    e = crypto::Element::from_residue(e.residue() + one);
+  };
+  struct Case {
+    const char* name;
+    std::function<void(JoinPackage&)> tamper;
+    int fingered;  ///< position in `applied` of the dealer to finger, -1: nobody
+  };
+  const std::vector<Case> cases = {
+      {"coin sub-share",
+       [&](JoinPackage& p) {
+         p.subshares[kKeyCoin][1] = group.scalar_add(p.subshares[kKeyCoin][1], one);
+       },
+       1},
+      {"tdh2 sub-share",
+       [&](JoinPackage& p) {
+         p.subshares[kKeyTdh2][0] = group.scalar_add(p.subshares[kKeyTdh2][0], one);
+       },
+       0},
+      {"reply sub-share", [&](JoinPackage& p) { p.subshares[kKeyReply][1] += one; }, 1},
+      {"cert sub-share beyond the first t+1",
+       [&](JoinPackage& p) { p.subshares[kKeyCert][2] += one; }, 2},
+      {"coin C0 binding", [&](JoinPackage& p) { p.commitments[kKeyCoin][0][0] = group.g(); }, -1},
+      {"tdh2 C0 binding", [&](JoinPackage& p) { p.commitments[kKeyTdh2][1][0] = group.g(); }, -1},
+      {"reply C0 binding", [&](JoinPackage& p) { bump(p.commitments[kKeyReply][0][0]); }, -1},
+      {"cert C0 binding", [&](JoinPackage& p) { bump(p.commitments[kKeyCert][2][0]); }, -1},
+      {"reply delta scale",
+       [&](JoinPackage& p) {
+         p.config.scale[kKeyReply] += one;
+         resign(p.config);
+       },
+       -1},
+      {"cert delta scale",
+       [&](JoinPackage& p) {
+         p.config.scale[kKeyCert] += one;
+         resign(p.config);
+       },
+       -1},
+      {"reply share width",
+       [&](JoinPackage& p) {
+         p.config.share_bits[kKeyReply] += 1;
+         resign(p.config);
+       },
+       -1},
+      {"cert share width",
+       [&](JoinPackage& p) {
+         p.config.share_bits[kKeyCert] += 1;
+         resign(p.config);
+       },
+       -1},
+      {"announced verification value",
+       [&](JoinPackage& p) {
+         p.config.verification[kKeyCoin][3] = group.g();
+         resign(p.config);
+       },
+       -1},
+      {"commitment behind the announced verification values",
+       [&](JoinPackage& p) { bump(p.commitments[kKeyCert][2][1]); }, -1},
+      {"applied-dealer count", [&](JoinPackage& p) { p.applied.pop_back(); }, -1},
+      {"duplicate applied dealer", [&](JoinPackage& p) { p.applied[1] = p.applied[0]; }, -1},
+  };
 
   std::map<int, Bytes> keys;
   for (int dealer = 0; dealer < 4; ++dealer) keys[dealer] = join_key(1, dealer, 3);
-  const auto& old_public = h.deployment.keys->public_keys();
-  JoinListener listener(kTag, 3, keys, old_public.coin.group_ptr(), old_public);
-  EXPECT_FALSE(listener.offer(package));
-  EXPECT_FALSE(listener.ready());
-  EXPECT_EQ(listener.suspected(), party_bit(package.applied[1]));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto package = h.cluster.protocol(0)->reconfig->join_package(3);
+    const std::vector<std::int32_t> applied = package.applied;
+    c.tamper(package);
+    JoinListener listener(kTag, 3, keys, old_public.coin.group_ptr(), old_public);
+    EXPECT_FALSE(listener.offer(package));
+    EXPECT_FALSE(listener.ready());
+    EXPECT_EQ(listener.suspected(),
+              c.fingered < 0 ? PartySet{0}
+                             : party_bit(applied[static_cast<std::size_t>(c.fingered)]));
+    EXPECT_TRUE(listener.offer(h.cluster.protocol(2)->reconfig->join_package(3)));
+    EXPECT_TRUE(listener.ready());
+  }
+}
 
-  // An honest package still wins afterwards.
-  EXPECT_TRUE(listener.offer(h.cluster.protocol(2)->reconfig->join_package(3)));
-  EXPECT_TRUE(listener.ready());
+TEST(ReconfigTest, GrowEpochIsPinnedBitExactly) {
+  // One fixed-seed (4,1) -> (5,1) grow epoch over the simulator, pinned
+  // bit-exactly: the signed announcement, the joiner's package, every new
+  // slot's four shares, and the epoch's per-tag message and byte totals.
+  // Any change to the wire bytes, the masks or the key order fails here.
+  auto h = EpochHarness::fresh(grow_plan(), 21);
+  ASSERT_TRUE(h.run());
+  const auto& group = h.deployment.keys->public_keys().coin.group();
+  Writer w;
+  h.result(0).config.encode(w, group);
+  h.cluster.protocol(0)->reconfig->join_package(4).encode(w, group);
+  for (const ReconfigResult& r : all_results(h)) {
+    r.shares[kKeyCoin].encode(w);
+    r.shares[kKeyTdh2].encode(w);
+    r.shares[kKeyReply].encode(w);
+    r.shares[kKeyCert].encode(w);
+  }
+  EXPECT_EQ(to_hex(crypto::sha256_bytes(w.data())),
+            "fb23cdeee7130dbcae3a2bac1ec2b2a7f42527e3fe3a8b9e19b13d348d6d432a");
+
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> traffic;
+  for (const auto& [tag, stats] : h.cluster.simulator().traffic()) {
+    traffic[tag] = {stats.messages, stats.bytes};
+  }
+  const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> expected{
+      {"reconfig", {535, 281761}}};
+  EXPECT_EQ(traffic, expected);
 }
 
 TEST(ReconfigTest, SequentialEpochsGrowThenShrink) {
@@ -545,7 +744,7 @@ TEST(ReconfigTest, SequentialEpochsGrowThenShrink) {
 
   // The compounded scale is the epoch-1 scheme's full delta.
   const auto& epoch1_reply = committee1.keys->public_keys().reply_sig;
-  EXPECT_EQ(h2.result(0).config.reply_scale, epoch1_reply.scheme().delta());
+  EXPECT_EQ(h2.result(0).config.scale[kKeyReply], epoch1_reply.scheme().delta());
 
   const auto& new_public = committee2.keys->public_keys();
   const Bytes statement = bytes_of("two epochs later");
@@ -568,8 +767,8 @@ TEST(ReconfigTest, SequentialEpochsGrowThenShrink) {
   std::map<int, BigInt> dealt{
       {0, h1.deployment.keys->share(0).coin.unit_shares().at(0)},
       {2, h1.deployment.keys->share(2).coin.unit_shares().at(2)}};
-  std::map<int, BigInt> final_shares{{1, results2[1].coin_share},
-                                     {2, results2[2].coin_share}};
+  std::map<int, BigInt> final_shares{{1, results2[1].shares[kKeyCoin]},
+                                     {2, results2[2].shares[kKeyCoin]}};
   EXPECT_EQ(scheme0.reconstruct(dealt, group.q()),
             crypto::ThresholdScheme(4, 1).reconstruct(final_shares, group.q()));
 }
@@ -608,9 +807,9 @@ TEST(ReconfigTest, SameCommitteeEpochRefreshesEveryShare) {
       r.config.encode(w, group);
       if (reference.empty()) reference = w.data();
       EXPECT_EQ(w.data(), reference) << "member " << id;
-      EXPECT_NE(r.coin_share, old_share(id));
-      EXPECT_EQ(group.exp_g(r.coin_share),
-                r.config.coin_verification[static_cast<std::size_t>(id)]);
+      EXPECT_NE(r.shares[kKeyCoin], old_share(id));
+      EXPECT_EQ(group.exp_g(r.shares[kKeyCoin]),
+                r.config.verification[kKeyCoin][static_cast<std::size_t>(id)]);
     });
 
     // t+1 new shares reconstruct the dealt secret; swapping one of them for
@@ -620,7 +819,7 @@ TEST(ReconfigTest, SameCommitteeEpochRefreshesEveryShare) {
     std::map<int, BigInt> fresh;
     for (std::size_t k = 0; k <= static_cast<std::size_t>(row.t); ++k) {
       dealt[live[k]] = old_share(live[k]);
-      fresh[live[k]] = h.result(live[k]).coin_share;
+      fresh[live[k]] = h.result(live[k]).shares[kKeyCoin];
     }
     const BigInt secret = scheme.reconstruct(dealt, group.q());
     EXPECT_EQ(scheme.reconstruct(fresh, group.q()), secret);
@@ -951,19 +1150,6 @@ TEST(EpochPlumbingTest, FrameBodiesCarryTheEpoch) {
     EXPECT_EQ(decoded.epoch, 5u);
     EXPECT_EQ(decoded.node_id, 3);
   }
-  net::transport::DataBody data;
-  data.seq = 4;
-  data.ack = 2;
-  data.base = 1;
-  data.epoch = 6;
-  data.payload = bytes_of("p");
-  {
-    Bytes encoded = data.encode();
-    Reader r(encoded);
-    const auto decoded = net::transport::DataBody::decode(r);
-    EXPECT_EQ(decoded.epoch, 6u);
-    EXPECT_EQ(decoded.payload, bytes_of("p"));
-  }
   net::transport::DataBatchBody batch;
   batch.ack = 1;
   batch.base = 0;
@@ -1291,7 +1477,7 @@ TEST(ReconfigTest, SameCommitteeEpochDetectsUnusableShareFromMisprovisionedChann
     EXPECT_EQ(encodings[1], encodings[0]);
     EXPECT_EQ(encodings[2], encodings[0]);
     if (!hit.share_valid &&
-        group.exp_g(hit.coin_share) != hit.config.coin_verification[3]) {
+        group.exp_g(hit.shares[kKeyCoin]) != hit.config.verification[kKeyCoin][3]) {
       // The detected share really is unusable: it does not match the
       // published verification value.
       detected = true;

@@ -757,14 +757,14 @@ TEST(StateTransferClusterTest, RefreshRunsConcurrentlyWithRecoveryUnderExecutors
   std::map<int, crypto::BigInt> new_shares;
   for (int id : {0, 2}) {
     old_shares[id] = deployment.keys->share(id).coin.unit_shares().at(id);
-    new_shares[id] = cluster.protocol(id).refresh_result->coin_share;
+    new_shares[id] = cluster.protocol(id).refresh_result->shares[protocols::kKeyCoin];
   }
   EXPECT_EQ(scheme.reconstruct(old_shares, group.q()),
             scheme.reconstruct(new_shares, group.q()))
       << "refresh must preserve the shared secret";
   std::map<int, crypto::BigInt> mixed;
   mixed[0] = deployment.keys->share(0).coin.unit_shares().at(0);  // epoch e-1
-  mixed[1] = cluster.protocol(1).refresh_result->coin_share;         // epoch e
+  mixed[1] = cluster.protocol(1).refresh_result->shares[protocols::kKeyCoin];         // epoch e
   EXPECT_NE(scheme.reconstruct(mixed, group.q()), scheme.reconstruct(new_shares, group.q()))
       << "stale epoch e-1 shares must not combine into epoch e";
 }
