@@ -9,8 +9,9 @@
 // plus the in-place swap (retire one, admit one).  Each timed iteration
 // runs the complete epoch over the discrete-event simulator, including
 // the joiner's package verification where a joiner exists; the "steps"
-// counter reports scheduler steps per epoch (schedule-independent cost),
-// wall time reports the crypto-dominated compute cost.
+// counter reports scheduler steps per epoch, averaged over a fixed list of
+// seeds outside the timed loop (so two runs of the same code print the
+// same count), and wall time reports the crypto-dominated compute cost.
 #include <benchmark/benchmark.h>
 
 #include "crypto/sha256.hpp"
@@ -118,6 +119,17 @@ EpochOutcome run_epoch(const adversary::Deployment& deployment,
   return outcome;
 }
 
+/// Scheduler steps per epoch over seeds first_seed .. first_seed + 7.
+double mean_steps(const adversary::Deployment& deployment, const protocols::ReconfigPlan& plan,
+                  std::uint64_t first_seed) {
+  constexpr std::uint64_t kSeeds = 8;
+  std::uint64_t steps = 0;
+  for (std::uint64_t seed = first_seed; seed < first_seed + kSeeds; ++seed) {
+    steps += run_epoch(deployment, plan, seed).steps;
+  }
+  return static_cast<double>(steps) / kSeeds;
+}
+
 protocols::ReconfigPlan grow_plan() { return make_plan(1, 4, 1, 1, {0, 1, 2, 3, -1}); }
 protocols::ReconfigPlan shrink_plan() { return make_plan(2, 5, 1, 1, {0, 2, 3, 4}); }
 protocols::ReconfigPlan swap_plan() { return make_plan(1, 4, 1, 1, {0, 1, 2, -1}); }
@@ -126,15 +138,12 @@ void BM_EpochGrow4to5(benchmark::State& state) {
   Rng rng(11);
   const auto deployment = adversary::Deployment::threshold(4, 1, rng);
   std::uint64_t seed = 11;
-  std::uint64_t steps = 0, epochs = 0;
   for (auto _ : state) {
     auto outcome = run_epoch(deployment, grow_plan(), seed++);
     if (!outcome.completed) state.SkipWithError("grow epoch failed");
-    steps += outcome.steps;
-    ++epochs;
     benchmark::DoNotOptimize(outcome);
   }
-  if (epochs > 0) state.counters["steps"] = static_cast<double>(steps / epochs);
+  state.counters["steps"] = mean_steps(deployment, grow_plan(), 11);
 }
 
 void BM_EpochShrink5to4(benchmark::State& state) {
@@ -150,30 +159,24 @@ void BM_EpochShrink5to4(benchmark::State& state) {
       old_deployment, grow_plan(), grow.results,
       [](int dealer, int slot) { return join_key(grow_plan().new_epoch, dealer, slot); });
   std::uint64_t seed = 13;
-  std::uint64_t steps = 0, epochs = 0;
   for (auto _ : state) {
     auto outcome = run_epoch(committee, shrink_plan(), seed++);
     if (!outcome.completed) state.SkipWithError("shrink epoch failed");
-    steps += outcome.steps;
-    ++epochs;
     benchmark::DoNotOptimize(outcome);
   }
-  if (epochs > 0) state.counters["steps"] = static_cast<double>(steps / epochs);
+  state.counters["steps"] = mean_steps(committee, shrink_plan(), 13);
 }
 
 void BM_EpochSwapReplica(benchmark::State& state) {
   Rng rng(17);
   const auto deployment = adversary::Deployment::threshold(4, 1, rng);
   std::uint64_t seed = 17;
-  std::uint64_t steps = 0, epochs = 0;
   for (auto _ : state) {
     auto outcome = run_epoch(deployment, swap_plan(), seed++);
     if (!outcome.completed) state.SkipWithError("swap epoch failed");
-    steps += outcome.steps;
-    ++epochs;
     benchmark::DoNotOptimize(outcome);
   }
-  if (epochs > 0) state.counters["steps"] = static_cast<double>(steps / epochs);
+  state.counters["steps"] = mean_steps(deployment, swap_plan(), 17);
 }
 
 BENCHMARK(BM_EpochGrow4to5)->Unit(benchmark::kMillisecond);

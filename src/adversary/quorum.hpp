@@ -88,8 +88,10 @@ struct CryptoConfig {
 
   static CryptoConfig fast() { return {}; }
   static CryptoConfig production();
-  /// Elliptic-curve deployment: secp256k1 for all discrete-log subsystems,
-  /// production-sized RSA.  Fastest verify paths at the highest margin.
+  /// Elliptic-curve deployment: secp256k1 for all discrete-log subsystems
+  /// and a 512-bit RSA modulus (256-bit primes).  A 512-bit modulus is far
+  /// below a deployable size (it was publicly factored in 1999); it keeps
+  /// simulations and benchmarks fast, not secure.
   static CryptoConfig curve();
 };
 

@@ -1,8 +1,8 @@
 // Shoup's practical threshold RSA signatures (EUROCRYPT 2000).
 //
 // Used throughout the architecture wherever the paper needs compact
-// certificates: justifying ABBA pre-votes/main-votes with constant-size
-// messages, consistent-broadcast certificates, and the threshold-signed
+// certificates: consistent-broadcast certificates, atomic-broadcast batch
+// signatures and checkpoints, and the threshold-signed
 // replies of the replicated services (Section 5) — a client combines t+1
 // (generally: a qualified set of) signature shares into one ordinary RSA
 // signature verifiable with the single service public key.

@@ -45,12 +45,12 @@ void FlooderProcess::burst() {
   for (int i = 0; i < kPerBurst && sent_ < kMaxFlood; ++i) {
     switch (profile_) {
       case Profile::kAbbaRounds: {
-        // Future-round votes park in the deferred buffer; bodies are junk
+        // Future-round messages park in the deferred buffer; bodies are junk
         // (an honest party only validates them on replay).  Rounds sweep a
         // window ahead of any round the instance will actually reach.
         const std::uint32_t round = static_cast<std::uint32_t>(3 + cursor_++ % 48);
         Writer w;
-        w.u8(static_cast<std::uint8_t>(rng_.below(2)));  // kPreVote / kMainVote
+        w.u8(kAbbaRoundTypes[rng_.below(kAbbaRoundTypes.size())]);
         w.u32(round);
         const Bytes junk = rng_.bytes(200 + rng_.below(200));
         w.raw(BytesView(junk.data(), junk.size()));

@@ -7,6 +7,7 @@
 // party's PartyKeyShare.
 #pragma once
 
+#include <array>
 #include <functional>
 
 #include "adversary/quorum.hpp"
@@ -44,8 +45,9 @@ class SpamProcess final : public Process {
 /// Byzantine resource-exhaustion attacker (the flooder attack suite): a
 /// corrupted party spraying protocol-shaped traffic at the honest
 /// parties' buffering paths.  Each profile targets one buffer:
-///  - kAbbaRounds: far-future ABBA pre-/main-votes, which honest parties
-///    park in their deferred-round buffer until the round arrives;
+///  - kAbbaRounds: far-future ABBA round messages (BVAL, AUX, CONF, coin
+///    share), which honest parties park in their deferred-round buffer
+///    until the round arrives;
 ///  - kAbcRounds: VALIDLY SIGNED future-round atomic-broadcast batches —
 ///    the flooder holds its dealt key share, so these pass signature
 ///    verification and occupy round buffers legitimately;
@@ -67,6 +69,10 @@ class FlooderProcess final : public Process {
     kBogusTags,
     kRequests,
   };
+
+  /// The round-stamped ABBA wire types kAbbaRounds sprays: BVAL, AUX, CONF
+  /// and the coin share (protocols::Abba::MsgType).
+  static constexpr std::array<std::uint8_t, 4> kAbbaRoundTypes{0, 1, 4, 2};
 
   /// `target_tag` is the attacked instance's tag (the ABBA/ABC/PBFT tag,
   /// or the service tag for kRequests, or a prefix for kBogusTags).

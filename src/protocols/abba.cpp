@@ -1,42 +1,12 @@
 #include "protocols/abba.hpp"
 
-#include <algorithm>
-
-#include "crypto/batch.hpp"
-#include "crypto/sha256.hpp"
-
 namespace sintra::protocols {
 
-using crypto::BigInt;
 using crypto::CoinShare;
-using crypto::SigShare;
 
 namespace {
-void encode_shares(Writer& w, const std::vector<SigShare>& shares) {
-  w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
-}
-
-std::vector<SigShare> decode_shares(Reader& r) {
-  return r.vec<SigShare>([](Reader& rd) { return SigShare::decode(rd); });
-}
-
-constexpr const char* kPreVoteRefusal = "abba: pre-vote shares not the sender's units";
-
-/// Parties one of a round's per-value vote tallies counts.
-template <class Tallies>
-crypto::PartySet voted(const Tallies& tallies) {
-  crypto::PartySet set = 0;
-  for (const auto& tally : tallies) set |= tally.support();
-  return set;
-}
-
-/// True once any of a round's per-value vote tallies has counted or struck
-/// `party`: one vote per party and round, none after a proven-bad share.
-template <class Tallies>
-bool has_voted(const Tallies& tallies, int party) {
-  return std::any_of(tallies.begin(), tallies.end(),
-                     [party](const auto& tally) { return tally.seen(party); });
-}
+/// The one-value set {value}.
+constexpr std::uint8_t value_bit(int value) { return static_cast<std::uint8_t>(1 << value); }
 }  // namespace
 
 Abba::Abba(net::Party& host, std::string tag, DecideFn decide)
@@ -48,14 +18,15 @@ Abba::Abba(net::Party& host, std::string tag, DecideFn decide)
 Abba::~Abba() { host_.unregister_checkpoint(tag_); }
 
 Bytes Abba::checkpoint_save() const {
+  // Only a halted instance has pruned its WAL entries; before that the
+  // replay rebuilds everything, a decision included.
   Writer w;
   w.boolean(started_);
   w.u8(my_input_.has_value() ? (*my_input_ ? 1 : 0) : 2);
-  w.boolean(decided_);
-  if (decided_) {
+  w.boolean(halted_);
+  if (halted_) {
     w.u8(*decision_ ? 1 : 0);
     w.u32(static_cast<std::uint32_t>(decide_round_));
-    w.bytes(decide_raw_);
   }
   return w.take();
 }
@@ -65,25 +36,14 @@ void Abba::checkpoint_load(Reader& reader) {
   const std::uint8_t input = reader.u8();
   if (input <= 1) my_input_ = input == 1;
   if (reader.boolean()) {
-    decided_ = true;
+    halted_ = true;
     decision_ = reader.u8() == 1;
     decide_round_ = static_cast<int>(reader.u32());
-    decide_raw_ = reader.bytes();
     // Re-fire the decision into the rebuilt parent/harness — the WAL
     // entries that produced it may have been compacted away, so the
     // callback is the only way that state comes back.
     if (decide_) decide_(*decision_, decide_round_);
   }
-}
-
-Bytes Abba::statement(std::string_view kind, int round, std::uint8_t value) const {
-  Writer w;
-  w.str("sintra/abba");
-  w.str(tag_);
-  w.str(kind);
-  w.u32(static_cast<std::uint32_t>(round));
-  w.u8(value);
-  return w.take();
 }
 
 Bytes Abba::coin_name(int round) const {
@@ -94,6 +54,13 @@ Bytes Abba::coin_name(int round) const {
   return w.take();
 }
 
+Bytes Abba::decide_message() const {
+  Writer w;
+  w.u8(kDecide);
+  w.u8(*decision_ ? 1 : 0);
+  return w.take();
+}
+
 Abba::Round& Abba::round_state(int round) {
   return rounds_[round];
 }
@@ -101,99 +68,22 @@ Abba::Round& Abba::round_state(int round) {
 void Abba::start(bool input) {
   if (started_) {
     // At-least-once re-entry (crash-recovery replay re-runs application
-    // start calls): same input re-broadcasts INPUT, which receivers
-    // dedup via input_voted_; a flipped input would equivocate — reject.
+    // start calls): same input re-broadcasts the round-1 BVAL, which
+    // receivers dedup; a flipped input would equivocate — reject.
     SINTRA_REQUIRE(my_input_.has_value() && *my_input_ == input, "abba: conflicting re-start");
-    broadcast_input();
+    if (!halted_) send_round(kBval, 1, input ? 1 : 0);
     return;
   }
   started_ = true;
   my_input_ = input;
-  broadcast_input();
+  enter_round(1, input);
 }
 
-void Abba::broadcast_input() {
-  const bool input = *my_input_;
+void Abba::send_round(std::uint8_t type, int round, std::uint8_t value) {
   Writer w;
-  w.u8(kInput);
-  w.u8(input ? 1 : 0);
-  auto shares = host_.keys().reply_sig.sign(host_.public_keys().reply_sig,
-                                            statement("input", 0, input ? 1 : 0), host_.rng());
-  encode_shares(w, shares);
-  broadcast(w.take());
-}
-
-void Abba::on_input(int from, Reader& reader) {
-  const std::uint8_t value = reader.u8();
-  SINTRA_REQUIRE(value <= 1, "abba: bad input value");
-  auto shares = decode_shares(reader);
-  reader.expect_done();
-  if (crypto::contains(input_voted_, from)) return;  // one input per party
-  // Structural admission only: exactly the sender's own units.  The shares
-  // only feed the anchor combine, which checks its own result; a bad share
-  // costs its sender a bisection there.
-  const auto& scheme = host_.public_keys().reply_sig.scheme();
-  constexpr const char* kRefusal = "abba: input shares not the sender's units";
-  SINTRA_REQUIRE(crypto::covers_own_units(scheme, from, shares), kRefusal);
-  input_voted_ |= crypto::party_bit(from);
-  if (anchor_[value].has_value()) return;  // anchored: later shares are not needed
-  inputs_[value].admit(scheme, from, std::move(shares), kRefusal);
-  maybe_anchor(value);
-  try_first_prevote();
-}
-
-void Abba::maybe_anchor(int value) {
-  const auto& reply_pk = host_.public_keys().reply_sig;
-  if (anchor_[value].has_value() || !reply_pk.scheme().qualified(inputs_[value].support())) {
-    return;
-  }
-  // Without a signature the remaining shares are unqualified: wait for more.
-  anchor_[value] = certify(reply_pk, "input", 0, static_cast<std::uint8_t>(value), inputs_[value]);
-}
-
-std::optional<BigInt> Abba::certify(const crypto::ThresholdSigPublicKey& pk,
-                                    std::string_view kind, int round, std::uint8_t value,
-                                    VoteTally& tally) {
-  auto result = crypto::batch::combine_sig_optimistic(pk, statement(kind, round, value),
-                                                      tally.shares(), host_.rng());
-  // Byzantine sender pays: its shares leave the set for good and the party
-  // is fingered.
-  const crypto::PartySet culprits = tally.strike(pk.scheme(), result.bad);
-  if (culprits != 0) {
-    suspected_ |= culprits;
-    host_.trace("abba", tag_ + " " + std::string(kind) + " r" + std::to_string(round) + " v" +
-                            std::to_string(value) + " rejected invalid shares (suspects fingered)");
-  }
-  return std::move(result.value);
-}
-
-void Abba::try_first_prevote() {
-  if (!started_ || round_state(1).sent_prevote) return;
-  // Prefer our own input; fall back to the other value if only that one
-  // anchors (waiting for our own could deadlock when inputs are split).
-  const int mine = *my_input_ ? 1 : 0;
-  for (int v : {mine, 1 - mine}) {
-    if (anchor_[v].has_value()) {
-      send_prevote(1, v == 1, kJustAnchor, *anchor_[v]);
-      return;
-    }
-  }
-}
-
-void Abba::send_prevote(int round, bool value, Justification justification,
-                        const BigInt& evidence) {
-  Round& state = round_state(round);
-  if (state.sent_prevote) return;
-  state.sent_prevote = true;
-  Writer w;
-  w.u8(kPreVote);
+  w.u8(type);
   w.u32(static_cast<std::uint32_t>(round));
-  w.u8(value ? 1 : 0);
-  w.u8(justification);
-  evidence.encode(w);
-  auto shares = host_.keys().cert_sig.sign(host_.public_keys().cert_sig,
-                                           statement("pre", round, value ? 1 : 0), host_.rng());
-  encode_shares(w, shares);
+  w.u8(value);
   broadcast(w.take());
 }
 
@@ -203,17 +93,20 @@ void Abba::park_deferred(std::uint8_t type, int round, int from, Reader& reader)
   // each other) — drop it outright instead of parking.
   static constexpr int kDeferWindow = 64;
   if (round > current_round_ + kDeferWindow) return;
-  for (const auto& [parked_round, parked_from, parked_raw] : deferred_) {
-    if (parked_round == round && parked_from == from && !parked_raw.empty() &&
-        parked_raw[0] == type) {
-      return;  // first-per-(peer, type, round) only
-    }
-  }
   Writer w;
   w.u8(type);
   w.u32(static_cast<std::uint32_t>(round));
   w.raw(BytesView(reader.raw(reader.remaining())));
   Bytes raw = w.take();
+  // First per (peer, type, round) only; for BVAL first per value too, since
+  // an honest party sends BVAL(r, 0) and BVAL(r, 1) when it echoes the value
+  // it does not hold.
+  for (const auto& [parked_round, parked_from, parked_raw] : deferred_) {
+    if (parked_round == round && parked_from == from && parked_raw[0] == type &&
+        (type != kBval || parked_raw == raw)) {
+      return;
+    }
+  }
   const std::size_t cost = raw.size() + 16;
   auto& budget = host_.budget();
   while (!budget.try_charge(from, tag_, cost)) {
@@ -238,204 +131,188 @@ void Abba::park_deferred(std::uint8_t type, int round, int from, Reader& reader)
 }
 
 void Abba::handle(int from, Reader& reader) {
-  if (decided_) {
-    // Instance done, rounds freed.  A peer still talking missed the
-    // decision; answer once with the transferable decide certificate.
-    if (from != me() && !decide_raw_.empty() && !(helped_ & crypto::party_bit(from))) {
+  const std::uint8_t type = reader.u8();
+  if (halted_) {
+    // Instance done, rounds freed.  A peer still sending round traffic
+    // missed the decision; answer once with our DECIDE.  A peer's DECIDE
+    // needs no answer: ours went out when we decided.
+    if (from != me() && type != kDecide && !crypto::contains(helped_, from)) {
       helped_ |= crypto::party_bit(from);
-      host_.send(from, tag_, Bytes(decide_raw_));
+      send(from, decide_message());
     }
     return;
   }
-  const std::uint8_t type = reader.u8();
   switch (type) {
-    case kInput: return on_input(from, reader);
-    case kPreVote: return on_prevote(from, reader);
-    case kMainVote: return on_mainvote(from, reader);
-    case kCoinShare: return on_coin_share(from, reader);
+    case kBval:
+    case kAux:
+    case kConf:
+    case kCoinShare: return on_round_message(type, from, reader);
     case kCoinVerdict: return on_coin_verdict(from, reader);
     case kDecide: return on_decide(from, reader);
     default: throw ProtocolError("abba: unknown message type");
   }
 }
 
-void Abba::on_prevote(int from, Reader& reader) {
+void Abba::on_round_message(std::uint8_t type, int from, Reader& reader) {
   const int round = static_cast<int>(reader.u32());
   SINTRA_REQUIRE(round >= 1 && round < 1 << 20, "abba: implausible round");
   if (round > current_round_ + 1) {
     // Far ahead of us; park the whole message (budget-bounded, farthest-
     // future evicted first) until we catch up.
-    return park_deferred(kPreVote, round, from, reader);
+    return park_deferred(type, round, from, reader);
   }
-  const std::uint8_t value_byte = reader.u8();
-  SINTRA_REQUIRE(value_byte <= 1, "abba: bad pre-vote value");
-  const bool value = value_byte == 1;
-  const auto justification = static_cast<Justification>(reader.u8());
-  const BigInt evidence = BigInt::decode(reader);
-  auto shares = decode_shares(reader);
-  reader.expect_done();
-
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  if (has_voted(round_state(round).prevotes, from)) return;
-  // Structure first (exactly the sender's units), so a vote parked for the
-  // coin below cannot fail later; the shares themselves are checked only
-  // through sigma_pre.
-  SINTRA_REQUIRE(crypto::covers_own_units(cert_pk.scheme(), from, shares), kPreVoteRefusal);
-  if (round == 1) {
-    SINTRA_REQUIRE(justification == kJustAnchor, "abba: round-1 pre-vote must be anchored");
-    SINTRA_REQUIRE(
-        host_.public_keys().reply_sig.verify(statement("input", 0, value_byte), evidence),
-        "abba: bad input anchor");
-  } else if (justification == kJustHard) {
-    SINTRA_REQUIRE(cert_pk.verify(statement("pre", round - 1, value_byte), evidence),
-                   "abba: bad hard justification");
-  } else if (justification == kJustCoin) {
-    SINTRA_REQUIRE(cert_pk.verify(statement("main", round - 1, kAbstain), evidence),
-                   "abba: bad abstain certificate");
-    Round& prev = round_state(round - 1);
-    if (!prev.coin.has_value()) {
-      prev.deferred_coin_prevotes.emplace_back(from, value, std::move(shares));
-      return;
-    }
-    SINTRA_REQUIRE(*prev.coin == value, "abba: coin pre-vote contradicts coin");
+  if (type == kCoinShare) {
+    on_coin_share(round, from, reader);
   } else {
-    throw ProtocolError("abba: bad justification kind");
-  }
-  accept_prevote(round, from, value, std::move(shares));
-}
-
-void Abba::accept_prevote(int round, int from, bool value, std::vector<SigShare> shares) {
-  Round& state = round_state(round);
-  if (has_voted(state.prevotes, from)) return;
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  const int v = value ? 1 : 0;
-  state.prevotes[v].admit(cert_pk.scheme(), from, std::move(shares), kPreVoteRefusal);
-  // Combine-then-verify sigma_pre(round, v) as soon as a full quorum
-  // supports v, before maybe_mainvote looks at the tally: a unanimous
-  // quorum then always has its certificate.
-  if (!state.sigma_pre[v].has_value() && cert_pk.scheme().qualified(state.prevotes[v].support())) {
-    state.sigma_pre[v] =
-        certify(cert_pk, "pre", round, static_cast<std::uint8_t>(v), state.prevotes[v]);
-  }
-  maybe_mainvote(round);
-}
-
-void Abba::maybe_mainvote(int round) {
-  Round& state = round_state(round);
-  if (state.sent_mainvote || !quorum().is_quorum(voted(state.prevotes))) return;
-  state.sent_mainvote = true;
-
-  std::uint8_t vote = kAbstain;
-  std::optional<BigInt> evidence;
-  if (state.prevotes[0].support() != 0 && state.prevotes[1].support() != 0) {
-    vote = kAbstain;  // conflicting pre-votes seen
-  } else {
-    const int v = state.prevotes[1].support() != 0 ? 1 : 0;
-    SINTRA_INVARIANT(state.sigma_pre[v].has_value(),
-                     "abba: unanimous quorum but no combined certificate");
-    vote = static_cast<std::uint8_t>(v);
-    evidence = state.sigma_pre[v];
-  }
-
-  Writer w;
-  w.u8(kMainVote);
-  w.u32(static_cast<std::uint32_t>(round));
-  w.u8(vote);
-  if (vote != kAbstain) evidence->encode(w);
-  auto shares = host_.keys().cert_sig.sign(host_.public_keys().cert_sig,
-                                           statement("main", round, vote), host_.rng());
-  encode_shares(w, shares);
-  broadcast(w.take());
-}
-
-void Abba::on_mainvote(int from, Reader& reader) {
-  const int round = static_cast<int>(reader.u32());
-  SINTRA_REQUIRE(round >= 1 && round < 1 << 20, "abba: implausible round");
-  if (round > current_round_ + 1) {
-    return park_deferred(kMainVote, round, from, reader);
-  }
-  const std::uint8_t vote = reader.u8();
-  SINTRA_REQUIRE(vote <= kAbstain, "abba: bad main-vote value");
-  std::optional<BigInt> sigma_pre;
-  if (vote != kAbstain) sigma_pre = BigInt::decode(reader);
-  auto shares = decode_shares(reader);
-  reader.expect_done();
-  Round& state = round_state(round);
-  if (has_voted(state.mainvotes, from)) return;
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  constexpr const char* kRefusal = "abba: main-vote shares not the sender's units";
-  SINTRA_REQUIRE(crypto::covers_own_units(cert_pk.scheme(), from, shares), kRefusal);
-  if (vote != kAbstain) {
-    SINTRA_REQUIRE(cert_pk.verify(statement("pre", round, vote), *sigma_pre),
-                   "abba: main-vote without valid pre-vote certificate");
-    if (!state.sigma_pre[vote].has_value()) state.sigma_pre[vote] = std::move(sigma_pre);
-  }
-  state.mainvotes[vote].admit(cert_pk.scheme(), from, std::move(shares), kRefusal);
-
-  // Decision check runs on *every* arrival (not only at round close): the
-  // first quorum of main-votes may mix corrupted abstains with honest
-  // value votes, and the unanimous certificate only completes later.
-  if (vote != kAbstain && cert_pk.scheme().qualified(state.mainvotes[vote].support())) {
-    auto sigma_main = certify(cert_pk, "main", round, vote, state.mainvotes[vote]);
-    if (sigma_main.has_value()) {
-      decide(vote == 1, round, *sigma_main);
-      return;
+    const std::uint8_t value = reader.u8();
+    reader.expect_done();
+    if (type == kConf) {
+      SINTRA_REQUIRE(value >= 1 && value <= kBoth, "abba: bad CONF set");
+      on_conf(round, from, value);
+    } else {
+      SINTRA_REQUIRE(value <= 1, "abba: bad vote value");
+      if (type == kBval) {
+        on_bval(round, from, value);
+      } else {
+        on_aux(round, from, value);
+      }
     }
   }
-  maybe_close_round(round);
 }
 
-void Abba::maybe_close_round(int round) {
+void Abba::on_bval(int round, int from, int value) {
   Round& state = round_state(round);
-  if (state.round_closed || !quorum().is_quorum(voted(state.mainvotes))) return;
-  // Some main-vote carried a value (and its verified sigma_pre): adopt it
-  // with hard justification.
-  for (int v = 0; v < 2; ++v) {
-    if (state.mainvotes[v].support() != 0) {
-      SINTRA_INVARIANT(state.sigma_pre[v].has_value(), "abba: value main-vote lost its cert");
-      state.round_closed = true;
-      release_coin(round);
-      advance(round + 1, v == 1, kJustHard, *state.sigma_pre[v]);
-      return;
+  crypto::PartySet& senders = state.bval_from[value];
+  if (crypto::contains(senders, from)) return;
+  senders |= crypto::party_bit(from);
+  if (!state.bval_sent[value] && quorum().exceeds_fault_set(senders)) {
+    state.bval_sent[value] = true;
+    send_round(kBval, round, static_cast<std::uint8_t>(value));
+  }
+  if ((state.bin_values & value_bit(value)) != 0 || !quorum().is_quorum(senders)) return;
+  state.bin_values |= value_bit(value);
+  if (state.first_bin < 0) state.first_bin = value;
+  progress(round);
+}
+
+void Abba::on_aux(int round, int from, int value) {
+  Round& state = round_state(round);
+  if (crypto::contains(state.aux_from[0] | state.aux_from[1], from)) return;
+  state.aux_from[value] |= crypto::party_bit(from);
+  progress(round);
+}
+
+void Abba::on_conf(int round, int from, Values values) {
+  Round& state = round_state(round);
+  crypto::PartySet seen = 0;
+  for (crypto::PartySet senders : state.conf_from) seen |= senders;
+  if (crypto::contains(seen, from)) return;
+  state.conf_from[values] |= crypto::party_bit(from);
+  progress(round);
+}
+
+void Abba::progress(int round) {
+  if (!started_ || halted_ || round != current_round_) return;
+  Round& state = round_state(round);
+  if (state.finished || state.bin_values == 0) return;
+  if (!state.aux_sent) {
+    state.aux_sent = true;
+    send_round(kAux, round, static_cast<std::uint8_t>(state.first_bin));
+  }
+  if (!state.conf_sent) {
+    crypto::PartySet senders = 0;
+    Values aux_vals = 0;
+    for (int value = 0; value < 2; ++value) {
+      if ((state.bin_values & value_bit(value)) == 0 || state.aux_from[value] == 0) continue;
+      senders |= state.aux_from[value];
+      aux_vals |= value_bit(value);
+    }
+    if (!quorum().is_quorum(senders)) return;
+    state.conf_sent = true;
+    send_round(kConf, round, aux_vals);
+  }
+  if (!state.vals.has_value()) {
+    crypto::PartySet senders = 0;
+    Values vals = 0;
+    for (Values set = 1; set <= kBoth; ++set) {
+      if ((set & ~state.bin_values) != 0 || state.conf_from[set] == 0) continue;
+      senders |= state.conf_from[set];
+      vals |= set;
+    }
+    if (!quorum().is_quorum(senders)) return;
+    state.vals = vals;
+    if (round % 3 == 0) {
+      Writer w;
+      w.u8(kCoinShare);
+      w.u32(static_cast<std::uint32_t>(round));
+      auto shares =
+          host_.keys().coin.share(host_.public_keys().coin, coin_name(round), host_.rng());
+      w.vec(shares, [&](Writer& wr, const CoinShare& s) {
+        s.encode(wr, host_.public_keys().coin.group());
+      });
+      broadcast(w.take());
     }
   }
-  // All abstained: the round closes (and the coin share goes out) only once
-  // the abstain certificate has combined; after a struck vote the round
-  // waits for another abstain.
-  if (!state.sigma_main_abstain.has_value()) {
-    state.sigma_main_abstain =
-        certify(host_.public_keys().cert_sig, "main", round, kAbstain, state.mainvotes[kAbstain]);
-    if (!state.sigma_main_abstain.has_value()) return;
-  }
-  state.round_closed = true;
-  release_coin(round);
-  if (state.coin.has_value()) {
-    advance(round + 1, *state.coin, kJustCoin, *state.sigma_main_abstain);
-  } else {
-    state.waiting_for_coin = true;
+  if (const auto coin = coin_of(round); coin.has_value()) finish_round(round, *coin);
+}
+
+std::optional<bool> Abba::coin_of(int round) const {
+  switch (round % 3) {
+    case 1: return true;
+    case 2: return false;
+    default: {
+      const auto it = rounds_.find(round);
+      return it == rounds_.end() ? std::nullopt : it->second.coin;
+    }
   }
 }
 
-void Abba::release_coin(int round) {
+void Abba::finish_round(int round, bool coin) {
   Round& state = round_state(round);
-  if (state.coin_released) return;
-  state.coin_released = true;
-  Writer w;
-  w.u8(kCoinShare);
-  w.u32(static_cast<std::uint32_t>(round));
-  auto shares = host_.keys().coin.share(host_.public_keys().coin, coin_name(round), host_.rng());
-  w.vec(shares, [&](Writer& wr, const CoinShare& s) {
-    s.encode(wr, host_.public_keys().coin.group());
-  });
-  broadcast(w.take());
+  state.finished = true;
+  const Values vals = *state.vals;
+  const bool est = vals == kBoth ? coin : vals == value_bit(1);
+  if (vals != kBoth && est == coin) decide(est, round);
+  enter_round(round + 1, est);
 }
 
-void Abba::on_coin_share(int from, Reader& reader) {
-  const int round = static_cast<int>(reader.u32());
-  SINTRA_REQUIRE(round >= 1 && round < 1 << 20, "abba: implausible round");
-  if (round > current_round_ + 1) {
-    return park_deferred(kCoinShare, round, from, reader);
+void Abba::enter_round(int round, bool est) {
+  if (round > current_round_) {
+    current_round_ = round;
+    host_.trace("abba", tag_ + " advancing to round " + std::to_string(round));
   }
+  Round& state = round_state(round);
+  if (!state.bval_sent[est ? 1 : 0]) {
+    state.bval_sent[est ? 1 : 0] = true;
+    send_round(kBval, round, est ? 1 : 0);
+  }
+
+  // Replay parked far-future messages that are now in range (their budget
+  // charge is released as they leave the buffer; re-parked entries keep
+  // theirs).  Parked messages were never validated — a bad one is dropped
+  // without disturbing the rest.
+  auto parked = std::move(deferred_);
+  deferred_.clear();
+  for (auto& [msg_round, from, raw] : parked) {
+    if (halted_) break;  // halt() already released every charge
+    if (msg_round <= current_round_ + 1) {
+      host_.budget().release(from, tag_, raw.size() + 16);
+      try {
+        Reader reader(raw);
+        handle(from, reader);
+      } catch (const ProtocolError& error) {
+        host_.trace("abba", tag_ + " dropped parked message from " + std::to_string(from) +
+                                ": " + error.what());
+      }
+    } else {
+      deferred_.emplace_back(msg_round, from, std::move(raw));
+    }
+  }
+  progress(round);
+}
+
+void Abba::on_coin_share(int round, int from, Reader& reader) {
+  SINTRA_REQUIRE(round % 3 == 0, "abba: coin share for a constant-coin round");
   const auto& coin_pk = host_.public_keys().coin;
   auto shares = reader.vec<CoinShare>(
       [&](Reader& r) { return CoinShare::decode(r, coin_pk.group()); });
@@ -467,103 +344,56 @@ void Abba::on_coin_verdict(int from, Reader& reader) {
       from, reader, host_.public_keys().coin.scheme(), suspected_,
       [&](Reader& r) -> auto& {
         round = static_cast<int>(r.u32());
-        SINTRA_REQUIRE(round >= 1 && round < 1 << 20, "abba: implausible verdict round");
+        SINTRA_REQUIRE(round >= 1 && round < 1 << 20 && round % 3 == 0,
+                       "abba: implausible verdict round");
         return round_state(round).coin_shares;
       },
       [&] { maybe_combine_coin(round); });
-  if (coin_value.has_value()) adopt_coin(round, *coin_value);
-}
-
-void Abba::adopt_coin(int round, BytesView value) {
+  if (!coin_value.has_value()) return;
   Round& state = round_state(round);
-  state.coin = crypto::CoinPublicKey::coin_bit(value);
+  state.coin = crypto::CoinPublicKey::coin_bit(*coin_value);
+  state.coin_shares.release_shares();
   host_.trace("abba", tag_ + " coin r" + std::to_string(round) + " = " +
                           std::to_string(static_cast<int>(*state.coin)));
-
-  // Validate pre-votes that were waiting on this coin.
-  auto deferred = std::move(state.deferred_coin_prevotes);
-  state.deferred_coin_prevotes.clear();
-  for (auto& [from, value_bit, shares] : deferred) {
-    if (value_bit != *state.coin) continue;  // contradiction: drop
-    if (!decided_) accept_prevote(round + 1, from, value_bit, std::move(shares));
-  }
-  if (state.waiting_for_coin && !decided_) {
-    state.waiting_for_coin = false;
-    SINTRA_INVARIANT(state.sigma_main_abstain.has_value(), "abba: coin wait without cert");
-    advance(round + 1, *state.coin, kJustCoin, *state.sigma_main_abstain);
-  }
-}
-
-void Abba::advance(int round, bool value, Justification justification, const BigInt& evidence) {
-  if (decided_) return;
-  if (round > current_round_) {
-    current_round_ = round;
-    host_.trace("abba", tag_ + " advancing to round " + std::to_string(round));
-  }
-  send_prevote(round, value, justification, evidence);
-
-  // Replay parked far-future messages that are now in range (their budget
-  // charge is released as they leave the buffer; re-parked entries keep
-  // theirs).  Parked messages were never validated — a bad one is dropped
-  // without disturbing the rest.
-  auto parked = std::move(deferred_);
-  deferred_.clear();
-  for (auto& [msg_round, from, raw] : parked) {
-    if (decided_) break;  // decide() already released every charge
-    if (msg_round <= current_round_ + 1) {
-      host_.budget().release(from, tag_, raw.size() + 16);
-      try {
-        Reader reader(raw);
-        handle(from, reader);
-      } catch (const ProtocolError&) {
-      }
-    } else {
-      deferred_.emplace_back(msg_round, from, std::move(raw));
-    }
-  }
+  progress(round);
 }
 
 void Abba::on_decide(int from, Reader& reader) {
-  (void)from;
-  const int round = static_cast<int>(reader.u32());
   const std::uint8_t value = reader.u8();
   SINTRA_REQUIRE(value <= 1, "abba: bad decide value");
-  BigInt sigma = BigInt::decode(reader);
   reader.expect_done();
-  SINTRA_REQUIRE(host_.public_keys().cert_sig.verify(statement("main", round, value), sigma),
-                 "abba: bad decide certificate");
-  decide(value == 1, round, sigma);
+  if (crypto::contains(decide_from_[0] | decide_from_[1], from)) return;  // one per party
+  const crypto::PartySet senders = decide_from_[value] |= crypto::party_bit(from);
+  // Beyond a fault set, an honest party decided this value: adopt it.
+  if (!decision_.has_value() && quorum().exceeds_fault_set(senders)) {
+    decide(value == 1, current_round_);
+  }
+  if (decision_ == (value == 1) && quorum().is_quorum(senders)) halt();
 }
 
-void Abba::decide(bool value, int round, const BigInt& sigma_main) {
-  if (decided_) return;
-  decided_ = true;
+void Abba::decide(bool value, int round) {
+  if (decision_.has_value()) return;
   decision_ = value;
   decide_round_ = round;
-  Writer w;
-  w.u8(kDecide);
-  w.u32(static_cast<std::uint32_t>(round));
-  w.u8(value ? 1 : 0);
-  sigma_main.encode(w);
-  decide_raw_ = w.take();
-  broadcast(decide_raw_);
+  broadcast(decide_message());
   host_.trace("abba", tag_ + " decided " + std::to_string(static_cast<int>(value)) +
                           " in round " + std::to_string(round));
-  // Instance GC: the transferable decide certificate (kept in decide_raw_)
-  // subsumes every tally, share and parked message — free them now.  Safe
-  // inline: no caller touches round state after decide() returns (audited:
-  // on_mainvote returns immediately, on_decide holds no Round reference,
-  // and maybe_combine_coin's chain cannot reach decide()).
+  if (decide_) decide_(value, round);
+}
+
+void Abba::halt() {
+  halted_ = true;
+  // Instance GC: every honest party will decide from the DECIDEs already
+  // sent, so no round state, share or parked message is needed any more.
   rounds_.clear();
   deferred_.clear();
-  for (VoteTally& tally : inputs_) tally.release_shares();
   host_.budget().release_instance(tag_);
   if (compaction_) {
     // WAL compaction: the checkpoint carries the decision across restarts,
     // so replaying this instance's message history is dead weight.
     host_.prune_wal(tag_, [](const net::Message&) { return true; });
   }
-  if (decide_) decide_(value, round);
+  host_.trace("abba", tag_ + " halted");
 }
 
 }  // namespace sintra::protocols

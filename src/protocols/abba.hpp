@@ -1,53 +1,52 @@
-// ABBA — asynchronous binary Byzantine agreement in the style of Cachin,
-// Kursawe & Shoup (PODC 2000): randomized, optimal resilience (n > 3t /
-// Q³), expected constant rounds, constant-size messages via threshold
-// signatures, powered by the Diffie–Hellman threshold coin.
+// ABBA — asynchronous binary Byzantine agreement: the signature-free
+// protocol of Mostéfaoui, Moumen & Raynal (JACM 2015) with its CONF phase,
+// its thresholds generalised to Q³ adversary structures as Alpos & Cachin
+// do ("t + 1" is exceeds_fault_set, "n − t" is is_quorum).  Optimal
+// resilience, expected constant rounds, O(n²) messages per phase, and the
+// common coin is the only threshold cryptography it uses.
 //
-// Round structure (r = 1, 2, ...):
+// Round r (r = 1, 2, ...) starts from an estimate est (round 1: the input):
 //
-//  INPUT(v): each party opens by broadcasting signature shares (under the
-//  "beyond one fault set" scheme) on its proposal.  A value v is *anchored*
-//  once shares from a fault-set-exceeding set combine into sigma_input(v) —
-//  proof that at least one honest party proposed v.  Q³ guarantees that
-//  among the honest parties at least one value anchors.
+//  BVAL: send BVAL(r, est).  Echo BVAL(r, b) once its senders exceed a fault
+//  set (one of them is honest); admit b to bin_values(r) once they form a
+//  quorum.  So only a value some honest party held as its estimate ever
+//  enters bin_values.
 //
-//  PRE-VOTE(r, v): justified by
-//    - sigma_input(v) for r = 1 (so corrupted parties cannot inject a
-//      value no honest party proposed — this is what gives validity);
-//    - HARD:  sigma_pre(r-1, v), a threshold signature proving a full
-//             quorum pre-voted v in round r-1 (obtained from a main-vote);
-//    - COIN:  sigma_main(r-1, abstain), a threshold signature proving a
-//             full quorum main-voted abstain in r-1, AND v equals the
-//             round-(r-1) coin (checked lazily once the coin is known).
+//  AUX: when bin_values first becomes non-empty, send AUX(r, w) for that
+//  first value w.  Wait until the AUX senders whose value lies in
+//  bin_values form a quorum; their values are aux_vals.
 //
-//  MAIN-VOTE(r): after accepting pre-votes from a full quorum:
-//    - v        if all accepted pre-votes were for v; carries
-//               sigma_pre(r, v) combined from their signature shares;
-//    - abstain  otherwise (no justification needed: an abstain
-//               *certificate* requires a quorum of abstain shares, which
-//               cannot form unless honest parties genuinely abstained).
+//  CONF: send CONF(r, aux_vals).  Wait until the CONF senders whose set lies
+//  in bin_values form a quorum; the union of their sets is vals.
 //
-//  End of round: release the round-r coin share.  After main-votes from a
-//  full quorum:
-//    - all v        -> DECIDE v, broadcast sigma_main(r, v);
-//    - some v       -> pre-vote v in r+1 with HARD justification;
-//    - all abstain  -> wait for the coin, pre-vote coin(r) with COIN
-//                      justification.
+//  Coin: s(r) is the constant 1 in rounds 1, 4, 7, ..., the constant 0 in
+//  rounds 2, 5, 8, ..., and the Diffie–Hellman threshold coin in rounds 3,
+//  6, 9, ...; a party releases its coin share only after the CONF wait.
 //
-//  DECIDE(r, v, sigma_main(r, v)) is transferable: any party accepting it
-//  decides, re-broadcasts it once, and halts.
+//  If vals = {v}: est = v, and v is decided when v = s(r).  Otherwise
+//  est = s(r).
 //
-// Why validity holds: if every honest party proposes v, then ~v never
-// anchors, so every accepted round-1 pre-vote is v, every honest main-vote
-// is v, no abstain certificate can form, and neither a ~v hard
-// justification nor a ~v coin pre-vote is ever valid; v is decided as soon
-// as the honest main-votes accumulate.
-// Why agreement holds: two quorums intersect in an honest party, so
-// sigma_pre(r, 0) and sigma_pre(r, 1) cannot coexist, and after a decision
-// for v neither a ~v hard justification nor an abstain certificate can
-// form.  Why termination is expected-constant: each round, either all
-// honest parties adopt the coin (unanimous next round), or a unique hard
-// value exists and the unpredictable coin matches it with probability 1/2.
+// DECIDE, Bracha-style: a party that decides broadcasts DECIDE(v).
+// DECIDE(v) from a set exceeding a fault set is adopted as the decision
+// (an honest party decided v) and echoed; DECIDE(v) from a quorum halts the
+// instance, which frees its rounds and answers a peer still sending round
+// traffic with one DECIDE.  Until it halts a decided party keeps running
+// rounds.
+//
+// Why agreement holds: two quorums meet in an honest party, which sends
+// one CONF per round, so no two honest parties end a round with vals {0}
+// and {1}.  When one decides v (vals {v}, s(r) = v), every other honest
+// party leaves the round with est = v, from vals {v} or from the coin;
+// from then on ~v never enters bin_values again.
+// Why validity holds: if every honest party starts with v, ~v never enters
+// bin_values, so every vals is {v} and v is decided in round 1 or 2.
+// Why termination is expected-constant: the only value that can end a
+// round as some party's singleton vals is fixed by the honest CONF sets
+// before any honest coin share goes out (the CONF phase is what defeats
+// MacBrough's attack, which times the coin against the CONF-less
+// protocol).  In a threshold-coin round the coin matches that value with
+// probability 1/2; then every honest estimate agrees, and one of the next
+// two constant-coin rounds decides it.
 #pragma once
 
 #include <array>
@@ -65,14 +64,24 @@ class Abba final : public ProtocolInstance {
   /// experiments (E2).
   using DecideFn = std::function<void(bool value, int round)>;
 
+  /// Wire type bytes; BVAL, AUX, CONF and the coin share carry a round.
+  enum MsgType : std::uint8_t {
+    kBval = 0,
+    kAux = 1,
+    kCoinShare = 2,
+    kDecide = 3,
+    kConf = 4,
+    kCoinVerdict = 5,  ///< self-message: off-loop coin batch-verify result
+  };
+
   Abba(net::Party& host, std::string tag, DecideFn decide);
   ~Abba() override;
 
-  /// Re-entry with the same input re-broadcasts INPUT (crash-recovery
-  /// replay); a flipped input throws.
+  /// Re-entry with the same input re-broadcasts the round-1 BVAL
+  /// (crash-recovery replay); a flipped input throws.
   void start(bool input);
 
-  /// WAL compaction (opt-in): once decided, this instance's WAL entries
+  /// WAL compaction (opt-in): once halted, this instance's WAL entries
   /// are pruned — the registered checkpoint carries the decision across a
   /// restart instead of a full message replay.  Only sound for instances
   /// that exist when Party::restore runs (factory-built, not lazily
@@ -80,11 +89,8 @@ class Abba final : public ProtocolInstance {
   /// and the pruned entries could not be replayed either).
   void enable_compaction() { compaction_ = true; }
 
-  [[nodiscard]] bool decided() const { return decided_; }
-  [[nodiscard]] std::optional<bool> decision() const { return decision_; }
-
-  /// Parties caught sending well-formed-but-invalid input, pre-vote,
-  /// main-vote or coin shares (fingered by the batch verifier's bisection).
+  /// Parties caught sending well-formed-but-invalid coin shares (fingered
+  /// by the batch verifier's bisection).
   [[nodiscard]] crypto::PartySet suspected() const { return suspected_; }
 
   /// Introspection for the memory-budget tests.
@@ -92,101 +98,70 @@ class Abba final : public ProtocolInstance {
   [[nodiscard]] std::size_t deferred_count() const { return deferred_.size(); }
 
  private:
-  enum MsgType : std::uint8_t {
-    kInput = 4,
-    kPreVote = 0,
-    kMainVote = 1,
-    kCoinShare = 2,
-    kDecide = 3,
-    kCoinVerdict = 5,  ///< self-message: off-loop coin batch-verify result
-  };
-  enum Justification : std::uint8_t { kJustAnchor = 0, kJustHard = 1, kJustCoin = 2 };
-  static constexpr std::uint8_t kAbstain = 2;
+  /// A set of binary values as a bit mask: bit b stands for value b.
+  using Values = std::uint8_t;
+  static constexpr Values kBoth = 3;
 
-  using VoteTally = crypto::ShareTally<crypto::SigShare>;
-
-  // Vote shares are admitted on structure alone (exactly the sender's
-  // units), one tally per value, and checked only through the certificate
-  // they combine into.  A party has voted when one of the round's tallies
-  // counts it, and may not vote again once any of them has seen it: a
-  // sender whose share breaks a combine loses its vote for the round, for
-  // either value.
   struct Round {
-    // Pre-votes.
-    std::array<VoteTally, 2> prevotes;
-    std::array<std::optional<crypto::BigInt>, 2> sigma_pre;  ///< combined cert per value
-    bool sent_prevote = false;
-    // Main-votes.
-    std::array<VoteTally, 3> mainvotes;
-    std::optional<crypto::BigInt> sigma_main_abstain;
-    bool sent_mainvote = false;
-    bool round_closed = false;  ///< certified main-vote quorum processed
-    bool waiting_for_coin = false;
-    // Coin.  Shares are buffered after structural checks only; the NIZK
-    // batch verification + combine runs off-loop (offload_combine) and
-    // reports back as a kCoinVerdict self-message.
-    bool coin_released = false;
+    std::array<crypto::PartySet, 2> bval_from{};  ///< senders of BVAL(r, b)
+    std::array<bool, 2> bval_sent{};
+    Values bin_values = 0;
+    int first_bin = -1;                           ///< the value AUX carries
+    std::array<crypto::PartySet, 2> aux_from{};   ///< by AUX value; one per sender
+    std::array<crypto::PartySet, 4> conf_from{};  ///< by CONF set; one per sender
+    bool aux_sent = false;
+    bool conf_sent = false;
+    std::optional<Values> vals;  ///< set once the CONF wait is over
+    bool finished = false;
+    // Threshold coin (rounds 3, 6, ...).  Shares are buffered after
+    // structural checks only; the NIZK batch verification + combine runs
+    // off-loop (offload_combine) and reports back as a kCoinVerdict
+    // self-message.
     crypto::ShareTally<crypto::CoinShare> coin_shares;
     std::optional<bool> coin;
-    /// COIN-justified pre-votes for round r+1 awaiting this round's coin:
-    /// (voter, value, cert-signature shares); evidence already verified.
-    std::vector<std::tuple<int, bool, std::vector<crypto::SigShare>>> deferred_coin_prevotes;
   };
 
   void handle(int from, Reader& reader) override;
+  void on_round_message(std::uint8_t type, int from, Reader& reader);
   void park_deferred(std::uint8_t type, int round, int from, Reader& reader);
   [[nodiscard]] Bytes checkpoint_save() const;
   void checkpoint_load(Reader& reader);
-  void broadcast_input();
-  void on_input(int from, Reader& reader);
-  void maybe_anchor(int value);
-  /// Combine-then-verify `tally` into the signature on statement(kind,
-  /// round, value).  Senders of bad shares are struck from the tally and
-  /// fingered; nullopt means the rest is not (yet) qualified.
-  std::optional<crypto::BigInt> certify(const crypto::ThresholdSigPublicKey& pk,
-                                        std::string_view kind, int round, std::uint8_t value,
-                                        VoteTally& tally);
-  void try_first_prevote();
-  void on_prevote(int from, Reader& reader);
-  void on_mainvote(int from, Reader& reader);
-  void on_coin_share(int from, Reader& reader);
+
+  void on_bval(int round, int from, int value);
+  void on_aux(int round, int from, int value);
+  void on_conf(int round, int from, Values values);
+  void on_coin_share(int round, int from, Reader& reader);
   void on_coin_verdict(int from, Reader& reader);
   void on_decide(int from, Reader& reader);
 
-  void accept_prevote(int round, int from, bool value, std::vector<crypto::SigShare> shares);
-  void maybe_mainvote(int round);
-  void maybe_close_round(int round);
-  void release_coin(int round);
+  void send_round(std::uint8_t type, int round, std::uint8_t value);
+  /// Runs the current round's AUX, CONF and coin steps as far as the
+  /// messages received allow.
+  void progress(int round);
+  void finish_round(int round, bool coin);
+  void enter_round(int round, bool est);
   void maybe_combine_coin(int round);
-  void adopt_coin(int round, BytesView value);
-  void advance(int round, bool value, Justification justification,
-               const crypto::BigInt& evidence);
-  void send_prevote(int round, bool value, Justification justification,
-                    const crypto::BigInt& evidence);
-  void decide(bool value, int round, const crypto::BigInt& sigma_main);
+  [[nodiscard]] std::optional<bool> coin_of(int round) const;
+  void decide(bool value, int round);
+  void halt();
 
-  [[nodiscard]] Bytes statement(std::string_view kind, int round, std::uint8_t value) const;
+  [[nodiscard]] Bytes decide_message() const;
   [[nodiscard]] Bytes coin_name(int round) const;
   Round& round_state(int round);
 
   DecideFn decide_;
   bool started_ = false;
-  bool decided_ = false;
+  bool halted_ = false;
   bool compaction_ = false;
   std::optional<bool> decision_;
   int decide_round_ = 0;
   std::optional<bool> my_input_;
-  // Input anchoring.  A sender whose input share breaks the anchor stays
-  // in input_voted_: its input is spent, only its shares go.
-  crypto::PartySet input_voted_ = 0;
-  std::array<VoteTally, 2> inputs_;
-  std::array<std::optional<crypto::BigInt>, 2> anchor_;
   int current_round_ = 1;
   std::map<int, Round> rounds_;
   std::vector<std::tuple<int, int, Bytes>> deferred_;  ///< (round, from, raw) for far-future rounds
-  Bytes decide_raw_;  ///< the kDecide broadcast (responder + checkpoint material)
-  crypto::PartySet helped_ = 0;     ///< peers already re-sent the decide cert
-  crypto::PartySet suspected_ = 0;  ///< proven bad-share senders
+  std::array<crypto::PartySet, 2> decide_from_{};  ///< by DECIDE value; one per sender
+  crypto::PartySet helped_ = 0;     ///< peers already re-sent the DECIDE
+  crypto::PartySet suspected_ = 0;  ///< proven bad coin-share senders
 };
 
 }  // namespace sintra::protocols

@@ -194,10 +194,14 @@ void AtomicBroadcast::handle(int from, Reader& reader) {
   // unless a proposal already carried these exact bytes for this round.
   if (existing == rounds_.end() || !existing->second.verified.contains(digest)) {
     ++entries_checked_;
-    SINTRA_REQUIRE(crypto::batch::verify_sig_shares(cert_pk,
-                                                    batch_statement(round, from, payload_block),
-                                                    entry.shares, host_.rng()),
-                   "abc: invalid batch signature");
+    if (!crypto::batch::verify_sig_shares(cert_pk, batch_statement(round, from, payload_block),
+                                          entry.shares, host_.rng())) {
+      // The link authenticates the sender of a direct batch, so its bad
+      // shares are its own.  (An entry inside a VBA proposal proves
+      // nothing about its party: the proposer can forge it.)
+      suspected_ |= crypto::party_bit(from);
+      throw ProtocolError("abc: invalid batch signature");
+    }
   }
 
   // Even validly signed future batches are budget-metered: a corrupted

@@ -67,6 +67,8 @@ class AtomicBroadcast final : public ProtocolInstance {
   [[nodiscard]] std::uint64_t entries_checked() const { return entries_checked_; }
   /// Batch-sets the validity predicate rejected.
   [[nodiscard]] std::uint64_t batch_sets_rejected() const { return batch_sets_rejected_; }
+  /// Parties that sent this party a batch whose signature shares failed.
+  [[nodiscard]] crypto::PartySet suspected() const { return suspected_; }
 
   /// Turn on certified checkpoints: after every `interval` completed
   /// rounds the parties threshold-sign (round, delivered-count, delivery
@@ -181,6 +183,7 @@ class AtomicBroadcast final : public ProtocolInstance {
   std::map<int, CkptPending> ckpts_;      ///< rounds with shares in flight
   std::uint64_t entries_checked_ = 0;
   std::uint64_t batch_sets_rejected_ = 0;
+  crypto::PartySet suspected_ = 0;
   /// VBA instances awaiting destruction: a Vba must never be destroyed
   /// from inside its own callback chain, so GC parks them here and the
   /// next handle() entry (outside any Vba handler) flushes the list.

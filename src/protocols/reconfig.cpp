@@ -577,7 +577,9 @@ void Reconfig::maybe_conclude() {
   // Fingered = seen by some first-quorum verdict and judged INVALID there.
   // A dealing that merely arrived after the verdicts were cast is excluded
   // from this epoch, but lateness is not evidence: its dealer stays clean.
-  crypto::PartySet suspected = 0;
+  // So is a member that sent this one a badly signed batch: with a wrong
+  // certificate-key share its dealing is never ordered at all.
+  crypto::PartySet suspected = abc_.suspected();
   for (const Verdict& v : verdicts_) suspected |= v.seen & ~v.valid;
   // Keep only the applied dealings, in ABC order (join packages need them).
   std::erase_if(dealings_, [&](const Dealing& d) { return !crypto::contains(applied, d.dealer); });

@@ -158,7 +158,9 @@ struct ReconfigResult {
   bool share_valid = false;
   /// New shares (new_slot >= 0): over Z_q, or SIGNED integers for RSA.
   std::array<crypto::BigInt, kDealtKeys> shares;
-  /// Old slots fingered as misbehaving dealers (excluded dealings).
+  /// Old slots fingered as misbehaving dealers (excluded dealings), plus
+  /// those that sent this member an atomic-broadcast batch with bad
+  /// signature shares.
   crypto::PartySet suspected = 0;
   int dealings_applied = 0;
 };

@@ -177,7 +177,7 @@ void Vba::on_abba_decided(int candidate_index, bool value) {
     finish(candidate);
     return;
   }
-  // Somebody honest holds it (ABBA anchored validity); ask around.
+  // Somebody honest holds it (ABBA decides an honest input); ask around.
   pending_fetch_ = candidate_index;
   Writer w;
   w.u8(kFetch);

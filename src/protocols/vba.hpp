@@ -16,9 +16,9 @@
 //     proposals get examined first).
 //  3. Candidates are examined in permuted order, one binary agreement
 //     (ABBA) each: party k's input is "do I hold candidate a's certified,
-//     Q-valid proposal?".  ABBA's anchored validity gives: decided 1 =>
-//     some honest party holds the proposal (so everyone can FETCH it);
-//     all honest hold it => decided 1.
+//     Q-valid proposal?".  ABBA decides only some honest party's input,
+//     so decided 1 => some honest party holds the proposal (so everyone
+//     can FETCH it); all honest hold it => decided 1.
 //  4. The candidate index wraps around modulo n, which makes termination
 //     deterministic once all honest-sender proposals have propagated:
 //     at the latest on the second pass every honest party inputs 1 for an

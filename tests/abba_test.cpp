@@ -65,6 +65,9 @@ TEST(AbbaTest, ValidityUnanimousInputs) {
       auto decision = run_agreement(cluster, std::vector<int>(4, value));
       ASSERT_TRUE(decision.has_value());
       EXPECT_EQ(*decision, value == 1) << "validity violated at seed " << seed;
+      // Unanimity decides in the first round whose constant coin matches:
+      // round 1 for 1, round 2 for 0, with no threshold coin.
+      cluster.for_each([&](int, AbbaState& s) { EXPECT_LE(s.round, value == 1 ? 1 : 2); });
     }
   }
 }
@@ -155,68 +158,78 @@ TEST(AbbaTest, CannotStartTwice) {
   EXPECT_THROW(cluster.protocol(0)->abba->start(false), ProtocolError);
 }
 
-/// Byzantine attacker with full key material: votes both values in round 1
-/// (equivocation) and spams conflicting inputs.
+/// Byzantine voter: in every round it hears of, it BVAL-broadcasts both
+/// values and tells each honest party something different in AUX and CONF
+/// (party `to` gets AUX(to mod 2) and a CONF set cycling {0}, {1}, {0, 1}),
+/// trying to leave two honest parties with different singleton vals.
 class EquivocatingVoter final : public net::Process {
  public:
-  EquivocatingVoter(net::Simulator& sim, int id, adversary::Deployment deployment,
-                    std::uint64_t seed)
-      : party_(sim, id, std::move(deployment), seed) {
-    // An inner honest ABBA instance would constrain us; instead craft raw
-    // messages.  We reuse the honest party only for keys/sending.
+  EquivocatingVoter(net::Simulator& sim, int id) : sim_(sim), id_(id) {}
+
+  void on_start() override { equivocate(1); }
+  void on_message(const net::Message& message) override {
+    // Every ABBA message but DECIDE carries its round after the type byte.
+    if (message.payload.size() < 5 || message.payload[0] == Abba::kDecide) return;
+    Reader reader(message.payload);
+    reader.u8();
+    equivocate(static_cast<int>(reader.u32()));
   }
-  void on_start() override {
-    // INPUT both 0 and 1 (each properly signed).
-    for (int value : {0, 1}) {
-      Writer w;
-      w.u8(4);  // kInput
-      w.u8(static_cast<std::uint8_t>(value));
-      Writer stmt;
-      stmt.str("sintra/abba");
-      stmt.str("ba/0");
-      stmt.str("input");
-      stmt.u32(0);
-      stmt.u8(static_cast<std::uint8_t>(value));
-      auto shares = party_.keys().reply_sig.sign(party_.public_keys().reply_sig, stmt.data(),
-                                                 party_.rng());
-      w.vec(shares, [](Writer& wr, const crypto::SigShare& s) { s.encode(wr); });
-      for (int to = 0; to < party_.n(); ++to) {
-        if (to == party_.id()) continue;
-        net::Message m;
-        m.from = party_.id();
-        m.to = to;
-        m.tag = "ba/0";
-        m.payload = w.data();
-        party_.network().submit(std::move(m));
-      }
-    }
-  }
-  void on_message(const net::Message&) override {}
 
  private:
-  net::Party party_;
+  void equivocate(int round) {
+    if (round <= last_round_ || round > 30) return;  // once per round, bounded
+    last_round_ = round;
+    for (int to = 0; to < sim_.n(); ++to) {
+      if (to == id_) continue;
+      send(to, Abba::kBval, round, 0);
+      send(to, Abba::kBval, round, 1);
+      send(to, Abba::kAux, round, static_cast<std::uint8_t>(to % 2));
+      send(to, Abba::kConf, round, static_cast<std::uint8_t>(1 + to % 3));
+    }
+  }
+  void send(int to, std::uint8_t type, int round, std::uint8_t value) {
+    Writer w;
+    w.u8(type);
+    w.u32(static_cast<std::uint32_t>(round));
+    w.u8(value);
+    net::Message m;
+    m.from = id_;
+    m.to = to;
+    m.tag = "ba/0";
+    m.payload = w.take();
+    sim_.submit(std::move(m));
+  }
+
+  net::Simulator& sim_;
+  int id_;
+  int last_round_ = 0;
 };
 
-TEST(AbbaTest, EquivocatingInputsDoNotBreakAgreement) {
-  // The corrupted party double-votes its INPUT; honest parties still agree
-  // and terminate.  (Double inputs can anchor both values — allowed.)
+TEST(AbbaTest, EquivocatingVotesDoNotBreakAgreement) {
+  // The corrupted party equivocates in BVAL, AUX and CONF in every round;
+  // honest parties still agree and terminate, from split inputs and from
+  // unanimous ones (where validity must hold as well).
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed);
-    auto deployment = adversary::Deployment::threshold(4, 1, rng);
-    net::RandomScheduler sched(seed * 31);
-    auto cluster = make_cluster(deployment, sched, 0, seed);
-    cluster.attach_custom(3, std::make_unique<EquivocatingVoter>(cluster.simulator(), 3,
-                                                                 deployment, seed));
-    cluster.start();
-    cluster.for_each([&](int id, AbbaState& s) { s.abba->start(id % 2 == 0); });
-    ASSERT_TRUE(cluster.run_until_all([](AbbaState& s) { return s.decision.has_value(); },
-                                      3000000))
-        << "seed " << seed;
-    std::optional<bool> common;
-    cluster.for_each([&](int, AbbaState& s) {
-      if (!common.has_value()) common = s.decision;
-      EXPECT_EQ(*s.decision, *common);
-    });
+    for (const bool split : {true, false}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + (split ? ", split" : ", unanimous"));
+      Rng rng(seed);
+      auto deployment = adversary::Deployment::threshold(4, 1, rng);
+      net::RandomScheduler sched(seed * 31);
+      auto cluster = make_cluster(deployment, sched, 0, seed);
+      cluster.attach_custom(3, std::make_unique<EquivocatingVoter>(cluster.simulator(), 3));
+      cluster.start();
+      cluster.for_each([&](int id, AbbaState& s) { s.abba->start(!split || id % 2 == 0); });
+      ASSERT_TRUE(cluster.run_until_all([](AbbaState& s) { return s.decision.has_value(); },
+                                        3000000));
+      std::optional<bool> common;
+      cluster.for_each([&](int, AbbaState& s) {
+        if (!common.has_value()) common = s.decision;
+        EXPECT_EQ(*s.decision, *common);
+      });
+      if (!split) {
+        EXPECT_TRUE(*common);
+      }
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
 #include "adversary/examples.hpp"
 #include "app/ca.hpp"
@@ -101,91 +102,176 @@ TEST_F(ReplayTest, ShareFromOtherPartyNotAttributable) {
   EXPECT_EQ(pk.scheme().unit_owner(shares[0].unit), 1);  // not 0
 }
 
-// ---- active ABBA attacker with keys -----------------------------------------
+/// Deliver `payload` on `tag` from `from` to every other party.
+void inject_from(net::Simulator& sim, int n, int from, const std::string& tag,
+                 const Bytes& payload) {
+  for (int to = 0; to < n; ++to) {
+    if (to == from) continue;
+    net::Message m;
+    m.from = from;
+    m.to = to;
+    m.tag = tag;
+    m.payload = payload;
+    sim.submit(std::move(m));
+  }
+}
 
-/// Byzantine voter: sends pre-votes with garbage certificate shares and
-/// fabricated hard justifications for every round it hears about.
-class ForgingVoter final : public net::Process {
+/// Trace events at parties other than `except` that mention `text`.
+std::size_t trace_count(const TraceLog& log, std::string_view text, int except = -1) {
+  return static_cast<std::size_t>(
+      std::count_if(log.events().begin(), log.events().end(), [&](const TraceEvent& e) {
+        return e.party != except && e.message.find(text) != std::string::npos;
+      }));
+}
+
+// ---- active ABBA attacker ----------------------------------------------------
+
+/// One round-stamped ABBA message (BVAL, AUX or CONF), or a DECIDE.
+Bytes abba_message(std::uint8_t type, int round, std::uint8_t value) {
+  Writer w;
+  w.u8(type);
+  if (type != protocols::Abba::kDecide) w.u32(static_cast<std::uint32_t>(round));
+  w.u8(value);
+  return w.take();
+}
+
+/// Byzantine voter: sends its fixed `payloads` on "ba/0" to every other
+/// party at start, then stays silent.
+class ScriptedVoter final : public net::Process {
  public:
-  ForgingVoter(net::Simulator& sim, int id, adversary::Deployment deployment,
-               std::uint64_t seed)
-      : party_(sim, id, std::move(deployment), seed), rng_(seed) {}
+  ScriptedVoter(net::Simulator& sim, int id, std::vector<Bytes> payloads)
+      : sim_(sim), id_(id), payloads_(std::move(payloads)) {}
 
   void on_start() override {
-    // Round-1 pre-votes with a forged anchor (random BigInt).
-    for (int value : {0, 1}) {
-      Writer w;
-      w.u8(0);  // kPreVote
-      w.u32(1);
-      w.u8(static_cast<std::uint8_t>(value));
-      w.u8(0);  // kJustAnchor
-      BigInt::from_bytes(rng_.bytes(32)).encode(w);  // forged anchor signature
-      w.u32(0);  // zero shares
-      blast(w.take());
+    for (const Bytes& payload : payloads_) {
+      for (int to = 0; to < sim_.n(); ++to) {
+        if (to == id_) continue;
+        net::Message m;
+        m.from = id_;
+        m.to = to;
+        m.tag = "ba/0";
+        m.payload = payload;
+        sim_.submit(std::move(m));
+      }
     }
-    // A forged DECIDE certificate.
-    Writer w;
-    w.u8(3);  // kDecide
-    w.u32(1);
-    w.u8(1);
-    BigInt::from_bytes(rng_.bytes(32)).encode(w);
-    blast(w.take());
   }
   void on_message(const net::Message&) override {}
 
  private:
-  void blast(Bytes payload) {
-    for (int to = 0; to < party_.n(); ++to) {
-      if (to == party_.id()) continue;
-      net::Message m;
-      m.from = party_.id();
-      m.to = to;
-      m.tag = "ba/0";
-      m.payload = payload;
-      party_.network().submit(std::move(m));
-    }
-  }
-
-  net::Party party_;
-  Rng rng_;
+  net::Simulator& sim_;
+  int id_;
+  std::vector<Bytes> payloads_;
 };
 
 struct AbbaState {
   std::unique_ptr<protocols::Abba> abba;
   std::optional<bool> decision;
+  int round = 0;
 };
 
-TEST(AbbaAttackTest, ForgedJustificationsRejectedAndAgreementHolds) {
+std::unique_ptr<AbbaState> make_abba_state(net::Party& party, int) {
+  auto s = std::make_unique<AbbaState>();
+  s->abba = std::make_unique<protocols::Abba>(party, "ba/0", [p = s.get()](bool v, int r) {
+    p->decision = v;
+    p->round = r;
+  });
+  return s;
+}
+
+TEST(AbbaAttackTest, FaultSetVotesCannotOverrideValidity) {
+  // Every honest party proposes 1.  The attacker pushes 0 through every
+  // phase of rounds 1-3 (BVAL, AUX, CONF) and announces DECIDE(0): a value
+  // only a fault set sent never enters bin_values, so every honest vals is
+  // {1} and 1 is decided in round 1.
+  std::vector<Bytes> payloads;
+  for (int round = 1; round <= 3; ++round) {
+    payloads.push_back(abba_message(protocols::Abba::kBval, round, 0));
+    payloads.push_back(abba_message(protocols::Abba::kAux, round, 0));
+    payloads.push_back(abba_message(protocols::Abba::kConf, round, 1));  // {0}
+  }
+  payloads.push_back(abba_message(protocols::Abba::kDecide, 0, 0));
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
     auto deployment = adversary::Deployment::threshold(4, 1, rng);
     net::RandomScheduler sched(seed * 5);
-    protocols::Cluster<AbbaState> cluster(
-        deployment, sched,
-        [](net::Party& party, int) {
-          auto s = std::make_unique<AbbaState>();
-          s->abba = std::make_unique<protocols::Abba>(
-              party, "ba/0", [p = s.get()](bool v, int) { p->decision = v; });
-          return s;
-        },
-        0, 0, seed);
-    cluster.attach_custom(3, std::make_unique<ForgingVoter>(cluster.simulator(), 3,
-                                                            deployment, seed));
+    protocols::Cluster<AbbaState> cluster(deployment, sched, make_abba_state, 0, 0, seed);
+    cluster.attach_custom(3, std::make_unique<ScriptedVoter>(cluster.simulator(), 3, payloads));
     cluster.start();
-    // All honest parties propose 1: validity must give 1 despite the
-    // attacker's forged 0-votes and forged DECIDE for... 1 (which is
-    // invalid anyway and must be rejected on signature grounds).
     cluster.for_each([](int, AbbaState& s) { s.abba->start(true); });
     ASSERT_TRUE(cluster.run_until_all([](AbbaState& s) { return s.decision.has_value(); },
                                       3000000))
         << "seed " << seed;
-    cluster.for_each([&](int, AbbaState& s) {
-      EXPECT_TRUE(*s.decision) << "validity violated under forging attacker, seed " << seed;
+    cluster.for_each([&](int id, AbbaState& s) {
+      EXPECT_TRUE(*s.decision) << "validity violated under fault-set voter, seed " << seed;
+      EXPECT_EQ(s.round, 1) << "party " << id << ", seed " << seed;
     });
   }
 }
 
-/// Replays a victim's recorded pre-vote into a different ABBA instance.
+TEST(AbbaAttackTest, DecideFromOnlyAFaultSetDecidesNothing) {
+  // n = 7, t = 2: both corrupted parties announce DECIDE(0) before any
+  // honest traffic moves (FIFO), while all five honest parties propose 1.
+  // Two DECIDEs are a whole fault set, not more: nobody adopts 0, and the
+  // honest parties decide 1.
+  Rng rng(13);
+  auto deployment = adversary::Deployment::threshold(7, 2, rng);
+  net::FifoScheduler sched;
+  protocols::Cluster<AbbaState> cluster(deployment, sched, make_abba_state, 0, 0, 13);
+  for (int attacker : {5, 6}) {
+    cluster.attach_custom(
+        attacker, std::make_unique<ScriptedVoter>(
+                      cluster.simulator(), attacker,
+                      std::vector<Bytes>{abba_message(protocols::Abba::kDecide, 0, 0)}));
+  }
+  cluster.start();
+  cluster.for_each([](int, AbbaState& s) { s.abba->start(true); });
+  ASSERT_TRUE(cluster.run_until_all(
+      [](AbbaState& s) { return s.decision.has_value(); }, 3000000));
+  cluster.for_each([](int id, AbbaState& s) {
+    EXPECT_TRUE(*s.decision) << "party " << id << " adopted a fault set's DECIDE";
+  });
+}
+
+TEST(AbbaAttackTest, ParkedBvalsForBothValuesAreBothReplayed) {
+  // An honest party that echoes the value it does not hold sends BVAL(r, 0)
+  // and BVAL(r, 1) in one round, so a party two rounds behind must park
+  // both.  Party 3's round-3 BVALs for both values reach the others before
+  // they start (FIFO); each parks two messages.  Unanimous 0 is not decided
+  // in round 1, so every party enters round 2, which brings round 3 into
+  // range: both parked messages are replayed and accepted before the
+  // instance halts.
+  Rng rng(17);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  TraceLog log;
+  log.set_enabled(true);
+  protocols::Cluster<AbbaState> cluster(deployment, sched, make_abba_state,
+                                        crypto::party_bit(3), 0, 17, &log);
+  cluster.start();
+  for (std::uint8_t value : {0, 1}) {
+    inject_from(cluster.simulator(), 4, 3, "ba/0",
+                abba_message(protocols::Abba::kBval, 3, value));
+  }
+  cluster.simulator().run(100);  // only party 3's BVALs are in flight
+  cluster.for_each([](int id, AbbaState& s) {
+    EXPECT_EQ(s.abba->deferred_count(), 2u) << "party " << id;
+  });
+  cluster.for_each([](int, AbbaState& s) { s.abba->start(false); });
+  ASSERT_TRUE(cluster.run_until_all([](AbbaState& s) { return s.abba->deferred_count() == 0; },
+                                    3000000));
+  cluster.for_each([](int id, AbbaState& s) {
+    EXPECT_EQ(s.abba->live_rounds(), 3u) << "party " << id << " halted, not replayed";
+  });
+  EXPECT_EQ(trace_count(log, "dropped parked message"), 0u);
+  ASSERT_TRUE(cluster.run_until_all([](AbbaState& s) { return s.decision.has_value(); },
+                                    3000000));
+  cluster.for_each([](int id, AbbaState& s) {
+    EXPECT_FALSE(*s.decision) << "party " << id;
+    EXPECT_EQ(s.round, 2) << "party " << id;
+  });
+}
+
+/// Mirrors every ABBA message it receives on instance A into instance B.
 class CrossInstanceReplayer final : public net::Process {
  public:
   explicit CrossInstanceReplayer(net::Simulator& sim, int id) : sim_(sim), id_(id) {}
@@ -217,9 +303,10 @@ struct TwoAbbaState {
 
 TEST(AbbaAttackTest, CrossInstanceReplayCannotFlipOutcome) {
   // Instance A decides 1 (all honest input 1); instance B has all honest
-  // input 0.  The attacker mirrors A's traffic into B.  Domain separation
-  // (the instance tag inside every signed statement and coin name) makes
-  // the replayed material worthless: B must still decide 0.
+  // input 0.  The attacker mirrors A's traffic into B.  The links
+  // authenticate the sender, so every mirrored vote and DECIDE counts as
+  // the attacker's own (one fault set), and a mirrored coin share holds
+  // other parties' units and is refused: B must still decide 0.
   Rng rng(9);
   auto deployment = adversary::Deployment::threshold(4, 1, rng);
   net::RandomScheduler sched(9);
@@ -329,58 +416,60 @@ TEST(OptimisticCombineAttackTest, CbcFingersInvalidShareAndStillDelivers) {
   EXPECT_EQ(cluster.protocol(0)->cbc->suspected(), crypto::party_bit(3));
 }
 
+/// The coin name of round `round` of ABBA instance "ba/0"
+/// (Abba::coin_name); rounds 3, 6, ... toss the threshold coin.
+Bytes abba_coin_name(int round) {
+  Writer name;
+  name.str("sintra/abba/coin");
+  name.str("ba/0");
+  name.u32(static_cast<std::uint32_t>(round));
+  return name.take();
+}
+
+/// A coin-share message for round `round` of "ba/0" holding `shares`.
+Bytes abba_coin_message(const adversary::Deployment& deployment, int round,
+                        const std::vector<CoinShare>& shares) {
+  const auto& pk = deployment.keys->public_keys().coin;
+  Writer w;
+  w.u8(protocols::Abba::kCoinShare);
+  w.u32(static_cast<std::uint32_t>(round));
+  w.vec(shares, [&](Writer& wr, const CoinShare& s) { s.encode(wr, pk.group()); });
+  return w.take();
+}
+
 TEST(OptimisticCombineAttackTest, AbbaCoinFingersInvalidShareAndTerminates) {
   // Sneakiest Byzantine coin strategy: party 3 follows the protocol
   // everywhere EXCEPT that the coin share its peers receive is tampered
   // (real coin key, correct coin name, perturbed DLEQ response).  We model
   // it by running party 3 honestly and pre-injecting the tampered share
-  // under its identity; FIFO delivery lands the injected copy first, so
-  // the honest copy is deduplicated away at every peer and the bad share
-  // provably sits in the round-1 combine set.
+  // for round 3 (the first threshold-coin round) under its identity; FIFO
+  // delivery parks the injected copy first, so the honest copy is
+  // deduplicated away at every peer and the bad share provably sits in
+  // the round-3 combine set.
   Rng rng(11);
   auto deployment = adversary::Deployment::threshold(4, 1, rng);
   net::FifoScheduler sched;
-  protocols::Cluster<AbbaState> cluster(
-      deployment, sched,
-      [](net::Party& party, int) {
-        auto s = std::make_unique<AbbaState>();
-        s->abba = std::make_unique<protocols::Abba>(
-            party, "ba/0", [p = s.get()](bool v, int) { p->decision = v; });
-        return s;
-      },
-      0, 0, 11);
+  TraceLog log;
+  log.set_enabled(true);
+  protocols::Cluster<AbbaState> cluster(deployment, sched, make_abba_state, 0, 0, 11, &log);
   cluster.start();
   {
     Rng attacker_rng(8888);
     const auto& pk = deployment.keys->public_keys().coin;
-    Writer name;  // must match Abba::coin_name(tag="ba/0", round=1)
-    name.str("sintra/abba/coin");
-    name.str("ba/0");
-    name.u32(1);
-    auto shares = deployment.keys->share(3).coin.share(pk, name.data(), attacker_rng);
+    auto shares = deployment.keys->share(3).coin.share(pk, abba_coin_name(3), attacker_rng);
     for (auto& s : shares) s.proof.z = pk.group().scalar_add(s.proof.z, BigInt(1));
-    Writer w;
-    w.u8(2);  // Abba::kCoinShare
-    w.u32(1);
-    w.vec(shares, [&](Writer& wr, const CoinShare& s) { s.encode(wr, pk.group()); });
-    for (int to = 0; to < 3; ++to) {
-      net::Message m;
-      m.from = 3;
-      m.to = to;
-      m.tag = "ba/0";
-      m.payload = w.data();
-      cluster.simulator().submit(std::move(m));
-    }
+    inject_from(cluster.simulator(), 4, 3, "ba/0", abba_coin_message(deployment, 3, shares));
   }
-  // 2-2 input split: round 1 cannot hard-decide, so the coin IS consulted
-  // and every party must run the batched combine over a set containing
-  // the tampered share.
+  // 2-2 input split: rounds 1 and 2 cannot settle it, so the threshold
+  // coin of round 3 IS tossed and every party runs the batched combine
+  // over a set containing the tampered share.
   std::vector<int> inputs = {1, 0, 1, 0};
   cluster.for_each([&](int id, AbbaState& s) {
     s.abba->start(inputs[static_cast<std::size_t>(id)] == 1);
   });
   ASSERT_TRUE(cluster.run_until_all(
       [](AbbaState& s) { return s.decision.has_value(); }, 3000000));
+  ASSERT_GT(trace_count(log, "ba/0 coin r3 ="), 0u) << "the run never tossed the threshold coin";
   std::optional<bool> common;
   crypto::PartySet fingered_union = 0;
   cluster.for_each([&](int id, AbbaState& s) {
@@ -394,134 +483,32 @@ TEST(OptimisticCombineAttackTest, AbbaCoinFingersInvalidShareAndTerminates) {
   EXPECT_EQ(fingered_union, crypto::party_bit(3));
 }
 
-TEST(OptimisticCombineAttackTest, AbbaInputFingersInvalidShareAndDecides) {
-  // Input shares are not verified on arrival: they only feed the anchor
-  // combine, which checks its own result.  Party 3 runs honestly, but a
-  // tampered input share (real reply key, correct statement, value
-  // perturbed) is injected under its identity first; FIFO delivery makes
-  // the honest copy a duplicate, so the first anchor combine at every
-  // peer provably contains the bad share.
-  Rng rng(13);
+// ---- ABBA votes injected under an honest party's identity --------------------
+
+/// Party 3 runs honestly, but `payload_for(to)` (ABBA votes built by the
+/// caller, possibly different per recipient) is injected under its
+/// identity at each of parties 0..2 first; FIFO delivery then makes party
+/// 3's own vote of the same type and round a duplicate, so the injected
+/// ones are what count.  Every honest party must decide the same value —
+/// `expected`, when given — by round `max_round`, and nobody is fingered:
+/// the votes carry no signature to blame.
+void expect_injected_votes_harmless(std::uint64_t seed, const std::vector<int>& inputs,
+                                    std::optional<bool> expected, int max_round,
+                                    const std::function<std::vector<Bytes>(int to)>& payload_for) {
+  Rng rng(seed);
   auto deployment = adversary::Deployment::threshold(4, 1, rng);
   net::FifoScheduler sched;
-  protocols::Cluster<AbbaState> cluster(
-      deployment, sched,
-      [](net::Party& party, int) {
-        auto s = std::make_unique<AbbaState>();
-        s->abba = std::make_unique<protocols::Abba>(
-            party, "ba/0", [p = s.get()](bool v, int) { p->decision = v; });
-        return s;
-      },
-      0, 0, 13);
+  protocols::Cluster<AbbaState> cluster(deployment, sched, make_abba_state, 0, 0, seed);
   cluster.start();
-  {
-    Rng attacker_rng(4444);
-    const auto& pk = deployment.keys->public_keys().reply_sig;
-    Writer stmt;  // must match Abba::statement("input", 0, 1) for tag "ba/0"
-    stmt.str("sintra/abba");
-    stmt.str("ba/0");
-    stmt.str("input");
-    stmt.u32(0);
-    stmt.u8(1);
-    auto shares = deployment.keys->share(3).reply_sig.sign(pk, stmt.data(), attacker_rng);
-    for (auto& s : shares) s.value = BigInt::mul_mod(s.value, BigInt(2), pk.modulus());
-    Writer w;
-    w.u8(4);  // Abba::kInput
-    w.u8(1);
-    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
-    for (int to = 0; to < 3; ++to) {
+  for (int to = 0; to < 3; ++to) {
+    for (Bytes& payload : payload_for(to)) {
       net::Message m;
       m.from = 3;
       m.to = to;
       m.tag = "ba/0";
-      m.payload = w.data();
+      m.payload = std::move(payload);
       cluster.simulator().submit(std::move(m));
     }
-  }
-  cluster.for_each([](int, AbbaState& s) { s.abba->start(true); });
-  ASSERT_TRUE(cluster.run_until_all(
-      [](AbbaState& s) { return s.decision.has_value(); }, 3000000));
-  cluster.for_each([](int id, AbbaState& s) {
-    EXPECT_TRUE(*s.decision) << "validity violated at party " << id;
-    // The parties that saw the tampered share finger exactly its sender.
-    if (id != 3) {
-      EXPECT_EQ(s.abba->suspected(), crypto::party_bit(3)) << "party " << id;
-    }
-  });
-}
-
-// ---- ABBA vote shares: admitted on structure, checked through certificates ---
-
-/// Abba::statement(kind, round, value) for instance tag "ba/0".
-Bytes abba_statement(std::string_view kind, int round, std::uint8_t value) {
-  Writer w;
-  w.str("sintra/abba");
-  w.str("ba/0");
-  w.str(kind);
-  w.u32(static_cast<std::uint32_t>(round));
-  w.u8(value);
-  return w.take();
-}
-
-/// The combined signature on `stmt` under the cert key (cert) or the reply
-/// key (!cert), built from every party's shares: what a quorum of honest
-/// parties would hand an attacker that copies its justification.
-BigInt full_signature(const adversary::Deployment& deployment, bool cert, BytesView stmt) {
-  Rng rng(99);
-  const auto& pub = deployment.keys->public_keys();
-  const auto& pk = cert ? pub.cert_sig : pub.reply_sig;
-  std::vector<SigShare> shares;
-  for (int i = 0; i < deployment.n(); ++i) {
-    const auto& keys = deployment.keys->share(i);
-    const auto& key = cert ? keys.cert_sig : keys.reply_sig;
-    for (SigShare& s : key.sign(pk, stmt, rng)) shares.push_back(std::move(s));
-  }
-  auto sigma = pk.combine(stmt, shares);
-  EXPECT_TRUE(sigma.has_value());
-  return sigma.value_or(BigInt());
-}
-
-/// Party 3's cert-key shares on `stmt` with every value doubled: the
-/// right units, in range, and wrong.
-std::vector<SigShare> tampered_cert_shares(const adversary::Deployment& deployment,
-                                           BytesView stmt) {
-  Rng rng(5555);
-  const auto& pk = deployment.keys->public_keys().cert_sig;
-  auto shares = deployment.keys->share(3).cert_sig.sign(pk, stmt, rng);
-  for (auto& s : shares) s.value = BigInt::mul_mod(s.value, BigInt(2), pk.modulus());
-  return shares;
-}
-
-/// Party 3 runs honestly, but `payload` (an ABBA vote built by the caller)
-/// is injected under its identity at parties 0..2 first; FIFO delivery
-/// then makes party 3's honest vote a duplicate, so the certificate the
-/// vote feeds provably meets the tampered share.  Every honest party must
-/// decide the same value — `expected`, when given — and exactly party 3
-/// is fingered.
-void expect_vote_attack_fingered(
-    std::uint64_t seed, const std::vector<int>& inputs, std::optional<bool> expected,
-    const std::function<Bytes(const adversary::Deployment&)>& make_payload) {
-  Rng rng(seed);
-  auto deployment = adversary::Deployment::threshold(4, 1, rng);
-  net::FifoScheduler sched;
-  protocols::Cluster<AbbaState> cluster(
-      deployment, sched,
-      [](net::Party& party, int) {
-        auto s = std::make_unique<AbbaState>();
-        s->abba = std::make_unique<protocols::Abba>(
-            party, "ba/0", [p = s.get()](bool v, int) { p->decision = v; });
-        return s;
-      },
-      0, 0, seed);
-  cluster.start();
-  const Bytes payload = make_payload(deployment);
-  for (int to = 0; to < 3; ++to) {
-    net::Message m;
-    m.from = 3;
-    m.to = to;
-    m.tag = "ba/0";
-    m.payload = payload;
-    cluster.simulator().submit(std::move(m));
   }
   cluster.for_each([&](int id, AbbaState& s) {
     s.abba->start(inputs[static_cast<std::size_t>(id)] == 1);
@@ -529,60 +516,325 @@ void expect_vote_attack_fingered(
   ASSERT_TRUE(cluster.run_until_all(
       [](AbbaState& s) { return s.decision.has_value(); }, 3000000));
   std::optional<bool> common = expected;
-  crypto::PartySet fingered_union = 0;
   cluster.for_each([&](int id, AbbaState& s) {
     if (!common.has_value()) common = s.decision;
     EXPECT_EQ(*s.decision, *common) << "party " << id;
-    fingered_union |= s.abba->suspected();
-  });
-  EXPECT_EQ(fingered_union, crypto::party_bit(3));
-}
-
-TEST(OptimisticCombineAttackTest, AbbaPreVoteFingersInvalidShareAndDecides) {
-  // A round-1 pre-vote for 1 with a valid input anchor and a tampered
-  // share: it counts toward the tally until sigma_pre(1, 1) fails to
-  // combine, then the vote is struck and the fourth pre-vote completes it.
-  expect_vote_attack_fingered(17, {1, 1, 1, 1}, true, [](const adversary::Deployment& d) {
-    Writer w;
-    w.u8(0);  // Abba::kPreVote
-    w.u32(1);
-    w.u8(1);
-    w.u8(0);  // kJustAnchor
-    full_signature(d, /*cert=*/false, abba_statement("input", 0, 1)).encode(w);
-    w.vec(tampered_cert_shares(d, abba_statement("pre", 1, 1)),
-          [](Writer& wr, const SigShare& s) { s.encode(wr); });
-    return w.take();
+    EXPECT_LE(s.round, max_round) << "party " << id;
+    EXPECT_EQ(s.abba->suspected(), 0u) << "party " << id;
   });
 }
 
-TEST(OptimisticCombineAttackTest, AbbaValueMainVoteFingersInvalidShareAndDecides) {
-  // A round-1 main-vote for 1 carrying a valid sigma_pre(1, 1) and a
-  // tampered share: the decision certificate sigma_main(1, 1) must bisect
-  // it out and still form from the honest main-votes.
-  expect_vote_attack_fingered(19, {1, 1, 1, 1}, true, [](const adversary::Deployment& d) {
-    Writer w;
-    w.u8(1);  // Abba::kMainVote
-    w.u32(1);
-    w.u8(1);
-    full_signature(d, /*cert=*/true, abba_statement("pre", 1, 1)).encode(w);
-    w.vec(tampered_cert_shares(d, abba_statement("main", 1, 1)),
-          [](Writer& wr, const SigShare& s) { s.encode(wr); });
-    return w.take();
+TEST(AbbaAttackTest, InjectedBvalForUnheldValueNeverEntersBinValues) {
+  // Every party holds 1; "party 3" BVAL-broadcasts 0 in rounds 1-3 and
+  // its AUX and CONF name 0 too.  One sender is a fault set: 0 is never
+  // echoed by an honest party, never enters bin_values, and 1 is decided
+  // in round 1.
+  expect_injected_votes_harmless(17, {1, 1, 1, 1}, true, 1, [](int) {
+    std::vector<Bytes> votes;
+    for (int round = 1; round <= 3; ++round) {
+      votes.push_back(abba_message(protocols::Abba::kBval, round, 0));
+      votes.push_back(abba_message(protocols::Abba::kAux, round, 0));
+      votes.push_back(abba_message(protocols::Abba::kConf, round, 1));  // {0}
+    }
+    return votes;
   });
 }
 
-TEST(OptimisticCombineAttackTest, AbbaAbstainMainVoteFingersInvalidShareAndDecides) {
-  // 2-2 split inputs: every round-1 main-vote is abstain, so the round can
-  // only close through the abstain certificate, whose first combine holds
-  // the tampered share.  The round must wait for an honest abstain instead.
-  expect_vote_attack_fingered(23, {1, 0, 1, 0}, std::nullopt, [](const adversary::Deployment& d) {
-    Writer w;
-    w.u8(1);  // Abba::kMainVote
-    w.u32(1);
-    w.u8(2);  // abstain: no sigma_pre
-    w.vec(tampered_cert_shares(d, abba_statement("main", 1, 2)),
-          [](Writer& wr, const SigShare& s) { s.encode(wr); });
-    return w.take();
+TEST(AbbaAttackTest, InjectedEquivocatingAuxCannotBreakAgreement) {
+  // 2-2 split inputs put both values in bin_values.  "Party 3" tells
+  // party `to` AUX(to mod 2) in rounds 1-6, pulling parties 0 and 2
+  // toward 0 and party 1 toward 1: a quorum still meets every other in an
+  // honest party, so no two honest parties end a round with different
+  // singleton vals.
+  for (std::uint64_t seed : {19u, 20u, 21u}) {
+    expect_injected_votes_harmless(seed, {1, 0, 1, 0}, std::nullopt, 30, [](int to) {
+      std::vector<Bytes> votes;
+      for (int round = 1; round <= 6; ++round) {
+        votes.push_back(
+            abba_message(protocols::Abba::kAux, round, static_cast<std::uint8_t>(to % 2)));
+      }
+      return votes;
+    });
+  }
+}
+
+TEST(AbbaAttackTest, InjectedEquivocatingConfCannotBreakAgreement) {
+  // As above, but the lie is in CONF: party `to` hears CONF {0}, {1} or
+  // {0, 1} (cycling by recipient) in rounds 1-6, and the BVALs for both
+  // values so either set can lie inside bin_values.
+  for (std::uint64_t seed : {23u, 24u, 25u}) {
+    expect_injected_votes_harmless(seed, {1, 0, 1, 0}, std::nullopt, 30, [](int to) {
+      std::vector<Bytes> votes;
+      for (int round = 1; round <= 6; ++round) {
+        votes.push_back(abba_message(protocols::Abba::kBval, round, 0));
+        votes.push_back(abba_message(protocols::Abba::kBval, round, 1));
+        votes.push_back(
+            abba_message(protocols::Abba::kConf, round, static_cast<std::uint8_t>(1 + to % 3)));
+      }
+      return votes;
+    });
+  }
+}
+
+// ---- the coin-timing schedule against the CONF-less protocol ----------------
+
+/// MacBrough's network adversary against binary agreement without the CONF
+/// phase, for n = 4 with parties 0-2 honest and party 3 corrupted.  Each
+/// round it waits until every honest party has entered it, then tries to
+/// leave the honest estimates split:
+///
+///  - Constant-coin round, coin s: one party holding s is steered to
+///    vals {0, 1} (est s) and the other two to vals {~s} (est ~s).  Their
+///    first bin value, their AUX and their CONF are ~s, party 3 backs ~s, and
+///    every other vote reaches them only once they have a quorum for ~s.
+///  - Threshold-coin round: party 1 hears nothing for the round while
+///    parties 0 and 2 reach vals {0, 1} with AUX 0 and AUX 1.  The first
+///    honest coin share in flight, combined with party 3's own, tells the
+///    adversary s.  It then steers party 1 to vals {~s} the same way, from
+///    its own AUX, party 3's and the early AUX for ~s.
+///
+/// Without the CONF phase the threshold round ends like a constant one,
+/// so no round ever decides.  With it, parties 0 and 2 sent CONF {0, 1}
+/// before any coin share went out, party 1 finds no quorum of CONF {~s},
+/// and every honest party leaves the round with est s.  When the plan holds
+/// every pending message the oldest goes first, so the schedule is fair.
+class CoinTimingAdversary final : public net::Scheduler {
+ public:
+  static constexpr int kCorrupted = 3;
+  static constexpr int kLate = 1;
+
+  explicit CoinTimingAdversary(const adversary::Deployment& deployment)
+      : deployment_(deployment) {}
+
+  std::optional<std::size_t> pick(const std::vector<net::Message>& pending,
+                                  std::uint64_t) override {
+    observe(pending);
+    std::optional<std::size_t> choice;
+    std::optional<std::size_t> oldest;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      const std::uint64_t id = pending[i].id;
+      if (!oldest.has_value() || id < pending[*oldest].id) oldest = i;
+      if (allowed(pending[i]) && (!choice.has_value() || id < pending[*choice].id)) choice = i;
+    }
+    if (!choice.has_value()) {
+      // Party 3's planned votes go out before the plan gives anything up.
+      if (!outbox_.empty()) return std::nullopt;
+      choice = oldest;
+    }
+    record(pending[*choice]);
+    return choice;
+  }
+
+  /// Submits party 3's votes planned since the last call; false if none.
+  bool flush(net::Simulator& sim) {
+    for (auto& message : outbox_) sim.submit(std::move(message));
+    const bool any = !outbox_.empty();
+    outbox_.clear();
+    return any;
+  }
+
+  /// The highest round any honest party has entered.
+  [[nodiscard]] int highest_round() const { return rounds_.empty() ? 0 : rounds_.rbegin()->first; }
+
+ private:
+  struct Vote {
+    std::uint8_t type;
+    int round;
+    int value;  ///< BVAL/AUX value or CONF set; unused for coin shares
+  };
+
+  struct Round {
+    std::array<int, 3> est{-1, -1, -1};  ///< value of each party's first BVAL
+    bool planned = false;
+    bool split = false;  ///< false: the estimates agree and the attack is over
+    std::optional<bool> coin;
+    std::array<int, 3> first{};             ///< first bin value to steer to
+    std::array<int, 3> single{-1, -1, -1};  ///< vals {single}, or -1 for {0, 1}
+    // Senders whose votes were delivered, by recipient and value.
+    std::array<std::array<crypto::PartySet, 2>, 3> bval{};
+    std::array<std::array<crypto::PartySet, 2>, 3> aux{};
+    std::array<std::array<crypto::PartySet, 4>, 3> conf{};
+  };
+
+  static std::optional<Vote> parse(const net::Message& message) {
+    Reader reader(message.payload);
+    const std::uint8_t type = reader.u8();
+    if (type != protocols::Abba::kBval && type != protocols::Abba::kAux &&
+        type != protocols::Abba::kConf && type != protocols::Abba::kCoinShare) {
+      return std::nullopt;
+    }
+    const int round = static_cast<int>(reader.u32());
+    const int value = type == protocols::Abba::kCoinShare ? 0 : reader.u8();
+    return Vote{type, round, value};
+  }
+
+  static int count(crypto::PartySet set) { return std::popcount(set); }
+
+  void cast(int to, std::uint8_t type, int round, int value) {
+    net::Message message;
+    message.from = kCorrupted;
+    message.to = to;
+    message.tag = "ba/0";
+    message.payload = abba_message(type, round, static_cast<std::uint8_t>(value));
+    outbox_.push_back(std::move(message));
+  }
+
+  void observe(const std::vector<net::Message>& pending) {
+    std::uint64_t next = seen_;
+    for (const auto& message : pending) {
+      if (message.id < seen_) continue;
+      next = std::max(next, message.id + 1);
+      if (message.from == kCorrupted) continue;
+      const auto vote = parse(message);
+      if (!vote.has_value()) continue;
+      Round& round = rounds_[vote->round];
+      if (vote->type == protocols::Abba::kBval && round.est[message.from] < 0) {
+        round.est[message.from] = vote->value;
+      }
+      // A party's own votes reach it at once, off the network.
+      net::Message self = message;
+      self.to = message.from;
+      record(self);
+      if (vote->type == protocols::Abba::kCoinShare && round.planned && round.split &&
+          !round.coin.has_value()) {
+        round.coin = toss(vote->round, message.payload);
+        round.first[kLate] = *round.coin ? 0 : 1;
+        round.single[kLate] = round.first[kLate];
+        cast(kLate, protocols::Abba::kAux, vote->round, round.first[kLate]);
+        cast(kLate, protocols::Abba::kConf, vote->round, 1 << round.first[kLate]);
+      }
+    }
+    seen_ = next;
+    for (auto& [number, round] : rounds_) {
+      if (!round.planned && std::all_of(round.est.begin(), round.est.end(),
+                                        [](int est) { return est >= 0; })) {
+        plan(number, round);
+      }
+    }
+  }
+
+  /// The coin of a threshold round from one honest share and party 3's.
+  bool toss(int round, const Bytes& payload) const {
+    const auto& pk = deployment_.keys->public_keys().coin;
+    Reader reader(payload);
+    reader.u8();
+    reader.u32();
+    auto shares =
+        reader.vec<CoinShare>([&](Reader& r) { return CoinShare::decode(r, pk.group()); });
+    Rng rng(static_cast<std::uint64_t>(round));
+    const auto& key = deployment_.keys->share(kCorrupted).coin;
+    for (auto& share : key.share(pk, abba_coin_name(round), rng)) shares.push_back(std::move(share));
+    return crypto::CoinPublicKey::coin_bit(*pk.combine(abba_coin_name(round), shares));
+  }
+
+  void plan(int number, Round& round) {
+    round.planned = true;
+    for (int to = 0; to < kCorrupted; ++to) {
+      cast(to, protocols::Abba::kBval, number, 0);
+      cast(to, protocols::Abba::kBval, number, 1);
+    }
+    round.split = std::count(round.est.begin(), round.est.end(), 1) % 3 != 0;
+    if (!round.split) return;
+    if (number % 3 == 0) {
+      // Parties 0 and 2 go first, party 1 waits for the coin.
+      round.first = {0, 0, 1};
+      for (int to : {0, 2}) {
+        cast(to, protocols::Abba::kAux, number, 0);
+        cast(to, protocols::Abba::kConf, number, 3);
+      }
+      return;
+    }
+    const int coin = number % 3 == 1 ? 1 : 0;
+    round.coin = coin == 1;
+    const int keeper = static_cast<int>(std::find(round.est.begin(), round.est.end(), coin) -
+                                        round.est.begin());
+    for (int to = 0; to < kCorrupted; ++to) {
+      round.first[to] = to == keeper ? coin : 1 - coin;
+      round.single[to] = to == keeper ? -1 : 1 - coin;
+      cast(to, protocols::Abba::kAux, number, 1 - coin);
+      cast(to, protocols::Abba::kConf, number, 1 << (1 - coin));
+    }
+  }
+
+  [[nodiscard]] bool allowed(const net::Message& message) const {
+    if (message.to == kCorrupted) return true;
+    const auto vote = parse(message);
+    if (!vote.has_value()) return true;  // DECIDE, coin verdicts
+    const auto it = rounds_.find(vote->round);
+    if (it == rounds_.end() || !it->second.planned) return false;
+    const Round& round = it->second;
+    if (!round.split) return true;
+    const int to = message.to;
+    if (vote->round % 3 == 0 && to == kLate && !round.coin.has_value()) return false;
+    const int first = round.first[to];
+    const int single = round.single[to];
+    switch (vote->type) {
+      case protocols::Abba::kBval:
+        return vote->value == first || count(round.bval[to][first]) >= 3;
+      case protocols::Abba::kAux:
+        if (single >= 0) return vote->value == single || count(round.aux[to][single]) >= 3;
+        return crypto::contains(round.aux[to][0] | round.aux[to][1], to);
+      case protocols::Abba::kConf: {
+        if (single >= 0) {
+          return vote->value == 1 << single || count(round.conf[to][1 << single]) >= 3;
+        }
+        crypto::PartySet seen = 0;
+        for (crypto::PartySet senders : round.conf[to]) seen |= senders;
+        return crypto::contains(seen, to);
+      }
+      default: return true;  // coin shares
+    }
+  }
+
+  void record(const net::Message& message) {
+    if (message.to == kCorrupted) return;
+    const auto vote = parse(message);
+    if (!vote.has_value() || vote->type == protocols::Abba::kCoinShare) return;
+    Round& round = rounds_[vote->round];
+    auto& senders = vote->type == protocols::Abba::kBval  ? round.bval[message.to][vote->value]
+                    : vote->type == protocols::Abba::kAux ? round.aux[message.to][vote->value]
+                                                          : round.conf[message.to][vote->value];
+    senders |= crypto::party_bit(message.from);
+  }
+
+  const adversary::Deployment& deployment_;
+  std::map<int, Round> rounds_;
+  std::vector<net::Message> outbox_;
+  std::uint64_t seen_ = 0;
+};
+
+TEST(AbbaAttackTest, CoinTimingScheduleCannotOutlastTheConfPhase) {
+  // Under CoinTimingAdversary the honest estimates stay split through the
+  // constant-coin rounds 1 and 2; the CONF phase ends the split in round 3,
+  // the first threshold-coin round, so every party decides in round 4 or 5.
+  // The same schedule keeps the protocol without CONF undecided for good.
+  Rng rng(19);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  CoinTimingAdversary adversary(deployment);
+  TraceLog log;
+  log.set_enabled(true);
+  protocols::Cluster<AbbaState> cluster(deployment, adversary, make_abba_state,
+                                        crypto::party_bit(CoinTimingAdversary::kCorrupted), 0, 19,
+                                        &log);
+  cluster.start();
+  cluster.for_each([](int id, AbbaState& s) { s.abba->start(id != 0); });
+  auto decided = [&] {
+    bool all = true;
+    cluster.for_each([&](int, AbbaState& s) { all = all && s.decision.has_value(); });
+    return all;
+  };
+  for (int step = 0; step < 1000000 && !decided() && adversary.highest_round() <= 30; ++step) {
+    const bool voted = adversary.flush(cluster.simulator());
+    if (!cluster.simulator().step() && !voted) break;
+  }
+  ASSERT_TRUE(decided()) << "the split outlasted round " << adversary.highest_round();
+  ASSERT_GT(trace_count(log, "ba/0 coin r3 ="), 0u) << "the split ended before round 3";
+  std::optional<bool> common;
+  cluster.for_each([&](int id, AbbaState& s) {
+    if (!common.has_value()) common = s.decision;
+    EXPECT_EQ(s.decision, common) << "agreement violated at party " << id;
+    EXPECT_GE(s.round, 4) << "party " << id;
+    EXPECT_LE(s.round, 5) << "party " << id;
   });
 }
 
@@ -1420,65 +1672,35 @@ ShortVectorCase short_vector_case(bool example2, std::uint64_t seed) {
   return {adversary::Deployment::threshold(4, 1, rng), 3};
 }
 
-/// Deliver `payload` on `tag` from `from` to every other party.
-void inject_from(net::Simulator& sim, int n, int from, const std::string& tag,
-                 const Bytes& payload) {
-  for (int to = 0; to < n; ++to) {
-    if (to == from) continue;
-    net::Message m;
-    m.from = from;
-    m.to = to;
-    m.tag = tag;
-    m.payload = payload;
-    sim.submit(std::move(m));
-  }
-}
-
-/// Trace events at parties other than `except` that mention `text`.
-std::size_t trace_count(const TraceLog& log, std::string_view text, int except = -1) {
-  return static_cast<std::size_t>(
-      std::count_if(log.events().begin(), log.events().end(), [&](const TraceEvent& e) {
-        return e.party != except && e.message.find(text) != std::string::npos;
-      }));
-}
-
 void expect_abba_refuses_short_coin_vector(bool example2) {
   auto [deployment, attacker] = short_vector_case(example2, 41);
   const int n = deployment.n();
-  net::FifoScheduler sched;
+  // FIFO settles this split in rounds 1 and 2 under Example 2; this seeded
+  // schedule reaches round 3's threshold coin in both deployments, and the
+  // short copy, sent at time zero, still lands long before the attacker's
+  // own round-3 share.
+  net::RandomScheduler sched(43);
   TraceLog log;
   log.set_enabled(true);
-  protocols::Cluster<AbbaState> cluster(
-      deployment, sched,
-      [](net::Party& party, int) {
-        auto s = std::make_unique<AbbaState>();
-        s->abba = std::make_unique<protocols::Abba>(
-            party, "ba/0", [p = s.get()](bool v, int) { p->decision = v; });
-        return s;
-      },
-      0, 0, 41, &log);
+  protocols::Cluster<AbbaState> cluster(deployment, sched, make_abba_state, 0, 0, 41, &log);
   cluster.start();
   {
     Rng attacker_rng(4141);
     const auto& pk = deployment.keys->public_keys().coin;
-    Writer name;  // Abba::coin_name(tag="ba/0", round=1)
-    name.str("sintra/abba/coin");
-    name.str("ba/0");
-    name.u32(1);
-    auto shares = deployment.keys->share(attacker).coin.share(pk, name.data(), attacker_rng);
+    auto shares =
+        deployment.keys->share(attacker).coin.share(pk, abba_coin_name(3), attacker_rng);
     shares.pop_back();
-    Writer w;
-    w.u8(2);  // Abba::kCoinShare
-    w.u32(1);
-    w.vec(shares, [&](Writer& wr, const CoinShare& s) { s.encode(wr, pk.group()); });
-    inject_from(cluster.simulator(), n, attacker, "ba/0", w.data());
+    inject_from(cluster.simulator(), n, attacker, "ba/0",
+                abba_coin_message(deployment, 3, shares));
   }
-  // Split inputs: round 1 cannot hard-decide, so the coin is consulted.
+  // Split inputs: rounds 1 and 2 cannot settle it, so the threshold coin
+  // of round 3 is tossed.
   cluster.for_each([](int id, AbbaState& s) { s.abba->start(id % 2 == 0); });
   bool done = false;
   ASSERT_NO_THROW(done = cluster.run_until_all(
                       [](AbbaState& s) { return s.decision.has_value(); }, 20000000));
   ASSERT_TRUE(done);
+  ASSERT_GT(trace_count(log, "ba/0 coin r3 ="), 0u) << "the run never tossed the threshold coin";
   std::optional<bool> common;
   cluster.for_each([&](int id, AbbaState& s) {
     if (!common.has_value()) common = s.decision;
@@ -1804,33 +2026,26 @@ TEST_P(VerdictSelfMessageTest, PeerVerdictDroppedAndStaleReplayIgnored) {
       break;
     }
     case VerdictSite::kAbbaCoin: {
-      protocols::Cluster<AbbaState> cluster(
-          deployment, sched,
-          [](net::Party& party, int) {
-            auto s = std::make_unique<AbbaState>();
-            s->abba = std::make_unique<protocols::Abba>(
-                party, "ba/0", [p = s.get()](bool v, int) { p->decision = v; });
-            return s;
-          },
-          0, 0, 59, &log);
+      protocols::Cluster<AbbaState> cluster(deployment, sched, make_abba_state, 0, 0, 59, &log);
       Writer prefix;
-      prefix.u8(5);  // Abba::kCoinVerdict
-      prefix.u32(1);
+      prefix.u8(protocols::Abba::kCoinVerdict);
+      prefix.u32(3);
       cluster.start();
       inject_from(cluster.simulator(), 4, 3, "ba/0",
                   forged_verdict(deployment, true, prefix.data(), 1));
-      // Split inputs: round 1 needs its coin.  A decided instance drops
-      // every message unread, so the stale verdict is replayed while the
-      // instance still runs: right after party 0 adopted the round-1 coin.
+      // Split inputs: rounds 1 and 2 cannot settle it, so round 3 tosses
+      // the threshold coin.  A halted instance drops every message unread,
+      // so the stale verdict is replayed while the instance still runs:
+      // right after party 0 adopted the round-3 coin.
       cluster.for_each([](int id, AbbaState& s) { s.abba->start(id % 2 == 0); });
       ASSERT_TRUE(cluster.simulator().run_until(
           [&] {
             return std::any_of(log.events().begin(), log.events().end(), [](const TraceEvent& e) {
-              return e.party == 0 && e.message.find("ba/0 coin r1 =") != std::string::npos;
+              return e.party == 0 && e.message.find("ba/0 coin r3 =") != std::string::npos;
             });
           },
           kSteps));
-      ASSERT_FALSE(cluster.protocol(0)->decision.has_value());
+      ASSERT_GT(cluster.protocol(0)->abba->live_rounds(), 0u) << "party 0 already halted";
       ASSERT_NO_THROW(replay_to_self(*cluster.party(0), "ba/0",
                                      forged_verdict(deployment, true, prefix.data(), 1)));
       ASSERT_TRUE(cluster.run_until_all([](AbbaState& s) { return s.decision.has_value(); },

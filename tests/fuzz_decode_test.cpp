@@ -4,6 +4,8 @@
 // Seeded pseudo-random fuzzing plus targeted truncation sweeps.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "app/ca.hpp"
 #include "app/client.hpp"
 #include "app/directory.hpp"
@@ -296,10 +298,22 @@ TEST(FuzzTest, MutatedCapturedAbbaAndVbaTraffic) {
     ASSERT_TRUE(cluster.run_until_all(done, 3000000));
   }
   ASSERT_FALSE(captured.empty());
+  // The capture must hold every ABBA message type — BVAL, AUX, CONF, a
+  // threshold-coin share and DECIDE — or the replay below skips handlers.
+  std::set<std::uint8_t> abba_types;
+  for (const net::Message& m : captured) {
+    if (m.tag == "ba/0" && !m.payload.empty()) abba_types.insert(m.payload[0]);
+  }
+  for (const std::uint8_t type : {protocols::Abba::kBval, protocols::Abba::kAux,
+                                  protocols::Abba::kConf, protocols::Abba::kCoinShare,
+                                  protocols::Abba::kDecide}) {
+    EXPECT_TRUE(abba_types.contains(type)) << "capture lacks ABBA type " << int{type};
+  }
 
-  // The capture covers ABBA's vote/coin handlers plus VBA's consistent-
-  // broadcast, vote, and fetch handlers — replay it mutated into all of
-  // them, then check both protocols still complete and agree.
+  // The capture covers ABBA's BVAL/AUX/CONF/coin/DECIDE handlers plus
+  // VBA's consistent-broadcast, vote, and fetch handlers — replay it
+  // mutated into all of them, then check both protocols still complete
+  // and agree.
   net::RandomScheduler sched(10);
   protocols::Cluster<Holder> cluster(deployment, sched, factory);
   cluster.start();

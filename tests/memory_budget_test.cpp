@@ -54,6 +54,11 @@ struct AbbaState {
   std::vector<bool> decisions;
 };
 
+// The flooder sprays exactly ABBA's round-stamped wire types.
+static_assert(net::FlooderProcess::kAbbaRoundTypes ==
+              std::array<std::uint8_t, 4>{Abba::kBval, Abba::kAux, Abba::kConf,
+                                          Abba::kCoinShare});
+
 TEST(MemoryBudgetTest, AbbaFutureRoundFloodStaysBoundedAndDecides) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -81,15 +86,19 @@ TEST(MemoryBudgetTest, AbbaFutureRoundFloodStaysBoundedAndDecides) {
     ASSERT_TRUE(
         cluster.run_until_all([](AbbaState& s) { return !s.decisions.empty(); }, 3000000))
         << "flood broke termination";
+    // Deciding is not halting: an instance frees its rounds once a quorum
+    // of DECIDEs is in, so let those land before looking at the GC.
+    ASSERT_TRUE(
+        cluster.run_until_all([](AbbaState& s) { return s.abba->live_rounds() == 0; }, 3000000))
+        << "a decided instance never halted";
     std::optional<bool> common;
     std::uint64_t governance_hits = 0;
     cluster.for_each([&](int id, AbbaState& s) {
       ASSERT_EQ(s.decisions.size(), 1u);
       if (!common.has_value()) common = s.decisions[0];
       EXPECT_EQ(s.decisions[0], *common) << "agreement violated at party " << id;
-      // Instance GC on decide: round tallies and parked future-round junk
+      // Instance GC on halt: round tallies and parked future-round junk
       // are gone, and their budget charges with them.
-      EXPECT_EQ(s.abba->live_rounds(), 0u);
       EXPECT_EQ(s.abba->deferred_count(), 0u);
       const net::Party* party = cluster.party(id);
       ASSERT_NE(party, nullptr);

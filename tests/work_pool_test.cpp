@@ -209,12 +209,14 @@ TEST(WorkPoolTest, SharedThresholdKeyAcrossWorkers) {
 struct AbbaState {
   std::unique_ptr<protocols::Abba> abba;
   std::optional<bool> decision;
+  int round = 0;
 };
 
 struct RunFingerprint {
   std::uint64_t steps = 0;
   std::uint64_t messages = 0;
   bool decision = false;
+  int max_round = 0;  ///< latest decision round at any party
 
   bool operator==(const RunFingerprint&) const = default;
 };
@@ -230,7 +232,10 @@ RunFingerprint run_abba(std::uint64_t seed, WorkPool* pool) {
       [](net::Party& party, int) {
         auto state = std::make_unique<AbbaState>();
         state->abba = std::make_unique<protocols::Abba>(
-            party, "ba/0", [s = state.get()](bool v, int) { s->decision = v; });
+            party, "ba/0", [s = state.get()](bool v, int r) {
+              s->decision = v;
+              s->round = r;
+            });
         return state;
       },
       0, 0, seed);
@@ -244,7 +249,10 @@ RunFingerprint run_abba(std::uint64_t seed, WorkPool* pool) {
   RunFingerprint fp;
   fp.steps = cluster.simulator().now();
   fp.messages = cluster.simulator().total_messages();
-  cluster.for_each([&](int, AbbaState& s) { fp.decision = s.decision.value_or(false); });
+  cluster.for_each([&](int, AbbaState& s) {
+    fp.decision = s.decision.value_or(false);
+    fp.max_round = std::max(fp.max_round, s.round);
+  });
   return fp;
 }
 
@@ -259,6 +267,9 @@ TEST(WorkPoolTest, SeededSimulatorRunsAreBitExactWithPoolEnabled) {
     // versus the plain inline path.
     EXPECT_EQ(with_pool_a, with_pool_b) << "seed " << seed;
     EXPECT_EQ(with_pool_a, without_pool) << "seed " << seed;
+    // Only a threshold-coin round (3, 6, ...) offloads a combine to the
+    // pool; a run that decides before round 3 would test nothing.
+    EXPECT_GE(with_pool_a.max_round, 3) << "seed " << seed << " never tossed the threshold coin";
   }
 }
 
