@@ -235,13 +235,6 @@ void Party::on_message(const Message& message) {
   drain_local();
 }
 
-void Party::begin_epoch(std::uint32_t epoch, std::vector<std::int32_t> members) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  if (epoch <= epoch_) return;  // replay / at-least-once re-entry
-  epoch_ = epoch;
-  epoch_log_.push_back({epoch, std::move(members)});
-}
-
 Bytes Party::snapshot() const {
   // Snapshots are taken from a quiesced stack; the lock is released around
   // the save() callbacks because they run protocol code that may call back
@@ -255,19 +248,13 @@ Bytes Party::snapshot() const {
     }
   }
   Writer w;
-  w.u8(3);  // snapshot version (v3: membership epoch history)
+  w.u8(4);  // snapshot version (v4: checkpoints, retired tags, WAL)
   w.u32(static_cast<std::uint32_t>(savers.size()));
   for (const auto& [prefix, save] : savers) {
     w.str(prefix);
     w.bytes(save());
   }
   std::lock_guard<std::mutex> lock(state_mutex_);
-  w.u32(epoch_);
-  w.vec(epoch_log_, [](Writer& out, const EpochRecord& record) {
-    out.u32(record.epoch);
-    out.vec(record.members,
-            [](Writer& inner, std::int32_t m) { inner.u32(static_cast<std::uint32_t>(m)); });
-  });
   w.u32(static_cast<std::uint32_t>(retired_order_.size()));
   for (const std::string& tag : retired_order_) w.str(tag);
   w.vec(wal_, [](Writer& out, const Message& message) {
@@ -282,7 +269,7 @@ void Party::restore(BytesView persisted) {
   Reader r(persisted);
   const auto version = r.u8();
   // A snapshot is input from disk, not an invariant of this process.
-  SINTRA_REQUIRE(version == 3, "Party: unknown snapshot version");
+  SINTRA_REQUIRE(version == 4, "Party: unknown snapshot version");
   std::vector<std::pair<std::string, Bytes>> blobs;
   const auto checkpoint_count = r.u32();
   blobs.reserve(checkpoint_count);
@@ -290,19 +277,9 @@ void Party::restore(BytesView persisted) {
     std::string prefix = r.str();
     blobs.emplace_back(std::move(prefix), r.bytes());
   }
-  const std::uint32_t epoch = r.u32();
-  std::vector<EpochRecord> log = r.vec<EpochRecord>([](Reader& in) {
-    EpochRecord record;
-    record.epoch = in.u32();
-    record.members = in.vec<std::int32_t>(
-        [](Reader& inner) { return static_cast<std::int32_t>(inner.u32()); });
-    return record;
-  });
   const auto retired_count = r.u32();
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
-    epoch_ = epoch;
-    epoch_log_ = std::move(log);
     for (std::uint32_t i = 0; i < retired_count; ++i) {
       std::string tag = r.str();
       if (retired_.insert(tag).second) retired_order_.push_back(std::move(tag));

@@ -72,28 +72,6 @@ class Party : public Process {
   [[nodiscard]] const ResourceBudget& budget() const { return budget_; }
   void set_budget(BudgetConfig config) { budget_.configure(config); }
 
-  // --- membership epochs (protocols/reconfig.hpp) ----------------------
-  /// One applied reconfiguration: the epoch entered and the new committee
-  /// as old-slot ids (-1 for joined-blank slots).  Recorded durably so a
-  /// snapshot+WAL replay reproduces the membership history bit-exactly.
-  struct EpochRecord {
-    std::uint32_t epoch = 0;
-    std::vector<std::int32_t> members;
-  };
-  [[nodiscard]] std::uint32_t epoch() const {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    return epoch_;
-  }
-  /// Enter `epoch` with the given membership (monotonic; replay-safe:
-  /// re-entering an already-recorded epoch is a no-op).  The record rides
-  /// every snapshot, so a restore re-enters the same epoch before the WAL
-  /// suffix replays.
-  void begin_epoch(std::uint32_t epoch, std::vector<std::int32_t> members);
-  [[nodiscard]] std::vector<EpochRecord> epoch_log() const {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    return epoch_log_;
-  }
-
   void send(int to, const std::string& tag, Bytes payload);
   /// Send to every party, self included (self copy delivered locally).
   void broadcast(const std::string& tag, const Bytes& payload);
@@ -263,8 +241,6 @@ class Party : public Process {
   std::uint64_t lane_group_ = 0;  ///< shard salt for executor-lane hashing
   std::atomic<std::uint64_t> rng_slots_{0};
   std::vector<Message> wal_;  ///< received messages + external inputs, arrival order
-  std::uint32_t epoch_ = 0;  ///< current membership epoch (state_mutex_)
-  std::vector<EpochRecord> epoch_log_;  ///< applied reconfigurations (state_mutex_)
 };
 
 }  // namespace sintra::net

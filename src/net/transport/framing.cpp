@@ -31,7 +31,6 @@ Bytes HelloBody::encode() const {
   w.u32(node_id);
   w.u64(nonce);
   w.u64(recv_cursor);
-  w.u32(epoch);
   return w.take();
 }
 
@@ -41,7 +40,6 @@ HelloBody HelloBody::decode(Reader& reader) {
   hello.node_id = reader.u32();
   hello.nonce = reader.u64();
   hello.recv_cursor = reader.u64();
-  hello.epoch = reader.u32();
   reader.expect_done();
   return hello;
 }
@@ -50,7 +48,6 @@ Bytes DataBatchBody::encode() const {
   Writer w;
   w.u64(ack);
   w.u64(base);
-  w.u32(epoch);
   w.u32(static_cast<std::uint32_t>(records.size()));
   for (const Record& record : records) {
     w.u64(record.seq);
@@ -64,7 +61,6 @@ DataBatchBody DataBatchBody::decode(Reader& reader) {
   DataBatchBody batch;
   batch.ack = reader.u64();
   batch.base = reader.u64();
-  batch.epoch = reader.u32();
   const std::uint32_t count = reader.u32();
   SINTRA_REQUIRE(count <= reader.remaining(), "framing: implausible batch count");
   batch.records.reserve(count);
@@ -84,7 +80,6 @@ DataBatchView DataBatchView::decode(BytesView body) {
   DataBatchView batch;
   batch.ack = reader.u64();
   batch.base = reader.u64();
-  batch.epoch = reader.u32();
   const std::uint32_t count = reader.u32();
   SINTRA_REQUIRE(count <= reader.remaining(), "framing: implausible batch count");
   batch.records.reserve(count);
@@ -97,6 +92,19 @@ DataBatchView DataBatchView::decode(BytesView body) {
   }
   reader.expect_done();
   return batch;
+}
+
+Bytes encode_ack(std::uint64_t ack) {
+  Writer w;
+  w.u64(ack);
+  return w.take();
+}
+
+std::uint64_t decode_ack(BytesView body) {
+  Reader reader(body);
+  const std::uint64_t ack = reader.u64();
+  reader.expect_done();
+  return ack;
 }
 
 Bytes encode_frame(FrameType type, BytesView body, BytesView mac_key) {

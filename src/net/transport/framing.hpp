@@ -19,30 +19,27 @@
 //
 // Frame bodies are typed and serialized with the deterministic
 // Writer/Reader encoding used by every protocol message:
-//   HELLO: u16 version, u32 node_id, u64 nonce, u64 recv_cursor, u32 epoch
-//   BATCH: u64 ack, u64 base, u32 epoch, u32 count,
+//   HELLO: u16 version, u32 node_id, u64 nonce, u64 recv_cursor
+//   BATCH: u64 ack, u64 base, u32 count,
 //          count x { u64 seq, u32 group, bytes payload }
 //   ACK:   u64 ack
 //   PING/PONG: empty
 // `ack` is cumulative ("I delivered every seq < ack"); `base` is the
 // sender's lowest retained seq (the quota gap floor, see link.hpp).
-// `epoch` is the sender's membership epoch (protocols/reconfig.hpp): a
-// HELLO from an epoch more than one away from ours is rejected at the
-// handshake, and data frames from outside the one-epoch transition window
-// are filtered before delivery — wrong-epoch traffic dies at the
-// transport instead of reaching protocol instances keyed for another
-// committee.
+// Frames carry no membership epoch: the link keys are the membership
+// fence.  A reconfiguration epoch re-derives every pair's key
+// (protocols/reconfig.hpp, assemble_committee), so a peer keyed for
+// another epoch's committee fails the HELLO MAC and never connects.
 //
-// `group` (wire v4) is the multi-tenant shard stamp: one host process can
-// run several independent SINTRA groups over a single transport, and each
+// `group` is the multi-tenant shard stamp: one host process can run
+// several independent SINTRA groups over a single transport, and each
 // payload names the group (tenant) it belongs to.  The stamp rides per
 // *record*, not per frame, so one coalesced BATCH super-frame carries
 // traffic for many shards under a single HMAC and a single syscall —
 // sharding multiplies the message rate but not the per-link
-// authentication cost.  ack/base/epoch remain link-level (per frame):
-// reliability and membership fencing are properties of the machine pair,
-// not of any one tenant.  Single-tenant deployments stamp group 0
-// everywhere, which is also what a decoder reports for pre-v4 semantics.
+// authentication cost.  ack/base remain link-level (per frame):
+// reliability is a property of the machine pair, not of any one tenant.
+// Single-tenant deployments stamp group 0 everywhere.
 //
 // BATCH is the coalesced super-frame and the only data frame: every
 // payload bound for a peer in one event-loop flush rides one frame — one
@@ -51,7 +48,8 @@
 // (ack/base) are link-level state valid for the entire flush, so they
 // appear once per batch rather than once per message.  Receivers slice
 // payload views straight out of the decoder's buffer (DataBatchView) —
-// the zero-copy receive path.
+// the zero-copy receive path.  Both transports build and consume BATCH
+// and ACK frames through the one codec beside ReliableLink (link.hpp).
 #pragma once
 
 #include <cstdint>
@@ -62,7 +60,7 @@
 
 namespace sintra::net::transport {
 
-constexpr std::uint16_t kProtocolVersion = 4;  // v4: group-stamped frames
+constexpr std::uint16_t kProtocolVersion = 5;  // v5: no epoch stamp in HELLO or BATCH
 constexpr std::size_t kMacSize = crypto::kSha256DigestSize;
 /// Upper bound on a frame body; larger lengths are treated as an attack on
 /// the receiver's memory and poison the stream.
@@ -93,7 +91,6 @@ struct HelloBody {
   std::uint32_t node_id = 0;
   std::uint64_t nonce = 0;        ///< fresh per connection attempt
   std::uint64_t recv_cursor = 0;  ///< cumulative receive progress (link.hpp)
-  std::uint32_t epoch = 0;        ///< sender's membership epoch
 
   [[nodiscard]] Bytes encode() const;
   static HelloBody decode(Reader& reader);  ///< throws ProtocolError
@@ -102,10 +99,9 @@ struct HelloBody {
 struct DataBatchBody {
   std::uint64_t ack = 0;
   std::uint64_t base = 0;
-  std::uint32_t epoch = 0;
   struct Record {
     std::uint64_t seq = 0;
-    std::uint32_t group = 0;  ///< per-record shard stamp (wire v4)
+    std::uint32_t group = 0;  ///< per-record shard stamp
     Bytes payload;
   };
   std::vector<Record> records;
@@ -120,16 +116,19 @@ struct DataBatchBody {
 struct DataBatchView {
   std::uint64_t ack = 0;
   std::uint64_t base = 0;
-  std::uint32_t epoch = 0;
   struct Record {
     std::uint64_t seq = 0;
-    std::uint32_t group = 0;  ///< per-record shard stamp (wire v4)
+    std::uint32_t group = 0;  ///< per-record shard stamp
     BytesView payload;
   };
   std::vector<Record> records;
 
   static DataBatchView decode(BytesView body);  ///< throws ProtocolError
 };
+
+/// ACK body: the sender's cumulative receive cursor.
+Bytes encode_ack(std::uint64_t ack);
+std::uint64_t decode_ack(BytesView body);  ///< throws ProtocolError
 
 /// Encode one frame, MAC'd under `mac_key`.
 Bytes encode_frame(FrameType type, BytesView body, BytesView mac_key);

@@ -137,4 +137,29 @@ ReliableLink::Incoming ReliableLink::on_data(std::uint64_t seq, std::uint64_t ba
   return incoming;
 }
 
+std::vector<BatchFrame> take_batches(ReliableLink& link, BytesView key) {
+  std::vector<ReliableLink::OutFrame> frames = link.take_sendable();
+  std::vector<BatchFrame> out;
+  if (frames.empty()) return out;
+  // take_sendable stamps every frame with the same base (eviction never
+  // runs mid-take), so one base serves every batch of the flush.
+  DataBatchBody batch;
+  batch.ack = link.recv_cursor();
+  batch.base = frames.front().base;
+  std::size_t batch_bytes = 0;
+  const auto emit = [&] {
+    out.push_back({encode_frame(FrameType::kDataBatch, batch.encode(), key), batch.records.size()});
+    batch.records.clear();
+    batch_bytes = 0;
+  };
+  for (ReliableLink::OutFrame& frame : frames) {
+    if (batch_bytes > 0 && batch_bytes + frame.payload.size() > kMaxBatchBytes) emit();
+    batch_bytes += frame.payload.size();
+    batch.records.push_back({frame.seq, frame.group, std::move(frame.payload)});
+  }
+  emit();
+  link.mark_ack_sent();  // the ack rode the batches
+  return out;
+}
+
 }  // namespace sintra::net::transport

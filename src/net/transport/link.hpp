@@ -30,11 +30,12 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "net/transport/framing.hpp"
 
 namespace sintra::net::transport {
 
 /// A payload stamped with the shard (tenant group) it belongs to.  Group
-/// ids ride the wire per record (framing wire v4) so one host can carry
+/// ids ride the wire per record (framing.hpp) so one host can carry
 /// many independent SINTRA groups over one reliable link; single-tenant
 /// callers use group 0 throughout.
 struct GroupPayload {
@@ -156,5 +157,48 @@ class ReliableLink {
   std::map<std::uint64_t, GroupPayload> reorder_;
   std::size_t unacked_deliveries_ = 0;
 };
+
+// --- the BATCH codec both transports share --------------------------------
+
+/// One encoded BATCH frame and the number of records riding it.
+struct BatchFrame {
+  Bytes bytes;
+  std::size_t records = 0;
+};
+
+/// Send side of a flush: every sendable record of `link`, coalesced into
+/// BATCH frames of at most kMaxBatchBytes payload bytes each (one
+/// over-budget payload rides alone), MAC'd under `key`, with the link's
+/// receive cursor piggybacked as the ack.  Marks the ack sent when
+/// anything goes out.  Empty when nothing is sendable.
+std::vector<BatchFrame> take_batches(ReliableLink& link, BytesView key);
+
+/// Receive side of one authenticated BATCH body: apply its piggybacked
+/// ack, then run each record through `link` — in-order records on the
+/// zero-copy fast path, the rest through on_data — and hand every payload
+/// the link delivers to `deliver(group, payload)`.  Returns whether the
+/// link asks for an explicit ack now.  Throws ProtocolError on a
+/// malformed body.
+template <class Deliver>
+bool receive_batch(ReliableLink& link, BytesView body, Deliver&& deliver) {
+  const DataBatchView batch = DataBatchView::decode(body);
+  link.on_ack(batch.ack);
+  bool ack_now = false;
+  for (const DataBatchView::Record& record : batch.records) {
+    const ReliableLink::FastPath fast = link.accept_inorder(record.seq, batch.base);
+    if (fast.taken) {
+      deliver(record.group, record.payload);
+      ack_now = ack_now || fast.ack_now;
+      continue;
+    }
+    ReliableLink::Incoming incoming = link.on_data(
+        record.seq, batch.base, Bytes(record.payload.begin(), record.payload.end()), record.group);
+    for (const GroupPayload& delivery : incoming.deliver) {
+      deliver(delivery.group, BytesView(delivery.payload));
+    }
+    ack_now = ack_now || incoming.ack_now;
+  }
+  return ack_now;
+}
 
 }  // namespace sintra::net::transport

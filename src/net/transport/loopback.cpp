@@ -84,47 +84,22 @@ void LoopbackHub::send_many(int from, int to, std::vector<GroupPayload> payloads
 
 void LoopbackHub::flush(int from, int to) {
   if (!pairs_[pair_index(from, to)].connected) return;
-  ReliableLink& l = link_mut(from, to);
-  const BytesView key = pair_keys_[pair_index(from, to)];
-  std::vector<ReliableLink::OutFrame> frames = l.take_sendable();
-  if (frames.empty()) return;
-  // Coalesce the whole flush into BATCH super-frames: one frame — one
-  // HMAC — per kMaxBatchBytes of payload, not per message.  Identical
-  // framing to the TCP path so tests can assert the amortization
-  // deterministically here.
-  DataBatchBody batch;
-  batch.ack = l.recv_cursor();
-  std::size_t batch_bytes = 0;
-  const auto emit = [&] {
-    if (batch.records.empty()) return;
-    wires_[wire_index(from, to)].push_back(
-        encode_frame(FrameType::kDataBatch, batch.encode(), key));
+  // One BATCH super-frame — one HMAC — per kMaxBatchBytes of payload, not
+  // per message: the same codec as the TCP path, so tests can assert the
+  // amortization deterministically here.
+  for (BatchFrame& batch : take_batches(link_mut(from, to), pair_keys_[pair_index(from, to)])) {
+    wires_[wire_index(from, to)].push_back(std::move(batch.bytes));
     ++stats_.batches_sent;
     ++stats_.hmacs_computed;
-    stats_.coalesced_payloads += batch.records.size();
-    batch.records.clear();
-    batch_bytes = 0;
-  };
-  for (ReliableLink::OutFrame& out : frames) {
-    if (batch_bytes > 0 && batch_bytes + out.payload.size() > kMaxBatchBytes) emit();
-    // `base` can only advance within one take_sendable (quota eviction
-    // between frames never happens mid-take), so the last frame's base is
-    // valid for the whole batch.
-    batch.base = out.base;
-    batch_bytes += out.payload.size();
-    batch.records.push_back(DataBatchBody::Record{out.seq, out.group, std::move(out.payload)});
+    stats_.coalesced_payloads += batch.records;
   }
-  emit();
-  l.mark_ack_sent();
 }
 
 void LoopbackHub::send_explicit_ack(int from, int to) {
   if (!pairs_[pair_index(from, to)].connected) return;
   ReliableLink& l = link_mut(from, to);
-  Writer w;
-  w.u64(l.recv_cursor());
-  wires_[wire_index(from, to)].push_back(
-      encode_frame(FrameType::kAck, w.data(), pair_keys_[pair_index(from, to)]));
+  wires_[wire_index(from, to)].push_back(encode_frame(
+      FrameType::kAck, encode_ack(l.recv_cursor()), pair_keys_[pair_index(from, to)]));
   ++stats_.hmacs_computed;
   l.mark_ack_sent();
 }
@@ -209,32 +184,11 @@ void LoopbackHub::deliver_wire_front(int from, int to) {
     bool ack_now = false;
     try {
       if (type == FrameType::kDataBatch) {
-        // Zero-copy path: payload views are slices of the decoder buffer;
-        // in-order records go straight up without ever becoming a Bytes.
-        const DataBatchView batch = DataBatchView::decode(body);
-        recv_link.on_ack(batch.ack);
-        for (const DataBatchView::Record& record : batch.records) {
-          const ReliableLink::FastPath fast =
-              recv_link.accept_inorder(record.seq, batch.base);
-          if (fast.taken) {
-            if (receive) receive(from, record.group, record.payload);
-            ack_now = ack_now || fast.ack_now;
-            continue;
-          }
-          ReliableLink::Incoming incoming =
-              recv_link.on_data(record.seq, batch.base,
-                                Bytes(record.payload.begin(), record.payload.end()),
-                                record.group);
-          for (const GroupPayload& delivery : incoming.deliver) {
-            if (receive) receive(from, delivery.group, delivery.payload);
-          }
-          ack_now = ack_now || incoming.ack_now;
-        }
+        ack_now = receive_batch(recv_link, body, [&](std::uint32_t group, BytesView payload) {
+          if (receive) receive(from, group, payload);
+        });
       } else if (type == FrameType::kAck) {
-        Reader reader(body);
-        const std::uint64_t ack = reader.u64();
-        reader.expect_done();
-        recv_link.on_ack(ack);
+        recv_link.on_ack(decode_ack(body));
       }
       // kHello/kPing/kPong have no loopback meaning; authenticated → ignore.
     } catch (const ProtocolError&) {

@@ -80,7 +80,7 @@ class LoopbackHub {
   };
 
   /// `receive(from, group, payload)` runs synchronously inside step().
-  /// `group` is the wire-v4 shard stamp the sender put on the record.
+  /// `group` is the shard stamp the sender put on the record.
   /// The view is a slice of the decoded frame, valid only during the
   /// call — the zero-copy receive path (receivers that keep the payload
   /// copy it, which for a NetworkedNode is the one copy into the owning

@@ -7,28 +7,20 @@
 
 namespace sintra::net::transport {
 
-namespace {
-/// Budget instance tag for buffered next-epoch traffic: one tag so
-/// advance_epoch can release the whole class at once via accounting.
-const char* const kFutureEpochTag = "reconfig/future-epoch";
-}  // namespace
-
 NetworkedNode::NetworkedNode(Config config)
     : config_(config), start_(std::chrono::steady_clock::now()) {
   SINTRA_REQUIRE(config_.n >= 1 && config_.node_id >= 0 && config_.node_id < config_.n,
                  "networked_node: node_id out of range");
   SINTRA_REQUIRE(config_.max_inbox >= 1, "networked_node: inbox must hold something");
   outbox_.resize(static_cast<std::size_t>(config_.n));
-  add_group(0, config_.epoch);
+  add_group(0);
 }
 
-NetworkedNode::GroupEndpoint& NetworkedNode::add_group(std::uint32_t gid, std::uint32_t epoch) {
+NetworkedNode::GroupEndpoint& NetworkedNode::add_group(std::uint32_t gid) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = tenants_.find(gid);
   if (it == tenants_.end()) {
     auto slot = std::make_unique<Tenant>();
-    slot->gid = gid;
-    slot->epoch = epoch;
     slot->endpoint.reset(new GroupEndpoint(this, gid));
     it = tenants_.emplace(gid, std::move(slot)).first;
   }
@@ -46,23 +38,8 @@ NetworkedNode::Tenant& NetworkedNode::tenant(std::uint32_t gid) {
   return *it->second;
 }
 
-const NetworkedNode::Tenant& NetworkedNode::tenant(std::uint32_t gid) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = tenants_.find(gid);
-  SINTRA_REQUIRE(it != tenants_.end(), "networked_node: unknown group");
-  return *it->second;
-}
-
 void NetworkedNode::tenant_attach(std::uint32_t gid, Process& process) {
   tenant(gid).process = &process;
-}
-
-void NetworkedNode::tenant_set_persist(std::uint32_t gid, PersistFn persist) {
-  tenant(gid).persist = std::move(persist);
-}
-
-void NetworkedNode::tenant_set_budget(std::uint32_t gid, ResourceBudget* budget) {
-  tenant(gid).budget = budget;
 }
 
 std::uint64_t NetworkedNode::now() const {
@@ -71,22 +48,18 @@ std::uint64_t NetworkedNode::now() const {
                                         .count());
 }
 
-Bytes NetworkedNode::encode_payload(const Message& message, std::uint32_t epoch) {
+Bytes NetworkedNode::encode_payload(const Message& message) {
   Writer w;
-  w.u32(epoch);
   w.str(message.tag);
   w.bytes(message.payload);
   return w.take();
 }
 
-Message NetworkedNode::decode_payload(int from, int to, BytesView payload,
-                                      std::uint32_t* epoch_out) {
+Message NetworkedNode::decode_payload(int from, int to, BytesView payload) {
   Reader reader(payload);
   Message message;
   message.from = from;
   message.to = to;
-  const std::uint32_t epoch = reader.u32();
-  if (epoch_out != nullptr) *epoch_out = epoch;
   message.tag = reader.str();
   message.payload = reader.bytes();
   reader.expect_done();
@@ -120,11 +93,10 @@ void NetworkedNode::submit_group(std::uint32_t gid, Message message) {
   // coalescing into one super-frame.
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = tenants_.find(gid);
-    SINTRA_REQUIRE(it != tenants_.end(), "networked_node: unknown group");
+    SINTRA_REQUIRE(tenants_.count(gid) != 0, "networked_node: unknown group");
     message.id = next_id_++;
     outbox_[static_cast<std::size_t>(message.to)].push_back(
-        GroupPayload{gid, encode_payload(message, it->second->epoch)});
+        GroupPayload{gid, encode_payload(message)});
   }
   inbox_cv_.notify_one();  // wake the pump to flush
 }
@@ -132,9 +104,8 @@ void NetworkedNode::submit_group(std::uint32_t gid, Message message) {
 void NetworkedNode::on_transport_receive(int from, std::uint32_t group, BytesView payload) {
   if (from < 0 || from >= config_.n || from == config_.node_id) return;
   Message message;
-  std::uint32_t msg_epoch = 0;
   try {
-    message = decode_payload(from, config_.node_id, payload, &msg_epoch);
+    message = decode_payload(from, config_.node_id, payload);
   } catch (const ProtocolError&) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.malformed;
@@ -147,68 +118,14 @@ void NetworkedNode::on_transport_receive(int from, std::uint32_t group, BytesVie
     auto it = tenants_.find(group);
     if (it == tenants_.end()) {
       // A group this host does not run: a misrouted (or adversarially
-      // stamped) record.  Count and drop — never crash, never bill an
-      // actual tenant for it.
+      // stamped) record.  Count and drop — never crash, never hand it to
+      // an actual tenant.
       ++stats_.unknown_group;
       return;
     }
     owner = it->second.get();
-    if (msg_epoch != owner->epoch) {
-      if (msg_epoch == owner->epoch + 1) {
-        // One epoch ahead: the sender finished a reconfiguration this
-        // tenant has not applied yet.  Park the message — bounded per
-        // tenant by count and by the tenant's own ResourceBudget, so one
-        // group's flood cannot evict another group's buffers — and
-        // replay it at advance_epoch().
-        const std::size_t cost = message.tag.size() + message.payload.size() + 16;
-        if (owner->future.size() >= config_.max_future ||
-            (owner->budget != nullptr &&
-             !owner->budget->try_charge(from, kFutureEpochTag, cost))) {
-          ++stats_.epoch_dropped;
-          return;
-        }
-        owner->future.push_back({std::move(message), msg_epoch, cost});
-        ++stats_.epoch_buffered;
-      } else {
-        // Stale (or absurdly future) epoch: fenced-out traffic.
-        ++stats_.epoch_stale;
-      }
-      return;
-    }
   }
   enqueue_inbound(*owner, std::move(message));
-}
-
-std::uint32_t NetworkedNode::tenant_epoch(std::uint32_t gid) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = tenants_.find(gid);
-  SINTRA_REQUIRE(it != tenants_.end(), "networked_node: unknown group");
-  return it->second->epoch;
-}
-
-void NetworkedNode::tenant_advance_epoch(std::uint32_t gid, std::uint32_t epoch) {
-  Tenant* owner = nullptr;
-  std::deque<FutureMessage> parked;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = tenants_.find(gid);
-    SINTRA_REQUIRE(it != tenants_.end(), "networked_node: unknown group");
-    owner = it->second.get();
-    if (epoch <= owner->epoch) return;  // monotonic; repeated applies are no-ops
-    owner->epoch = epoch;
-    parked.swap(owner->future);
-  }
-  for (FutureMessage& entry : parked) {
-    if (owner->budget != nullptr) {
-      owner->budget->release(entry.message.from, kFutureEpochTag, entry.cost);
-    }
-    if (entry.epoch == epoch) {
-      enqueue_inbound(*owner, std::move(entry.message));
-    } else {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.epoch_stale;  // skipped an epoch: the parked traffic died with it
-    }
-  }
 }
 
 void NetworkedNode::enqueue_inbound(Tenant& owner, Message message) {
@@ -276,7 +193,6 @@ std::size_t NetworkedNode::poll() {
   }
   std::size_t dispatched = 0;
   for (InboxEntry& entry : batch) {
-    if (entry.tenant->persist) entry.tenant->persist(entry.message);  // write-ahead
     if (entry.tenant->process != nullptr) {
       entry.tenant->process->on_message(entry.message);
       ++dispatched;

@@ -3,33 +3,33 @@
 // real transport.
 //
 // One NetworkedNode is one machine endpoint.  It can host S independent
-// SINTRA groups ("tenants"): each group has its own Process, its own
-// write-ahead persist hook, its own ResourceBudget and its own membership
-// epoch, while all of them share this node's transport link, event loop,
-// timer wheel, inbox pump and (machine-wide) executor/work pools.  A
-// tenant sees the substrate through a GroupEndpoint — a Network facade
-// that stamps every outbound payload with the tenant's group id (the wire
-// v4 record stamp, framing.hpp) and delegates time/timers to the host.
-// Group 0 is created in the constructor, and the node's own Network
-// surface and wiring calls (submit, attach, set_persist, epoch, …)
-// delegate to it, so a one-group host needs no GroupEndpoint at all.
-// There is one way to reach a transport: bind_transport_batched, whose
-// payloads always carry their group stamp, and one way back in: the
+// SINTRA groups ("tenants"): each group has its own Process, while all of
+// them share this node's transport link, event loop, timer wheel, inbox
+// pump and (machine-wide) executor/work pools.  A tenant sees the
+// substrate through a GroupEndpoint — a Network facade that stamps every
+// outbound payload with the tenant's group id (the per-record stamp,
+// framing.hpp) and delegates time/timers to the host.  Group 0 is
+// created in the constructor, and the node's own Network surface and
+// attach() delegate to it, so a one-group host needs no GroupEndpoint at
+// all.  There is one way to reach a transport: bind_transport_batched,
+// whose payloads always carry their group stamp, and one way back in: the
 // three-argument on_transport_receive.
+//
+// The node keeps no membership epoch: the transport's per-epoch link keys
+// are the membership fence (framing.hpp), so every payload that reaches
+// on_transport_receive already comes from a peer of this node's
+// committee.
 //
 // The adapter owns the boundary between the transport's reactor thread
 // and the protocol thread.  The transport delivers authenticated payloads
 // on its own thread; on_transport_receive() routes them by group id to
 // the owning tenant, decodes them into Messages and pushes them into a
 // bounded inbox shared by all tenants (drop-oldest beyond the quota, so a
-// flooding peer costs memory-bounded buffering, never the process).
-// Per-tenant state that is *not* shared: the future-epoch parking buffer
-// is bounded per tenant and metered against that tenant's own budget, so
-// a flooder targeting group A exhausts A's allowance without evicting
-// group B's buffers.  The protocol thread drains the inbox with
-// poll()/run_until(); every message is handed to its tenant's persist
-// hook (the write-ahead log) *before* dispatch, which is what makes crash
-// recovery replayable per group.
+// flooding peer costs memory-bounded buffering, never the process).  A
+// payload stamped with a group this host does not run is counted and
+// dropped before it reaches any tenant.  The protocol thread drains the
+// inbox with poll()/run_until(); each Party keeps its own write-ahead log
+// of what it dispatches (net/party.hpp).
 //
 // Outbound traffic is buffered per peer — tenants interleaved, in submit
 // order — and flushed by the pump thread at the tail of every poll():
@@ -62,7 +62,6 @@
 
 #include "common/executor.hpp"
 #include "common/work_pool.hpp"
-#include "net/budget.hpp"
 #include "net/network.hpp"
 #include "net/simulator.hpp"
 #include "net/transport/link.hpp"
@@ -76,27 +75,20 @@ class NetworkedNode final : public Network {
     int node_id = 0;
     int n = 0;                      ///< network endpoints (servers + clients)
     std::size_t max_inbox = 8192;   ///< bounded inbox; beyond: drop-oldest
-    std::uint32_t epoch = 0;        ///< initial membership epoch (group 0)
-    /// Messages stamped one epoch ahead buffered until advance_epoch();
-    /// beyond this many *per tenant*: drop-oldest (on top of any
-    /// ResourceBudget cap).
-    std::size_t max_future = 1024;
   };
 
   /// The transport entry: every payload buffered for `peer` during one
   /// pump cycle, in order, each stamped with its tenant's group id — the
   /// transport turns the whole vector into one coalesced super-frame.
   using SendManyFn = std::function<void(int peer, std::vector<GroupPayload> payloads)>;
-  /// Write-ahead hook, called for every inbound message before dispatch.
-  using PersistFn = std::function<void(const Message& message)>;
 
   explicit NetworkedNode(Config config);
 
   // --- multi-tenant hosting --------------------------------------------
   /// A tenant's view of the substrate: a Network whose submit() stamps
-  /// the tenant's group id on every payload, plus the tenant-scoped
-  /// wiring (process, persist hook, budget, membership epoch).  Obtained
-  /// from add_group()/group(); owned by the host, valid for its lifetime.
+  /// the tenant's group id on every payload, plus attach() for the
+  /// tenant's process.  Obtained from add_group()/group(); owned by the
+  /// host, valid for its lifetime.
   class GroupEndpoint final : public Network {
    public:
     void submit(Message message) override { host_->submit_group(gid_, std::move(message)); }
@@ -110,12 +102,6 @@ class NetworkedNode final : public Network {
 
     /// The process receiving this group's deliveries (caller owns it).
     void attach(Process& process) { host_->tenant_attach(gid_, process); }
-    void set_persist(PersistFn persist) { host_->tenant_set_persist(gid_, std::move(persist)); }
-    /// Meter this group's future-epoch buffer through its own
-    /// ResourceBudget (not owned) — tenant isolation under flooding.
-    void set_budget(ResourceBudget* budget) { host_->tenant_set_budget(gid_, budget); }
-    [[nodiscard]] std::uint32_t epoch() const { return host_->tenant_epoch(gid_); }
-    void advance_epoch(std::uint32_t epoch) { host_->tenant_advance_epoch(gid_, epoch); }
     [[nodiscard]] std::uint32_t group_id() const { return gid_; }
 
    private:
@@ -125,10 +111,9 @@ class NetworkedNode final : public Network {
     std::uint32_t gid_;
   };
 
-  /// Create (or fetch) the tenant slot for `gid` with initial membership
-  /// epoch `epoch` (ignored when the group already exists).  Wiring
-  /// phase: call before traffic flows for the group.
-  GroupEndpoint& add_group(std::uint32_t gid, std::uint32_t epoch = 0);
+  /// Create (or fetch) the tenant slot for `gid`.  Wiring phase: call
+  /// before traffic flows for the group.
+  GroupEndpoint& add_group(std::uint32_t gid);
   /// The endpoint of an existing group (group 0 always exists).
   [[nodiscard]] GroupEndpoint& group(std::uint32_t gid);
 
@@ -142,15 +127,11 @@ class NetworkedNode final : public Network {
   [[nodiscard]] TraceLog* log() override { return log_; }
   void set_log(TraceLog* log) { log_ = log; }
 
-  // --- wiring (tenant calls delegate to group 0) ------------------------
-  /// The process receiving deliveries (caller owns it and calls on_start).
+  // --- wiring ------------------------------------------------------------
+  /// Group 0's process (caller owns it and calls on_start).
   void attach(Process& process) { tenant_attach(0, process); }
-  /// Meter the future-epoch buffer through the party's ResourceBudget
-  /// (not owned).  Without one, only the max_future count bound applies.
-  void set_budget(ResourceBudget* budget) { tenant_set_budget(0, budget); }
   /// The transport every tenant's outbound traffic is flushed through.
   void bind_transport_batched(SendManyFn send_many) { send_many_ = std::move(send_many); }
-  void set_persist(PersistFn persist) { tenant_set_persist(0, std::move(persist)); }
 
   /// Attach the crypto work pool (not owned; may be shared machine-wide
   /// by several hosts — notify hooks are multicast).  poll() drains
@@ -177,15 +158,6 @@ class NetworkedNode final : public Network {
   /// and dropped — Byzantine input must not crash the node.
   void on_transport_receive(int from, std::uint32_t group, BytesView payload);
 
-  // --- membership epochs (group 0; per-group via GroupEndpoint) ---------
-  /// Current epoch; payloads stamped below it are rejected, payloads one
-  /// ahead are buffered (bounded), anything further is dropped.
-  [[nodiscard]] std::uint32_t epoch() const { return tenant_epoch(0); }
-  /// Move to `epoch` (monotonic; any thread).  Buffered future-epoch
-  /// messages that now match are replayed into the inbox in arrival
-  /// order; anything older is discarded.
-  void advance_epoch(std::uint32_t epoch) { tenant_advance_epoch(0, epoch); }
-
   // --- protocol-thread pump --------------------------------------------
   /// Fire due timers, dispatch every queued message to its tenant, then
   /// flush buffered outbound payloads to the transport (batched per
@@ -207,41 +179,23 @@ class NetworkedNode final : public Network {
     std::uint64_t unknown_group = 0;   ///< payloads for a group not hosted here
     std::uint64_t outbound_flushes = 0;  ///< per-peer batches handed to the transport
     std::uint64_t outbound_payloads = 0; ///< payloads inside those batches
-    std::uint64_t epoch_stale = 0;     ///< payloads from a past (or far-future) epoch
-    std::uint64_t epoch_buffered = 0;  ///< next-epoch payloads parked for advance_epoch
-    std::uint64_t epoch_dropped = 0;   ///< future buffer overflow / budget rejections
   };
   [[nodiscard]] Stats stats() const;
 
   // --- wire form of a Message over the transport -----------------------
-  /// [u32 epoch][str tag][bytes payload] — the epoch is the payload-level
-  /// membership fence; the group id is NOT in here — it rides the frame
-  /// record (framing.hpp), where the transport can route without
+  /// [str tag][bytes payload] — the group id is NOT in here: it rides the
+  /// frame record (framing.hpp), where the transport can route without
   /// decoding protocol payloads.
-  static Bytes encode_payload(const Message& message, std::uint32_t epoch = 0);
-  /// Throws ProtocolError on malformed input.  `epoch_out`, when non-null,
-  /// receives the sender's stamped epoch.
-  static Message decode_payload(int from, int to, BytesView payload,
-                                std::uint32_t* epoch_out = nullptr);
+  static Bytes encode_payload(const Message& message);
+  /// Throws ProtocolError on malformed input.
+  static Message decode_payload(int from, int to, BytesView payload);
 
  private:
-  struct FutureMessage {
-    Message message;
-    std::uint32_t epoch = 0;
-    std::size_t cost = 0;  ///< bytes charged against the tenant's budget
-  };
-
   /// One hosted group.  Pointer-stable (owned via unique_ptr in a map, no
-  /// erase), so inbox entries can carry a raw Tenant*.  epoch/future are
-  /// guarded by the host's mutex_; process/persist/budget are wiring-phase
-  /// fields read without the lock on the pump path.
+  /// erase), so inbox entries can carry a raw Tenant*.  `process` is a
+  /// wiring-phase field read without the lock on the pump path.
   struct Tenant {
-    std::uint32_t gid = 0;
     Process* process = nullptr;
-    PersistFn persist;
-    ResourceBudget* budget = nullptr;
-    std::uint32_t epoch = 0;
-    std::deque<FutureMessage> future;  ///< next-epoch traffic, arrival order
     std::unique_ptr<GroupEndpoint> endpoint;
   };
 
@@ -253,13 +207,8 @@ class NetworkedNode final : public Network {
   // GroupEndpoint back-ends.
   void submit_group(std::uint32_t gid, Message message);
   void tenant_attach(std::uint32_t gid, Process& process);
-  void tenant_set_persist(std::uint32_t gid, PersistFn persist);
-  void tenant_set_budget(std::uint32_t gid, ResourceBudget* budget);
-  [[nodiscard]] std::uint32_t tenant_epoch(std::uint32_t gid) const;
-  void tenant_advance_epoch(std::uint32_t gid, std::uint32_t epoch);
 
-  [[nodiscard]] Tenant& tenant(std::uint32_t gid);        ///< must exist
-  [[nodiscard]] const Tenant& tenant(std::uint32_t gid) const;
+  [[nodiscard]] Tenant& tenant(std::uint32_t gid);  ///< must exist
   void enqueue_inbound(Tenant& owner, Message message);
   void flush_outbound();
 

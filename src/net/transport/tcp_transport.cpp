@@ -80,8 +80,7 @@ struct TcpTransport::Peer {
 
 TcpTransport::TcpTransport(Config config, ReceiveFn receive)
     : config_(std::move(config)), receive_(std::move(receive)),
-      rng_(config_.seed ^ (0x7c0ffee5ULL * static_cast<std::uint64_t>(config_.node_id + 1))),
-      epoch_(config_.epoch) {
+      rng_(config_.seed ^ (0x7c0ffee5ULL * static_cast<std::uint64_t>(config_.node_id + 1))) {
   const int n = static_cast<int>(config_.endpoints.size());
   SINTRA_REQUIRE(n >= 1 && config_.node_id >= 0 && config_.node_id < n,
                  "tcp: node_id out of range");
@@ -196,10 +195,6 @@ void TcpTransport::schedule_flush(int peer) {
     owner.flush_posted = false;
     if (owner.conn != nullptr && owner.conn->established) flush_link(peer);
   });
-}
-
-void TcpTransport::set_epoch(std::uint32_t epoch) {
-  loop_.post([this, epoch] { epoch_ = epoch; });
 }
 
 TcpTransport::Stats TcpTransport::stats() const {
@@ -345,18 +340,10 @@ void TcpTransport::on_pending_readable(int fd) {
     reject();
     return;
   }
-  if (!epoch_compatible(hello.epoch)) {
-    // A peer fenced out by reconfiguration (or far behind one): refuse the
-    // handshake — its traffic belongs to another committee.
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.epoch_rejects;
-    }
-    reject();
-    return;
-  }
   // Authenticate the stream under the claimed peer's link key: the MAC is
-  // what proves the claim (only the dealer-keyed peer can produce it).
+  // what proves the claim (only the dealer-keyed peer can produce it), and
+  // it is the membership fence too — a peer keyed for another epoch's
+  // committee fails it here.
   FrameDecoder decoder;
   decoder.feed(conn->pending_buf);
   Frame authed;
@@ -417,7 +404,6 @@ void TcpTransport::send_hello(Conn& conn, int peer) {
   hello.node_id = static_cast<std::uint32_t>(config_.node_id);
   hello.nonce = conn.my_nonce;
   hello.recv_cursor = p.link.recv_cursor();
-  hello.epoch = epoch_;
   // A fresh connection's outq cannot be over quota; the check is vacuous.
   (void)queue_bytes(conn, encode_frame(FrameType::kHello, hello.encode(), link_key(peer)));
   {
@@ -505,22 +491,6 @@ void TcpTransport::handle_frame(int peer, FrameType type, BytesView body) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.frames_received;
   }
-  // Ack policy after a BATCH's deliveries: explicit ack now when the link
-  // asks, else arm the delayed-ack timer so acks still flow under one-way
-  // load.
-  const auto after_deliveries = [this, peer, &p](bool ack_now) {
-    if (ack_now) {
-      send_ack(peer);
-    } else if (p.link.ack_pending() && p.ack_timer == 0) {
-      p.ack_timer = loop_.schedule_after(config_.ack_flush_ms, [this, peer] {
-        Peer& owner = *peers_[static_cast<std::size_t>(peer)];
-        owner.ack_timer = 0;
-        if (owner.conn != nullptr && owner.conn->established && owner.link.ack_pending()) {
-          send_ack(peer);
-        }
-      });
-    }
-  };
   try {
     if (!conn.established) {
       // Dialer side: the peer's HELLO completes the handshake.
@@ -529,14 +499,6 @@ void TcpTransport::handle_frame(int peer, FrameType type, BytesView body) {
       const HelloBody hello = HelloBody::decode(reader);
       SINTRA_REQUIRE(hello.version == kProtocolVersion, "tcp: version mismatch");
       SINTRA_REQUIRE(static_cast<int>(hello.node_id) == peer, "tcp: HELLO claims wrong id");
-      if (!epoch_compatible(hello.epoch)) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.epoch_rejects;
-        }
-        drop_connection(peer, /*redial=*/true);
-        return;
-      }
       const std::uint64_t low = config_.node_id < peer ? conn.my_nonce : hello.nonce;
       const std::uint64_t high = config_.node_id < peer ? hello.nonce : conn.my_nonce;
       conn.session_key = derive_session_key(link_key(peer), low, high);
@@ -553,60 +515,37 @@ void TcpTransport::handle_frame(int peer, FrameType type, BytesView body) {
     }
     switch (type) {
       case FrameType::kDataBatch: {
-        // Coalesced super-frame: one ack/base for the whole batch, then
-        // per-record delivery.  In-order records take the zero-copy fast
+        // Coalesced super-frame; in-order records take the zero-copy fast
         // path — the payload view (a slice of the decoder buffer) goes
         // straight to the receiver, never becoming an owned Bytes here.
-        const DataBatchView batch = DataBatchView::decode(body);
-        p.link.on_ack(batch.ack);
-        // Epoch fence: wrong-epoch payloads never reach the protocol
-        // layer, but the link still consumes their sequence numbers (and
-        // acks them) so the sender releases them instead of retransmitting
-        // a frame we will never accept.
-        const bool fenced = !epoch_compatible(batch.epoch);
-        bool ack_now = false;
         std::uint64_t delivered = 0;
-        std::uint64_t filtered = 0;
-        for (const DataBatchView::Record& record : batch.records) {
-          const ReliableLink::FastPath fast = p.link.accept_inorder(record.seq, batch.base);
-          if (fast.taken) {
-            if (fenced) {
-              ++filtered;
-            } else {
+        const bool ack_now =
+            receive_batch(p.link, body, [&](std::uint32_t group, BytesView payload) {
               ++delivered;
-              receive_(peer, record.group, record.payload);
-            }
-            ack_now = ack_now || fast.ack_now;
-            continue;
-          }
-          ReliableLink::Incoming incoming =
-              p.link.on_data(record.seq, batch.base,
-                             Bytes(record.payload.begin(), record.payload.end()), record.group);
-          if (fenced) {
-            filtered += incoming.deliver.size();
-          } else {
-            delivered += incoming.deliver.size();
-            for (const GroupPayload& delivery : incoming.deliver) {
-              receive_(peer, delivery.group, delivery.payload);
-            }
-          }
-          ack_now = ack_now || incoming.ack_now;
-        }
-        if (delivered > 0 || filtered > 0) {
+              receive_(peer, group, payload);
+            });
+        if (delivered > 0) {
           std::lock_guard<std::mutex> lock(stats_mutex_);
           stats_.payloads_delivered += delivered;
-          stats_.epoch_filtered += filtered;
         }
-        after_deliveries(ack_now);
+        // Explicit ack now when the link asks, else arm the delayed-ack
+        // timer so acks still flow under one-way load.
+        if (ack_now) {
+          send_ack(peer);
+        } else if (p.link.ack_pending() && p.ack_timer == 0) {
+          p.ack_timer = loop_.schedule_after(config_.ack_flush_ms, [this, peer] {
+            Peer& owner = *peers_[static_cast<std::size_t>(peer)];
+            owner.ack_timer = 0;
+            if (owner.conn != nullptr && owner.conn->established && owner.link.ack_pending()) {
+              send_ack(peer);
+            }
+          });
+        }
         return;
       }
-      case FrameType::kAck: {
-        Reader reader(body);
-        const std::uint64_t ack = reader.u64();
-        reader.expect_done();
-        p.link.on_ack(ack);
+      case FrameType::kAck:
+        p.link.on_ack(decode_ack(body));
         return;
-      }
       case FrameType::kPing:
         send_frame(peer, FrameType::kPong, {});
         try_write(peer);
@@ -629,51 +568,23 @@ void TcpTransport::handle_frame(int peer, FrameType type, BytesView body) {
 void TcpTransport::flush_link(int peer) {
   Peer& p = *peers_[static_cast<std::size_t>(peer)];
   if (p.conn == nullptr || !p.conn->established) return;
-  std::vector<ReliableLink::OutFrame> frames = p.link.take_sendable();
-  if (!frames.empty()) {
-    // Coalesce the whole flush into BATCH super-frames: one length
-    // prefix and one HMAC per kMaxBatchBytes of payload instead of one
-    // per message.  ack/base are link-level cursors valid for the whole
-    // flush (take_sendable never moves base mid-take), so they ride once
-    // per batch.
-    const BytesView key(p.conn->session_key);
-    DataBatchBody batch;
-    batch.ack = p.link.recv_cursor();
-    batch.base = frames.front().base;
-    batch.epoch = epoch_;
-    std::size_t batch_bytes = 0;
-    bool ok = true;
-    const auto emit = [&]() {
-      if (batch.records.empty()) return true;
-      const std::uint64_t count = batch.records.size();
-      Bytes encoded = encode_frame(FrameType::kDataBatch, batch.encode(), key);
-      batch.records.clear();
-      batch_bytes = 0;
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.frames_sent;
-        ++stats_.batches_sent;
-        ++stats_.hmacs_computed;
-        stats_.frames_coalesced += count;
-      }
-      return queue_bytes(*p.conn, std::move(encoded));
-    };
-    for (ReliableLink::OutFrame& out : frames) {
-      if (batch_bytes > 0 && batch_bytes + out.payload.size() > kMaxBatchBytes) {
-        if (!(ok = emit())) break;
-      }
-      batch_bytes += out.payload.size();
-      batch.records.push_back({out.seq, out.group, std::move(out.payload)});
+  // One length prefix and one HMAC per kMaxBatchBytes of payload instead
+  // of one per message.
+  for (BatchFrame& batch : take_batches(p.link, p.conn->session_key)) {
+    {
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.frames_sent;
+      ++stats_.batches_sent;
+      ++stats_.hmacs_computed;
+      stats_.frames_coalesced += batch.records;
     }
-    if (ok) ok = emit();
-    if (!ok) {
+    if (!queue_bytes(*p.conn, std::move(batch.bytes))) {
       // Outbuf quota blown: the peer stopped reading long ago.  Drop the
       // connection so the link rewinds and retransmits after reconnect —
       // never silently discard frames the link already counted as sent.
       drop_connection(peer, /*redial=*/true);
       return;
     }
-    p.link.mark_ack_sent();  // acks piggybacked on the batch
   }
   const std::uint64_t resent = p.link.stats().retransmitted;
   if (resent != p.link_retransmitted_seen) {
@@ -687,9 +598,7 @@ void TcpTransport::flush_link(int peer) {
 void TcpTransport::send_ack(int peer) {
   Peer& p = *peers_[static_cast<std::size_t>(peer)];
   if (p.conn == nullptr || !p.conn->established) return;
-  Writer w;
-  w.u64(p.link.recv_cursor());
-  send_frame(peer, FrameType::kAck, w.data());
+  send_frame(peer, FrameType::kAck, encode_ack(p.link.recv_cursor()));
   p.link.mark_ack_sent();
   try_write(peer);
 }

@@ -65,11 +65,6 @@ class TcpTransport {
     std::uint64_t reconnect_min_ms = 25;
     std::uint64_t reconnect_max_ms = 1600;
     std::uint64_t ack_flush_ms = 20;  ///< delayed-ack latency bound
-    /// Membership epoch stamped into HELLO and data frames.  A HELLO more
-    /// than one epoch away is rejected at the handshake; data frames
-    /// outside the one-epoch transition window are filtered (the link
-    /// cursor still advances so retransmission never livelocks on them).
-    std::uint32_t epoch = 0;
   };
 
   struct Stats {
@@ -90,13 +85,10 @@ class TcpTransport {
     /// Sweeps where a peer outlived the base heartbeat timeout only
     /// because its accrual health score extended the deadline.
     std::uint64_t health_extensions = 0;
-    // Epoch fencing (membership reconfiguration).
-    std::uint64_t epoch_rejects = 0;   ///< HELLOs from an incompatible epoch
-    std::uint64_t epoch_filtered = 0;  ///< payloads dropped for a wrong epoch
   };
 
   /// `receive(from, group, payload)` runs on the reactor thread.  `group`
-  /// is the wire-v4 shard stamp on the record.  The view is a slice of
+  /// is the shard stamp on the record.  The view is a slice of
   /// the connection's decode buffer, valid only during the call —
   /// receivers that keep the payload copy it (for NetworkedNode, the one
   /// copy into the owning Message).
@@ -123,12 +115,6 @@ class TcpTransport {
   /// per kMaxBatchBytes of traffic.  Payloads for different groups
   /// coalesce into the same super-frame.
   void send_many(int peer, std::vector<GroupPayload> payloads);
-
-  /// Advance the membership epoch (any thread).  Subsequent frames carry
-  /// the new epoch; established connections stay up — the one-epoch
-  /// transition window in the frame filter covers peers that advance at
-  /// slightly different times.
-  void set_epoch(std::uint32_t epoch);
 
   /// The actually bound listen port (after start(); useful with port 0).
   [[nodiscard]] std::uint16_t listen_port() const { return listen_port_; }
@@ -163,10 +149,6 @@ class TcpTransport {
   void send_ack(int peer);
   [[nodiscard]] bool i_dial(int peer) const { return config_.node_id > peer; }
   [[nodiscard]] const Bytes& link_key(int peer) const;
-  /// Within one epoch of ours (the reconfiguration transition window).
-  [[nodiscard]] bool epoch_compatible(std::uint32_t theirs) const {
-    return theirs + 1 >= epoch_ && theirs <= epoch_ + 1;
-  }
 
   Config config_;
   ReceiveFn receive_;
@@ -177,7 +159,6 @@ class TcpTransport {
 
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
-  std::uint32_t epoch_ = 0;  ///< reactor thread (set_epoch posts updates)
 
   std::vector<std::unique_ptr<Peer>> peers_;  ///< [peer id]; self slot empty
   /// Accepted connections whose HELLO has not arrived yet (fd -> conn).

@@ -89,6 +89,13 @@ Bytes reconfig_channel_key(std::uint32_t epoch, BytesView pair_key) {
   return crypto::hash_expand("sintra/reconfig/chan", w.data(), 32);
 }
 
+/// Position of joining slot `slot` among the plan's joining slots.
+std::size_t joiner_index(const ReconfigPlan& plan, int slot) {
+  std::size_t index = 0;
+  for (int i = 0; i < slot; ++i) index += plan.joining(i) ? 1 : 0;
+  return index;
+}
+
 /// The dealt keys as one epoch sees them: the old public keys and the plan
 /// fix every degree, mask width and interpolation, for members and joiners.
 struct EpochKeys {
@@ -215,8 +222,9 @@ ReconfigResult apply_dealings(const EpochKeys& keys, const JoinPackage& package,
   const std::vector<int> dealers(package.applied.begin(), package.applied.end());
   const bool joiner = fingered != nullptr;
   if (joiner) {
-    SINTRA_REQUIRE(dealers.size() == static_cast<std::size_t>(keys.plan.n_old - keys.plan.t_old),
-                   "join: wrong applied-dealer count");
+    SINTRA_REQUIRE(dealers.size() == static_cast<std::size_t>(keys.plan.n_old - keys.plan.t_old) &&
+                       package.macs.size() == dealers.size(),
+                   "join: wrong applied-dealer or MAC count");
     crypto::PartySet seen = 0;
     for (int dealer : dealers) {
       SINTRA_REQUIRE(dealer >= 0 && dealer < keys.plan.n_old, "join: applied dealer out of range");
@@ -260,6 +268,14 @@ ReconfigResult apply_dealings(const EpochKeys& keys, const JoinPackage& package,
   std::array<std::vector<BigInt>, kDealtKeys> subs;
   for (std::size_t a = 0; a < dealers.size(); ++a) {
     const Bytes key = pair_key(dealers[a]);
+    // Rows their dealer did not MAC were altered by the member providing
+    // the package: that proves nothing about the dealer, so nobody is
+    // fingered.
+    SINTRA_REQUIRE(!joiner || constant_time_equal(join_rows_mac(key, keys.tag, keys.plan.new_epoch,
+                                                                dealers[a], slot,
+                                                                package.subshares, a),
+                                                  package.macs[a]),
+                   "join: sub-share rows fail their dealer's MAC");
     for (std::size_t k = 0; k < kDealtKeys; ++k) {
       if (a > keys.old_degree(k)) continue;
       BigInt sub = keys.unmask(k, package.subshares[k][a], dealers[a], slot, key);
@@ -277,6 +293,20 @@ ReconfigResult apply_dealings(const EpochKeys& keys, const JoinPackage& package,
 }
 
 }  // namespace
+
+Bytes join_rows_mac(BytesView join_key, std::string_view tag, std::uint32_t epoch, int dealer,
+                    int slot, const std::array<std::vector<BigInt>, kDealtKeys>& rows,
+                    std::size_t index) {
+  Writer w;
+  w.str(tag);
+  w.u32(epoch);
+  w.u32(static_cast<std::uint32_t>(dealer));
+  w.u32(static_cast<std::uint32_t>(slot));
+  for (const auto& row : rows) row.at(index).encode(w);
+  const crypto::Digest mac =
+      crypto::hmac_sha256(crypto::hash_expand("sintra/reconfig/join-mac", join_key, 32), w.data());
+  return Bytes(mac.begin(), mac.end());
+}
 
 // ---- ReconfigPlan --------------------------------------------------------
 
@@ -405,6 +435,7 @@ void JoinPackage::encode(Writer& w, const crypto::Group& group) const {
           [&](Writer& wr, const std::vector<Element>& c) { encode_values(wr, group, k, c); });
   }
   for (const auto& s : subshares) encode_bigints(w, s);
+  w.vec(macs, [](Writer& wr, const Bytes& mac) { wr.bytes(mac); });
 }
 
 JoinPackage JoinPackage::decode(Reader& r, const crypto::Group& group) {
@@ -417,6 +448,7 @@ JoinPackage JoinPackage::decode(Reader& r, const crypto::Group& group) {
         [&](Reader& rr) { return decode_values(rr, group, k); });
   }
   for (auto& s : package.subshares) s = decode_bigints(r);
+  package.macs = r.vec<Bytes>([](Reader& rr) { return rr.bytes(); });
   return package;
 }
 
@@ -457,6 +489,7 @@ void Reconfig::start() {
   // Dealer id inside the payload: ABC dedupes identical payloads and the
   // id must be cross-checked against the batch origin.
   w.u32(static_cast<std::uint32_t>(me()));
+  std::array<std::vector<BigInt>, kDealtKeys> rows;  // masked sub-shares, per key
   for (std::size_t k = 0; k < kDealtKeys; ++k) {
     auto [commitments, subshares] =
         keys.deal(k, kKeys[k].old_shares(host_.keys()).at(me()), me(), host_.rng());
@@ -470,7 +503,15 @@ void Reconfig::start() {
     }
     encode_values(w, keys.group, k, commitments);
     encode_bigints(w, subshares);
+    rows[k] = std::move(subshares);
   }
+  std::vector<Bytes> join_macs;
+  for (int i = 0; i < plan_.n_new; ++i) {
+    if (!plan_.joining(i)) continue;
+    join_macs.push_back(join_rows_mac(pair_key(me(), i), tag_, plan_.new_epoch, me(), i, rows,
+                                      static_cast<std::size_t>(i)));
+  }
+  w.vec(join_macs, [](Writer& wr, const Bytes& mac) { wr.bytes(mac); });
   abc_.submit(w.take());
 }
 
@@ -515,6 +556,9 @@ void Reconfig::handle_dealing(int origin, Reader& reader) {
     SINTRA_REQUIRE(d.subshares[k].size() == static_cast<std::size_t>(plan_.n_new),
                    "reconfig: wrong sub-share count");
   }
+  d.join_macs = reader.vec<Bytes>([](Reader& rr) { return rr.bytes(); });
+  SINTRA_REQUIRE(d.join_macs.size() == joiner_index(plan_, plan_.n_new),
+                 "reconfig: wrong join MAC count");
   reader.expect_done();
   // Public binding of every key to the dealer's old share.
   bool valid = true;
@@ -678,6 +722,9 @@ JoinPackage Reconfig::applied_dealings(int slot) const {
     for (std::size_t k = 0; k < kDealtKeys; ++k) {
       package.commitments[k].push_back(d.commitments[k]);
       if (slot >= 0) package.subshares[k].push_back(d.subshares[k][static_cast<std::size_t>(slot)]);
+    }
+    if (slot >= 0 && plan_.joining(slot)) {
+      package.macs.push_back(d.join_macs[joiner_index(plan_, slot)]);
     }
   }
   return package;

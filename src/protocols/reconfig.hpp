@@ -42,8 +42,13 @@
 // commitments and its own masked sub-shares — from any old member, and
 // derives its shares through the members' own apply path, which for a
 // joiner first checks everything against public values (first valid
-// package wins; a dealing whose sub-share targets the joiner with garbage
-// is fingered and the join aborts cleanly).
+// package wins).  Each dealer MACs its masked rows for every joining slot
+// under a key derived from the join key, inside its ordered dealing: rows
+// that fail their MAC were altered by the member providing the package,
+// which is refused with nobody fingered; a MAC'd sub-share that fails
+// verification is its dealer's provable fault — fingered, join aborted
+// cleanly.  (A dealer that MACs garbage stays unfingered, like any
+// package-level failure.)
 //
 // Proactive refresh (paper §6: "all secrets that the adversary has seen in
 // the past become useless") is the same-committee epoch,
@@ -171,17 +176,29 @@ struct ReconfigResult {
 /// Per key, the vectors are aligned with `applied` (old slots in ABC
 /// dealing order; the first t_old+1 feed the low keys, all n_old-t_old the
 /// cert key).  The sub-shares are still masked with the joiner's join
-/// keys, so the package transits untrusted members verbatim.
+/// keys, so the package transits untrusted members verbatim; each dealer's
+/// MAC over its rows tells the joiner whether the providing member altered
+/// them.
 struct JoinPackage {
   NewConfig config;
   std::vector<std::int32_t> applied;
   /// Each applied dealing's commitments (C_0 first; RSA values as residues).
   std::array<std::vector<std::vector<crypto::Element>>, kDealtKeys> commitments;
   std::array<std::vector<crypto::BigInt>, kDealtKeys> subshares;  ///< masked, joiner slot
+  std::vector<Bytes> macs;  ///< per applied dealing: join_rows_mac over its rows
 
   void encode(Writer& w, const crypto::Group& group) const;
   static JoinPackage decode(Reader& r, const crypto::Group& group);
 };
+
+/// A dealer's MAC over its masked rows for joining slot `slot`: row k is
+/// `rows[k][index]`, the dealer's masked sub-share of key k for that slot.
+/// Keyed from the join key the dealer shares with the joiner (domain-
+/// separated from the masks) and bound to the instance tag, the epoch, the
+/// dealer and the slot; it rides inside the ordered dealing.
+Bytes join_rows_mac(BytesView join_key, std::string_view tag, std::uint32_t epoch, int dealer,
+                    int slot, const std::array<std::vector<crypto::BigInt>, kDealtKeys>& rows,
+                    std::size_t index);
 
 struct ReconfigOptions {
   /// Out-of-band provisioned pairwise secrets with joining replicas:
@@ -244,6 +261,7 @@ class Reconfig final : public ProtocolInstance {
     int dealer = -1;
     std::array<std::vector<crypto::Element>, kDealtKeys> commitments;
     std::array<std::vector<crypto::BigInt>, kDealtKeys> subshares;  ///< masked, all new slots
+    std::vector<Bytes> join_macs;  ///< join_rows_mac per joining slot, in slot order
   };
   /// ABC order, one per dealer; once concluded, only the applied ones.
   std::vector<Dealing> dealings_;
@@ -302,8 +320,8 @@ class JoinListener {
 
   [[nodiscard]] bool ready() const { return result_.has_value(); }
   [[nodiscard]] const std::optional<ReconfigResult>& result() const { return result_; }
-  /// Dealers fingered by rejected packages (garbage sub-share targeting
-  /// this joiner inside an applied dealing == provable misbehavior).
+  /// Dealers fingered by rejected packages (a sub-share under its
+  /// dealer's valid MAC that fails verification == provable misbehavior).
   [[nodiscard]] crypto::PartySet suspected() const { return suspected_; }
 
  private:

@@ -553,7 +553,7 @@ TEST(FuzzTest, DuplicatedAndReorderedBatchFramesDeliverExactlyOnce) {
 // Wire v4 adds a u32 group id to every batch record so one super-frame
 // can carry many tenants' payloads.  A Byzantine peer controls that stamp
 // completely: it can truncate mid-group-field, claim groups the host does
-// not run, and mix arbitrary group/epoch combos.
+// not run, and mix known and unknown groups.
 // Every such input must decode-or-reject — never over-read, never crash,
 // never leak one tenant's payload into another.
 
@@ -565,7 +565,6 @@ TEST(FuzzTest, GroupStampedBatchRecordsRoundTripAndRejectTruncation) {
   DataBatchBody batch;
   batch.ack = 7;
   batch.base = 2;
-  batch.epoch = 5;
   batch.records.push_back({2, 0, bytes_of("tenant-zero")});
   batch.records.push_back({3, 1, bytes_of("tenant-one")});
   batch.records.push_back({4, 0xffffffffu, Bytes{}});
@@ -575,7 +574,6 @@ TEST(FuzzTest, GroupStampedBatchRecordsRoundTripAndRejectTruncation) {
   Reader reader(valid);
   const DataBatchBody owned = DataBatchBody::decode(reader);
   ASSERT_EQ(owned.records.size(), 4u);
-  EXPECT_EQ(owned.epoch, 5u);
   EXPECT_EQ(owned.records[1].group, 1u);
   EXPECT_EQ(owned.records[2].group, 0xffffffffu);
   EXPECT_EQ(owned.records[3].group, 0x7f3a9c01u);
@@ -605,14 +603,13 @@ TEST(FuzzTest, MutatedGroupStampedBatchesDecodeOrRejectWithoutUB) {
   Rng rng(31);
 
   // Start from valid group-stamped batches and mutate: flipped bytes can
-  // corrupt counts, group ids, epoch stamps or nested lengths.  Decoders
+  // corrupt counts, group ids or nested lengths.  Decoders
   // must parse or throw ProtocolError; parsed groups are whatever the
   // bytes say (routing rejects unknowns later — see below).
   for (int round = 0; round < 200; ++round) {
     DataBatchBody batch;
     batch.ack = rng.below(100);
     batch.base = rng.below(100);
-    batch.epoch = static_cast<std::uint32_t>(rng.below(16));
     const std::uint64_t count = 1 + rng.below(5);
     for (std::uint64_t s = 0; s < count; ++s) {
       batch.records.push_back({batch.base + s, static_cast<std::uint32_t>(rng.below(1 << 16)),
@@ -635,17 +632,15 @@ TEST(FuzzTest, MutatedGroupStampedBatchesDecodeOrRejectWithoutUB) {
   }
 }
 
-TEST(FuzzTest, UnknownGroupAndEpochCombosNeverReachAForeignTenant) {
+TEST(FuzzTest, UnknownGroupsNeverReachAForeignTenant) {
   using net::transport::NetworkedNode;
 
-  // A two-tenant host: arbitrary (group, epoch) combos from a Byzantine
-  // peer must be dropped (unknown group), fenced (stale/far epoch),
-  // parked (next epoch) or dispatched (current epoch) — and a payload
-  // stamped for group 7 must never surface in groups 1 or 2.
+  // A two-tenant host: arbitrary group stamps from a Byzantine peer must
+  // be dropped (unknown group) or dispatched to the stamped tenant — and a
+  // payload stamped for group 3 must never surface in groups 1 or 2.
   NetworkedNode::Config config;
   config.node_id = 0;
   config.n = 2;
-  config.max_future = 64;
   NetworkedNode node(config);
   struct Sink final : public net::Process {
     std::vector<net::Message> messages;
@@ -659,7 +654,6 @@ TEST(FuzzTest, UnknownGroupAndEpochCombosNeverReachAForeignTenant) {
   Rng rng(37);
   for (int round = 0; round < 500; ++round) {
     const auto group = static_cast<std::uint32_t>(rng.below(5));  // 0..4; 3,4 unknown
-    const auto epoch = static_cast<std::uint32_t>(rng.below(4));  // 0..3
     if (rng.below(4) == 0) {
       // Raw garbage under a valid group stamp: malformed, counted, dropped.
       node.on_transport_receive(1, group, rng.bytes(rng.below(64)));
@@ -670,12 +664,14 @@ TEST(FuzzTest, UnknownGroupAndEpochCombosNeverReachAForeignTenant) {
     m.to = 0;
     m.tag = "svc";
     m.payload = bytes_of("g" + std::to_string(group));
-    node.on_transport_receive(1, group, NetworkedNode::encode_payload(m, epoch));
+    node.on_transport_receive(1, group, NetworkedNode::encode_payload(m));
   }
   node.poll();
 
   const NetworkedNode::Stats stats = node.stats();
   EXPECT_GT(stats.unknown_group, 0u);  // groups 3 and 4 were sprayed
+  EXPECT_FALSE(sink_a.messages.empty());
+  EXPECT_FALSE(sink_b.messages.empty());
   for (const auto& message : sink_a.messages) {
     EXPECT_EQ(message.payload, bytes_of("g1")) << "foreign payload crossed into group 1";
   }
@@ -946,6 +942,7 @@ TEST(FuzzTest, ReconfigWireDecodersSurviveFuzzAndTruncation) {
     for (std::size_t k = 0; k < protocols::kDealtKeys; ++k) {
       package.subshares[k].push_back(crypto::BigInt(30 + 10 * static_cast<int>(k) + d));
     }
+    package.macs.push_back(Bytes(32, static_cast<std::uint8_t>(0xa0 + d)));
   }
   {
     Writer w;
@@ -960,16 +957,15 @@ TEST(FuzzTest, ReconfigWireDecodersSurviveFuzzAndTruncation) {
   }
 }
 
-TEST(FuzzTest, EpochStampedNodePayloadSurvivesFuzzAndTruncation) {
+TEST(FuzzTest, NodePayloadSurvivesFuzzAndTruncation) {
   net::Message message;
   message.from = 1;
   message.to = 0;
   message.tag = "svc";
-  message.payload = bytes_of("epoch-stamped");
-  const Bytes valid = net::transport::NetworkedNode::encode_payload(message, 5);
+  message.payload = bytes_of("node payload");
+  const Bytes valid = net::transport::NetworkedNode::encode_payload(message);
   const auto decode = [](const Bytes& b) {
-    std::uint32_t epoch = 0;
-    (void)net::transport::NetworkedNode::decode_payload(1, 0, b, &epoch);
+    (void)net::transport::NetworkedNode::decode_payload(1, 0, b);
   };
   truncation_sweep(valid, decode);
   fuzz(decode, 64);

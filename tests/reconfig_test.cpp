@@ -12,10 +12,11 @@
 //     the same-committee epoch that serves as proactive refresh;
 //   - chaos: the same epoch under message chaos, a mid-epoch crash restart
 //     (WAL replay), and an active LoopbackHub partition schedule;
-//   - epoch plumbing: frame-level epoch stamping (framing v3, TcpTransport
-//     HELLO window), NetworkedNode payload gating and future-epoch
-//     buffering, Party epoch-log snapshots, and a mid-epoch WAL snapshot
-//     restoring bit-exactly under ExecutorPool(4);
+//   - the membership fence: a same-committee epoch re-keys every pair's
+//     channel, so a TcpTransport end keyed for the old deployment cannot
+//     reach one keyed for the new; a mid-epoch WAL snapshot restores
+//     bit-exactly under ExecutorPool(4), and Party refuses snapshot
+//     layouts it does not know;
 //   - app/client: ServiceClient follows a signed NEW-CONFIG announcement
 //     and rejects stale or tampered ones;
 //   - the documented gap: an applied-but-invalid sub-share is DETECTED
@@ -42,7 +43,6 @@
 #include "crypto/shamir.hpp"
 #include "crypto/sha256.hpp"
 #include "net/fault.hpp"
-#include "net/transport/framing.hpp"
 #include "net/transport/loopback.hpp"
 #include "net/transport/networked_node.hpp"
 #include "net/transport/tcp_transport.hpp"
@@ -587,11 +587,13 @@ TEST(ReconfigTest, AbortsCleanlyWhenTooFewDealingsApply) {
 }
 
 TEST(ReconfigTest, JoinListenerRejectsTamperedPackageAndFingersDealer) {
-  // One tampering per check a joiner runs on a package.  A bad sub-share
-  // for the joiner inside an applied dealing is provable misbehaviour of
-  // its dealer, who is fingered; a package failing a package-level check
-  // proves nothing about any dealer, and nobody is fingered.  Either way
-  // the package is refused and an honest one still wins afterwards.
+  // One tampering per check a joiner runs on a package.  A sub-share the
+  // providing member altered fails its dealer's MAC, which proves nothing
+  // about the dealer: nobody is fingered.  A bad sub-share under a valid
+  // MAC is provable misbehaviour of its dealer, who is fingered.  A
+  // package failing a package-level check proves nothing about any dealer
+  // either.  Every time the package is refused and an honest one still
+  // wins afterwards.
   auto h = EpochHarness::fresh(swap_plan(), 15);
   ASSERT_TRUE(h.run());
   const auto& old_public = h.deployment.keys->public_keys();
@@ -620,20 +622,33 @@ TEST(ReconfigTest, JoinListenerRejectsTamperedPackageAndFingersDealer) {
     std::function<void(JoinPackage&)> tamper;
     int fingered;  ///< position in `applied` of the dealer to finger, -1: nobody
   };
+  // The dealer's MAC over a doctored row, as only the dealer (holding the
+  // join key) could compute it.
+  const auto remac = [&](JoinPackage& p, std::size_t a) {
+    const int dealer = p.applied[a];
+    p.macs[a] = protocols::join_rows_mac(join_key(1, dealer, 3), kTag, 1, dealer, 3, p.subshares, a);
+  };
   const std::vector<Case> cases = {
       {"coin sub-share",
        [&](JoinPackage& p) {
          p.subshares[kKeyCoin][1] = group.scalar_add(p.subshares[kKeyCoin][1], one);
        },
-       1},
+       -1},
       {"tdh2 sub-share",
        [&](JoinPackage& p) {
          p.subshares[kKeyTdh2][0] = group.scalar_add(p.subshares[kKeyTdh2][0], one);
        },
-       0},
-      {"reply sub-share", [&](JoinPackage& p) { p.subshares[kKeyReply][1] += one; }, 1},
+       -1},
+      {"reply sub-share", [&](JoinPackage& p) { p.subshares[kKeyReply][1] += one; }, -1},
       {"cert sub-share beyond the first t+1",
-       [&](JoinPackage& p) { p.subshares[kKeyCert][2] += one; }, 2},
+       [&](JoinPackage& p) { p.subshares[kKeyCert][2] += one; }, -1},
+      {"reply sub-share under its dealer's MAC",
+       [&](JoinPackage& p) {
+         p.subshares[kKeyReply][1] += one;
+         remac(p, 1);
+       },
+       1},
+      {"MAC of another dealer", [&](JoinPackage& p) { p.macs[0] = p.macs[1]; }, -1},
       {"coin C0 binding", [&](JoinPackage& p) { p.commitments[kKeyCoin][0][0] = group.g(); }, -1},
       {"tdh2 C0 binding", [&](JoinPackage& p) { p.commitments[kKeyTdh2][1][0] = group.g(); }, -1},
       {"reply C0 binding", [&](JoinPackage& p) { bump(p.commitments[kKeyReply][0][0]); }, -1},
@@ -710,14 +725,14 @@ TEST(ReconfigTest, GrowEpochIsPinnedBitExactly) {
     r.shares[kKeyCert].encode(w);
   }
   EXPECT_EQ(to_hex(crypto::sha256_bytes(w.data())),
-            "fb23cdeee7130dbcae3a2bac1ec2b2a7f42527e3fe3a8b9e19b13d348d6d432a");
+            "fd8d1f79af8641e4b27a97309074f421b24fb9a7d37d8745a8f1db283ca05083");
 
   std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> traffic;
   for (const auto& [tag, stats] : h.cluster.simulator().traffic()) {
     traffic[tag] = {stats.messages, stats.bytes};
   }
   const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> expected{
-      {"reconfig", {526, 238362}}};
+      {"reconfig", {526, 242322}}};
   EXPECT_EQ(traffic, expected);
 }
 
@@ -1136,211 +1151,100 @@ TEST(ReconfigChaosTest, MidEpochWalSnapshotRestoresBitExactly) {
   EXPECT_EQ(first, second);
 }
 
-// ---- epoch plumbing: framing, transport, node, party -----------------------
+// ---- the membership fence: per-epoch link keys -----------------------------
 
-TEST(EpochPlumbingTest, FrameBodiesCarryTheEpoch) {
-  net::transport::HelloBody hello;
-  hello.node_id = 3;
-  hello.nonce = 77;
-  hello.recv_cursor = 9;
-  hello.epoch = 5;
-  {
-    Bytes encoded = hello.encode();
-    Reader r(encoded);
-    const auto decoded = net::transport::HelloBody::decode(r);
-    EXPECT_EQ(decoded.epoch, 5u);
-    EXPECT_EQ(decoded.node_id, 3);
-  }
-  net::transport::DataBatchBody batch;
-  batch.ack = 1;
-  batch.base = 0;
-  batch.epoch = 7;
-  batch.records = {{10, 0, bytes_of("a")}, {11, 0, bytes_of("b")}};
-  {
-    Bytes encoded = batch.encode();
-    Reader r(encoded);
-    const auto decoded = net::transport::DataBatchBody::decode(r);
-    EXPECT_EQ(decoded.epoch, 7u);
-    ASSERT_EQ(decoded.records.size(), 2u);
-    EXPECT_EQ(decoded.records[1].payload, bytes_of("b"));
-    const auto view = net::transport::DataBatchView::decode(encoded);
-    EXPECT_EQ(view.epoch, 7u);
-  }
-}
-
-TEST(EpochPlumbingTest, TcpHelloOutsideTheEpochWindowIsRejected) {
-  using net::transport::TcpTransport;
-  const std::uint64_t seed = 911;
-  const auto pair_key = [&](int a, int b) {
-    Writer w;
-    w.u64(seed);
-    w.u32(static_cast<std::uint32_t>(std::min(a, b)));
-    w.u32(static_cast<std::uint32_t>(std::max(a, b)));
-    return crypto::hash_expand("test/tcp/link-key", w.data(), 32);
+TEST(MembershipFenceTest, PerEpochLinkKeysFenceOutTheOldCommittee) {
+  // The link keys are the one membership fence.  A same-committee epoch
+  // re-derives every pair's channel key, so a transport end keyed for the
+  // old deployment fails the HELLO MAC of one keyed for the new: nothing
+  // is delivered and the listener counts the failure.  Two ends keyed
+  // from the same epoch connect and deliver.
+  auto h = EpochHarness::fresh(ReconfigPlan::same_committee(1, 4, 1), 41);
+  ASSERT_TRUE(h.run());
+  const Deployment next = assemble_committee(h.deployment, h.plan, all_results(h));
+  const auto channel_key = [](const Deployment& d, int a, int b) {
+    return d.keys->share(a).channel_keys.at(static_cast<std::size_t>(b));
   };
-  const auto make_config = [&](int node_id, std::uint32_t epoch) {
+  for (int a = 0; a < 4; ++a) {
+    for (int b = 0; b < 4; ++b) {
+      if (a == b) continue;
+      SCOPED_TRACE("pair " + std::to_string(a) + "-" + std::to_string(b));
+      EXPECT_EQ(channel_key(next, a, b), channel_key(next, b, a));
+      EXPECT_NE(channel_key(next, a, b), channel_key(h.deployment, a, b));
+    }
+  }
+
+  using net::transport::TcpTransport;
+  const auto make_config = [&](int node_id, const Deployment& keyed_by) {
     TcpTransport::Config config;
     config.node_id = node_id;
     config.endpoints.resize(2);
     config.link_keys.resize(2);
-    for (int peer = 0; peer < 2; ++peer) {
-      if (peer != node_id) config.link_keys[static_cast<std::size_t>(peer)] =
-          pair_key(node_id, peer);
-    }
-    config.seed = seed + static_cast<std::uint64_t>(node_id);
+    config.link_keys[static_cast<std::size_t>(1 - node_id)] =
+        channel_key(keyed_by, node_id, 1 - node_id);
+    config.seed = 41 + static_cast<std::uint64_t>(node_id);
     config.heartbeat_interval_ms = 50;
     config.heartbeat_timeout_ms = 600;
     config.reconnect_min_ms = 10;
     config.reconnect_max_ms = 100;
     config.ack_flush_ms = 5;
-    config.epoch = epoch;
     return config;
   };
-  const auto wait_for = [](const std::function<bool()>& pred, int timeout_ms) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  const auto wait_for = [](const std::function<bool()>& pred) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (std::chrono::steady_clock::now() < deadline) {
       if (pred()) return true;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     return pred();
   };
-
-  // Epochs 0 and 5: the handshake is refused, nothing is delivered.
-  {
+  // Node 0 listens, node 1 dials and sends one payload.
+  const auto run_pair = [&](const Deployment& listener_keys, const Deployment& dialer_keys,
+                            bool same_epoch) {
     std::atomic<std::size_t> received{0};
-    TcpTransport a(make_config(0, 5), [&](int, std::uint32_t, BytesView) { received++; });
-    a.start();
-    auto config_b = make_config(1, 0);
-    config_b.endpoints[0].port = a.listen_port();
-    TcpTransport b(config_b, [](int, std::uint32_t, BytesView) {});
-    b.start();
-    b.send(0, bytes_of("stale-committee traffic"));
-    ASSERT_TRUE(wait_for(
-        [&] { return a.stats().epoch_rejects + b.stats().epoch_rejects > 0; }, 5000));
-    EXPECT_EQ(received.load(), 0u);
-    b.stop();
-    a.stop();
-  }
-  // Adjacent epochs (the reconfiguration transition window) interoperate.
-  {
-    std::atomic<std::size_t> received{0};
-    TcpTransport a(make_config(0, 2), [&](int, std::uint32_t, BytesView) { received++; });
-    a.start();
-    auto config_b = make_config(1, 1);
-    config_b.endpoints[0].port = a.listen_port();
-    TcpTransport b(config_b, [](int, std::uint32_t, BytesView) {});
-    b.start();
-    b.send(0, bytes_of("transition-window traffic"));
-    ASSERT_TRUE(wait_for([&] { return received.load() >= 1; }, 5000));
-    EXPECT_EQ(a.stats().epoch_rejects, 0u);
-    b.stop();
-    a.stop();
-  }
-}
-
-struct CollectorProcess final : public net::Process {
-  std::vector<net::Message> messages;
-  void on_message(const net::Message& message) override { messages.push_back(message); }
-};
-
-TEST(EpochPlumbingTest, NetworkedNodeGatesPayloadsByEpoch) {
-  NetworkedNode::Config config;
-  config.node_id = 0;
-  config.n = 2;
-  config.epoch = 3;
-  config.max_future = 2;
-  NetworkedNode node(config);
-  CollectorProcess collector;
-  node.attach(collector);
-
-  const auto payload_at = [](std::uint32_t epoch, const char* body) {
-    net::Message m;
-    m.from = 1;
-    m.to = 0;
-    m.tag = "svc";
-    m.payload = bytes_of(body);
-    return NetworkedNode::encode_payload(m, epoch);
+    TcpTransport listener(make_config(0, listener_keys),
+                          [&](int, std::uint32_t, BytesView) { received++; });
+    listener.start();
+    auto dialer_config = make_config(1, dialer_keys);
+    dialer_config.endpoints[0].port = listener.listen_port();
+    TcpTransport dialer(dialer_config, [](int, std::uint32_t, BytesView) {});
+    dialer.start();
+    dialer.send(0, bytes_of("committee traffic"));
+    if (same_epoch) {
+      EXPECT_TRUE(wait_for([&] { return received.load() >= 1; }));
+      EXPECT_EQ(listener.stats().auth_failures, 0u);
+    } else {
+      EXPECT_TRUE(wait_for([&] { return listener.stats().auth_failures >= 1; }));
+      EXPECT_EQ(received.load(), 0u);
+      EXPECT_EQ(listener.stats().connects, 0u);
+    }
+    dialer.stop();
+    listener.stop();
   };
-
-  node.on_transport_receive(1, 0, payload_at(3, "current"));   // dispatched
-  node.on_transport_receive(1, 0, payload_at(2, "stale"));     // dropped
-  node.on_transport_receive(1, 0, payload_at(9, "far"));       // dropped
-  node.on_transport_receive(1, 0, payload_at(4, "future-1"));  // buffered
-  node.on_transport_receive(1, 0, payload_at(4, "future-2"));  // buffered
-  node.on_transport_receive(1, 0, payload_at(4, "overflow"));  // max_future hit
-  node.poll();
-  ASSERT_EQ(collector.messages.size(), 1u);
-  EXPECT_EQ(collector.messages[0].payload, bytes_of("current"));
-  EXPECT_EQ(node.stats().epoch_stale, 2u);
-  EXPECT_EQ(node.stats().epoch_buffered, 2u);
-  EXPECT_EQ(node.stats().epoch_dropped, 1u);
-
-  // advance_epoch replays the parked next-epoch traffic in arrival order.
-  node.advance_epoch(4);
-  node.poll();
-  ASSERT_EQ(collector.messages.size(), 3u);
-  EXPECT_EQ(collector.messages[1].payload, bytes_of("future-1"));
-  EXPECT_EQ(collector.messages[2].payload, bytes_of("future-2"));
-  EXPECT_EQ(node.epoch(), 4u);
-
-  // decode_payload surfaces the stamp.
-  std::uint32_t stamped = 0;
-  const auto decoded = NetworkedNode::decode_payload(1, 0, payload_at(6, "x"), &stamped);
-  EXPECT_EQ(stamped, 6u);
-  EXPECT_EQ(decoded.payload, bytes_of("x"));
+  {
+    SCOPED_TRACE("old listener, new dialer");
+    run_pair(h.deployment, next, false);
+  }
+  {
+    SCOPED_TRACE("new listener, old dialer");
+    run_pair(next, h.deployment, false);
+  }
+  {
+    SCOPED_TRACE("both new");
+    run_pair(next, next, true);
+  }
 }
 
-TEST(EpochPlumbingTest, PartySnapshotCarriesTheEpochLog) {
-  Rng rng(31);
-  auto deployment = Deployment::threshold(4, 1, rng);
-  net::RandomScheduler sched(310);
-  Cluster<AbcState> cluster(deployment, sched, abc_factory(0), 0, 0, 31);
-  cluster.start();
-  cluster.protocol(0)->abc->submit(bytes_of("before the epoch"));
-  ASSERT_TRUE(cluster.run_until_all(
-      [](AbcState& s) { return s.delivered.size() >= 1; }, 60000000));
-
-  net::Party& party = *cluster.party(0);
-  EXPECT_EQ(party.epoch(), 0u);
-  party.begin_epoch(1, {0, 1, 2, -1});
-  party.begin_epoch(1, {9, 9, 9, 9});  // replay of the same epoch: no-op
-  EXPECT_EQ(party.epoch(), 1u);
-  ASSERT_EQ(party.epoch_log().size(), 1u);
-  EXPECT_EQ(party.epoch_log()[0].members, (std::vector<std::int32_t>{0, 1, 2, -1}));
-
-  const Bytes snapshot = party.snapshot();
-  // Restore into a fresh party: the epoch log survives the round-trip and
-  // the delivered prefix re-fires identically.
-  net::RandomScheduler sched2(311);
-  Cluster<AbcState> other(deployment, sched2, abc_factory(0), 0, 0, 31);
-  other.start();
-  other.party(0)->restore(snapshot);
-  EXPECT_EQ(other.party(0)->epoch(), 1u);
-  ASSERT_EQ(other.party(0)->epoch_log().size(), 1u);
-  EXPECT_EQ(other.party(0)->epoch_log()[0].epoch, 1u);
-  EXPECT_EQ(other.party(0)->epoch_log()[0].members, (std::vector<std::int32_t>{0, 1, 2, -1}));
-  EXPECT_EQ(other.protocol(0)->delivered, cluster.protocol(0)->delivered);
-
-  // Replay is deterministic: a second restore from the same bytes lands on
-  // a bit-identical re-snapshot (membership history included).
-  net::RandomScheduler sched3(312);
-  Cluster<AbcState> third(deployment, sched3, abc_factory(0), 0, 0, 31);
-  third.start();
-  third.party(0)->restore(snapshot);
-  EXPECT_EQ(third.party(0)->snapshot(), other.party(0)->snapshot());
-}
-
-TEST(EpochPlumbingTest, PartyRefusesUnknownSnapshotVersion) {
+TEST(MembershipFenceTest, PartyRefusesUnknownSnapshotVersion) {
   // The smallest well-formed snapshot of each layout: no checkpoints, no
-  // retired tags, an empty WAL — and, from v3 on, epoch 0 with an empty
-  // membership history.  Only v3 is the current layout; a snapshot is
+  // retired tags, an empty WAL — and, in v3 only, epoch 0 with an empty
+  // membership history.  Only v4 is the current layout; a snapshot is
   // input from disk, so any other version is refused as a ProtocolError.
   const auto empty_snapshot = [](std::uint8_t version) {
     Writer w;
     w.u8(version);
     w.u32(0);  // checkpoints
-    if (version >= 3) {
+    if (version == 3) {
       w.u32(0);  // epoch
       w.u32(0);  // epoch log
     }
@@ -1354,9 +1258,9 @@ TEST(EpochPlumbingTest, PartyRefusesUnknownSnapshotVersion) {
   Cluster<AbcState> cluster(deployment, sched, abc_factory(0), 0, 0, 33);
   cluster.start();
   net::Party& party = *cluster.party(0);
-  EXPECT_NO_THROW(party.restore(empty_snapshot(3)));
-  EXPECT_THROW(party.restore(empty_snapshot(2)), ProtocolError);
-  EXPECT_THROW(party.restore(empty_snapshot(4)), ProtocolError);
+  EXPECT_NO_THROW(party.restore(empty_snapshot(4)));
+  EXPECT_THROW(party.restore(empty_snapshot(3)), ProtocolError);
+  EXPECT_THROW(party.restore(empty_snapshot(5)), ProtocolError);
 }
 
 // ---- app/client follows a signed NEW-CONFIG --------------------------------

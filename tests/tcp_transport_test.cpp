@@ -256,6 +256,37 @@ TEST(TcpTransportTest, WrongLinkKeyNeverEstablishes) {
   a.stop();
 }
 
+TEST(TcpTransportTest, OldVersionHelloIsRefused) {
+  // A peer speaking the previous wire version (v4, whose HELLO and BATCH
+  // bodies still carried an epoch stamp) holds the right link key, but
+  // its HELLO is refused: the handshake never completes.
+  const std::uint64_t seed = 65;
+  Collector ca;
+  TcpTransport a(make_config(0, 2, seed), ca.fn());
+  a.start();
+
+  Writer hello;
+  hello.u16(4);   // version
+  hello.u32(1);   // node id: 1 dials 0
+  hello.u64(99);  // nonce
+  hello.u64(0);   // recv cursor
+  hello.u32(0);   // v4 epoch stamp
+  const Bytes frame = encode_frame(FrameType::kHello, hello.data(), pair_key(seed, 0, 1));
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(a.listen_port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::write(fd, frame.data(), frame.size()), static_cast<ssize_t>(frame.size()));
+  EXPECT_TRUE(wait_for([&] { return a.stats().auth_failures >= 1; }, 5000));
+  EXPECT_EQ(a.stats().connects, 0u);
+  ::close(fd);
+  a.stop();
+}
+
 TEST(TcpTransportTest, SendManyCoalescesIntoOneBatchFrame) {
   const std::uint64_t seed = 71;
   Collector ca, cb;
