@@ -129,17 +129,6 @@ struct SchnorrItem {
                                                                const std::vector<SigShare>& shares,
                                                                Rng& rng);
 
-/// Shares over several distinct messages verified as ONE batch (one
-/// multi-exponentiation side per distinct message plus one shared
-/// commitment-side multi-exponentiation).  The shape of an atomic
-/// broadcast proposal: per-sender batches, each signed by its sender.
-struct SigShareGroup {
-  Bytes message;
-  std::vector<SigShare> shares;
-};
-[[nodiscard]] bool verify_sig_share_groups(const ThresholdSigPublicKey& pk,
-                                           const std::vector<SigShareGroup>& groups, Rng& rng);
-
 /// Combine-then-verify fast path: combine the (unverified) set and check
 /// the single resulting RSA signature.  If that fails, the corrupted share
 /// indices are listed and the rest is combined if it still can be (empty

@@ -51,8 +51,11 @@ Element CoinPublicKey::coin_base(BytesView name) const {
 }
 
 bool CoinPublicKey::verify_share(BytesView name, const CoinShare& share) const {
+  return verify_share_at(coin_base(name), share);
+}
+
+bool CoinPublicKey::verify_share_at(const Element& base, const CoinShare& share) const {
   if (share.unit < 0 || share.unit >= scheme_->num_units()) return false;
-  const Element base = coin_base(name);
   return share.proof.verify(*group_, coin_share_context(share.unit), group_->g(),
                             verification_.at(static_cast<std::size_t>(share.unit)), base,
                             share.value);

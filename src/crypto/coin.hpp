@@ -83,6 +83,9 @@ class CoinPublicKey {
 
   /// Check a single share against its proof.
   [[nodiscard]] bool verify_share(BytesView name, const CoinShare& share) const;
+  /// The same, with the coin base coin_base(name) already computed (it
+  /// costs a hash-to-group; a set of shares of one coin needs it once).
+  [[nodiscard]] bool verify_share_at(const Element& base, const CoinShare& share) const;
 
   /// Combine verified shares into the coin value; returns nullopt unless the
   /// owners of `shares` form a qualified set.  Shares must be pre-verified.

@@ -404,18 +404,20 @@ Point add(const Point& p, const Point& q) {
 
 // Algorithm 8 (mixed addition, Z2 = 1): 11M + 2m_b3 + 13a; complete for any
 // projective p as long as q is a finite affine point.
-Point add_mixed(const Point& p, const Point& q_affine) {
+namespace {
+/// Mixed addition p + (qx, qy) with (qx, qy) affine and not infinity.
+inline Point add_mixed_xy(const Point& p, const Fe& qx, const Fe& qy) {
   using namespace fe256;
-  Fe t0 = mul(p.x, q_affine.x);
-  Fe t1 = mul(p.y, q_affine.y);
-  Fe t3 = add(q_affine.x, q_affine.y);
+  Fe t0 = mul(p.x, qx);
+  Fe t1 = mul(p.y, qy);
+  Fe t3 = add(qx, qy);
   Fe t4 = add(p.x, p.y);
   t3 = mul(t3, t4);
   t4 = add(t0, t1);
   t3 = sub(t3, t4);
-  t4 = mul(q_affine.y, p.z);
+  t4 = mul(qy, p.z);
   t4 = add(t4, p.y);
-  Fe y3 = mul(q_affine.x, p.z);
+  Fe y3 = mul(qx, p.z);
   y3 = add(y3, p.x);
   t0 = fe256::mul_small(t0, 3);
   Fe t2 = fe256::mul_small(p.z, 21);
@@ -433,6 +435,13 @@ Point add_mixed(const Point& p, const Point& q_affine) {
   z3 = add(z3, t0);
   return Point{x3, y3, z3};
 }
+}  // namespace
+
+Point add_mixed(const Point& p, const Point& q_affine) {
+  return add_mixed_xy(p, q_affine.x, q_affine.y);
+}
+
+Point add_mixed(const Point& p, const Affine& q) { return add_mixed_xy(p, q.x, q.y); }
 
 // Algorithm 9 (doubling, a = 0): 6M + 2S + 1m_b3 + 9a.
 Point dbl(const Point& p) {
@@ -658,9 +667,11 @@ FixedBaseTable build_fixed_base(const Point& base, int width) {
   batch_normalize(flat.data(), flat.size());
   table.blocks.resize(static_cast<std::size_t>(blocks));
   for (int i = 0; i < blocks; ++i) {
-    table.blocks[static_cast<std::size_t>(i)].assign(
-        flat.begin() + static_cast<std::ptrdiff_t>(offsets[static_cast<std::size_t>(i)]),
-        flat.begin() + static_cast<std::ptrdiff_t>(offsets[static_cast<std::size_t>(i) + 1]));
+    auto& block = table.blocks[static_cast<std::size_t>(i)];
+    for (std::size_t j = offsets[static_cast<std::size_t>(i)];
+         j < offsets[static_cast<std::size_t>(i) + 1]; ++j) {
+      block.push_back(Affine{flat[j].x, flat[j].y});
+    }
   }
   return table;
 }

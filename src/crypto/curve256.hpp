@@ -47,6 +47,13 @@ struct Point {
   Fe z;
 };
 
+/// An affine point (x, y), never infinity: a comb-table entry, two field
+/// elements instead of a projective point's three.
+struct Affine {
+  Fe x;
+  Fe y;
+};
+
 /// Group-order scalar, little-endian limbs, value < n.  Conversion from the
 /// protocol layer's BigInt exponents happens once per group operation at
 /// the Group boundary (group_curve.cpp).
@@ -65,6 +72,7 @@ inline constexpr std::uint64_t kOrder[4] = {0xBFD25E8CD0364141ULL, 0xBAAEDCE6AF4
 [[nodiscard]] Point add(const Point& p, const Point& q);
 /// q must be normalized affine (z == 1); complete for any p.
 [[nodiscard]] Point add_mixed(const Point& p, const Point& q_affine);
+[[nodiscard]] Point add_mixed(const Point& p, const Affine& q);
 [[nodiscard]] Point dbl(const Point& p);
 [[nodiscard]] Point neg(const Point& p);
 
@@ -94,7 +102,7 @@ void batch_normalize(Point* pts, std::size_t count);
 /// keys 6).
 struct FixedBaseTable {
   int width = 4;
-  std::vector<std::vector<Point>> blocks;
+  std::vector<std::vector<Affine>> blocks;
 };
 [[nodiscard]] FixedBaseTable build_fixed_base(const Point& base, int width = 4);
 [[nodiscard]] Point mul_fixed(const FixedBaseTable& table, const Scalar& k);

@@ -29,6 +29,10 @@ KeyBundle KeyBundle::deal(GroupPtr group, std::shared_ptr<const LinearScheme> lo
     }
   }
 
+  // Dealt after everything else, so the other keys' bytes under a given
+  // seed do not depend on it.
+  QuorumSigDeal quorum_sig = QuorumSigDeal::deal(group, high, rng);
+
   std::vector<PartyKeyShare> shares;
   shares.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -37,11 +41,13 @@ KeyBundle KeyBundle::deal(GroupPtr group, std::shared_ptr<const LinearScheme> lo
         std::move(cert_sig.secret_keys[static_cast<std::size_t>(i)]),
         std::move(reply_sig.secret_keys[static_cast<std::size_t>(i)]),
         std::move(encryption.secret_keys[static_cast<std::size_t>(i)]),
+        std::move(quorum_sig.secret_keys[static_cast<std::size_t>(i)]),
         std::move(pair_keys[static_cast<std::size_t>(i)])});
   }
 
   PublicKeys public_keys{std::move(coin.public_key), std::move(cert_sig.public_key),
-                         std::move(reply_sig.public_key), std::move(encryption.public_key)};
+                         std::move(reply_sig.public_key), std::move(encryption.public_key),
+                         std::move(quorum_sig.public_key)};
   return KeyBundle(std::move(public_keys), std::move(shares));
 }
 

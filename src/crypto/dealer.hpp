@@ -12,9 +12,19 @@
 //    containing one honest party beyond a maximal corruptible set does.
 //
 //  * `high` — the "n−t"-style structure (generalized rule: P ∖ S for
-//    S ∈ A*).  The certificate signature key is dealt over it: protocol
-//    certificates (consistent broadcast, ABBA justifications, atomic
-//    broadcast) must attest that a full quorum of parties contributed.
+//    S ∈ A*).  The two certificate keys are dealt over it, since a
+//    certificate must attest that a full quorum of parties contributed:
+//    the quorum-signature key (quorum_sig.hpp), whose per-unit EC-Schnorr
+//    signature sets certify the ordering path (consistent-broadcast
+//    certificates, atomic-broadcast batches), and the threshold-RSA
+//    certificate key `cert_sig`, which still signs checkpoint certificates
+//    (state transfer, the NEW-CONFIG fence) and the optimistic protocol's
+//    slot certificates.
+//
+// Five keys in all: coin, TDH2 and reply signatures over `low`,
+// quorum_sig and cert_sig over `high`.  No two primitives share a key:
+// reusing, say, the coin shares as signing keys would couple the security
+// of the two (a TDH2 share even acts as a Diffie–Hellman oracle).
 //
 // In the classical threshold model these are ThresholdScheme(n, t) and
 // ThresholdScheme(n, n−t−1); the generalized instantiations come from
@@ -24,6 +34,7 @@
 #include <memory>
 
 #include "crypto/coin.hpp"
+#include "crypto/quorum_sig.hpp"
 #include "crypto/tdh2.hpp"
 #include "crypto/threshold_sig.hpp"
 
@@ -35,6 +46,7 @@ struct PartyKeyShare {
   ThresholdSigSecretKey cert_sig;
   ThresholdSigSecretKey reply_sig;
   Tdh2SecretKey decryption;
+  QuorumSigSecretKey quorum_sig;
   /// Pairwise symmetric keys: channel_keys[j] is shared with party j
   /// (channel_keys[self] unused).  The paper's dealer bootstraps secure
   /// point-to-point channels; these keys also mask the redistributed
@@ -49,6 +61,7 @@ struct PublicKeys {
   ThresholdSigPublicKey cert_sig;   ///< high (quorum) access structure
   ThresholdSigPublicKey reply_sig;  ///< low (beyond-one-corruptible-set)
   Tdh2PublicKey encryption;         ///< low
+  QuorumSigPublicKey quorum_sig;    ///< high; discrete-log, on the deployment's group
 };
 
 /// Transport link-MAC key for the channel shared with a peer, derived

@@ -232,8 +232,8 @@ inline void mul_wide(const u64 a[4], const u64 b[4], u64 w[8]) {
 }
 
 /// a^e for a little-endian 4-limb exponent; plain 256-step square-and-
-/// multiply.  The differential-testing oracle for inv() and the engine of
-/// sqrt() — not used on any hot path.
+/// multiply.  The differential-testing oracle for inv() and sqrt() — not
+/// used on any hot path.
 [[nodiscard]] Fe pow(const Fe& a, const std::uint64_t e[4]);
 
 /// a^(p-2) via the shortest known addition chain for the secp256k1 prime
@@ -241,8 +241,10 @@ inline void mul_wide(const u64 a[4], const u64 b[4], u64 w[8]) {
 /// inv(0) == 0 by convention (never hit: callers guard z != 0).
 [[nodiscard]] Fe inv(const Fe& a);
 
-/// Square root via a^((p+1)/4) (p ≡ 3 mod 4).  Returns false iff a is a
-/// non-residue; `out` is valid only on success.
+/// Square root via a^((p+1)/4) (p ≡ 3 mod 4), on the addition chain that
+/// shares inv()'s head (253 squarings + 13 multiplies): every compressed-
+/// point decode and every hash_to_curve try runs it.  Returns false iff a
+/// is a non-residue; `out` is valid only on success.
 [[nodiscard]] bool sqrt(const Fe& a, Fe& out);
 
 /// Big-endian 32-byte decode; rejects (returns false) values >= p, which is

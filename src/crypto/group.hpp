@@ -85,8 +85,9 @@ class Group {
   [[nodiscard]] virtual Element identity() const = 0;
 
   /// Build and cache a fixed-base table for `base` (a long-lived public
-  /// key), accelerating all later exp(base, ·) calls.  No-op once the
-  /// bounded cache is full; safe to call from multiple threads.
+  /// key), accelerating all later exp(base, ·) calls.  A full cache evicts
+  /// its least recently used base (crypto/base_cache.hpp); safe to call
+  /// from multiple threads.
   virtual void precompute_base(const Element& base) const = 0;
 
   /// Full membership check.  Every deserialized element must pass this

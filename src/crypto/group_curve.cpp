@@ -5,14 +5,13 @@
 namespace sintra::crypto {
 
 namespace {
-constexpr std::size_t kMaxRegisteredBases = 64;
 
 /// Comb widths: the generator's table is built once at startup and sits on
-/// every exp_g/proof path, so it gets the wide (~780 KiB) table; registered
-/// bases get a narrower one that builds in ~1 ms and still eliminates all
-/// doublings.
+/// every exp_g/proof path, so it gets the wide (~520 KiB) table; registered
+/// bases (up to 64 of them) get a narrower one, ~100 KiB, that builds in
+/// under a millisecond and still eliminates all doublings.
 constexpr int kGeneratorCombWidth = 8;
-constexpr int kRegisteredCombWidth = 6;
+constexpr int kRegisteredCombWidth = 5;
 
 /// secp256k1 group order n (also the scalar field modulus).
 const char* kOrderHex =
@@ -56,29 +55,17 @@ curve256::Scalar EcGroup::to_scalar(const BigInt& e) const {
   return k;
 }
 
-const curve256::FixedBaseTable* EcGroup::table_for(const Element& base) const {
-  if (base == g_) return &g_table_;
-  std::lock_guard<std::mutex> lock(base_cache_mutex_);
-  auto it = base_cache_.find(point_key(base.point()));
-  if (it == base_cache_.end()) return nullptr;
-  BaseEntry& entry = it->second;
-  if (!entry.built) {
-    // Deferred build: the first use runs the generic path, the second pays
-    // the one-time table cost.  Dealing ceremonies that register dozens of
-    // verification keys and then exit never build anything.
-    if (++entry.uses < 2) return nullptr;
-    entry.table = curve256::build_fixed_base(base.point(), kRegisteredCombWidth);
-    entry.built = true;
-  }
-  return &entry.table;
+EcGroup::TablePtr EcGroup::table_for(const Element& base) const {
+  // The generator's table lives as long as the group: a non-owning pointer.
+  if (base == g_) return TablePtr(TablePtr(), &g_table_);
+  return base_cache_.find(point_key(base.point()), [&] {
+    return curve256::build_fixed_base(base.point(), kRegisteredCombWidth);
+  });
 }
 
 void EcGroup::precompute_base(const Element& base) const {
   if (base == g_ || !base.has_point() || curve256::is_infinity(base.point())) return;
-  std::string key = point_key(base.point());
-  std::lock_guard<std::mutex> lock(base_cache_mutex_);
-  if (base_cache_.size() >= kMaxRegisteredBases) return;
-  base_cache_.try_emplace(std::move(key));
+  base_cache_.add(point_key(base.point()));
 }
 
 Element EcGroup::mul(const Element& a, const Element& b) const {
@@ -87,9 +74,7 @@ Element EcGroup::mul(const Element& a, const Element& b) const {
 
 curve256::Point EcGroup::exp_unnormalized(const Element& base, const BigInt& e) const {
   const curve256::Scalar k = to_scalar(e);
-  if (const curve256::FixedBaseTable* table = table_for(base)) {
-    return curve256::mul_fixed(*table, k);
-  }
+  if (const TablePtr table = table_for(base)) return curve256::mul_fixed(*table, k);
   return curve256::mul(base.point(), k);
 }
 
@@ -106,8 +91,8 @@ Element EcGroup::exp2(const Element& b1, const BigInt& e1, const Element& b2,
   // With a comb table on either base the no-doubling fixed-base walk plus
   // one projective addition beats the shared Strauss chain; without tables
   // the shared chain wins.
-  const curve256::FixedBaseTable* t1 = table_for(b1);
-  const curve256::FixedBaseTable* t2 = table_for(b2);
+  const TablePtr t1 = table_for(b1);
+  const TablePtr t2 = table_for(b2);
   if (t1 == nullptr && t2 == nullptr) {
     return wrap(curve256::mul2(b1.point(), to_scalar(e1), b2.point(), to_scalar(e2)));
   }
@@ -125,8 +110,8 @@ bool EcGroup::exp2_equals(const Element& b1, const BigInt& e1, const Element& b2
   // the exponentiations never needs the normalizing field inversion that
   // exp2 (which must hand back a canonical Element) pays.  Base selection
   // mirrors exp2: comb tables when available, shared Strauss chain when not.
-  const curve256::FixedBaseTable* t1 = table_for(b1);
-  const curve256::FixedBaseTable* t2 = table_for(b2);
+  const TablePtr t1 = table_for(b1);
+  const TablePtr t2 = table_for(b2);
   curve256::Point sum;
   if (t1 == nullptr && t2 == nullptr) {
     sum = curve256::mul2(b1.point(), to_scalar(e1), b2.point(), to_scalar(e2));
@@ -141,10 +126,20 @@ bool EcGroup::exp2_equals(const Element& b1, const BigInt& e1, const Element& b2
 }
 
 Element EcGroup::multi_exp(const std::vector<std::pair<Element, BigInt>>& pairs) const {
+  // Bases with a comb table (g, registered keys) stay on it: a table walk
+  // has no doublings, which beats sharing the Strauss chain for a 256-bit
+  // exponent.  The rest share one chain.
   std::vector<std::pair<curve256::Point, curve256::Scalar>> terms;
   terms.reserve(pairs.size());
-  for (const auto& [base, exp] : pairs) terms.emplace_back(base.point(), to_scalar(exp));
-  return wrap(curve256::multi_mul(terms));
+  curve256::Point fixed = curve256::infinity();
+  for (const auto& [base, exp] : pairs) {
+    if (const TablePtr table = table_for(base)) {
+      fixed = curve256::add(fixed, curve256::mul_fixed(*table, to_scalar(exp)));
+    } else {
+      terms.emplace_back(base.point(), to_scalar(exp));
+    }
+  }
+  return wrap(curve256::add(fixed, curve256::multi_mul(terms)));
 }
 
 Element EcGroup::inv(const Element& a) const { return wrap(curve256::neg(a.point())); }

@@ -9,9 +9,7 @@
 // Group interface and owns the fixed-base comb tables.
 #pragma once
 
-#include <map>
-#include <mutex>
-
+#include "crypto/base_cache.hpp"
 #include "crypto/curve256.hpp"
 #include "crypto/group.hpp"
 
@@ -43,30 +41,28 @@ class EcGroup final : public Group {
   [[nodiscard]] Element decode_element(Reader& r) const override;
   [[nodiscard]] Element decode_residue(Reader& r) const override;
 
+  /// Registered-base cache counters (tests and diagnostics).
+  [[nodiscard]] FixedBaseCacheStats base_cache_stats() const {
+    return base_cache_.stats();
+  }
+
  private:
+  using TablePtr = std::shared_ptr<const curve256::FixedBaseTable>;
+
   /// Reduce a protocol-layer exponent into the fixed-limb scalar form.
   [[nodiscard]] curve256::Scalar to_scalar(const BigInt& e) const;
   /// Comb table for `base` if it is the generator or a registered base whose
-  /// table has been built (lazily, on its second use); nullptr otherwise.
-  [[nodiscard]] const curve256::FixedBaseTable* table_for(const Element& base) const;
+  /// table has been built (lazily, on its second use); null otherwise.
+  [[nodiscard]] TablePtr table_for(const Element& base) const;
   /// base^e as a possibly-unnormalized point (comb table when available,
   /// GLV wNAF otherwise); callers either wrap() or compare projectively.
   [[nodiscard]] curve256::Point exp_unnormalized(const Element& base, const BigInt& e) const;
 
   curve256::FixedBaseTable g_table_;  ///< eager comb table for the generator
 
-  // Bounded registry of long-lived bases (threshold public keys and
-  // per-party verification keys).  Registration via precompute_base is
-  // cheap; the comb table itself is built on an entry's second use so
-  // one-shot protocol runs never pay the build.  Entries are never evicted,
-  // so pointers into the map stay valid for the Group's lifetime.
-  struct BaseEntry {
-    int uses = 0;
-    bool built = false;
-    curve256::FixedBaseTable table;
-  };
-  mutable std::mutex base_cache_mutex_;
-  mutable std::map<std::string, BaseEntry> base_cache_;
+  /// Registered long-lived bases (crypto/base_cache.hpp), keyed by their
+  /// compressed encoding.
+  mutable FixedBaseCache<curve256::FixedBaseTable> base_cache_;
 };
 
 }  // namespace sintra::crypto

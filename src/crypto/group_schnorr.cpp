@@ -54,7 +54,6 @@ std::string element_key(const BigInt& a) {
   return std::string(reinterpret_cast<const char*>(raw.data()), raw.size());
 }
 
-constexpr std::size_t kMaxRegisteredBases = 64;
 constexpr std::size_t kMaxElementMemo = 8192;
 }  // namespace
 
@@ -110,27 +109,13 @@ BigInt SchnorrGroup::exp_fixed(const FixedBaseTable& table, const BigInt& scalar
   return mont_p_.from_mont(result);
 }
 
-const SchnorrGroup::FixedBaseTable* SchnorrGroup::registered_table(const BigInt& base) const {
-  std::lock_guard<std::mutex> lock(base_cache_mutex_);
-  auto it = base_cache_.find(element_key(base));
-  if (it == base_cache_.end()) return nullptr;
-  BaseEntry& entry = it->second;
-  if (!entry.built) {
-    // Deferred build: the first use runs the generic path, the second pays
-    // the one-time table cost (hundreds of multiplications).  Registering a
-    // base that is never exponentiated stays free.
-    if (++entry.uses < 2) return nullptr;
-    entry.table = build_fixed_base(base);
-    entry.built = true;
-  }
-  return &entry.table;
+std::shared_ptr<const SchnorrGroup::FixedBaseTable> SchnorrGroup::registered_table(
+    const BigInt& base) const {
+  return base_cache_.find(element_key(base), [&] { return build_fixed_base(base); });
 }
 
 void SchnorrGroup::precompute_base(const Element& base) const {
-  std::string key = element_key(base.residue());
-  std::lock_guard<std::mutex> lock(base_cache_mutex_);
-  if (base_cache_.size() >= kMaxRegisteredBases) return;
-  base_cache_.try_emplace(std::move(key));
+  base_cache_.add(element_key(base.residue()));
 }
 
 Element SchnorrGroup::mul(const Element& a, const Element& b) const {
@@ -141,7 +126,7 @@ Element SchnorrGroup::exp(const Element& base, const BigInt& scalar) const {
   const BigInt e = scalar.mod(q_);
   const BigInt& b = base.residue();
   if (b == gen_) return Element::from_residue(exp_fixed(g_table_, e));
-  if (const FixedBaseTable* table = registered_table(b)) {
+  if (const auto table = registered_table(b)) {
     return Element::from_residue(exp_fixed(*table, e));
   }
   return Element::from_residue(mont_p_.pow(b, e));

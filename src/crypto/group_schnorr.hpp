@@ -8,10 +8,10 @@
 // independent implementation and are re-verified by the test suite.
 #pragma once
 
-#include <map>
 #include <mutex>
 #include <unordered_set>
 
+#include "crypto/base_cache.hpp"
 #include "crypto/group.hpp"
 
 namespace sintra::crypto {
@@ -46,6 +46,11 @@ class SchnorrGroup final : public Group {
   [[nodiscard]] Element decode_element(Reader& r) const override;
   [[nodiscard]] Element decode_residue(Reader& r) const override;
 
+  /// Registered-base cache counters (tests and diagnostics).
+  [[nodiscard]] FixedBaseCacheStats base_cache_stats() const {
+    return base_cache_.stats();
+  }
+
  private:
   /// Windowed fixed-base precomputation: blocks[i][j-1] = base^(j * 16^i)
   /// in Montgomery form, so an exponentiation is one table multiply per
@@ -57,7 +62,7 @@ class SchnorrGroup final : public Group {
   [[nodiscard]] FixedBaseTable build_fixed_base(const BigInt& base) const;
   /// scalar must already be reduced into [0, q).
   [[nodiscard]] BigInt exp_fixed(const FixedBaseTable& table, const BigInt& scalar) const;
-  [[nodiscard]] const FixedBaseTable* registered_table(const BigInt& base) const;
+  [[nodiscard]] std::shared_ptr<const FixedBaseTable> registered_table(const BigInt& base) const;
   [[nodiscard]] bool residue_is_member(const BigInt& a) const;
 
   BigInt p_;
@@ -66,18 +71,8 @@ class SchnorrGroup final : public Group {
   Montgomery mont_p_;       ///< REDC context for Z_p (declared after p_)
   FixedBaseTable g_table_;  ///< eager fixed-base table for the generator
 
-  // Bounded registry of long-lived bases.  Registration via precompute_base
-  // is cheap (a map entry); the table itself is built on the entry's second
-  // use so registering many bases that are never exponentiated costs
-  // nothing.  Entries are never evicted (registration refuses past the
-  // bound), so pointers into the map stay valid for the Group's lifetime.
-  struct BaseEntry {
-    int uses = 0;
-    bool built = false;
-    FixedBaseTable table;
-  };
-  mutable std::mutex base_cache_mutex_;
-  mutable std::map<std::string, BaseEntry> base_cache_;
+  /// Registered long-lived bases (crypto/base_cache.hpp).
+  mutable FixedBaseCache<FixedBaseTable> base_cache_;
 
   // Memo of residues that passed the full subgroup-membership check.
   mutable std::mutex memo_mutex_;

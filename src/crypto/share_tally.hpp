@@ -8,7 +8,8 @@
 // holds exactly the sender's units), the support set, the shares, strike,
 // and the attempt guard of an off-loop combine (protocols/base.hpp).
 // Readiness, verification policy and what the result is for stay with the
-// caller.
+// caller; consistent broadcast collects quorum signatures (quorum_sig.hpp)
+// in one and uses the admitted set itself as its certificate.
 #pragma once
 
 #include <cstdint>

@@ -77,13 +77,13 @@ void FlooderProcess::burst() {
         sw.u32(static_cast<std::uint32_t>(id_));
         auto digest = crypto::hash_domain("sintra/abc/block", payload_block);
         sw.raw(BytesView(digest.data(), digest.size()));
-        auto shares = deployment_.keys->share(id_).cert_sig.sign(
-            deployment_.keys->public_keys().cert_sig, sw.take(), rng_);
+        const auto& pk = deployment_.keys->public_keys().quorum_sig;
+        const auto sigs = deployment_.keys->share(id_).quorum_sig.sign(pk, sw.take());
         Writer w;
         w.u8(1);  // AtomicBroadcast::kBatch
         w.u32(static_cast<std::uint32_t>(round));
         w.bytes(payload_block);
-        w.vec(shares, [](Writer& wr, const crypto::SigShare& s) { s.encode(wr); });
+        w.vec(sigs, [&](Writer& wr, const crypto::QuorumSig& s) { s.encode(wr, pk.group()); });
         const Bytes payload = w.take();
         for (int to = 0; to < n; ++to) {
           if (to != id_) spray(to, target_tag_, payload);

@@ -13,7 +13,11 @@ constexpr std::size_t kMaxBufferedTags = 4096;
 /// Retired-tag tombstones kept (FIFO).  Old tombstones expiring is safe:
 /// traffic for a long-retired tag is then buffered again, budget-bounded,
 /// and never re-dispatched (the instance's handler is gone for good).
-constexpr std::size_t kMaxRetired = 4096;
+/// Atomic broadcast retires one tag per round and honest peers run within
+/// kRoundLookahead (32) rounds of each other, so 1024 tombstones keep a
+/// 32-fold margin; each costs ~120 bytes, so the cap bounds what a
+/// long-running replica holds for them.
+constexpr std::size_t kMaxRetired = 1024;
 
 }  // namespace
 
@@ -150,8 +154,8 @@ void Party::unregister_handler(const std::string& tag) {
 
 void Party::retire_tag(const std::string& prefix) {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  if (retired_.insert(prefix).second) {
-    retired_order_.push_back(prefix);
+  if (const auto [it, fresh] = retired_.insert(prefix); fresh) {
+    retired_order_.push_back(it);
     if (retired_order_.size() > kMaxRetired) {
       retired_.erase(retired_order_.front());
       retired_order_.pop_front();
@@ -256,7 +260,7 @@ Bytes Party::snapshot() const {
   }
   std::lock_guard<std::mutex> lock(state_mutex_);
   w.u32(static_cast<std::uint32_t>(retired_order_.size()));
-  for (const std::string& tag : retired_order_) w.str(tag);
+  for (const auto& tag : retired_order_) w.str(*tag);
   w.vec(wal_, [](Writer& out, const Message& message) {
     out.u32(static_cast<std::uint32_t>(message.from));
     out.str(message.tag);
@@ -281,8 +285,7 @@ void Party::restore(BytesView persisted) {
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     for (std::uint32_t i = 0; i < retired_count; ++i) {
-      std::string tag = r.str();
-      if (retired_.insert(tag).second) retired_order_.push_back(std::move(tag));
+      if (const auto [it, fresh] = retired_.insert(r.str()); fresh) retired_order_.push_back(it);
     }
   }
   std::vector<Message> replay = r.vec<Message>([this](Reader& in) {

@@ -228,7 +228,9 @@ class Party : public Process {
   std::map<std::string, Handler> handlers_;
   std::map<std::string, std::deque<Message>> buffered_;
   std::set<std::string, std::less<>> retired_;
-  std::deque<std::string> retired_order_;  ///< FIFO for the tombstone cap
+  /// FIFO for the tombstone cap: iterators into retired_, so each
+  /// tombstone's string is held once.
+  std::deque<std::set<std::string, std::less<>>::const_iterator> retired_order_;
   struct Checkpoint {
     CheckpointSave save;
     CheckpointLoad load;

@@ -7,22 +7,32 @@
 
 namespace sintra::protocols {
 
+using crypto::QuorumSig;
 using crypto::SigShare;
 
 namespace {
-Bytes payload_digest(BytesView payload) {
-  auto d = crypto::hash_domain("sintra/abc/payload", payload);
-  return Bytes(d.begin(), d.end());
+crypto::Digest payload_digest(BytesView payload) {
+  return crypto::hash_domain("sintra/abc/payload", payload);
 }
 
 crypto::Digest entry_digest(BytesView encoded_entry) {
   return crypto::hash_domain("sintra/abc/entry", encoded_entry);
 }
 
+std::vector<QuorumSig> decode_sigs(Reader& r, const crypto::Group& group) {
+  return r.vec<QuorumSig>([&](Reader& rd) { return QuorumSig::decode(rd, group); });
+}
+
+void encode_sigs(Writer& w, const crypto::Group& group, const std::vector<QuorumSig>& sigs) {
+  w.vec(sigs, [&](Writer& wr, const QuorumSig& s) { s.encode(wr, group); });
+}
+
+/// One party's signed round batch: (party, payload block, the party's
+/// quorum-key signatures on batch_statement).
 struct BatchEntry {
   int party = 0;
   std::vector<Bytes> payloads;
-  std::vector<SigShare> shares;
+  std::vector<QuorumSig> sigs;
 
   [[nodiscard]] Bytes payload_block() const {
     Writer w;
@@ -30,23 +40,30 @@ struct BatchEntry {
     return w.take();
   }
 
-  void encode(Writer& w) const {
+  void encode(Writer& w, const crypto::Group& group) const {
     w.u32(static_cast<std::uint32_t>(party));
     w.bytes(payload_block());
-    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    encode_sigs(w, group, sigs);
   }
 
-  static BatchEntry decode(Reader& r) {
+  static BatchEntry decode(Reader& r, const crypto::Group& group) {
     BatchEntry entry;
     entry.party = static_cast<int>(r.u32());
     const Bytes block_bytes = r.bytes();  // named: Reader views, must outlive it
     Reader block(block_bytes);
     entry.payloads = block.vec<Bytes>([](Reader& rd) { return rd.bytes(); });
     block.expect_done();
-    entry.shares = r.vec<SigShare>([](Reader& rd) { return SigShare::decode(rd); });
+    entry.sigs = decode_sigs(r, group);
     return entry;
   }
 };
+
+/// True iff every signature in `sigs` verifies on `statement`.
+bool all_verify(const crypto::QuorumSigPublicKey& pk, BytesView statement,
+                const std::vector<QuorumSig>& sigs) {
+  return std::all_of(sigs.begin(), sigs.end(),
+                     [&](const QuorumSig& sig) { return pk.verify(statement, sig); });
+}
 }  // namespace
 
 AtomicBroadcast::AtomicBroadcast(net::Party& host, std::string tag, DeliverFn deliver,
@@ -104,13 +121,18 @@ void AtomicBroadcast::release_round_charges(RoundData& rd) {
   rd.charges.clear();
 }
 
-void AtomicBroadcast::note_delivered(Bytes digest) {
-  delivered_.insert(digest);
-  delivered_fifo_.push_back(std::move(digest));
+void AtomicBroadcast::note_delivered(const crypto::Digest& digest) {
+  delivered_fifo_.push_back(digest);
+  delivered_.insert(&delivered_fifo_.back());
   if (delivered_fifo_.size() > kDeliveredCap) {
-    delivered_.erase(delivered_fifo_.front());
+    delivered_.erase(&delivered_fifo_.front());
     delivered_fifo_.pop_front();
   }
+}
+
+bool AtomicBroadcast::was_delivered(BytesView payload) const {
+  const crypto::Digest digest = payload_digest(payload);
+  return delivered_.contains(&digest);
 }
 
 Bytes AtomicBroadcast::batch_statement(int round, int party, BytesView payload_block) const {
@@ -147,7 +169,7 @@ void AtomicBroadcast::handle(int from, Reader& reader) {
     reader.expect_done();
     // Content dedupe: a checkpoint-restored queue plus a not-yet-pruned
     // kSubmit WAL entry must not enqueue the same payload twice.
-    if (delivered_.contains(payload_digest(payload))) return;
+    if (was_delivered(payload)) return;
     for (const Bytes& queued : queue_) {
       if (queued == payload) return;
     }
@@ -158,8 +180,9 @@ void AtomicBroadcast::handle(int from, Reader& reader) {
   SINTRA_REQUIRE(type == kBatch, "abc: unknown message type");
   const int round = static_cast<int>(reader.u32());
   SINTRA_REQUIRE(round >= 1 && round < 1 << 24, "abc: implausible round");
+  const auto& pk = host_.public_keys().quorum_sig;
   Bytes payload_block = reader.bytes();
-  auto shares = reader.vec<SigShare>([](Reader& rd) { return SigShare::decode(rd); });
+  auto sigs = decode_sigs(reader, pk.group());
   reader.expect_done();
   if (round <= last_finished_) return;  // stale: that round already completed
   if (round > last_finished_ + kRoundLookahead) {
@@ -174,30 +197,29 @@ void AtomicBroadcast::handle(int from, Reader& reader) {
     return;  // one batch per party per round
   }
 
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  SINTRA_REQUIRE(crypto::covers_own_units(cert_pk.scheme(), from, shares),
-                 "abc: batch shares not the sender's units");
+  SINTRA_REQUIRE(crypto::covers_own_units(pk.scheme(), from, sigs),
+                 "abc: batch signatures not the sender's units");
   BatchEntry entry;
   entry.party = from;
   Reader block(payload_block);
   entry.payloads = block.vec<Bytes>([](Reader& rd) { return rd.bytes(); });
   block.expect_done();
-  entry.shares = std::move(shares);
+  entry.sigs = std::move(sigs);
   Writer encoded;
-  entry.encode(encoded);
+  entry.encode(encoded, pk.group());
   Bytes raw = encoded.take();
   const crypto::Digest digest = entry_digest(raw);
 
   // Verify before any state is allocated for the round — unverifiable
-  // traffic must not create map entries.  The sender's shares all cover
-  // one statement, so the whole vector goes through one batched check,
-  // unless a proposal already carried these exact bytes for this round.
-  if (existing == rounds_.end() || !existing->second.verified.contains(digest)) {
+  // traffic must not create map entries — unless a proposal already
+  // carried these exact bytes for this round.  This party's own batch is
+  // its own signing and is not checked.
+  if (from != me() &&
+      (existing == rounds_.end() || !existing->second.verified.contains(digest))) {
     ++entries_checked_;
-    if (!crypto::batch::verify_sig_shares(cert_pk, batch_statement(round, from, payload_block),
-                                          entry.shares, host_.rng())) {
+    if (!all_verify(pk, batch_statement(round, from, payload_block), entry.sigs)) {
       // The link authenticates the sender of a direct batch, so its bad
-      // shares are its own.  (An entry inside a VBA proposal proves
+      // signatures are its own.  (An entry inside a VBA proposal proves
       // nothing about its party: the proposer can forge it.)
       suspected_ |= crypto::party_bit(from);
       throw ProtocolError("abc: invalid batch signature");
@@ -248,14 +270,14 @@ void AtomicBroadcast::maybe_start_round(int round) {
   Writer block;
   block.vec(payloads, [](Writer& wr, const Bytes& p) { wr.bytes(p); });
   Bytes payload_block = block.take();
-  auto shares = host_.keys().cert_sig.sign(host_.public_keys().cert_sig,
-                                           batch_statement(round, me(), payload_block),
-                                           host_.rng());
+  const auto& pk = host_.public_keys().quorum_sig;
+  const auto sigs =
+      host_.keys().quorum_sig.sign(pk, batch_statement(round, me(), payload_block));
   Writer w;
   w.u8(kBatch);
   w.u32(static_cast<std::uint32_t>(round));
   w.bytes(payload_block);
-  w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+  encode_sigs(w, pk.group(), sigs);
   broadcast(w.take());
 
   rd.vba = std::make_unique<Vba>(
@@ -281,41 +303,42 @@ void AtomicBroadcast::maybe_propose(int round) {
 
 bool AtomicBroadcast::validate_batch_set(int round, BytesView batch_set) {
   // Entries whose exact bytes already verified for this round skip the
-  // share check: the statement binds (tag, round, party, block digest), so
-  // a byte-identical entry has the same verdict.  Every structural check
-  // still runs on every entry.
+  // signature check: the statement binds (tag, round, party, block
+  // digest), so a byte-identical entry has the same verdict.  Every
+  // structural check still runs on every entry.
   auto round_it = rounds_.find(round);
   std::set<crypto::Digest>* memo = round_it == rounds_.end() ? nullptr : &round_it->second.verified;
   try {
     Reader reader(batch_set);
     auto raw_entries = reader.vec<Bytes>([](Reader& rd) { return rd.bytes(); });
     reader.expect_done();
-    const auto& cert_pk = host_.public_keys().cert_sig;
+    const auto& pk = host_.public_keys().quorum_sig;
     crypto::PartySet senders = 0;
-    // One multi-statement batch over the unseen entries: each sender's
-    // shares group under that sender's batch statement, and all groups
-    // collapse into a single pair of multi-exponentiations.
-    std::vector<crypto::batch::SigShareGroup> groups;
+    std::vector<BatchEntry> unseen;
     std::vector<crypto::Digest> fresh;
     for (const Bytes& raw : raw_entries) {
       Reader entry_reader(raw);
-      BatchEntry entry = BatchEntry::decode(entry_reader);
+      BatchEntry entry = BatchEntry::decode(entry_reader, pk.group());
       entry_reader.expect_done();
       if (entry.party < 0 || entry.party >= host_.n()) return false;
       if (crypto::contains(senders, entry.party)) return false;  // duplicate sender
-      if (!crypto::covers_own_units(cert_pk.scheme(), entry.party, entry.shares)) return false;
+      if (!crypto::covers_own_units(pk.scheme(), entry.party, entry.sigs)) return false;
       senders |= crypto::party_bit(entry.party);
       const crypto::Digest digest = entry_digest(raw);
       if (memo != nullptr && memo->contains(digest)) continue;
       fresh.push_back(digest);
-      groups.push_back({batch_statement(round, entry.party, entry.payload_block()),
-                        std::move(entry.shares)});
+      unseen.push_back(std::move(entry));
     }
     // The paper's external validity condition: properly signed batches from
     // a full quorum, so honest parties' payloads are represented.
     if (!quorum().is_quorum(senders)) return false;
-    entries_checked_ += groups.size();
-    if (!crypto::batch::verify_sig_share_groups(cert_pk, groups, host_.rng())) return false;
+    entries_checked_ += unseen.size();
+    for (const BatchEntry& entry : unseen) {
+      if (!all_verify(pk, batch_statement(round, entry.party, entry.payload_block()),
+                      entry.sigs)) {
+        return false;
+      }
+    }
     if (memo != nullptr) memo->insert(fresh.begin(), fresh.end());
     return true;
   } catch (const ProtocolError&) {
@@ -332,7 +355,7 @@ void AtomicBroadcast::on_round_decided(int round, const Bytes& batch_set) {
   entries.reserve(raw_entries.size());
   for (const Bytes& raw : raw_entries) {
     Reader entry_reader(raw);
-    entries.push_back(BatchEntry::decode(entry_reader));
+    entries.push_back(BatchEntry::decode(entry_reader, host_.public_keys().quorum_sig.group()));
   }
   // Deterministic delivery order: by originating party, then batch order.
   std::sort(entries.begin(), entries.end(),
@@ -341,9 +364,9 @@ void AtomicBroadcast::on_round_decided(int round, const Bytes& batch_set) {
   delivering_round_ = true;
   for (const BatchEntry& entry : entries) {
     for (const Bytes& payload : entry.payloads) {
-      Bytes digest = payload_digest(payload);
-      if (delivered_.contains(digest)) continue;
-      note_delivered(std::move(digest));
+      const crypto::Digest digest = payload_digest(payload);
+      if (delivered_.contains(&digest)) continue;
+      note_delivered(digest);
       ++delivered_count_;
       chain_digest_ = crypto::chain_extend(chain_digest_, entry.party, payload);
       if (host_.wal_enabled()) delivered_log_.emplace_back(entry.party, payload);
@@ -352,7 +375,7 @@ void AtomicBroadcast::on_round_decided(int round, const Bytes& batch_set) {
   }
   delivering_round_ = false;
   // Drop our own now-delivered payloads.
-  std::erase_if(queue_, [this](const Bytes& p) { return delivered_.contains(payload_digest(p)); });
+  std::erase_if(queue_, [this](const Bytes& p) { return was_delivered(p); });
 
   last_finished_ = round;
   // The round's buffered batches did their job; only the VBA stays (for
@@ -591,7 +614,7 @@ bool AtomicBroadcast::install_checkpoint(const crypto::CheckpointCert& cert, Byt
     if (host_.wal_enabled()) delivered_log_.emplace_back(origin, payload);
     deliver_(origin, payload);
   }
-  std::erase_if(queue_, [this](const Bytes& p) { return delivered_.contains(payload_digest(p)); });
+  std::erase_if(queue_, [this](const Bytes& p) { return was_delivered(p); });
 
   // Fast-forward the round counter past everything the certificate covers
   // and retire the overtaken rounds' VBA subtrees.

@@ -14,8 +14,9 @@
 // honest party is eventually delivered (its batch is re-proposed each
 // round until delivery), and no payload is delivered twice (content
 // dedupe).  The "individual digital signature" of the paper is realized by
-// a party's certificate-key signature shares, which are verifiable
-// per-party against the dealt verification values.
+// a party's quorum-key signatures (crypto/quorum_sig.hpp: one EC-Schnorr
+// signature per share unit), verifiable per party against the dealt
+// verification values.
 #pragma once
 
 #include <deque>
@@ -23,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <unordered_set>
 
 #include "crypto/checkpoint.hpp"
 #include "crypto/sha256.hpp"
@@ -61,13 +63,14 @@ class AtomicBroadcast final : public ProtocolInstance {
   /// Introspection for the memory-budget tests.
   [[nodiscard]] std::size_t live_rounds() const { return rounds_.size(); }
   [[nodiscard]] std::size_t queue_size() const { return queue_.size(); }
-  /// Batch entries whose signature shares went through a full check, on
-  /// arrival or in the validity predicate.  An entry whose exact bytes
-  /// already verified for its round is not checked again.
+  /// Batch entries whose signatures went through a full check, on arrival
+  /// or in the validity predicate.  An entry whose exact bytes already
+  /// verified for its round is not checked again, and this party's own
+  /// batch is never checked.
   [[nodiscard]] std::uint64_t entries_checked() const { return entries_checked_; }
   /// Batch-sets the validity predicate rejected.
   [[nodiscard]] std::uint64_t batch_sets_rejected() const { return batch_sets_rejected_; }
-  /// Parties that sent this party a batch whose signature shares failed.
+  /// Parties that sent this party a batch whose signatures failed.
   [[nodiscard]] crypto::PartySet suspected() const { return suspected_; }
 
   /// Turn on certified checkpoints: after every `interval` completed
@@ -122,9 +125,9 @@ class AtomicBroadcast final : public ProtocolInstance {
 
   struct RoundData {
     crypto::PartySet batch_from = 0;
-    std::vector<Bytes> batches;  ///< encoded (party, payloads, shares) entries
+    std::vector<Bytes> batches;  ///< encoded (party, payloads, signatures) entries
     std::vector<std::pair<int, std::size_t>> charges;  ///< (peer, bytes) held
-    /// Digests of encoded entries whose shares verified for this round, on
+    /// Digests of encoded entries whose signatures verified for this round, on
     /// arrival or in the predicate.  Kept until the round is GC'd, since
     /// late proposals still run the predicate after the decision.
     std::set<crypto::Digest> verified;
@@ -151,7 +154,8 @@ class AtomicBroadcast final : public ProtocolInstance {
   void maybe_propose(int round);
   void on_round_decided(int round, const Bytes& batch_set);
   void release_round_charges(RoundData& rd);
-  void note_delivered(Bytes digest);
+  void note_delivered(const crypto::Digest& digest);
+  [[nodiscard]] bool was_delivered(BytesView payload) const;
   void gc_completed_rounds();
   void emit_checkpoint_share(int round);
   void handle_ckpt_share(int from, Reader& reader);
@@ -167,8 +171,23 @@ class AtomicBroadcast final : public ProtocolInstance {
   RoundEndFn round_end_;
   bool delivering_round_ = false;
   std::deque<Bytes> queue_;               ///< undelivered local submissions
-  std::set<Bytes> delivered_;             ///< digests of delivered payloads
-  std::deque<Bytes> delivered_fifo_;      ///< digest eviction order (kDeliveredCap)
+  /// Digests of delivered payloads, each held once: the FIFO owns them (in
+  /// eviction order, kDeliveredCap) and the set indexes them by pointer
+  /// (deque push_back/pop_front leave the other elements in place).
+  struct DigestHash {
+    std::size_t operator()(const crypto::Digest* d) const noexcept {
+      std::size_t h = 0;
+      for (std::size_t i = 0; i < sizeof h; ++i) h = (h << 8) | (*d)[i];
+      return h;
+    }
+  };
+  struct DigestEq {
+    bool operator()(const crypto::Digest* a, const crypto::Digest* b) const noexcept {
+      return *a == *b;
+    }
+  };
+  std::deque<crypto::Digest> delivered_fifo_;
+  std::unordered_set<const crypto::Digest*, DigestHash, DigestEq> delivered_;
   /// Ordered (origin, payload) delivery log, kept only with the WAL on:
   /// it is the checkpoint that lets completed rounds' WAL entries be
   /// pruned — the loader re-fires deliver_ for each entry so parent state

@@ -13,20 +13,23 @@ Bytes consistent_statement(const std::string& tag, BytesView message) {
   return w.take();
 }
 
-bool verify_certificate(const crypto::ThresholdSigPublicKey& pk, const std::string& tag,
-                        const CertifiedMessage& cm) {
-  return pk.verify(consistent_statement(tag, cm.message), cm.certificate);
+bool verify_certificate(const crypto::QuorumSigPublicKey& pk,
+                        const adversary::QuorumSystem& quorum, const std::string& tag,
+                        const CertifiedMessage& cm, const std::vector<crypto::QuorumSig>& trusted) {
+  const auto signers = pk.verify_set(consistent_statement(tag, cm.message), cm.certificate, trusted);
+  return signers.has_value() && quorum.is_quorum(*signers);
 }
 
-void CertifiedMessage::encode(Writer& w) const {
+void CertifiedMessage::encode(Writer& w, const crypto::Group& group) const {
   w.bytes(message);
-  certificate.encode(w);
+  w.vec(certificate, [&](Writer& wr, const crypto::QuorumSig& s) { s.encode(wr, group); });
 }
 
-CertifiedMessage CertifiedMessage::decode(Reader& r) {
+CertifiedMessage CertifiedMessage::decode(Reader& r, const crypto::Group& group) {
   CertifiedMessage cm;
   cm.message = r.bytes();
-  cm.certificate = crypto::BigInt::decode(r);
+  cm.certificate =
+      r.vec<crypto::QuorumSig>([&](Reader& rr) { return crypto::QuorumSig::decode(rr, group); });
   return cm;
 }
 
@@ -51,20 +54,21 @@ void ConsistentBroadcast::start(Bytes message) {
 }
 
 void ConsistentBroadcast::handle(int from, Reader& reader) {
+  const auto& pk = host_.public_keys().quorum_sig;
   const std::uint8_t type = reader.u8();
   switch (type) {
     case kSend: {
       SINTRA_REQUIRE(from == sender_, "cbc: SEND from non-sender");
       Bytes message = reader.bytes();
       reader.expect_done();
-      if (signed_) break;  // sign only the first message per instance
-      signed_ = true;
-      const Bytes statement = consistent_statement(tag_, message);
+      if (!my_signatures_.empty()) break;  // sign only the first message per instance
+      signed_statement_ = consistent_statement(tag_, message);
+      my_signatures_ = host_.keys().quorum_sig.sign(pk, signed_statement_);
       Writer w;
       w.u8(kShare);
-      auto shares = host_.keys().cert_sig.sign(host_.public_keys().cert_sig, statement,
-                                               host_.rng());
-      w.vec(shares, [](Writer& wr, const crypto::SigShare& s) { s.encode(wr); });
+      w.vec(my_signatures_, [&](Writer& wr, const crypto::QuorumSig& s) {
+        s.encode(wr, pk.group());
+      });
       send(sender_, w.take());
       break;
     }
@@ -72,16 +76,20 @@ void ConsistentBroadcast::handle(int from, Reader& reader) {
       on_share(from, reader);
       break;
     }
-    case kVerdict: {
-      on_verdict(from, reader);
-      break;
-    }
     case kFinal: {
-      CertifiedMessage cm = CertifiedMessage::decode(reader);
+      CertifiedMessage cm = CertifiedMessage::decode(reader, pk.group());
       reader.expect_done();
-      SINTRA_REQUIRE(verify_certificate(host_.public_keys().cert_sig, tag_, cm),
-                     "cbc: bad certificate");
       if (delivered_) break;
+      // The sender checked every signature of its own FINAL on arrival.
+      // Anyone else's FINAL is checked in full, except that this party's
+      // own signatures on the same statement are a byte compare.
+      if (from != me() || !finalized_) {
+        const bool own_statement = consistent_statement(tag_, cm.message) == signed_statement_;
+        SINTRA_REQUIRE(verify_certificate(pk, quorum(), tag_, cm,
+                                          own_statement ? my_signatures_
+                                                        : std::vector<crypto::QuorumSig>{}),
+                       "cbc: bad certificate");
+      }
       delivered_ = true;
       host_.trace("cbc", tag_ + " delivered");
       deliver_(std::move(cm));
@@ -93,35 +101,30 @@ void ConsistentBroadcast::handle(int from, Reader& reader) {
 }
 
 void ConsistentBroadcast::on_share(int from, Reader& reader) {
-  if (me() != sender_ || finalized_ || shares_.seen(from)) return;
-  auto incoming = reader.vec<crypto::SigShare>(
-      [](Reader& r) { return crypto::SigShare::decode(r); });
+  if (me() != sender_ || finalized_ || signatures_.seen(from) || crypto::contains(suspected_, from)) {
+    return;
+  }
+  const auto& pk = host_.public_keys().quorum_sig;
+  auto incoming = reader.vec<crypto::QuorumSig>(
+      [&](Reader& r) { return crypto::QuorumSig::decode(r, pk.group()); });
   reader.expect_done();
-  // Structural admission only: the shares are *not* verified here.  The
-  // sender combines an unverified quorum optimistically and checks the one
-  // combined signature off the event loop — Byzantine signers pay for the
-  // bisection fallback, honest executions never verify a single share.
-  shares_.admit(host_.public_keys().cert_sig.scheme(), from, std::move(incoming),
-                "cbc: shares not the signer's units");
-  maybe_combine();
-}
-
-void ConsistentBroadcast::maybe_combine() {
-  if (finalized_ || !quorum().is_quorum(shares_.support())) return;
-  offload_combine(shares_, host_.public_keys().cert_sig, consistent_statement(tag_, my_message_),
-                  Bytes{kVerdict});
-}
-
-void ConsistentBroadcast::on_verdict(int from, Reader& reader) {
-  auto certificate = settle_verdict<crypto::BigInt>(
-      from, reader, host_.public_keys().cert_sig.scheme(), suspected_,
-      [this](Reader&) -> auto& { return shares_; }, [this] { maybe_combine(); });
-  if (!certificate.has_value()) return;
+  const Bytes statement = consistent_statement(tag_, my_message_);
+  // Each signature is verified as it arrives (this party's own are its own
+  // bytes); a signer whose signature fails is fingered and heard no more.
+  signatures_.admit(pk.scheme(), from, std::move(incoming), "cbc: shares not the signer's units",
+                    [&](const std::vector<crypto::QuorumSig>& sigs) {
+                      if (from == me()) return;
+                      for (const crypto::QuorumSig& sig : sigs) {
+                        if (pk.verify(statement, sig)) continue;
+                        suspected_ |= crypto::party_bit(from);
+                        throw ProtocolError("cbc: invalid signature");
+                      }
+                    });
+  if (!quorum().is_quorum(signatures_.support())) return;
   finalized_ = true;
   Writer w;
   w.u8(kFinal);
-  CertifiedMessage cm{my_message_, std::move(*certificate)};
-  cm.encode(w);
+  CertifiedMessage{my_message_, signatures_.shares()}.encode(w, pk.group());
   broadcast(w.take());
 }
 

@@ -38,6 +38,8 @@ constexpr std::array<KeySpec, kDealtKeys> kKeys{{
     {&PublicKeys::cert_sig, true,
      [](const PublicKeys& p, int j) { return Element::from_residue(p.cert_sig.verification(j)); },
      [](const PartyKeyShare& s) -> const ShareMap& { return s.cert_sig.unit_shares(); }},
+    {nullptr, true, [](const PublicKeys& p, int j) { return p.quorum_sig.verification(j); },
+     [](const PartyKeyShare& s) -> const ShareMap& { return s.quorum_sig.unit_shares(); }},
 }};
 
 constexpr bool is_rsa(std::size_t k) { return kKeys[k].rsa != nullptr; }
@@ -772,7 +774,8 @@ adversary::Deployment assemble_committee(const adversary::Deployment& old,
         crypto::CoinSecretKey(slot, {{slot, r[kKeyCoin]}}),
         crypto::ThresholdSigSecretKey(slot, {{slot, r[kKeyCert]}}),
         crypto::ThresholdSigSecretKey(slot, {{slot, r[kKeyReply]}}),
-        crypto::Tdh2SecretKey(slot, {{slot, r[kKeyTdh2]}}), std::move(channel_keys)});
+        crypto::Tdh2SecretKey(slot, {{slot, r[kKeyTdh2]}}),
+        crypto::QuorumSigSecretKey(slot, {{slot, r[kKeyQuorum]}}), std::move(channel_keys)});
   }
   const auto& old_public = old.keys->public_keys();
   adversary::Deployment committee = reconfig_public_deployment(
@@ -802,13 +805,15 @@ adversary::Deployment reconfig_public_deployment(const NewConfig& config, crypto
       crypto::CoinPublicKey(group, low, config.verification[kKeyCoin]), rsa(kKeyCert),
       rsa(kKeyReply),
       crypto::Tdh2PublicKey(group, low, old_public.encryption.h(),
-                            config.verification[kKeyTdh2])};
+                            config.verification[kKeyTdh2]),
+      crypto::QuorumSigPublicKey(group, high, config.verification[kKeyQuorum])};
   std::vector<crypto::PartyKeyShare> shares;
   for (int slot = 0; slot < plan.n_new; ++slot) {
     shares.push_back(crypto::PartyKeyShare{crypto::CoinSecretKey(slot, {}),
                                            crypto::ThresholdSigSecretKey(slot, {}),
                                            crypto::ThresholdSigSecretKey(slot, {}),
                                            crypto::Tdh2SecretKey(slot, {}),
+                                           crypto::QuorumSigSecretKey(slot, {}),
                                            std::vector<Bytes>()});
   }
   adversary::Deployment deployment;

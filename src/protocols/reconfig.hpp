@@ -2,8 +2,9 @@
 //
 // An epoch-based protocol that swaps, adds, or removes replicas while
 // preserving every shared secret: the old committee runs verifiable share
-// redistribution (crypto/reshare.hpp) for all four dealt keys — coin,
-// TDH2, reply-signature and certificate-signature — totally ordered over
+// redistribution (crypto/reshare.hpp) for all five dealt keys — coin,
+// TDH2, reply-signature, certificate-signature and quorum-signature —
+// totally ordered over
 // an embedded atomic broadcast, fenced at a checkpoint certificate of the
 // service's delivery log; every step is one loop over the dealt-key table
 // (DealtKey: each key's kind, sharing degree and old public key).  The
@@ -19,7 +20,7 @@
 // Epoch flow (all messages through the embedded ABC, so every honest old
 // member sees the identical sequence):
 //  1. kDealing — every old member deals a degree-t' redistribution of each
-//     of its four shares to the n' new slots, sub-shares masked with
+//     of its five shares to the n' new slots, sub-shares masked with
 //     pairwise keys (dealer-dealt channel keys between survivors; an
 //     out-of-band provisioned join key per joining slot — the paper's
 //     dealer model extended to admission, see PROTOCOLS.md).
@@ -53,7 +54,7 @@
 // Proactive refresh (paper §6: "all secrets that the adversary has seen in
 // the past become useless") is the same-committee epoch,
 // ReconfigPlan::same_committee: every member keeps its slot and every share
-// of all four keys is re-randomized.  Each epoch compounds Δ into the RSA
+// of all five keys is re-randomized.  Each epoch compounds Δ into the RSA
 // schemes and widens their public share bounds, so chained refreshes make
 // σ-shares steadily wider (PROTOCOLS.md "Reconfiguration").
 //
@@ -76,9 +77,17 @@
 namespace sintra::protocols {
 
 /// The dealt keys, in wire and mask order; per-key arrays are indexed by
-/// it.  Coin and TDH2 are discrete-log keys, reply and cert threshold-RSA
-/// keys; cert alone is dealt at the high sharing degree.
-enum DealtKey : std::size_t { kKeyCoin = 0, kKeyTdh2, kKeyReply, kKeyCert, kDealtKeys };
+/// it.  Coin, TDH2 and quorum are discrete-log keys, reply and cert
+/// threshold-RSA keys; cert and quorum are dealt at the high sharing
+/// degree.
+enum DealtKey : std::size_t {
+  kKeyCoin = 0,
+  kKeyTdh2,
+  kKeyReply,
+  kKeyCert,
+  kKeyQuorum,
+  kDealtKeys
+};
 
 /// Committee geometry of one epoch change, as carried by the totally
 /// ordered RECONFIG command.  Contains no secret material.
@@ -96,7 +105,7 @@ struct ReconfigPlan {
   std::vector<std::string> endpoints;
 
   /// The identity plan (n, t) -> (n, t), every member keeping its slot: a
-  /// proactive refresh that re-randomizes every share of all four keys.
+  /// proactive refresh that re-randomizes every share of all five keys.
   static ReconfigPlan same_committee(std::uint32_t new_epoch, int n, int t);
 
   /// Old slot -> new slot, or -1 if the member retires this epoch.
@@ -119,7 +128,7 @@ struct ReconfigPlan {
 
 /// The signed NEW-CONFIG announcement.  Everything a client or joining
 /// replica needs to follow the epoch: the plan, the checkpoint fence, and
-/// the new public key material for all four keys, authenticated by a
+/// the new public key material for all five keys, authenticated by a
 /// combined threshold signature under the OLD reply key (whose public key
 /// every client already holds; combined RSA signatures are unique, so all
 /// honest members produce the bit-identical announcement).

@@ -85,17 +85,17 @@ void Vba::handle(int from, Reader& reader) {
       Writer w;
       w.u8(kProposal);
       w.u32(static_cast<std::uint32_t>(sender));
-      slot->encode(w);
+      slot->encode(w, host_.public_keys().quorum_sig.group());
       send(from, w.take());
       return;
     }
     case kProposal: {
       const int sender = static_cast<int>(reader.u32());
       SINTRA_REQUIRE(sender >= 0 && sender < host_.n(), "vba: bad proposal index");
-      CertifiedMessage cm = CertifiedMessage::decode(reader);
+      const auto& pk = host_.public_keys().quorum_sig;
+      CertifiedMessage cm = CertifiedMessage::decode(reader, pk.group());
       reader.expect_done();
-      SINTRA_REQUIRE(verify_certificate(host_.public_keys().cert_sig,
-                                        tag_ + "/cb/" + std::to_string(sender), cm),
+      SINTRA_REQUIRE(verify_certificate(pk, quorum(), tag_ + "/cb/" + std::to_string(sender), cm),
                      "vba: bad proposal certificate");
       SINTRA_REQUIRE(predicate_(cm.message), "vba: fetched proposal fails Q");
       store_proposal(sender, std::move(cm));

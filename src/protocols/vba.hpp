@@ -8,7 +8,7 @@
 // the key difficulty of multi-valued agreement.
 //
 // Structure:
-//  1. Every party consistent-broadcasts its proposal (constant-size
+//  1. Every party consistent-broadcasts its proposal (transferable quorum
 //     certificate; uniqueness per sender).
 //  2. After proposals from a full quorum have been delivered, parties
 //     release shares of a *permutation coin*; the combined coin orders the

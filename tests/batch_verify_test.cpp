@@ -351,22 +351,6 @@ TEST_F(BatchSigTest, CompensatingResponsePairRejectedExactly) {
             (std::vector<std::size_t>{1, 2}));
 }
 
-TEST_F(BatchSigTest, ShareGroupsDifferential) {
-  // Several distinct messages verified as one batch — the atomic-broadcast
-  // proposal shape.  One corrupted share in one group must fail the whole
-  // check; clean groups must pass.
-  std::vector<batch::SigShareGroup> groups;
-  for (int s = 0; s < 4; ++s) {
-    Bytes msg = bytes_of("group message " + std::to_string(s));
-    groups.push_back(
-        {msg, shares_for(msg, {s, s + 1})});
-  }
-  EXPECT_TRUE(batch::verify_sig_share_groups(deal_.public_key, groups, rng_));
-  groups[2].shares[0].value =
-      BigInt::mul_mod(groups[2].shares[0].value, BigInt(3), deal_.public_key.modulus());
-  EXPECT_FALSE(batch::verify_sig_share_groups(deal_.public_key, groups, rng_));
-}
-
 TEST_F(BatchSigTest, OptimisticCombineCleanAndFallback) {
   Bytes message = bytes_of("optimistic");
   auto shares = shares_for(message, {0, 1, 2});

@@ -339,35 +339,29 @@ TEST(AbbaAttackTest, CrossInstanceReplayCannotFlipOutcome) {
   });
 }
 
-// ---- well-formed-but-invalid shares vs the optimistic combiner ---------------
+// ---- well-formed-but-invalid signatures vs the CBC sender ---------------------
 
-/// Holds its dealt certificate key and signs the CORRECT statement, then
-/// perturbs the proof response: the share is structurally perfect (right
-/// unit, in-range values) and only the deferred batch verification can
-/// tell it from an honest one.
-class BadCertShareSender final : public net::Process {
+/// Holds its dealt quorum key and signs the CORRECT statement, then
+/// perturbs the response: the signature is structurally perfect (right
+/// unit, in-range scalars) and only the curve check can tell it from an
+/// honest one.
+class BadQuorumSigSender final : public net::Process {
  public:
-  BadCertShareSender(net::Simulator& sim, int id, adversary::Deployment deployment,
+  BadQuorumSigSender(net::Simulator& sim, int id, adversary::Deployment deployment,
                      Bytes message)
       : sim_(sim), id_(id), deployment_(std::move(deployment)), message_(std::move(message)) {}
 
   void on_start() override {
-    Rng rng(7777);
-    const auto& pk = deployment_.keys->public_keys().cert_sig;
+    const auto& pk = deployment_.keys->public_keys().quorum_sig;
     const Bytes stmt = protocols::consistent_statement("cbc/x", message_);
-    auto shares = deployment_.keys->share(id_).cert_sig.sign(pk, stmt, rng);
-    // Tamper the share VALUE, keeping the honest proof: the combined
-    // signature comes out wrong, which is exactly what the optimistic
-    // combine-then-verify path must catch.  (Tampering only the proof
-    // would be harmless — the value still combines correctly, and the
-    // fast path rightly never looks at per-share proofs.)
-    for (auto& s : shares) s.value = BigInt::mul_mod(s.value, BigInt(2), pk.modulus());
+    auto sigs = deployment_.keys->share(id_).quorum_sig.sign(pk, stmt);
+    for (auto& s : sigs) s.z = pk.group().scalar_add(s.z, BigInt(1));
     Writer w;
     w.u8(1);  // ConsistentBroadcast::kShare
-    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    w.vec(sigs, [&](Writer& wr, const crypto::QuorumSig& s) { s.encode(wr, pk.group()); });
     net::Message m;
     m.from = id_;
-    m.to = 0;  // the designated sender / combiner
+    m.to = 0;  // the designated sender
     m.tag = "cbc/x";
     m.payload = w.take();
     sim_.submit(std::move(m));
@@ -386,11 +380,11 @@ struct CbcState {
   std::optional<Bytes> delivered;
 };
 
-TEST(OptimisticCombineAttackTest, CbcFingersInvalidShareAndStillDelivers) {
-  // FIFO delivery guarantees the attacker's unsolicited share reaches the
-  // sender before any honest share, so the first combine-then-verify
-  // attempt provably contains it: the optimistic path must fall back,
-  // finger exactly the attacker, and then certify from the honest quorum.
+TEST(CbcSignatureAttackTest, CbcFingersInvalidSignatureAndStillDelivers) {
+  // FIFO delivery guarantees the attacker's unsolicited signature reaches
+  // the sender before any honest one, so it is the first the sender
+  // checks: the sender must finger exactly the attacker and then certify
+  // from the honest quorum.
   Rng rng(3);
   auto deployment = adversary::Deployment::threshold(4, 1, rng);
   net::FifoScheduler sched;
@@ -405,14 +399,14 @@ TEST(OptimisticCombineAttackTest, CbcFingersInvalidShareAndStillDelivers) {
         return s;
       },
       0, 0, 3);
-  cluster.attach_custom(3, std::make_unique<BadCertShareSender>(cluster.simulator(), 3,
+  cluster.attach_custom(3, std::make_unique<BadQuorumSigSender>(cluster.simulator(), 3,
                                                                 deployment, message));
   cluster.start();
   cluster.protocol(0)->cbc->start(message);
   ASSERT_TRUE(cluster.run_until_all(
       [](CbcState& s) { return s.delivered.has_value(); }, 1000000));
   cluster.for_each([&](int, CbcState& s) { EXPECT_EQ(*s.delivered, message); });
-  // The combiner fingered exactly the attacker — nobody else.
+  // The sender fingered exactly the attacker — nobody else.
   EXPECT_EQ(cluster.protocol(0)->cbc->suspected(), crypto::party_bit(3));
 }
 
@@ -840,21 +834,20 @@ TEST(AbbaAttackTest, CoinTimingScheduleCannotOutlastTheConfPhase) {
 
 // ---- partial unit sets under a multi-unit (LSSS) deployment ------------------
 
-/// Sends the CBC sender 8 of its 9 (valid) certificate shares.
+/// Sends the CBC sender 8 of its 9 (valid) quorum-key signatures.
 class PartialUnitSigner final : public net::Process {
  public:
   PartialUnitSigner(net::Simulator& sim, int id, adversary::Deployment deployment, Bytes message)
       : sim_(sim), id_(id), deployment_(std::move(deployment)), message_(std::move(message)) {}
 
   void on_start() override {
-    Rng rng(31);
-    const auto& pk = deployment_.keys->public_keys().cert_sig;
-    auto shares = deployment_.keys->share(id_).cert_sig.sign(
-        pk, protocols::consistent_statement("cbc/x", message_), rng);
-    shares.pop_back();
+    const auto& pk = deployment_.keys->public_keys().quorum_sig;
+    auto sigs = deployment_.keys->share(id_).quorum_sig.sign(
+        pk, protocols::consistent_statement("cbc/x", message_));
+    sigs.pop_back();
     Writer w;
     w.u8(1);  // ConsistentBroadcast::kShare
-    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    w.vec(sigs, [&](Writer& wr, const crypto::QuorumSig& s) { s.encode(wr, pk.group()); });
     net::Message m;
     m.from = id_;
     m.to = 0;
@@ -871,47 +864,31 @@ class PartialUnitSigner final : public net::Process {
   Bytes message_;
 };
 
-TEST(OptimisticCombineAttackTest, CbcRejectsPartialUnitSetUnderExample2) {
+TEST(CbcSignatureAttackTest, CbcRejectsPartialUnitSetUnderExample2) {
   Rng rng(29);
   auto deployment = adversary::example2_deployment(rng);
-  const auto& pk = deployment.keys->public_keys().cert_sig;
+  const auto& pk = deployment.keys->public_keys().quorum_sig;
   constexpr int kSigner = 15;
   ASSERT_EQ(pk.scheme().units_of(kSigner).size(), 9u);
   const Bytes message = bytes_of("certify me");
   const Bytes stmt = protocols::consistent_statement("cbc/x", message);
 
-  // The combiner itself: a qualified set in which the signer's units are
-  // needed but one is missing combines to nullopt, never an invariant.
-  crypto::PartySet others = 0;
+  // The certificate check itself: a quorum's full signature set verifies;
+  // the same set missing any one of the signer's units does not.
+  std::vector<crypto::QuorumSig> sigs;
   for (int i = 0; i < deployment.n(); ++i) {
-    if (i != kSigner) others |= crypto::party_bit(i);
+    for (auto& s : deployment.keys->share(i).quorum_sig.sign(pk, stmt)) sigs.push_back(s);
   }
-  for (int i = 0; i < deployment.n(); ++i) {  // shrink to a set that needs the signer
-    const crypto::PartySet without = others & ~crypto::party_bit(i);
-    if (pk.scheme().qualified(without | crypto::party_bit(kSigner))) others = without;
-  }
-  ASSERT_FALSE(pk.scheme().qualified(others));
-  std::vector<SigShare> shares;
-  Rng sign_rng(37);
-  for (int i : crypto::set_members(others | crypto::party_bit(kSigner))) {
-    for (SigShare& s : deployment.keys->share(i).cert_sig.sign(pk, stmt, sign_rng)) {
-      shares.push_back(std::move(s));
-    }
-  }
-  ASSERT_TRUE(pk.combine(stmt, shares).has_value());
-  int unsigned_sets = 0;
-  for (std::size_t drop = 0; drop < shares.size(); ++drop) {
-    if (pk.scheme().unit_owner(shares[drop].unit) != kSigner) continue;
-    std::vector<SigShare> partial = shares;
+  ASSERT_EQ(pk.verify_set(stmt, sigs), std::optional<crypto::PartySet>(crypto::full_set(deployment.n())));
+  for (std::size_t drop = 0; drop < sigs.size(); ++drop) {
+    if (pk.scheme().unit_owner(sigs[drop].unit) != kSigner) continue;
+    std::vector<crypto::QuorumSig> partial = sigs;
     partial.erase(partial.begin() + static_cast<std::ptrdiff_t>(drop));
-    std::optional<BigInt> sigma;
-    EXPECT_NO_THROW(sigma = pk.combine(stmt, partial));
-    if (!sigma.has_value()) ++unsigned_sets;
+    EXPECT_FALSE(pk.verify_set(stmt, partial).has_value()) << "dropped unit " << sigs[drop].unit;
   }
-  EXPECT_GT(unsigned_sets, 0);
 
-  // The protocol: the 8-of-9 share message arrives first and is refused
-  // at admission; the broadcast still certifies from the honest signers.
+  // The protocol: the 8-of-9 message arrives first and is refused at
+  // admission; the broadcast still certifies from the honest signers.
   net::FifoScheduler sched;
   TraceLog log;
   log.set_enabled(true);
@@ -937,7 +914,7 @@ TEST(OptimisticCombineAttackTest, CbcRejectsPartialUnitSetUnderExample2) {
            e.message.find("cbc: shares not the signer's units") != std::string::npos;
   });
   EXPECT_EQ(refused, 1);
-  EXPECT_EQ(cluster.protocol(0)->cbc->suspected(), 0u);  // refused, never combined
+  EXPECT_EQ(cluster.protocol(0)->cbc->suspected(), 0u);  // refused, never verified
 }
 
 // ---- atomic broadcast: the verified-entry memo of the validity predicate ------
@@ -968,7 +945,7 @@ protocols::Cluster<AbcState> make_abc_cluster(const adversary::Deployment& deplo
 /// sender side of its own consistent broadcast (honest parties sign the
 /// first SEND without checking it), so the batch-set reaches every honest
 /// party's validity predicate with a valid certificate.
-///  - kTamper: entries 0, 1, 2, with party 1's share value perturbed.
+///  - kTamper: entries 0, 1, 2, with party 1's signature response perturbed.
 ///  - kExtraEntry: entries 0, 1 and its own validly signed batch, which
 ///    it sent directly to party 0 only.
 class ByzantineProposer final : public net::Process {
@@ -976,7 +953,7 @@ class ByzantineProposer final : public net::Process {
   enum class Mode { kTamper, kExtraEntry };
 
   ByzantineProposer(net::Simulator& sim, adversary::Deployment deployment, Mode mode)
-      : sim_(sim), deployment_(std::move(deployment)), mode_(mode), rng_(5555) {}
+      : sim_(sim), deployment_(std::move(deployment)), mode_(mode) {}
 
   void on_start() override {
     if (mode_ != Mode::kExtraEntry) return;
@@ -985,14 +962,12 @@ class ByzantineProposer final : public net::Process {
       wr.bytes(p);
     });
     own_block_ = block.take();
-    const auto& pk = deployment_.keys->public_keys().cert_sig;
-    own_shares_ = deployment_.keys->share(kMe).cert_sig.sign(pk, batch_statement(own_block_),
-                                                              rng_);
+    own_sigs_ = deployment_.keys->share(kMe).quorum_sig.sign(pk(), batch_statement(own_block_));
     Writer w;
     w.u8(1);  // AtomicBroadcast::kBatch
     w.u32(1);
     w.bytes(own_block_);
-    w.vec(own_shares_, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    encode_sigs(w, own_sigs_);
     send(0, kAbcTag, w.take());
   }
 
@@ -1000,14 +975,12 @@ class ByzantineProposer final : public net::Process {
     Reader r(message.payload);
     if (message.tag == kAbcTag && r.u8() == 1 && r.u32() == 1) {
       Bytes block = r.bytes();
-      auto shares = r.vec<SigShare>([](Reader& rd) { return SigShare::decode(rd); });
-      batches_.emplace(message.from, std::make_pair(std::move(block), std::move(shares)));
+      auto sigs = decode_sigs(r);
+      batches_.emplace(message.from, std::make_pair(std::move(block), std::move(sigs)));
       maybe_propose();
     } else if (message.tag == cbc_tag() && proposal_.has_value() && r.u8() == 1) {
       // A SHARE for our SEND.
-      for (auto& s : r.vec<SigShare>([](Reader& rd) { return SigShare::decode(rd); })) {
-        cbc_shares_.push_back(std::move(s));
-      }
+      for (auto& s : decode_sigs(r)) cbc_sigs_.push_back(std::move(s));
       signers_ |= crypto::party_bit(message.from);
       maybe_finalize();
     }
@@ -1018,11 +991,24 @@ class ByzantineProposer final : public net::Process {
 
   static std::string cbc_tag() { return std::string(kAbcTag) + "/1/vba/cb/3"; }
 
-  static Bytes entry(int party, BytesView block, const std::vector<SigShare>& shares) {
+  [[nodiscard]] const crypto::QuorumSigPublicKey& pk() const {
+    return deployment_.keys->public_keys().quorum_sig;
+  }
+
+  void encode_sigs(Writer& w, const std::vector<crypto::QuorumSig>& sigs) const {
+    w.vec(sigs, [&](Writer& wr, const crypto::QuorumSig& s) { s.encode(wr, pk().group()); });
+  }
+
+  std::vector<crypto::QuorumSig> decode_sigs(Reader& r) const {
+    return r.vec<crypto::QuorumSig>(
+        [&](Reader& rd) { return crypto::QuorumSig::decode(rd, pk().group()); });
+  }
+
+  Bytes entry(int party, BytesView block, const std::vector<crypto::QuorumSig>& sigs) const {
     Writer w;
     w.u32(static_cast<std::uint32_t>(party));
     w.bytes(block);
-    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    encode_sigs(w, sigs);
     return w.take();
   }
 
@@ -1045,21 +1031,20 @@ class ByzantineProposer final : public net::Process {
     for (int p : needed) {
       if (!batches_.contains(p)) return;
     }
-    const auto& pk = deployment_.keys->public_keys().cert_sig;
     std::vector<Bytes> entries;
     for (int p : needed) {
-      auto [block, shares] = batches_.at(p);
+      auto [block, sigs] = batches_.at(p);
       if (mode_ == Mode::kTamper && p == 1) {
-        for (auto& s : shares) s.value = BigInt::mul_mod(s.value, BigInt(2), pk.modulus());
+        for (auto& s : sigs) s.z = pk().group().scalar_add(s.z, BigInt(1));
       }
-      entries.push_back(entry(p, block, shares));
+      entries.push_back(entry(p, block, sigs));
     }
-    if (mode_ == Mode::kExtraEntry) entries.push_back(entry(kMe, own_block_, own_shares_));
+    if (mode_ == Mode::kExtraEntry) entries.push_back(entry(kMe, own_block_, own_sigs_));
     Writer set;
     set.vec(entries, [](Writer& wr, const Bytes& e) { wr.bytes(e); });
     proposal_ = set.take();
-    cbc_shares_ = deployment_.keys->share(kMe).cert_sig.sign(
-        pk, protocols::consistent_statement(cbc_tag(), *proposal_), rng_);
+    cbc_sigs_ = deployment_.keys->share(kMe).quorum_sig.sign(
+        pk(), protocols::consistent_statement(cbc_tag(), *proposal_));
     signers_ = crypto::party_bit(kMe);
     Writer w;
     w.u8(0);  // ConsistentBroadcast::kSend
@@ -1068,15 +1053,11 @@ class ByzantineProposer final : public net::Process {
   }
 
   void maybe_finalize() {
-    const auto& pk = deployment_.keys->public_keys().cert_sig;
-    if (finalized_ || !pk.scheme().qualified(signers_)) return;
-    auto certificate =
-        pk.combine(protocols::consistent_statement(cbc_tag(), *proposal_), cbc_shares_);
-    ASSERT_TRUE(certificate.has_value());
+    if (finalized_ || !deployment_.quorum->is_quorum(signers_)) return;
     finalized_ = true;
     Writer w;
     w.u8(2);  // ConsistentBroadcast::kFinal
-    protocols::CertifiedMessage{*proposal_, *certificate}.encode(w);
+    protocols::CertifiedMessage{*proposal_, cbc_sigs_}.encode(w, pk().group());
     for (int to = 0; to < kMe; ++to) send(to, cbc_tag(), w.data());
   }
 
@@ -1092,12 +1073,11 @@ class ByzantineProposer final : public net::Process {
   net::Simulator& sim_;
   adversary::Deployment deployment_;
   Mode mode_;
-  Rng rng_;
-  std::map<int, std::pair<Bytes, std::vector<SigShare>>> batches_;  ///< round-1 batches
+  std::map<int, std::pair<Bytes, std::vector<crypto::QuorumSig>>> batches_;  ///< round-1 batches
   Bytes own_block_;
-  std::vector<SigShare> own_shares_;
+  std::vector<crypto::QuorumSig> own_sigs_;
   std::optional<Bytes> proposal_;
-  std::vector<SigShare> cbc_shares_;
+  std::vector<crypto::QuorumSig> cbc_sigs_;
   crypto::PartySet signers_ = 0;
   bool finalized_ = false;
 };
@@ -1105,8 +1085,8 @@ class ByzantineProposer final : public net::Process {
 TEST(BatchMemoAttackTest, TamperedCopyOfMemoizedEntryIsRejected) {
   // Every honest party holds party 1's genuine round-1 batch in its memo
   // (FIFO delivers the batches before the attacker's proposal).  The
-  // attacker's copy differs only in one share value, so it misses the memo
-  // and the full check rejects the whole batch-set.
+  // attacker's copy differs only in one signature response, so it misses
+  // the memo and the full check rejects the whole batch-set.
   Rng rng(17);
   auto deployment = adversary::Deployment::threshold(4, 1, rng);
   net::FifoScheduler sched;
@@ -1125,9 +1105,10 @@ TEST(BatchMemoAttackTest, TamperedCopyOfMemoizedEntryIsRejected) {
   const std::vector<Bytes>* reference = nullptr;
   cluster.for_each([&](int id, AbcState& s) {
     EXPECT_EQ(s.abc->batch_sets_rejected(), 1u) << "party " << id;
-    // Three batches checked on arrival; of the attacker's entries only the
-    // tampered one missed the memo; every honest proposal hit it.
-    EXPECT_EQ(s.abc->entries_checked(), 4u) << "party " << id;
+    // Two peers' batches checked on arrival (a party's own is never
+    // checked); of the attacker's entries only the tampered one missed
+    // the memo; every honest proposal hit it.
+    EXPECT_EQ(s.abc->entries_checked(), 3u) << "party " << id;
     if (reference == nullptr) reference = &s.delivered;
     EXPECT_EQ(s.delivered, *reference) << "total order violated at party " << id;
   });
@@ -1155,10 +1136,10 @@ TEST(BatchMemoAttackTest, UnseenValidEntryIsCheckedOnceThenMemoized) {
   cluster.for_each([&](int id, AbcState& s) {
     EXPECT_EQ(s.abc->rounds_completed(), 1) << "party " << id;
     EXPECT_EQ(s.abc->batch_sets_rejected(), 0u) << "party " << id;
-    // Each party checks the four distinct entries exactly once: party 0
-    // all on arrival, parties 1 and 2 three on arrival plus the
-    // attacker's in the first proposal carrying it.
-    EXPECT_EQ(s.abc->entries_checked(), 4u) << "party " << id;
+    // Each party checks the three distinct entries other than its own
+    // exactly once: party 0 all on arrival, parties 1 and 2 two on arrival
+    // plus the attacker's in the first proposal carrying it.
+    EXPECT_EQ(s.abc->entries_checked(), 3u) << "party " << id;
     if (reference == nullptr) reference = &s.delivered;
     EXPECT_EQ(s.delivered, *reference) << "total order violated at party " << id;
   });
@@ -1918,11 +1899,10 @@ void replay_to_self(net::Party& party, const std::string& tag, Bytes payload) {
   party.on_message(m);
 }
 
-enum class VerdictSite { kCbc, kSlot, kVba, kAbbaCoin };
+enum class VerdictSite { kSlot, kVba, kAbbaCoin };
 
 std::string verdict_site_name(const ::testing::TestParamInfo<VerdictSite>& info) {
   switch (info.param) {
-    case VerdictSite::kCbc: return "Cbc";
     case VerdictSite::kSlot: return "OptimisticSlot";
     case VerdictSite::kVba: return "VbaPermCoin";
     case VerdictSite::kAbbaCoin: return "AbbaCoin";
@@ -1949,33 +1929,6 @@ TEST_P(VerdictSelfMessageTest, PeerVerdictDroppedAndStaleReplayIgnored) {
     EXPECT_EQ(trace_count(log, "verdict from another party"), 3u);
   };
   switch (GetParam()) {
-    case VerdictSite::kCbc: {
-      protocols::Cluster<CbcState> cluster(
-          deployment, sched,
-          [](net::Party& party, int) {
-            auto s = std::make_unique<CbcState>();
-            s->cbc = std::make_unique<protocols::ConsistentBroadcast>(
-                party, "cbc/x", 0,
-                [p = s.get()](protocols::CertifiedMessage cm) { p->delivered = cm.message; });
-            return s;
-          },
-          0, 0, 59, &log);
-      const Bytes prefix{3};  // ConsistentBroadcast::kVerdict
-      cluster.start();
-      inject_from(cluster.simulator(), 4, 3, "cbc/x", forged_verdict(deployment, false, prefix, 1));
-      cluster.protocol(0)->cbc->start(bytes_of("certify me"));
-      ASSERT_TRUE(cluster.run_until_all([](CbcState& s) { return s.delivered.has_value(); },
-                                        kSteps));
-      expect_peer_verdicts_refused();
-      ASSERT_NO_THROW(replay_to_self(*cluster.party(0), "cbc/x",
-                                     forged_verdict(deployment, false, prefix, 1)));
-      cluster.simulator().run(kSteps);
-      cluster.for_each([](int id, CbcState& s) {
-        EXPECT_EQ(*s.delivered, bytes_of("certify me")) << "party " << id;
-        EXPECT_EQ(s.cbc->suspected(), 0u) << "party " << id;
-      });
-      break;
-    }
     case VerdictSite::kSlot: {
       protocols::Cluster<OptState> cluster(
           deployment, sched,
@@ -2063,8 +2016,8 @@ TEST_P(VerdictSelfMessageTest, PeerVerdictDroppedAndStaleReplayIgnored) {
 }
 
 INSTANTIATE_TEST_SUITE_P(OffLoopCombines, VerdictSelfMessageTest,
-                         ::testing::Values(VerdictSite::kCbc, VerdictSite::kSlot,
-                                           VerdictSite::kVba, VerdictSite::kAbbaCoin),
+                         ::testing::Values(VerdictSite::kSlot, VerdictSite::kVba,
+                                           VerdictSite::kAbbaCoin),
                          verdict_site_name);
 
 }  // namespace

@@ -36,10 +36,10 @@ TEST(CbcTest, HonestSenderAllDeliverWithValidCertificate) {
   cluster.protocol(0)->cbc->start(bytes_of("certified payload"));
   ASSERT_TRUE(cluster.run_until_all([](CbcState& s) { return s.delivered.has_value(); },
                                     100000));
-  const auto& pk = deployment.keys->public_keys().cert_sig;
+  const auto& pk = deployment.keys->public_keys().quorum_sig;
   cluster.for_each([&](int, CbcState& s) {
     EXPECT_EQ(s.delivered->message, bytes_of("certified payload"));
-    EXPECT_TRUE(verify_certificate(pk, "cbc/0", *s.delivered));
+    EXPECT_TRUE(verify_certificate(pk, *deployment.quorum, "cbc/0", *s.delivered));
   });
 }
 
@@ -54,13 +54,14 @@ TEST(CbcTest, CertificateIsTransferable) {
   cluster.protocol(2)->cbc->start(bytes_of("m"));
   ASSERT_TRUE(cluster.run_until_all([](CbcState& s) { return s.delivered.has_value(); },
                                     100000));
-  const auto& pk = deployment.keys->public_keys().cert_sig;
+  const auto& pk = deployment.keys->public_keys().quorum_sig;
+  const auto& quorum = *deployment.quorum;
   CertifiedMessage cm = *cluster.protocol(0)->delivered;
-  EXPECT_TRUE(verify_certificate(pk, "cbc/0", cm));
-  EXPECT_FALSE(verify_certificate(pk, "cbc/1", cm));
+  EXPECT_TRUE(verify_certificate(pk, quorum, "cbc/0", cm));
+  EXPECT_FALSE(verify_certificate(pk, quorum, "cbc/1", cm));
   CertifiedMessage tampered = cm;
   tampered.message = bytes_of("other");
-  EXPECT_FALSE(verify_certificate(pk, "cbc/0", tampered));
+  EXPECT_FALSE(verify_certificate(pk, quorum, "cbc/0", tampered));
 }
 
 TEST(CbcTest, ToleratesCrashFault) {
@@ -75,14 +76,24 @@ TEST(CbcTest, ToleratesCrashFault) {
 }
 
 TEST(CbcTest, SerializationRoundTrip) {
-  CertifiedMessage cm{bytes_of("msg"), crypto::BigInt(123456789)};
+  Rng rng(7);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  const auto& pk = deployment.keys->public_keys().quorum_sig;
+  CertifiedMessage cm{bytes_of("msg"), {}};
+  for (int party = 0; party < 3; ++party) {
+    for (auto& sig : deployment.keys->share(party).quorum_sig.sign(
+             pk, consistent_statement("cbc/0", cm.message))) {
+      cm.certificate.push_back(std::move(sig));
+    }
+  }
   Writer w;
-  cm.encode(w);
+  cm.encode(w, pk.group());
   Reader r(w.data());
-  CertifiedMessage decoded = CertifiedMessage::decode(r);
+  CertifiedMessage decoded = CertifiedMessage::decode(r, pk.group());
   r.expect_done();
   EXPECT_EQ(decoded.message, cm.message);
   EXPECT_EQ(decoded.certificate, cm.certificate);
+  EXPECT_TRUE(verify_certificate(pk, *deployment.quorum, "cbc/0", decoded));
 }
 
 /// Equivocating sender driving the real protocol twice: collects shares

@@ -117,6 +117,33 @@ TEST(Fe256Test, InverseMatchesPowOracle) {
   EXPECT_TRUE(fe256::is_zero(fe256::inv(fe256::zero())));
 }
 
+TEST(Fe256Test, SqrtChainMatchesPowOracle) {
+  // (p+1)/4, little-endian limbs: the exponent the addition chain encodes.
+  const std::uint64_t p_plus_1_over_4[4] = {0xFFFFFFFFBFFFFF0CULL, 0xFFFFFFFFFFFFFFFFULL,
+                                            0xFFFFFFFFFFFFFFFFULL, 0x3FFFFFFFFFFFFFFFULL};
+  Rng rng(5);
+  int residues = 0;
+  for (int i = 0; i < 40; ++i) {
+    // Half squares (always residues), half raw draws (either class).
+    Fe a = random_fe(rng);
+    if (i % 2 == 0) a = fe256::sqr(a);
+    const Fe oracle = fe256::pow(a, p_plus_1_over_4);
+    Fe root;
+    const bool found = fe256::sqrt(a, root);
+    EXPECT_EQ(found, fe256::eq(fe256::sqr(oracle), a)) << "draw " << i;
+    if (found) {
+      ++residues;
+      EXPECT_TRUE(fe256::eq(root, oracle)) << "draw " << i;
+    }
+  }
+  EXPECT_GT(residues, 20);
+  Fe root;
+  ASSERT_TRUE(fe256::sqrt(fe256::zero(), root));
+  EXPECT_TRUE(fe256::is_zero(root));
+  ASSERT_TRUE(fe256::sqrt(fe256::one(), root));
+  EXPECT_TRUE(fe256::eq(root, fe256::one()));
+}
+
 TEST(Fe256Test, SqrtRoundTripAndNonResidue) {
   Rng rng(3);
   int residues = 0, non_residues = 0;

@@ -135,12 +135,47 @@ TEST(FuzzTest, Tdh2DecShareDecode) {
 }
 
 TEST(FuzzTest, CertifiedMessageDecode) {
-  fuzz([](const Bytes& b) {
+  for (const auto& group : {Group::test_group(), Group::curve_group()}) {
+    fuzz([&](const Bytes& b) {
+      Reader r(b);
+      auto cm = protocols::CertifiedMessage::decode(r, *group);
+      r.expect_done();
+      (void)cm;
+    }, 8);
+  }
+  // A real certificate: every truncation throws, and every single-byte
+  // corruption either fails to decode or fails the certificate check.
+  Rng rng(8);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng, adversary::CryptoConfig::curve());
+  const auto& pk = deployment.keys->public_keys().quorum_sig;
+  protocols::CertifiedMessage cm{bytes_of("certified"), {}};
+  for (int party = 0; party < 3; ++party) {
+    for (auto& sig : deployment.keys->share(party).quorum_sig.sign(
+             pk, protocols::consistent_statement("cbc/0", cm.message))) {
+      cm.certificate.push_back(std::move(sig));
+    }
+  }
+  Writer w;
+  cm.encode(w, pk.group());
+  const Bytes valid = w.take();
+  const auto decode_and_check = [&](const Bytes& b) {
     Reader r(b);
-    auto cm = protocols::CertifiedMessage::decode(r);
+    auto decoded = protocols::CertifiedMessage::decode(r, pk.group());
     r.expect_done();
-    (void)cm;
-  }, 8);
+    return protocols::verify_certificate(pk, *deployment.quorum, "cbc/0", decoded);
+  };
+  truncation_sweep(valid, decode_and_check);
+  ASSERT_TRUE(decode_and_check(valid));
+  for (std::size_t i = 0; i < valid.size(); ++i) {
+    Bytes corrupted = valid;
+    corrupted[i] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+    bool accepted = false;
+    try {
+      accepted = decode_and_check(corrupted);
+    } catch (const ProtocolError&) {
+    }
+    EXPECT_FALSE(accepted) << "corrupted byte " << i;
+  }
 }
 
 TEST(FuzzTest, ServiceRequestDecoders) {
@@ -911,6 +946,7 @@ TEST(FuzzTest, ReconfigWireDecodersSurviveFuzzAndTruncation) {
     config.verification[protocols::kKeyTdh2].push_back(group->exp_g(crypto::BigInt(i + 3)));
     config.verification[protocols::kKeyReply].push_back(residue(1000 + i));
     config.verification[protocols::kKeyCert].push_back(residue(2000 + i));
+    config.verification[protocols::kKeyQuorum].push_back(group->exp_g(crypto::BigInt(i + 4)));
   }
   config.scale[protocols::kKeyReply] = crypto::BigInt(1);
   config.scale[protocols::kKeyCert] = crypto::BigInt(1);
@@ -939,6 +975,8 @@ TEST(FuzzTest, ReconfigWireDecodersSurviveFuzzAndTruncation) {
         {group->exp_g(crypto::BigInt(d + 6)), group->g()});
     package.commitments[protocols::kKeyReply].push_back({residue(10 + d), residue(11 + d)});
     package.commitments[protocols::kKeyCert].push_back({residue(20 + d), residue(21 + d)});
+    package.commitments[protocols::kKeyQuorum].push_back(
+        {group->exp_g(crypto::BigInt(d + 7)), group->g()});
     for (std::size_t k = 0; k < protocols::kDealtKeys; ++k) {
       package.subshares[k].push_back(crypto::BigInt(30 + 10 * static_cast<int>(k) + d));
     }

@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "crypto/group.hpp"
+#include "crypto/group_curve.hpp"
 #include "crypto/group_schnorr.hpp"
 
 namespace sintra::crypto {
@@ -223,6 +224,36 @@ TEST_P(SchnorrParamTest, DecodeRejectsNonSubgroupResidue) {
 
 INSTANTIATE_TEST_SUITE_P(AllParameterSets, SchnorrParamTest,
                          ::testing::Values("test", "default", "big"));
+
+/// Register 70 fresh bases in `group`'s bounded cache (64 entries): the
+/// least recently used entries make room, and every base from the 65th on
+/// is still served from a table on its second use.
+template <class Backend>
+void expect_late_bases_get_tables(const Backend& group) {
+  const auto before = group.base_cache_stats();
+  std::vector<Element> bases;
+  for (int i = 0; i < 70; ++i) bases.push_back(group.exp_g(BigInt(7001 + i)));
+  for (const Element& base : bases) group.precompute_base(base);
+  const BigInt e(0x5eed);
+  for (std::size_t i = 64; i < bases.size(); ++i) {
+    const Element generic = group.multi_exp({{bases[i], e}});
+    EXPECT_EQ(group.exp(bases[i], e), generic);  // first use: generic path
+    const auto uses = group.base_cache_stats().table_uses;
+    EXPECT_EQ(group.exp(bases[i], e), generic);  // second use: built table
+    EXPECT_EQ(group.base_cache_stats().table_uses, uses + 1) << "base " << i;
+  }
+  const auto after = group.base_cache_stats();
+  EXPECT_LE(after.registered, 64u);
+  EXPECT_GE(after.evictions - before.evictions, 6u);
+}
+
+TEST(BaseCacheTest, CurveBasesPastTheBoundGetTables) {
+  expect_late_bases_get_tables(*EcGroup::instance());
+}
+
+TEST(BaseCacheTest, SchnorrBasesPastTheBoundGetTables) {
+  expect_late_bases_get_tables(*SchnorrGroup::test());
+}
 
 TEST(SchnorrGroupTest, BadConstructionRejected) {
   // q does not divide p-1.

@@ -76,6 +76,7 @@ using protocols::ReconfigResult;
 using protocols::assemble_committee;
 using protocols::kKeyCert;
 using protocols::kKeyCoin;
+using protocols::kKeyQuorum;
 using protocols::kKeyReply;
 using protocols::kKeyTdh2;
 using protocols::reconfig_public_deployment;
@@ -493,8 +494,8 @@ TEST(ReconfigTest, DealerHoldingAWrongShareIsExcludedForEveryKey) {
   // instead.  The dealing is never applied, and a member fingers dealer 2
   // whenever a first-quorum verdict saw its dealing (lateness is no
   // evidence); at least one seed per key must exhibit the fingering.  A
-  // wrong cert share also signs the dealer's atomic-broadcast batches, so
-  // its dealing is never ordered; the members finger it as the
+  // wrong quorum-key share also signs the dealer's atomic-broadcast
+  // batches, so its dealing is never ordered; the members finger it as the
   // authenticated sender of those badly signed batches instead.
   for (std::size_t key = 0; key < protocols::kDealtKeys; ++key) {
     bool fingered = false;
@@ -518,6 +519,9 @@ TEST(ReconfigTest, DealerHoldingAWrongShareIsExcludedForEveryKey) {
       }
       if (key == kKeyCert) {
         bad.cert_sig = crypto::ThresholdSigSecretKey(2, off_by_one(bad.cert_sig.unit_shares()));
+      }
+      if (key == kKeyQuorum) {
+        bad.quorum_sig = crypto::QuorumSigSecretKey(2, off_by_one(bad.quorum_sig.unit_shares()));
       }
       Deployment tampered;
       tampered.quorum = deployment.quorum;
@@ -710,7 +714,7 @@ TEST(ReconfigTest, JoinListenerRejectsTamperedPackageAndFingersDealer) {
 TEST(ReconfigTest, GrowEpochIsPinnedBitExactly) {
   // One fixed-seed (4,1) -> (5,1) grow epoch over the simulator, pinned
   // bit-exactly: the signed announcement, the joiner's package, every new
-  // slot's four shares, and the epoch's per-tag message and byte totals.
+  // slot's five shares, and the epoch's per-tag message and byte totals.
   // Any change to the wire bytes, the masks or the key order fails here.
   auto h = EpochHarness::fresh(grow_plan(), 21);
   ASSERT_TRUE(h.run());
@@ -723,16 +727,17 @@ TEST(ReconfigTest, GrowEpochIsPinnedBitExactly) {
     r.shares[kKeyTdh2].encode(w);
     r.shares[kKeyReply].encode(w);
     r.shares[kKeyCert].encode(w);
+    r.shares[kKeyQuorum].encode(w);
   }
   EXPECT_EQ(to_hex(crypto::sha256_bytes(w.data())),
-            "fd8d1f79af8641e4b27a97309074f421b24fb9a7d37d8745a8f1db283ca05083");
+            "b008873b1b1f9ab062e1fbac4e4495464454abe62c6ea6939d4cbc673c65bb12");
 
   std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> traffic;
   for (const auto& [tag, stats] : h.cluster.simulator().traffic()) {
     traffic[tag] = {stats.messages, stats.bytes};
   }
   const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> expected{
-      {"reconfig", {526, 242322}}};
+      {"reconfig", {526, 215256}}};
   EXPECT_EQ(traffic, expected);
 }
 
@@ -1152,6 +1157,37 @@ TEST(ReconfigChaosTest, MidEpochWalSnapshotRestoresBitExactly) {
 }
 
 // ---- the membership fence: per-epoch link keys -----------------------------
+
+TEST(ReconfigTest, QuorumCertificateUnderThePreviousEpochIsRejected) {
+  // A same-committee epoch re-randomizes the quorum-signature key: a
+  // consistent-broadcast certificate signed with the old shares no longer
+  // verifies against the new verification values, and one signed with the
+  // new shares does.
+  auto h = EpochHarness::fresh(ReconfigPlan::same_committee(1, 4, 1), 41);
+  ASSERT_TRUE(h.run());
+  const Deployment next = assemble_committee(h.deployment, h.plan, all_results(h));
+  const auto certify = [](const Deployment& d) {
+    protocols::CertifiedMessage cm{bytes_of("certified"), {}};
+    for (int party : {0, 1, 2}) {
+      for (auto& sig : d.keys->share(party).quorum_sig.sign(
+               d.keys->public_keys().quorum_sig,
+               protocols::consistent_statement("cbc/0", cm.message))) {
+        cm.certificate.push_back(std::move(sig));
+      }
+    }
+    return cm;
+  };
+  const auto valid = [](const Deployment& d, const protocols::CertifiedMessage& cm) {
+    return protocols::verify_certificate(d.keys->public_keys().quorum_sig, *d.quorum, "cbc/0",
+                                         cm);
+  };
+  const auto old_cert = certify(h.deployment);
+  const auto new_cert = certify(next);
+  EXPECT_TRUE(valid(h.deployment, old_cert));
+  EXPECT_TRUE(valid(next, new_cert));
+  EXPECT_FALSE(valid(next, old_cert));
+  EXPECT_FALSE(valid(h.deployment, new_cert));
+}
 
 TEST(MembershipFenceTest, PerEpochLinkKeysFenceOutTheOldCommittee) {
   // The link keys are the one membership fence.  A same-committee epoch
