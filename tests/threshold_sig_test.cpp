@@ -248,6 +248,44 @@ TEST(ThresholdSigGeneralTest, Example2MultiUnitKeySignsVerifiesAndCombines) {
   EXPECT_TRUE(pk.verify(message, *sig));
 }
 
+TEST(ThresholdSigGeneralTest, Example2CombineMissingOneOfANeededSignersUnitsIsNullopt) {
+  // A qualified Example 2 set in which signer 15's nine units are needed
+  // but one is missing combines to nullopt, never an invariant.
+  Rng rng(29);
+  const auto deployment = adversary::example2_deployment(rng);
+  const ThresholdSigPublicKey& pk = deployment.keys->public_keys().cert_sig;
+  constexpr int kSigner = 15;
+  ASSERT_EQ(pk.scheme().units_of(kSigner).size(), 9u);
+  const Bytes message = bytes_of("certify me");
+  PartySet others = 0;
+  for (int i = 0; i < deployment.n(); ++i) {
+    if (i != kSigner) others |= party_bit(i);
+  }
+  for (int i = 0; i < deployment.n(); ++i) {  // shrink to a set that needs the signer
+    const PartySet without = others & ~party_bit(i);
+    if (pk.scheme().qualified(without | party_bit(kSigner))) others = without;
+  }
+  ASSERT_FALSE(pk.scheme().qualified(others));
+  std::vector<SigShare> shares;
+  Rng sign_rng(37);
+  for (int i : set_members(others | party_bit(kSigner))) {
+    for (SigShare& s : deployment.keys->share(i).cert_sig.sign(pk, message, sign_rng)) {
+      shares.push_back(std::move(s));
+    }
+  }
+  ASSERT_TRUE(pk.combine(message, shares).has_value());
+  int unsigned_sets = 0;
+  for (std::size_t drop = 0; drop < shares.size(); ++drop) {
+    if (pk.scheme().unit_owner(shares[drop].unit) != kSigner) continue;
+    std::vector<SigShare> partial = shares;
+    partial.erase(partial.begin() + static_cast<std::ptrdiff_t>(drop));
+    std::optional<BigInt> sigma;
+    EXPECT_NO_THROW(sigma = pk.combine(message, partial));
+    if (!sigma.has_value()) ++unsigned_sets;
+  }
+  EXPECT_GT(unsigned_sets, 0);
+}
+
 TEST(ThresholdSigReshareTest, NegativeReshareSharesSignVerifyAndCombine) {
   // Dealers 2 and 3 of a (4, 1) key reshare to a (5, 1) committee.  The new
   // shares are signed integers wider than the modulus, and under this seed
