@@ -1,9 +1,10 @@
 // Experiment E10 — ablations for the §6 extensions.
 //
 //  (a) Optimistic vs. randomized atomic broadcast: "optimistic protocols
-//      run very fast if no corruptions occur" — messages and steps per
-//      delivery on the fast path vs. the full randomized stack, and the
-//      one-time cost of switching to the pessimistic mode.
+//      run very fast if no corruptions occur" — messages, steps and
+//      simulator wall time (all crypto, no network delay) per delivery on
+//      the fast path vs. the full randomized stack, and the one-time cost
+//      of switching to the pessimistic mode.
 //  (b) Hybrid failure structures: "crashes ... are much easier to handle
 //      than Byzantine corruptions" — a 6-server hybrid deployment
 //      (t_b = 1, t_c = 1) vs. the 7-server pure-Byzantine deployment
@@ -13,6 +14,7 @@
 //      refresh is a same-committee reconfiguration epoch
 //      (ReconfigPlan::same_committee), which reshares all four dealt keys
 //      and signs a NEW-CONFIG announcement.
+#include <chrono>
 #include <cstdio>
 
 #include "adversary/hybrid.hpp"
@@ -25,6 +27,12 @@ using namespace sintra;
 namespace {
 
 // ---- (a) optimistic vs pessimistic -----------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+double ms_per(Clock::time_point start, int payloads) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start).count() / payloads;
+}
 
 struct OptState {
   std::unique_ptr<protocols::OptimisticBroadcast> opt;
@@ -40,8 +48,8 @@ void bench_optimistic() {
   const int payloads = 6;
   std::printf("(a) optimistic fast path vs randomized atomic broadcast "
               "(n=4, t=1, %d payloads)\n\n", payloads);
-  std::printf("| %-34s | %10s | %10s |\n", "mode", "msgs/pay", "steps/pay");
-  std::printf("|------------------------------------|------------|------------|\n");
+  std::printf("| %-34s | %10s | %10s | %10s |\n", "mode", "msgs/pay", "steps/pay", "ms/pay");
+  std::printf("|------------------------------------|------------|------------|------------|\n");
 
   {
     Rng rng(1);
@@ -56,15 +64,17 @@ void bench_optimistic() {
           return s;
         });
     cluster.start();
+    const auto start = Clock::now();
     for (int k = 0; k < payloads; ++k) {
       cluster.protocol(k % 4)->opt->submit(bytes_of("pay" + std::to_string(k)));
     }
     cluster.run_until_all(
         [&](OptState& s) { return s.delivered >= static_cast<std::size_t>(payloads); },
         10000000);
-    std::printf("| %-34s | %10.1f | %10.1f |\n", "optimistic fast path",
+    std::printf("| %-34s | %10.1f | %10.1f | %10.2f |\n", "optimistic fast path",
                 static_cast<double>(cluster.simulator().total_messages()) / payloads,
-                static_cast<double>(cluster.simulator().now()) / payloads);
+                static_cast<double>(cluster.simulator().now()) / payloads,
+                ms_per(start, payloads));
   }
   {
     Rng rng(1);
@@ -79,15 +89,17 @@ void bench_optimistic() {
           return s;
         });
     cluster.start();
+    const auto start = Clock::now();
     for (int k = 0; k < payloads; ++k) {
       cluster.protocol(k % 4)->abc->submit(bytes_of("pay" + std::to_string(k)));
     }
     cluster.run_until_all(
         [&](AbcState& s) { return s.delivered >= static_cast<std::size_t>(payloads); },
         10000000);
-    std::printf("| %-34s | %10.1f | %10.1f |\n", "randomized atomic broadcast",
+    std::printf("| %-34s | %10.1f | %10.1f | %10.2f |\n", "randomized atomic broadcast",
                 static_cast<double>(cluster.simulator().total_messages()) / payloads,
-                static_cast<double>(cluster.simulator().now()) / payloads);
+                static_cast<double>(cluster.simulator().now()) / payloads,
+                ms_per(start, payloads));
   }
   {
     // Fast prefix, then a forced switch, then pessimistic continuation.
@@ -119,8 +131,8 @@ void bench_optimistic() {
     cluster.run_until_all(
         [&](OptState& s) { return s.delivered >= static_cast<std::size_t>(payloads); },
         10000000);
-    std::printf("| %-34s | %10llu | %10s |\n", "  one-time switch cost (msgs)",
-                static_cast<unsigned long long>(switch_cost), "-");
+    std::printf("| %-34s | %10llu | %10s | %10s |\n", "  one-time switch cost (msgs)",
+                static_cast<unsigned long long>(switch_cost), "-", "-");
   }
   std::printf("\n");
 }

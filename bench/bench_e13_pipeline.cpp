@@ -6,22 +6,18 @@
 //      verification for the same share sets — coin (DLEQ), threshold-RSA
 //      signature, and TDH2 decryption shares, at k = 4 and k = 16.  The
 //      headline acceptance number is Sig k=16: batch must be >= 3x the
-//      individual path.  Combine-then-verify is measured separately —
-//      it is the path honest executions actually take.
+//      individual path.  Combine-then-verify, the path ServiceClient
+//      takes for reply receipts, is measured separately.
 //
 //   2. Macro: E3-style atomic broadcast, full protocol stack over
-//      NetworkedNode + LoopbackHub (the Simulator mandates sequential
-//      mode, so worker threads can only show up on the real adapter),
-//      with a WorkPool of 0/1/2/4 workers per node.  0 workers is the
-//      sequential inline baseline; with workers the combines of the four
-//      nodes overlap while the single pump thread keeps moving frames.
+//      NetworkedNode + LoopbackHub, four independent groups per node with
+//      0/1/2/4 protocol executors per node.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
 #include "adversary/examples.hpp"
-#include "common/work_pool.hpp"
 #include "crypto/batch.hpp"
 #include "crypto/dealer.hpp"
 #include "crypto/shamir.hpp"
@@ -184,21 +180,7 @@ void BM_Tdh2VerifyBatch(benchmark::State& state) {
 BENCHMARK(BM_Tdh2VerifyBatch)
     ->Args({4, 0})->Args({16, 0})->Args({4, 1})->Args({16, 1})->Args({4, 2})->Args({16, 2});
 
-// ---- macro: E3 atomic broadcast with 0/1/2/4 pool workers -------------------
-
 using protocols::AtomicBroadcast;
-
-struct AbcState {
-  std::unique_ptr<AtomicBroadcast> abc;
-  std::size_t delivered = 0;
-};
-
-std::unique_ptr<AbcState> make_abc_state(net::Party& party, int, int) {
-  auto state = std::make_unique<AbcState>();
-  state->abc = std::make_unique<AtomicBroadcast>(
-      party, "abc", [s = state.get()](int, Bytes) { ++s->delivered; });
-  return state;
-}
 
 /// Every node has delivered at least `payloads` payloads.
 template <typename State>
@@ -208,46 +190,6 @@ bool each_delivered(protocols::NetCluster<State>& cluster, std::size_t payloads)
   }
   return true;
 }
-
-void BM_E3AtomicPipeline(benchmark::State& state) {
-  const auto workers = static_cast<std::size_t>(state.range(0));
-  constexpr int kN = 4;
-  constexpr std::size_t kPayloads = 8;
-  Rng rng(31);
-  adversary::CryptoConfig config;
-  config.group = group_for(state.range(1));
-  label_backend(state, *config.group);
-  // Keys dealt once, outside timing (Deployment is shared_ptr-backed).
-  auto deployment = adversary::Deployment::threshold(kN, 1, rng, config);
-  std::uint64_t seed = 1;
-  bool live = true;
-  for (auto _ : state) {
-    // Cluster build (thread spawn) and teardown (worker joins) stay
-    // outside the timed region; only submit-to-last-delivery is measured.
-    state.PauseTiming();
-    // One WorkPool per node on the single-pump-thread loopback stand-in
-    // for the TCP deployment, which is where worker threads may exist.
-    auto cluster = std::make_unique<protocols::NetCluster<AbcState>>(
-        std::vector<adversary::Deployment>{deployment}, make_abc_state,
-        protocols::NetClusterShape{.workers = workers, .seed = ++seed});
-    state.ResumeTiming();
-    for (std::size_t k = 0; k < kPayloads; ++k) {
-      cluster->protocol(static_cast<int>(k % kN)).abc->submit(bytes_of("pay" + std::to_string(k)));
-    }
-    live = cluster->run_until([&] { return each_delivered(*cluster, kPayloads); }, 50'000'000) &&
-           live;
-    state.PauseTiming();
-    cluster.reset();
-    state.ResumeTiming();
-  }
-  if (!live) state.SkipWithError("atomic broadcast did not deliver");
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kPayloads));
-}
-BENCHMARK(BM_E3AtomicPipeline)
-    ->Args({0, 0})->Args({1, 0})->Args({2, 0})->Args({4, 0})
-    ->Args({0, 1})->Args({2, 1})
-    ->Args({0, 2})->Args({2, 2})
-    ->Unit(benchmark::kMillisecond);
 
 // ---- macro: multi-group atomic broadcast with 0/1/2/4 protocol executors ----
 //

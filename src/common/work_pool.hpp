@@ -1,4 +1,7 @@
-// Bounded worker pool for off-loop crypto (the "verification pipeline").
+// Bounded worker pool.  No protocol submits work to it: every share is
+// checked on arrival, on the protocol thread (PROTOCOLS.md, "Certify by
+// combining").  It stays while perfbench's `pools` mode attaches one
+// (ROADMAP item 5).
 //
 // Protocol logic must stay single-threaded and deterministic, so the pool
 // never touches protocol state: a job is a pure closure producing Bytes,

@@ -2,6 +2,7 @@
 
 #include "common/assert.hpp"
 #include "crypto/group_curve.hpp"
+#include "crypto/nizk.hpp"
 
 namespace sintra::crypto::batch {
 
@@ -88,68 +89,6 @@ bool check_dleq_equations(const Group& group, const Element& g1, const Element& 
   return group.multi_exp(rhs) == group.identity();
 }
 
-/// One prepared Schnorr equation over the batch-shared base g:
-///   g^z == a * h^c.
-struct SchnorrEquation {
-  bool ok = false;
-  Element h;
-  Element a;
-  BigInt c;
-  BigInt z;
-};
-
-bool check_schnorr_equations(const Group& group, const Element& g,
-                             const std::vector<const SchnorrEquation*>& eqs, Rng& rng) {
-  for (const SchnorrEquation* eq : eqs) {
-    if (!eq->ok) return false;
-  }
-  if (eqs.empty()) return true;
-  BigInt lhs(0);
-  std::vector<std::pair<Element, BigInt>> rhs;
-  rhs.reserve(2 * eqs.size() + 1);
-  for (const SchnorrEquation* eq : eqs) {
-    const BigInt r = BigInt::random_bits(rng, kGroupWeightBits);
-    lhs = group.scalar_add(lhs, group.scalar_mul(eq->z, r));
-    rhs.emplace_back(eq->a, r);
-    rhs.emplace_back(eq->h, group.scalar_mul(eq->c, r));
-  }
-  rhs.emplace_back(g, group.scalar_sub(BigInt(0), lhs));
-  return group.multi_exp(rhs) == group.identity();
-}
-
-/// Recursive bisection: ranges that batch-verify are clean; single-proof
-/// leaves fall back to the strict individual verifier (which also rules on
-/// proofs whose commitments sit outside the order-q subgroup — the batch
-/// equation tolerates those with probability 1/cofactor, strictness
-/// doesn't).
-template <typename BatchOk, typename StrictOk>
-void bisect(std::size_t lo, std::size_t hi, const BatchOk& batch_ok, const StrictOk& strict_ok,
-            std::vector<std::size_t>& out) {
-  if (lo >= hi) return;
-  if (hi - lo == 1) {
-    if (!strict_ok(lo)) out.push_back(lo);
-    return;
-  }
-  if (batch_ok(lo, hi)) return;
-  const std::size_t mid = lo + (hi - lo) / 2;
-  bisect(lo, mid, batch_ok, strict_ok, out);
-  bisect(mid, hi, batch_ok, strict_ok, out);
-}
-
-template <typename Equation, typename CheckFn, typename StrictOk>
-std::vector<std::size_t> find_invalid_generic(const std::vector<Equation>& eqs,
-                                              const CheckFn& check, const StrictOk& strict_ok) {
-  std::vector<std::size_t> bad;
-  const auto batch_ok = [&](std::size_t lo, std::size_t hi) {
-    std::vector<const Equation*> range;
-    range.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) range.push_back(&eqs[i]);
-    return check(range);
-  };
-  bisect(0, eqs.size(), batch_ok, strict_ok, bad);
-  return bad;
-}
-
 std::vector<const DleqEquation*> all_of(const std::vector<DleqEquation>& eqs) {
   std::vector<const DleqEquation*> out;
   out.reserve(eqs.size());
@@ -207,135 +146,7 @@ std::vector<DleqEquation> prepare_dec(const Tdh2PublicKey& pk, const Tdh2Ciphert
   return eqs;
 }
 
-std::vector<DleqEquation> prepare_cts(const Tdh2PublicKey& pk,
-                                      const std::vector<Tdh2Ciphertext>& cts) {
-  const Group& group = pk.group();
-  std::vector<DleqEquation> eqs;
-  eqs.reserve(cts.size());
-  for (const Tdh2Ciphertext& ct : cts) {
-    DleqEquation eq;
-    if (group.is_element(ct.u) && group.is_element(ct.u_bar) && group.is_residue(ct.w) &&
-        group.is_residue(ct.w_bar) && group.is_scalar(ct.f)) {
-      eq.ok = true;
-      eq.h1 = ct.u;
-      eq.h2 = ct.u_bar;
-      eq.a1 = ct.w;
-      eq.a2 = ct.w_bar;
-      eq.c = tdh2_ciphertext_challenge(group, ct.data, ct.label, ct.u, ct.w, ct.u_bar, ct.w_bar);
-      eq.z = ct.f;
-    }
-    eqs.push_back(std::move(eq));
-  }
-  return eqs;
-}
-
-/// `shares` without the `bad` ones and without any other share of their
-/// senders: the combiner needs complete per-party unit sets, and a sender
-/// who faked one share forfeits its others.
-template <class Share>
-std::vector<Share> without_culprits(const LinearScheme& scheme, const std::vector<Share>& shares,
-                                    const std::vector<std::size_t>& bad) {
-  PartySet culprits = 0;
-  for (std::size_t i : bad) {
-    const int unit = shares[i].unit;
-    if (unit >= 0 && unit < scheme.num_units()) culprits |= party_bit(scheme.unit_owner(unit));
-  }
-  std::vector<Share> good;
-  good.reserve(shares.size());
-  std::size_t next_bad = 0;
-  for (std::size_t i = 0; i < shares.size(); ++i) {
-    const bool listed = next_bad < bad.size() && bad[next_bad] == i;
-    if (listed) ++next_bad;
-    if (listed || contains(culprits, scheme.unit_owner(shares[i].unit))) continue;
-    good.push_back(shares[i]);
-  }
-  return good;
-}
-
 }  // namespace
-
-bool verify_dleq(const Group& group, const Element& g1, const Element& g2,
-                 const std::vector<DleqItem>& items, Rng& rng) {
-  if (!batches(group, items.size())) {
-    return each_ok(items.size(), [&](std::size_t i) {
-      return items[i].proof.verify(group, items[i].context, g1, items[i].h1, g2, items[i].h2);
-    });
-  }
-  std::vector<DleqEquation> eqs;
-  eqs.reserve(items.size());
-  for (const DleqItem& item : items) {
-    eqs.push_back(prepare_dleq(group, item.context, g1, item.h1, g2, item.h2, item.proof));
-  }
-  return check_dleq_equations(group, g1, g2, all_of(eqs), rng);
-}
-
-std::vector<std::size_t> find_invalid_dleq(const Group& group, const Element& g1, const Element& g2,
-                                           const std::vector<DleqItem>& items, Rng& rng) {
-  std::vector<DleqEquation> eqs;
-  eqs.reserve(items.size());
-  for (const DleqItem& item : items) {
-    eqs.push_back(prepare_dleq(group, item.context, g1, item.h1, g2, item.h2, item.proof));
-  }
-  return find_invalid_generic(
-      eqs,
-      [&](const std::vector<const DleqEquation*>& range) {
-        return check_dleq_equations(group, g1, g2, range, rng);
-      },
-      [&](std::size_t i) {
-        return items[i].proof.verify(group, items[i].context, g1, items[i].h1, g2, items[i].h2);
-      });
-}
-
-bool verify_schnorr(const Group& group, const Element& g, const std::vector<SchnorrItem>& items,
-                    Rng& rng) {
-  if (!batches(group, items.size())) {
-    return each_ok(items.size(), [&](std::size_t i) {
-      return items[i].proof.verify(group, items[i].context, g, items[i].h);
-    });
-  }
-  std::vector<const SchnorrEquation*> refs;
-  std::vector<SchnorrEquation> eqs;
-  eqs.reserve(items.size());
-  for (const SchnorrItem& item : items) {
-    SchnorrEquation eq;
-    if (group.is_scalar(item.proof.z) && group.is_residue(item.proof.a) &&
-        group.is_element(item.h)) {
-      eq.ok = true;
-      eq.h = item.h;
-      eq.a = item.proof.a;
-      eq.c = schnorr_challenge(group, item.context, g, item.h, item.proof.a);
-      eq.z = item.proof.z;
-    }
-    eqs.push_back(std::move(eq));
-  }
-  refs.reserve(eqs.size());
-  for (const SchnorrEquation& eq : eqs) refs.push_back(&eq);
-  return check_schnorr_equations(group, g, refs, rng);
-}
-
-std::vector<std::size_t> find_invalid_schnorr(const Group& group, const Element& g,
-                                              const std::vector<SchnorrItem>& items, Rng& rng) {
-  std::vector<SchnorrEquation> eqs;
-  eqs.reserve(items.size());
-  for (const SchnorrItem& item : items) {
-    SchnorrEquation eq;
-    if (group.is_scalar(item.proof.z) && group.is_residue(item.proof.a) &&
-        group.is_element(item.h)) {
-      eq.ok = true;
-      eq.h = item.h;
-      eq.a = item.proof.a;
-      eq.c = schnorr_challenge(group, item.context, g, item.h, item.proof.a);
-      eq.z = item.proof.z;
-    }
-    eqs.push_back(std::move(eq));
-  }
-  return find_invalid_generic(
-      eqs,
-      [&](const std::vector<const SchnorrEquation*>& range) {
-        return check_schnorr_equations(group, g, range, rng);
-      },
-      [&](std::size_t i) { return items[i].proof.verify(group, items[i].context, g, items[i].h); });
-}
 
 bool verify_coin_shares(const CoinPublicKey& pk, BytesView name,
                         const std::vector<CoinShare>& shares, Rng& rng) {
@@ -349,35 +160,6 @@ bool verify_coin_shares(const CoinPublicKey& pk, BytesView name,
   return check_dleq_equations(pk.group(), pk.group().g(), base, all_of(eqs), rng);
 }
 
-std::vector<std::size_t> find_invalid_coin_shares(const CoinPublicKey& pk, BytesView name,
-                                                  const std::vector<CoinShare>& shares, Rng& rng) {
-  const Element base = pk.coin_base(name);
-  const std::vector<DleqEquation> eqs = prepare_coin(pk, base, shares);
-  return find_invalid_generic(
-      eqs,
-      [&](const std::vector<const DleqEquation*>& range) {
-        return check_dleq_equations(pk.group(), pk.group().g(), base, range, rng);
-      },
-      [&](std::size_t i) { return pk.verify_share_at(base, shares[i]); });
-}
-
-CombineResult<Bytes> combine_coin_optimistic(const CoinPublicKey& pk, BytesView name,
-                                             const std::vector<CoinShare>& shares, Rng& rng) {
-  CombineResult<Bytes> result;
-  // No cheap check exists for a combined coin value (it is just a hash of
-  // the recombined group element), so the optimistic gate is the batch
-  // proof check itself: one batched equation in the happy path, bisection
-  // + strict re-verification only when a Byzantine share is present.
-  if (verify_coin_shares(pk, name, shares, rng)) {
-    result.value = pk.combine(name, shares);
-    return result;
-  }
-  result.bad = find_invalid_coin_shares(pk, name, shares, rng);
-  const auto good = without_culprits(pk.scheme(), shares, result.bad);
-  if (!good.empty()) result.value = pk.combine(name, good);
-  return result;
-}
-
 bool verify_dec_shares(const Tdh2PublicKey& pk, const Tdh2Ciphertext& ct,
                        const std::vector<Tdh2DecShare>& shares, Rng& rng) {
   if (!batches(pk.group(), shares.size())) {
@@ -385,40 +167,6 @@ bool verify_dec_shares(const Tdh2PublicKey& pk, const Tdh2Ciphertext& ct,
   }
   const std::vector<DleqEquation> eqs = prepare_dec(pk, ct, shares);
   return check_dleq_equations(pk.group(), pk.group().g(), ct.u, all_of(eqs), rng);
-}
-
-std::vector<std::size_t> find_invalid_dec_shares(const Tdh2PublicKey& pk,
-                                                 const Tdh2Ciphertext& ct,
-                                                 const std::vector<Tdh2DecShare>& shares,
-                                                 Rng& rng) {
-  const std::vector<DleqEquation> eqs = prepare_dec(pk, ct, shares);
-  return find_invalid_generic(
-      eqs,
-      [&](const std::vector<const DleqEquation*>& range) {
-        return check_dleq_equations(pk.group(), pk.group().g(), ct.u, range, rng);
-      },
-      [&](std::size_t i) { return pk.verify_share(ct, shares[i]); });
-}
-
-bool verify_ciphertexts(const Tdh2PublicKey& pk, const std::vector<Tdh2Ciphertext>& cts,
-                        Rng& rng) {
-  if (!batches(pk.group(), cts.size())) {
-    return each_ok(cts.size(), [&](std::size_t i) { return pk.check_ciphertext(cts[i]); });
-  }
-  const std::vector<DleqEquation> eqs = prepare_cts(pk, cts);
-  return check_dleq_equations(pk.group(), pk.group().g(), pk.g_bar(), all_of(eqs), rng);
-}
-
-std::vector<std::size_t> find_invalid_ciphertexts(const Tdh2PublicKey& pk,
-                                                  const std::vector<Tdh2Ciphertext>& cts,
-                                                  Rng& rng) {
-  const std::vector<DleqEquation> eqs = prepare_cts(pk, cts);
-  return find_invalid_generic(
-      eqs,
-      [&](const std::vector<const DleqEquation*>& range) {
-        return check_dleq_equations(pk.group(), pk.group().g(), pk.g_bar(), range, rng);
-      },
-      [&](std::size_t i) { return pk.check_ciphertext(cts[i]); });
 }
 
 namespace {
@@ -489,6 +237,45 @@ bool check_sig_equations(const ThresholdSigPublicKey& pk, const BigInt& x_square
   return mont.multi_pow(lhs) == mont.multi_pow(rhs);
 }
 
+/// Recursive bisection: ranges that batch-verify are clean; single-share
+/// leaves fall back to the strict individual verifier.
+template <typename BatchOk, typename StrictOk>
+void bisect(std::size_t lo, std::size_t hi, const BatchOk& batch_ok, const StrictOk& strict_ok,
+            std::vector<std::size_t>& out) {
+  if (lo >= hi) return;
+  if (hi - lo == 1) {
+    if (!strict_ok(lo)) out.push_back(lo);
+    return;
+  }
+  if (batch_ok(lo, hi)) return;
+  const std::size_t mid = lo + (hi - lo) / 2;
+  bisect(lo, mid, batch_ok, strict_ok, out);
+  bisect(mid, hi, batch_ok, strict_ok, out);
+}
+
+/// `shares` without the `bad` ones and without any other share of their
+/// senders: the combiner needs complete per-party unit sets, and a sender
+/// who faked one share forfeits its others.
+std::vector<SigShare> without_culprits(const LinearScheme& scheme,
+                                       const std::vector<SigShare>& shares,
+                                       const std::vector<std::size_t>& bad) {
+  PartySet culprits = 0;
+  for (std::size_t i : bad) {
+    const int unit = shares[i].unit;
+    if (unit >= 0 && unit < scheme.num_units()) culprits |= party_bit(scheme.unit_owner(unit));
+  }
+  std::vector<SigShare> good;
+  good.reserve(shares.size());
+  std::size_t next_bad = 0;
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    const bool listed = next_bad < bad.size() && bad[next_bad] == i;
+    if (listed) ++next_bad;
+    if (listed || contains(culprits, scheme.unit_owner(shares[i].unit))) continue;
+    good.push_back(shares[i]);
+  }
+  return good;
+}
+
 BigInt statement_base(const ThresholdSigPublicKey& pk, BytesView message) {
   const BigInt x = pk.hash_to_base(message);
   return BigInt::mul_mod(x, x, pk.modulus());
@@ -517,17 +304,22 @@ std::vector<std::size_t> find_invalid_sig_shares(const ThresholdSigPublicKey& pk
   std::vector<SigEquation> eqs;
   eqs.reserve(shares.size());
   for (const SigShare& share : shares) eqs.push_back(prepare_sig(pk, x_squared, share));
-  return find_invalid_generic(
-      eqs,
-      [&](const std::vector<const SigEquation*>& range) {
+  std::vector<std::size_t> bad;
+  bisect(
+      0, eqs.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<const SigEquation*> range;
+        range.reserve(hi - lo);
+        for (std::size_t i = lo; i < hi; ++i) range.push_back(&eqs[i]);
         return check_sig_equations(pk, x_squared, range, rng);
       },
-      [&](std::size_t i) { return pk.verify_share(message, shares[i]); });
+      [&](std::size_t i) { return pk.verify_share(message, shares[i]); }, bad);
+  return bad;
 }
 
-CombineResult<BigInt> combine_sig_optimistic(const ThresholdSigPublicKey& pk, BytesView message,
-                                             const std::vector<SigShare>& shares, Rng& rng) {
-  CombineResult<BigInt> result;
+CombineResult combine_sig_optimistic(const ThresholdSigPublicKey& pk, BytesView message,
+                                     const std::vector<SigShare>& shares, Rng& rng) {
+  CombineResult result;
   // Combining is cheap relative to verifying shares (Lagrange-in-the-
   // exponent plus one e = 65537 check), so try the unverified set first.
   result.value = pk.combine(message, shares);

@@ -4,10 +4,9 @@
 // The paper is explicit that SINTRA's throughput is bounded by threshold
 // cryptography, not the network: every coin share, signature share, and
 // decryption share carries a NIZK proof whose verification costs two
-// double-exponentiations.  A protocol instance, however, never needs one
-// share — it needs a *threshold set*, and all shares of one set verify
-// against the same pair of bases.  Taking a random linear combination of
-// the k verification equations collapses the whole set into roughly two
+// double-exponentiations.  All shares of one statement verify against the
+// same pair of bases, so taking a random linear combination of the k
+// verification equations collapses a set of them into roughly two
 // multi-exponentiations:
 //
 //   per proof i:   g1^{z_i} == a1_i * h1_i^{c_i}
@@ -29,94 +28,47 @@
 // weights are invertible mod the group order); there no inverses exist
 // cheaply, so the equations are kept in two-sided positive-exponent form.
 //
-// On failure the batch is bisected: halves that batch-verify are clean,
-// and single-proof leaves fall back to the strict individual verifier —
-// identifying exactly the corrupted shares in O(bad * log k) batch calls.
-// A Byzantine sender pays the extra work; honest executions never do.
+// Every protocol checks a peer's share vector when it arrives
+// (share_tally.hpp), so a batch there is one sender's units, and a failed
+// batch strikes that sender.
 //
-// Combine-then-verify goes one step further for threshold RSA: combining
-// is cheap relative to share verification and the *combined* signature is
-// checked with a single e = 65537 exponentiation, so the optimistic path
-// combines an unverified threshold set and only falls back to batch
-// verification + bisection when that final check fails.
+// One collector combines before it checks: ServiceClient gathers reply
+// signature shares from servers it cannot strike per message, and for
+// threshold RSA combining is cheap relative to share verification and the
+// *combined* signature is checked with a single e = 65537 exponentiation.
+// So combine_sig_optimistic combines the unverified set and only when that
+// check fails bisects the set (halves that batch-verify are clean,
+// single-share leaves go to the strict verifier) to name the corrupted
+// shares in O(bad * log k) batch calls.  A Byzantine server pays the extra
+// work; honest executions never do.
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "crypto/coin.hpp"
-#include "crypto/nizk.hpp"
-#include "crypto/share_tally.hpp"
 #include "crypto/tdh2.hpp"
 #include "crypto/threshold_sig.hpp"
 
 namespace sintra::crypto::batch {
 
-/// One DLEQ proof over the batch-shared bases (g1, g2): statement
-/// h1 = g1^x, h2 = g2^x, proof bound to `context`.
-struct DleqItem {
-  std::string context;
-  Element h1;
-  Element h2;
-  DleqProof proof;
+/// Outcome of combine_sig_optimistic: the combined value, if any, and the
+/// indices of the corrupted shares, if any.
+struct CombineResult {
+  std::optional<BigInt> value;
+  std::vector<std::size_t> bad;
 };
-
-/// True iff every item's proof verifies (accepts a violating set with
-/// probability <= 2^-127).  Empty batches verify trivially.
-[[nodiscard]] bool verify_dleq(const Group& group, const Element& g1, const Element& g2,
-                               const std::vector<DleqItem>& items, Rng& rng);
-
-/// Exact set of invalid item indices (ascending), via bisection with
-/// strict individual verification at the leaves.
-[[nodiscard]] std::vector<std::size_t> find_invalid_dleq(const Group& group, const Element& g1,
-                                                         const Element& g2,
-                                                         const std::vector<DleqItem>& items,
-                                                         Rng& rng);
-
-/// One Schnorr proof over the batch-shared base g: statement h = g^x.
-struct SchnorrItem {
-  std::string context;
-  Element h;
-  SchnorrProof proof;
-};
-
-[[nodiscard]] bool verify_schnorr(const Group& group, const Element& g,
-                                  const std::vector<SchnorrItem>& items, Rng& rng);
-
-[[nodiscard]] std::vector<std::size_t> find_invalid_schnorr(const Group& group, const Element& g,
-                                                            const std::vector<SchnorrItem>& items,
-                                                            Rng& rng);
 
 // -- coin shares (coin.hpp) --------------------------------------------------
 
 [[nodiscard]] bool verify_coin_shares(const CoinPublicKey& pk, BytesView name,
                                       const std::vector<CoinShare>& shares, Rng& rng);
 
-[[nodiscard]] std::vector<std::size_t> find_invalid_coin_shares(
-    const CoinPublicKey& pk, BytesView name, const std::vector<CoinShare>& shares, Rng& rng);
-
-/// Batch-verify then combine into the coin output.  On a failed batch the
-/// corrupted share indices are listed and the rest is combined if it
-/// still can be (empty `bad` with no value: the set is not qualified).
-[[nodiscard]] CombineResult<Bytes> combine_coin_optimistic(const CoinPublicKey& pk, BytesView name,
-                                                        const std::vector<CoinShare>& shares,
-                                                        Rng& rng);
-
 // -- TDH2 (tdh2.hpp) ---------------------------------------------------------
 
 /// Decryption shares for one fixed ciphertext (bases g, ct.u are shared).
 [[nodiscard]] bool verify_dec_shares(const Tdh2PublicKey& pk, const Tdh2Ciphertext& ct,
                                      const std::vector<Tdh2DecShare>& shares, Rng& rng);
-
-[[nodiscard]] std::vector<std::size_t> find_invalid_dec_shares(
-    const Tdh2PublicKey& pk, const Tdh2Ciphertext& ct, const std::vector<Tdh2DecShare>& shares,
-    Rng& rng);
-
-/// Well-formedness proofs of many ciphertexts (bases g, g_bar are shared).
-[[nodiscard]] bool verify_ciphertexts(const Tdh2PublicKey& pk,
-                                      const std::vector<Tdh2Ciphertext>& cts, Rng& rng);
-
-[[nodiscard]] std::vector<std::size_t> find_invalid_ciphertexts(
-    const Tdh2PublicKey& pk, const std::vector<Tdh2Ciphertext>& cts, Rng& rng);
 
 // -- threshold RSA signature shares (threshold_sig.hpp) ----------------------
 
@@ -133,9 +85,8 @@ struct SchnorrItem {
 /// the single resulting RSA signature.  If that fails, the corrupted share
 /// indices are listed and the rest is combined if it still can be (empty
 /// `bad` with no value: the set is not qualified).
-[[nodiscard]] CombineResult<BigInt> combine_sig_optimistic(const ThresholdSigPublicKey& pk,
-                                                      BytesView message,
-                                                      const std::vector<SigShare>& shares,
-                                                      Rng& rng);
+[[nodiscard]] CombineResult combine_sig_optimistic(const ThresholdSigPublicKey& pk,
+                                                 BytesView message,
+                                                 const std::vector<SigShare>& shares, Rng& rng);
 
 }  // namespace sintra::crypto::batch

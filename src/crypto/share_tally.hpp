@@ -3,18 +3,19 @@
 // coin or TDH2 decryption shares) until their senders are ready (a quorum,
 // or qualified under the sharing scheme), then combines them into one
 // certificate, coin value or plaintext.  A ShareTally is one such
-// collection.  It owns the admission rule (covers_own_units: a sender's
-// vector counts once, never after the sender was struck, and only if it
-// holds exactly the sender's units), the support set, the shares, strike,
-// and the attempt guard of an off-loop combine (protocols/base.hpp).
-// Readiness, verification policy and what the result is for stay with the
-// caller; consistent broadcast collects quorum signatures (quorum_sig.hpp)
-// in one and uses the admitted set itself as its certificate.
+// collection, and every site follows one rule: a peer's vector is checked
+// when it arrives, the party's own is trusted, a sender whose vector fails
+// is struck and never heard again, and the set is combined inline once it
+// qualifies (PROTOCOLS.md, "Certify by combining").  The tally owns the
+// admission rule (covers_own_units: a sender's vector counts once, never
+// after the sender was struck, and only if it holds exactly the sender's
+// units), the support set, the shares and strike.  Readiness, the check
+// itself and what the result is for stay with the caller; consistent
+// broadcast collects quorum signatures (quorum_sig.hpp) in one and uses
+// the admitted set itself as its certificate.
 #pragma once
 
-#include <cstdint>
 #include <iterator>
-#include <optional>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -42,35 +43,36 @@ template <class Share>
   return true;
 }
 
-/// Outcome of an optimistic combine (crypto/batch.hpp): the combined value,
-/// if any, and the indices of the corrupted shares, if any.
-template <class T>
-struct CombineResult {
-  std::optional<T> value;
-  std::vector<std::size_t> bad;
-};
-
 template <class Share>
 class ShareTally {
  public:
   /// Count `from`'s share vector.  Returns false, changing nothing, when
   /// `from` was already counted or struck (a duplicate or a replay).
   /// Throws ProtocolError(`refusal`) unless the vector holds exactly
-  /// `from`'s units; `check`, run after that and before the vector
-  /// counts, may throw ProtocolError too (sites that verify on arrival).
-  template <class Check = void (*)(const std::vector<Share>&)>
-  bool admit(const LinearScheme& scheme, int from, std::vector<Share> shares,
-             const char* refusal, Check&& check = [](const std::vector<Share>&) {}) {
+  /// `from`'s units.  A peer's vector must then pass `valid`; one that
+  /// fails strikes `from`, so it is checked only once, and throws
+  /// ProtocolError(`invalid`).  The vector of `me`, this party, is its own
+  /// signing and is trusted.
+  template <class Valid>
+  bool admit(const LinearScheme& scheme, int from, int me, std::vector<Share> shares,
+             const char* refusal, const char* invalid, Valid&& valid) {
     if (seen(from)) return false;
     SINTRA_REQUIRE(covers_own_units(scheme, from, shares), refusal);
-    check(shares);
-    support_ |= party_bit(from);
-    if (shares_.empty()) {
-      shares_ = std::move(shares);
-    } else {
-      shares_.insert(shares_.end(), std::make_move_iterator(shares.begin()),
-                     std::make_move_iterator(shares.end()));
+    if (from != me && !valid(shares)) {
+      struck_ |= party_bit(from);
+      throw ProtocolError(invalid);
     }
+    count(from, std::move(shares));
+    return true;
+  }
+
+  /// Structural admission only, for a collector that checks what the
+  /// shares combine to and strikes the culprits of a failed combine.
+  bool admit(const LinearScheme& scheme, int from, std::vector<Share> shares,
+             const char* refusal) {
+    if (seen(from)) return false;
+    SINTRA_REQUIRE(covers_own_units(scheme, from, shares), refusal);
+    count(from, std::move(shares));
     return true;
   }
 
@@ -79,38 +81,12 @@ class ShareTally {
   /// Counted or struck: a vector from `party` is no longer admitted.
   [[nodiscard]] bool seen(int party) const { return contains(support_ | struck_, party); }
 
-  /// Strike the senders of the shares at indices `bad` (an inline
-  /// combine's result); returns them.
+  /// Strike the senders of the shares at indices `bad` (a failed
+  /// combine's culprits); returns them.
   PartySet strike(const LinearScheme& scheme, const std::vector<std::size_t>& bad) {
     PartySet culprits = 0;
     for (std::size_t i : bad) culprits |= party_bit(scheme.unit_owner(shares_[i].unit));
     return bar(scheme, culprits);
-  }
-  /// Strike the owners of `units` (an off-loop verdict's bad units, each
-  /// range-checked); returns them.
-  PartySet strike_units(const LinearScheme& scheme, const std::vector<std::uint32_t>& units) {
-    PartySet culprits = 0;
-    for (std::uint32_t unit : units) {
-      SINTRA_REQUIRE(unit < static_cast<std::uint32_t>(scheme.num_units()),
-                     "verdict unit out of range");
-      culprits |= party_bit(scheme.unit_owner(static_cast<int>(unit)));
-    }
-    return bar(scheme, culprits);
-  }
-
-  /// Off-loop combines: mark a new attempt in flight and return its
-  /// number, or 0 while an earlier attempt is still out.
-  int begin_attempt() {
-    if (inflight_) return 0;
-    inflight_ = true;
-    return ++attempt_;
-  }
-  /// True iff `attempt` is the one in flight, which it then settles.  A
-  /// verdict for any other attempt is stale and must change nothing.
-  bool settle(int attempt) {
-    if (!inflight_ || attempt != attempt_) return false;
-    inflight_ = false;
-    return true;
   }
 
   /// Free the shares once the combined result subsumes them.
@@ -120,6 +96,16 @@ class ShareTally {
   }
 
  private:
+  void count(int from, std::vector<Share> shares) {
+    support_ |= party_bit(from);
+    if (shares_.empty()) {
+      shares_ = std::move(shares);
+    } else {
+      shares_.insert(shares_.end(), std::make_move_iterator(shares.begin()),
+                     std::make_move_iterator(shares.end()));
+    }
+  }
+
   /// Culprits lose their support and every share, and are barred.
   PartySet bar(const LinearScheme& scheme, PartySet culprits) {
     if (culprits == 0) return 0;
@@ -134,8 +120,6 @@ class ShareTally {
   PartySet support_ = 0;
   PartySet struck_ = 0;
   std::vector<Share> shares_;
-  int attempt_ = 0;
-  bool inflight_ = false;
 };
 
 }  // namespace sintra::crypto

@@ -115,15 +115,6 @@ void Party::broadcast(const std::string& tag, const Bytes& payload) {
   for (int to = 0; to < n(); ++to) send(to, tag, Bytes(payload));
 }
 
-void Party::offload(const std::string& tag, common::WorkPool::Job job) {
-  if (work_pool_ == nullptr || work_pool_->sequential()) {
-    send(id_, tag, common::WorkPool::run_guarded(job));
-    return;
-  }
-  work_pool_->submit(std::move(job),
-                     [this, tag](Bytes result) { send(id_, tag, std::move(result)); });
-}
-
 void Party::register_handler(const std::string& tag, Handler handler) {
   DispatchCtx& c = ctx();
   {

@@ -30,9 +30,12 @@
 #include "adversary/quorum.hpp"
 #include "common/executor.hpp"
 #include "common/serialize.hpp"
-#include "common/work_pool.hpp"
 #include "net/budget.hpp"
 #include "net/simulator.hpp"
+
+namespace sintra::common {
+class WorkPool;
+}  // namespace sintra::common
 
 namespace sintra::net {
 
@@ -134,11 +137,10 @@ class Party : public Process {
   [[nodiscard]] Bytes snapshot() const override;
   void restore(BytesView persisted) override;
 
-  /// Attach a crypto work pool (not owned; must be drained/destroyed
-  /// before the party dies).  Without one — or with a zero-thread pool —
-  /// offload() degrades to deterministic inline execution.
-  void set_work_pool(common::WorkPool* pool) { work_pool_ = pool; }
-  [[nodiscard]] common::WorkPool* work_pool() const { return work_pool_; }
+  /// Accepts a crypto work pool and ignores it: every share is checked
+  /// in the handler it arrives in, so nothing is offloaded.  Kept for
+  /// callers that still attach one.
+  void set_work_pool(common::WorkPool* /*pool*/) {}
 
   /// Attach an executor pool (not owned; stop() it before the party dies).
   /// With a pool of one or more executors, on_message routes each message
@@ -172,17 +174,6 @@ class Party : public Process {
   /// `fn` are attributed to `root`'s executor.  No-op wrapper outside
   /// concurrent mode.
   void with_instance(std::string_view root, const std::function<void()>& fn);
-
-  /// Run `job` off the event loop and deliver its result to this party as
-  /// an ordinary self-message on `tag`, so protocol logic stays
-  /// single-threaded.  Inline mode (no pool / sequential pool) runs the
-  /// job immediately: called inside a handler, the verdict self-message
-  /// rides the local queue exactly like any other in-handler send, which
-  /// keeps seeded runs and WAL replay bit-exact.  Threaded mode delivers
-  /// the verdict when the owner thread drains the pool; verdicts count as
-  /// external inputs there (WAL-logged), so verdict handlers must be
-  /// idempotent and must require from == me().
-  void offload(const std::string& tag, common::WorkPool::Job job);
 
   /// Trace helper (no-op without an attached log).
   void trace(const std::string& component, std::string text);
@@ -238,7 +229,6 @@ class Party : public Process {
   std::map<std::string, Checkpoint> checkpoints_;
   DispatchCtx main_ctx_;
   bool wal_enabled_ = false;
-  common::WorkPool* work_pool_ = nullptr;
   common::ExecutorPool* executors_ = nullptr;
   std::uint64_t lane_group_ = 0;  ///< shard salt for executor-lane hashing
   std::atomic<std::uint64_t> rng_slots_{0};

@@ -143,13 +143,6 @@ void NetworkedNode::enqueue_inbound(Tenant& owner, Message message) {
   inbox_cv_.notify_one();
 }
 
-void NetworkedNode::set_work_pool(common::WorkPool* pool) {
-  work_pool_ = pool;
-  if (work_pool_ != nullptr) {
-    work_pool_->set_notify([this] { inbox_cv_.notify_one(); });
-  }
-}
-
 void NetworkedNode::set_executors(common::ExecutorPool* pool) {
   executors_ = pool;
   if (executors_ != nullptr) {
@@ -185,7 +178,6 @@ std::size_t NetworkedNode::poll() {
     std::lock_guard<std::recursive_mutex> timer_lock(timer_mutex_);
     wheel_.advance_to(now());
   }
-  if (work_pool_ != nullptr) work_pool_->drain();
   std::deque<InboxEntry> batch;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -229,7 +221,6 @@ bool NetworkedNode::run_until(const std::function<bool()>& done, std::uint64_t t
     std::unique_lock<std::mutex> lock(mutex_);
     inbox_cv_.wait_for(lock, std::chrono::milliseconds(wait), [this] {
       if (!inbox_.empty()) return true;
-      if (work_pool_ != nullptr && work_pool_->has_completions()) return true;
       for (const auto& pending : outbox_) {
         if (!pending.empty()) return true;
       }

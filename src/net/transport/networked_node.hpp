@@ -5,7 +5,7 @@
 // One NetworkedNode is one machine endpoint.  It can host S independent
 // SINTRA groups ("tenants"): each group has its own Process, while all of
 // them share this node's transport link, event loop, timer wheel, inbox
-// pump and (machine-wide) executor/work pools.  A tenant sees the
+// pump and (machine-wide) executor pool.  A tenant sees the
 // substrate through a GroupEndpoint — a Network facade that stamps every
 // outbound payload with the tenant's group id (the per-record stamp,
 // framing.hpp) and delegates time/timers to the host.  Group 0 is
@@ -61,11 +61,14 @@
 #include <vector>
 
 #include "common/executor.hpp"
-#include "common/work_pool.hpp"
 #include "net/network.hpp"
 #include "net/simulator.hpp"
 #include "net/transport/link.hpp"
 #include "net/transport/timer_wheel.hpp"
+
+namespace sintra::common {
+class WorkPool;
+}  // namespace sintra::common
 
 namespace sintra::net::transport {
 
@@ -133,13 +136,10 @@ class NetworkedNode final : public Network {
   /// The transport every tenant's outbound traffic is flushed through.
   void bind_transport_batched(SendManyFn send_many) { send_many_ = std::move(send_many); }
 
-  /// Attach the crypto work pool (not owned; may be shared machine-wide
-  /// by several hosts — notify hooks are multicast).  poll() drains
-  /// finished verification jobs on the protocol thread — completions
-  /// re-enter the protocol as ordinary self-messages — and the pool's
-  /// notify hook is pointed at the inbox condition variable so
-  /// run_until() wakes for verdicts as promptly as for network traffic.
-  void set_work_pool(common::WorkPool* pool);
+  /// Accepts a crypto work pool and ignores it: every share is checked
+  /// on the protocol thread when it arrives, so nothing is offloaded.
+  /// Kept for callers that still attach one.
+  void set_work_pool(common::WorkPool* /*pool*/) {}
 
   /// Attach the protocol executor pool (not owned; may be shared
   /// machine-wide — notify hooks are multicast; also hand it to each
@@ -214,7 +214,6 @@ class NetworkedNode final : public Network {
 
   Config config_;
   SendManyFn send_many_;
-  common::WorkPool* work_pool_ = nullptr;
   common::ExecutorPool* executors_ = nullptr;
   TraceLog* log_ = nullptr;
   std::chrono::steady_clock::time_point start_;

@@ -147,7 +147,6 @@ void Abba::handle(int from, Reader& reader) {
     case kAux:
     case kConf:
     case kCoinShare: return on_round_message(type, from, reader);
-    case kCoinVerdict: return on_coin_verdict(from, reader);
     case kDecide: return on_decide(from, reader);
     default: throw ProtocolError("abba: unknown message type");
   }
@@ -319,38 +318,17 @@ void Abba::on_coin_share(int round, int from, Reader& reader) {
   reader.expect_done();
   Round& state = round_state(round);
   if (state.coin.has_value()) return;
-  // Structural admission only: the NIZK proofs are *not* checked here —
-  // they are deferred to one batched verification over the whole
-  // threshold set, run off the event loop.
-  if (state.coin_shares.admit(coin_pk.scheme(), from, std::move(shares),
-                              "abba: coin shares not the sender's units")) {
-    maybe_combine_coin(round);
-  }
-}
-
-void Abba::maybe_combine_coin(int round) {
-  Round& state = round_state(round);
-  const auto& coin_pk = host_.public_keys().coin;
-  if (state.coin.has_value() || !coin_pk.scheme().qualified(state.coin_shares.support())) return;
-  Writer prefix;
-  prefix.u8(kCoinVerdict);
-  prefix.u32(static_cast<std::uint32_t>(round));
-  offload_combine(state.coin_shares, coin_pk, coin_name(round), prefix.take());
-}
-
-void Abba::on_coin_verdict(int from, Reader& reader) {
-  int round = 0;
-  const auto coin_value = settle_verdict<Bytes>(
-      from, reader, host_.public_keys().coin.scheme(), suspected_,
-      [&](Reader& r) -> auto& {
-        round = static_cast<int>(r.u32());
-        SINTRA_REQUIRE(round >= 1 && round < 1 << 20 && round % 3 == 0,
-                       "abba: implausible verdict round");
-        return round_state(round).coin_shares;
-      },
-      [&] { maybe_combine_coin(round); });
-  if (!coin_value.has_value()) return;
-  Round& state = round_state(round);
+  const Bytes name = coin_name(round);
+  const bool admitted = state.coin_shares.admit(
+      coin_pk.scheme(), from, me(), std::move(shares), "abba: coin shares not the sender's units",
+      "abba: invalid coin share", [&](const std::vector<CoinShare>& incoming) {
+        if (crypto::batch::verify_coin_shares(coin_pk, name, incoming, host_.rng())) return true;
+        suspected_ |= crypto::party_bit(from);
+        return false;
+      });
+  if (!admitted || !coin_pk.scheme().qualified(state.coin_shares.support())) return;
+  const auto coin_value = coin_pk.combine(name, state.coin_shares.shares());
+  SINTRA_INVARIANT(coin_value.has_value(), "abba: coin combine failed on a qualified set");
   state.coin = crypto::CoinPublicKey::coin_bit(*coin_value);
   state.coin_shares.release_shares();
   host_.trace("abba", tag_ + " coin r" + std::to_string(round) + " = " +

@@ -71,7 +71,6 @@ class Abba final : public ProtocolInstance {
     kCoinShare = 2,
     kDecide = 3,
     kConf = 4,
-    kCoinVerdict = 5,  ///< self-message: off-loop coin batch-verify result
   };
 
   Abba(net::Party& host, std::string tag, DecideFn decide);
@@ -89,8 +88,8 @@ class Abba final : public ProtocolInstance {
   /// and the pruned entries could not be replayed either).
   void enable_compaction() { compaction_ = true; }
 
-  /// Parties caught sending well-formed-but-invalid coin shares (fingered
-  /// by the batch verifier's bisection).
+  /// Parties caught sending well-formed-but-invalid coin shares (each
+  /// share vector is checked on arrival).
   [[nodiscard]] crypto::PartySet suspected() const { return suspected_; }
 
   /// Introspection for the memory-budget tests.
@@ -113,10 +112,8 @@ class Abba final : public ProtocolInstance {
     bool conf_sent = false;
     std::optional<Values> vals;  ///< set once the CONF wait is over
     bool finished = false;
-    // Threshold coin (rounds 3, 6, ...).  Shares are buffered after
-    // structural checks only; the NIZK batch verification + combine runs
-    // off-loop (offload_combine) and reports back as a kCoinVerdict
-    // self-message.
+    // Threshold coin (rounds 3, 6, ...): shares checked on arrival,
+    // combined once a qualified set is in.
     crypto::ShareTally<crypto::CoinShare> coin_shares;
     std::optional<bool> coin;
   };
@@ -131,7 +128,6 @@ class Abba final : public ProtocolInstance {
   void on_aux(int round, int from, int value);
   void on_conf(int round, int from, Values values);
   void on_coin_share(int round, int from, Reader& reader);
-  void on_coin_verdict(int from, Reader& reader);
   void on_decide(int from, Reader& reader);
 
   void send_round(std::uint8_t type, int round, std::uint8_t value);
@@ -140,7 +136,6 @@ class Abba final : public ProtocolInstance {
   void progress(int round);
   void finish_round(int round, bool coin);
   void enter_round(int round, bool est);
-  void maybe_combine_coin(int round);
   [[nodiscard]] std::optional<bool> coin_of(int round) const;
   void decide(bool value, int round);
   void halt();

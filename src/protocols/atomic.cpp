@@ -545,10 +545,9 @@ void AtomicBroadcast::process_ckpt_shares(int from, int round, std::vector<SigSh
   draft.chain_digest = cp.chain_digest;
   const Bytes stmt = draft.statement(tag_);
   const bool admitted = cp.shares.admit(
-      cert_pk.scheme(), from, std::move(shares), "abc: ckpt shares not the sender's units",
-      [&](const std::vector<SigShare>& incoming) {
-        SINTRA_REQUIRE(crypto::batch::verify_sig_shares(cert_pk, stmt, incoming, host_.rng()),
-                       "abc: invalid checkpoint signature share");
+      cert_pk.scheme(), from, me(), std::move(shares), "abc: ckpt shares not the sender's units",
+      "abc: invalid checkpoint signature share", [&](const std::vector<SigShare>& incoming) {
+        return crypto::batch::verify_sig_shares(cert_pk, stmt, incoming, host_.rng());
       });
   if (!admitted || !cert_pk.scheme().qualified(cp.shares.support())) return;
   auto signature = cert_pk.combine(stmt, cp.shares.shares());

@@ -94,10 +94,9 @@ void SecureCausalBroadcast::add_share(Slot& slot, int from, std::vector<Tdh2DecS
   if (slot.done) return;
   const auto& pk = host_.public_keys().encryption;
   const bool admitted = slot.shares.admit(
-      pk.scheme(), from, std::move(shares), "sc-abc: shares not the sender's units",
-      [&](const std::vector<Tdh2DecShare>& incoming) {
-        SINTRA_REQUIRE(crypto::batch::verify_dec_shares(pk, slot.ciphertext, incoming, host_.rng()),
-                       "sc-abc: invalid decryption share");
+      pk.scheme(), from, me(), std::move(shares), "sc-abc: shares not the sender's units",
+      "sc-abc: invalid decryption share", [&](const std::vector<Tdh2DecShare>& incoming) {
+        return crypto::batch::verify_dec_shares(pk, slot.ciphertext, incoming, host_.rng());
       });
   if (!admitted || !slot.sequenced || !pk.scheme().qualified(slot.shares.support())) return;
   auto plaintext = pk.combine(slot.ciphertext, slot.shares.shares());

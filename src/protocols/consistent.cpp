@@ -101,9 +101,7 @@ void ConsistentBroadcast::handle(int from, Reader& reader) {
 }
 
 void ConsistentBroadcast::on_share(int from, Reader& reader) {
-  if (me() != sender_ || finalized_ || signatures_.seen(from) || crypto::contains(suspected_, from)) {
-    return;
-  }
+  if (me() != sender_ || finalized_ || signatures_.seen(from)) return;
   const auto& pk = host_.public_keys().quorum_sig;
   auto incoming = reader.vec<crypto::QuorumSig>(
       [&](Reader& r) { return crypto::QuorumSig::decode(r, pk.group()); });
@@ -111,14 +109,15 @@ void ConsistentBroadcast::on_share(int from, Reader& reader) {
   const Bytes statement = consistent_statement(tag_, my_message_);
   // Each signature is verified as it arrives (this party's own are its own
   // bytes); a signer whose signature fails is fingered and heard no more.
-  signatures_.admit(pk.scheme(), from, std::move(incoming), "cbc: shares not the signer's units",
+  signatures_.admit(pk.scheme(), from, me(), std::move(incoming),
+                    "cbc: shares not the signer's units", "cbc: invalid signature",
                     [&](const std::vector<crypto::QuorumSig>& sigs) {
-                      if (from == me()) return;
                       for (const crypto::QuorumSig& sig : sigs) {
                         if (pk.verify(statement, sig)) continue;
                         suspected_ |= crypto::party_bit(from);
-                        throw ProtocolError("cbc: invalid signature");
+                        return false;
                       }
+                      return true;
                     });
   if (!quorum().is_quorum(signatures_.support())) return;
   finalized_ = true;

@@ -1,6 +1,6 @@
 // Networked cluster harness: n NetworkedNodes, each hosting G groups,
 // wired through one LoopbackHub — the host code that ships (framing,
-// MACs, ReliableLink, the multi-tenant pump, executor and work pools)
+// MACs, ReliableLink, the multi-tenant pump, the executor pool)
 // with the asynchronous, adversarial network of the model played by the
 // hub's seeded fault and partition profiles.  The networked counterpart
 // of Cluster (harness.hpp); header-only convenience for tests and
@@ -9,9 +9,9 @@
 // Node `id` hosts one HostedParty per group g, built by
 // `factory(party, id, g)` on its own GroupEndpoint from group g's
 // Deployment, with party seed `seed·7919 + id·G + g` (for G = 1 the same
-// seed the simulator Cluster uses).  With E executors or W workers each
-// node gets its own ExecutorPool(E) / WorkPool(W), shared by its tenants,
-// with lanes salted by group id.  kill() and build() take one node down
+// seed the simulator Cluster uses).  With E executors each node gets its
+// own ExecutorPool(E), shared by its tenants, with lanes salted by group
+// id.  kill() and build() take one node down
 // (process gone, WAL with it) and bring a blank incarnation back.
 //
 // One thread pumps everything: run_until() is the pump thread of every node.
@@ -26,7 +26,6 @@
 #include "adversary/quorum.hpp"
 #include "common/assert.hpp"
 #include "common/executor.hpp"
-#include "common/work_pool.hpp"
 #include "net/transport/loopback.hpp"
 #include "net/transport/networked_node.hpp"
 #include "protocols/harness.hpp"
@@ -36,7 +35,6 @@ namespace sintra::protocols {
 /// Everything about a NetCluster besides its groups and factory.
 struct NetClusterShape {
   std::size_t executors = 0;  ///< E: ExecutorPool per node (0 = inline dispatch)
-  std::size_t workers = 0;    ///< W: crypto WorkPool per node (0 = inline)
   std::uint64_t seed = 1;     ///< hub seed; party seeds derive from it
   net::transport::LoopbackHub::FaultProfile faults = {};
 };
@@ -45,7 +43,7 @@ template <typename P>
 class NetCluster {
  public:
   /// Build node `id`'s protocol object for group `group` on `party`.  The
-  /// party already has this node's pools and its lane salt.
+  /// party already has this node's pool and its lane salt.
   using Factory = std::function<std::unique_ptr<P>(net::Party& party, int id, int group)>;
 
   /// One Deployment per group (all with the same n); every node is built.
@@ -67,7 +65,7 @@ class NetCluster {
   NetCluster(const NetCluster&) = delete;
   NetCluster& operator=(const NetCluster&) = delete;
 
-  /// Build node `id` blank: a fresh node, fresh pools and a fresh party
+  /// Build node `id` blank: a fresh node, a fresh pool and a fresh party
   /// per group, receiving from the hub again.
   void build(int id) {
     Node& slot = nodes_[static_cast<std::size_t>(id)];
@@ -80,10 +78,6 @@ class NetCluster {
       slot.executors = std::make_unique<common::ExecutorPool>(shape_.executors);
       slot.node->set_executors(slot.executors.get());
     }
-    if (shape_.workers > 0) {
-      slot.workers = std::make_unique<common::WorkPool>(shape_.workers);
-      slot.node->set_work_pool(slot.workers.get());
-    }
     for (int g = 0; g < groups(); ++g) {
       auto& endpoint = slot.node->add_group(static_cast<std::uint32_t>(g));
       const auto party_seed = shape_.seed * 7919 +
@@ -93,7 +87,6 @@ class NetCluster {
           endpoint, id, groups_[static_cast<std::size_t>(g)], party_seed,
           [this, &slot, id, g](net::Party& party) {
             party.set_executors(slot.executors.get());
-            party.set_work_pool(slot.workers.get());
             // Tenants sharing one pool run the same tags: distinct lane
             // salts keep them from serializing on one lane.
             party.set_lane_group(static_cast<std::uint64_t>(g));
@@ -112,16 +105,15 @@ class NetCluster {
     });
   }
 
-  /// SIGKILL node `id`: its pools stop, then its parties (and their
+  /// SIGKILL node `id`: its pool stops, then its parties (and their
   /// in-memory WALs) and its node are destroyed without a snapshot.
   /// Frames addressed to it are dropped until build(id).
   void kill(int id) {
     hub_.set_receiver(id, nullptr);
     Node& slot = nodes_[static_cast<std::size_t>(id)];
-    stop_pools(slot);
+    stop_pool(slot);
     slot.hosts.clear();
     slot.node.reset();
-    slot.workers.reset();
     slot.executors.reset();
   }
 
@@ -147,18 +139,17 @@ class NetCluster {
     return done();
   }
 
-  /// Block until every live node's pools have no work left.
+  /// Block until every live node's pool has no work left.
   void wait_idle() {
     for (Node& slot : nodes_) {
       if (slot.executors) slot.executors->wait_idle();
-      if (slot.workers) slot.workers->wait_idle();
     }
   }
 
   /// Stop (drain and join) every pool; afterwards protocol state reads
   /// from this thread are synchronized.
   void stop() {
-    for (Node& slot : nodes_) stop_pools(slot);
+    for (Node& slot : nodes_) stop_pool(slot);
   }
 
   [[nodiscard]] int n() const { return static_cast<int>(nodes_.size()); }
@@ -176,14 +167,12 @@ class NetCluster {
  private:
   struct Node {
     std::unique_ptr<common::ExecutorPool> executors;
-    std::unique_ptr<common::WorkPool> workers;
     std::unique_ptr<net::transport::NetworkedNode> node;
     std::vector<std::unique_ptr<HostedParty<P>>> hosts;  ///< [group]; destroyed first
   };
 
-  static void stop_pools(Node& slot) {
+  static void stop_pool(Node& slot) {
     if (slot.executors) slot.executors->stop();
-    if (slot.workers) slot.workers->stop();
   }
 
   /// One dispatch pass over every live node; true if anything ran.

@@ -1,17 +1,26 @@
 #include "protocols/optimistic.hpp"
 
-#include "crypto/batch.hpp"
 #include "crypto/sha256.hpp"
 
 namespace sintra::protocols {
 
-using crypto::BigInt;
-using crypto::SigShare;
+using crypto::QuorumSig;
 
 namespace {
 Bytes payload_digest(BytesView payload) {
   auto d = crypto::hash_domain("sintra/opt/payload", payload);
   return Bytes(d.begin(), d.end());
+}
+
+/// Budget cost of a slot entry beyond its payload and certificate.
+constexpr std::size_t kSlotCost = 128;
+
+void encode_sigs(Writer& w, const crypto::Group& group, const std::vector<QuorumSig>& sigs) {
+  w.vec(sigs, [&](Writer& wr, const QuorumSig& s) { s.encode(wr, group); });
+}
+
+std::vector<QuorumSig> decode_sigs(Reader& r, const crypto::Group& group) {
+  return r.vec<QuorumSig>([&](Reader& rd) { return QuorumSig::decode(rd, group); });
 }
 }  // namespace
 
@@ -52,6 +61,18 @@ Bytes OptimisticBroadcast::claim_statement(BytesView claim_body) const {
   return w.take();
 }
 
+bool OptimisticBroadcast::certifies(BytesView statement,
+                                    const std::vector<QuorumSig>& certificate) const {
+  const auto signers = host_.public_keys().quorum_sig.verify_set(statement, certificate);
+  return signers.has_value() && quorum().is_quorum(*signers);
+}
+
+bool OptimisticBroadcast::charge(int from, std::size_t bytes, const char* what) {
+  if (host_.budget().try_charge(from, tag_, bytes)) return true;
+  host_.trace("opt", tag_ + " budget-dropped " + what + " from " + std::to_string(from));
+  return false;
+}
+
 void OptimisticBroadcast::submit(Bytes payload) {
   pending_.push_back(payload);
   if (pessimistic_) {
@@ -79,7 +100,6 @@ void OptimisticBroadcast::handle(int from, Reader& reader) {
   switch (type) {
     case kAssign: return on_assign(from, reader);
     case kShare: return on_share(from, reader);
-    case kShareVerdict: return on_share_verdict(from, reader);
     case kCommit: return on_commit(from, reader);
     case kAck: return on_ack(from, reader);
     case kSwitch: {
@@ -110,95 +130,77 @@ void OptimisticBroadcast::on_assign(int from, Reader& reader) {
   SINTRA_REQUIRE(seq < 1 << 24, "opt: implausible sequence");
   if (switching_ || pessimistic_) return;  // we stopped signing
   if (seq < sign_cursor_ || assign_queue_.contains(seq)) return;
+  if (!charge(from, payload.size() + 16, "assign")) return;
   assign_queue_.emplace(seq, std::move(payload));
   process_assign_queue();
 }
 
 void OptimisticBroadcast::process_assign_queue() {
-  const auto& cert_pk = host_.public_keys().cert_sig;
+  const auto& pk = host_.public_keys().quorum_sig;
   while (true) {
     auto it = assign_queue_.find(sign_cursor_);
     if (it == assign_queue_.end()) return;
     const std::uint64_t seq = sign_cursor_;
     Bytes payload = std::move(it->second);
     assign_queue_.erase(it);
+    host_.budget().release(sequencer_, tag_, payload.size() + 16);
     sign_chain_ = chain_after(seq, payload, sign_chain_);
     ++sign_cursor_;
     const Bytes statement = slot_statement(seq, sign_chain_);
     if (me() == sequencer_) {
-      // Record the canonical payload/statement so incoming shares for this
-      // slot can be verified and combined.
+      // Record the canonical payload/statement so incoming signatures for
+      // this slot can be verified and collected.
       Slot& slot = slots_[seq];
       slot.payload = std::move(payload);
       slot.statement = statement;
     }
-    auto shares = host_.keys().cert_sig.sign(cert_pk, statement, host_.rng());
     Writer w;
     w.u8(kShare);
     w.u64(seq);
-    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    encode_sigs(w, pk.group(), host_.keys().quorum_sig.sign(pk, statement));
     send(sequencer_, w.take());
   }
 }
 
 void OptimisticBroadcast::on_share(int from, Reader& reader) {
   if (me() != sequencer_) return;
+  const auto& pk = host_.public_keys().quorum_sig;
   const std::uint64_t seq = reader.u64();
-  auto shares = reader.vec<SigShare>([](Reader& r) { return SigShare::decode(r); });
+  auto signatures = decode_sigs(reader, pk.group());
   reader.expect_done();
   SINTRA_REQUIRE(seq < next_assign_, "opt: share for unassigned slot");
   Slot& slot = slots_[seq];
   if (slot.commit_sent || slot.statement.empty()) return;
-  // Structural admission only: the sequencer combines an unverified quorum
-  // optimistically and checks the one combined certificate off the event
-  // loop, so the fast path never verifies an individual share.
-  if (slot.shares.admit(host_.public_keys().cert_sig.scheme(), from, std::move(shares),
-                        "opt: shares not the sender's units")) {
-    maybe_commit_slot(seq);
-  }
-}
-
-void OptimisticBroadcast::maybe_commit_slot(std::uint64_t seq) {
-  Slot& slot = slots_[seq];
-  if (slot.commit_sent || slot.statement.empty()) return;
-  if (!quorum().is_quorum(slot.shares.support())) return;
-  Writer prefix;
-  prefix.u8(kShareVerdict);
-  prefix.u64(seq);
-  offload_combine(slot.shares, host_.public_keys().cert_sig, slot.statement, prefix.take());
-}
-
-void OptimisticBroadcast::on_share_verdict(int from, Reader& reader) {
-  std::uint64_t seq = 0;
-  const auto certificate = settle_verdict<BigInt>(
-      from, reader, host_.public_keys().cert_sig.scheme(), suspected_,
-      [&](Reader& r) -> auto& {
-        seq = r.u64();
-        SINTRA_REQUIRE(seq < 1 << 24, "opt: implausible verdict sequence");
-        return slots_[seq].shares;
-      },
-      [&] { maybe_commit_slot(seq); });
-  if (!certificate.has_value()) return;
-  Slot& slot = slots_[seq];
+  const bool admitted = slot.signatures.admit(
+      pk.scheme(), from, me(), std::move(signatures), "opt: signatures not the sender's units",
+      "opt: invalid slot signature", [&](const std::vector<QuorumSig>& incoming) {
+        if (pk.verify_set(slot.statement, incoming).has_value()) return true;
+        suspected_ |= crypto::party_bit(from);
+        return false;
+      });
+  if (!admitted || !quorum().is_quorum(slot.signatures.support())) return;
   slot.commit_sent = true;
   Writer w;
   w.u8(kCommit);
   w.u64(seq);
   w.bytes(slot.payload);
-  certificate->encode(w);
+  encode_sigs(w, pk.group(), slot.signatures.shares());
   broadcast(w.take());
 }
 
 void OptimisticBroadcast::on_commit(int from, Reader& reader) {
   SINTRA_REQUIRE(from == sequencer_, "opt: COMMIT from non-sequencer");
+  const std::size_t cost = kSlotCost + reader.remaining();
   const std::uint64_t seq = reader.u64();
   Bytes payload = reader.bytes();
-  BigInt certificate = BigInt::decode(reader);
+  auto certificate = decode_sigs(reader, host_.public_keys().quorum_sig.group());
   reader.expect_done();
   SINTRA_REQUIRE(seq < 1 << 24, "opt: implausible sequence");
   if (seq < commit_cursor_) return;
+  if (auto it = slots_.find(seq); it != slots_.end() && it->second.committed) return;
+  if (!charge(from, cost, "commit")) return;
   Slot& slot = slots_[seq];
-  if (slot.committed) return;
+  slot.charges.emplace_back(from, cost);
   slot.payload = std::move(payload);
   slot.certificate = std::move(certificate);
   slot.committed = true;
@@ -209,25 +211,35 @@ void OptimisticBroadcast::on_ack(int from, Reader& reader) {
   const std::uint64_t seq = reader.u64();
   reader.expect_done();
   SINTRA_REQUIRE(seq < 1 << 24, "opt: implausible sequence");
-  Slot& slot = slots_[seq];
-  slot.acks |= crypto::party_bit(from);
+  auto it = slots_.find(seq);
+  if (it == slots_.end()) {
+    if (!charge(from, kSlotCost, "ack")) return;
+    it = slots_.emplace(seq, Slot{}).first;
+    it->second.charges.emplace_back(from, kSlotCost);
+  }
+  it->second.acks |= crypto::party_bit(from);
   maybe_deliver_fast();
 }
 
 void OptimisticBroadcast::maybe_deliver_fast() {
-  const auto& cert_pk = host_.public_keys().cert_sig;
   while (true) {
     auto it = slots_.find(commit_cursor_);
     if (it == slots_.end() || !it->second.committed) break;
     Slot& slot = it->second;
-    // Verify the certificate against our committed chain extension.
+    // Verify the certificate against our committed chain extension; the
+    // sequencer checked every signature of its own COMMIT on arrival.
     Bytes next_chain = chain_after(commit_cursor_, slot.payload, commit_chain_);
-    if (!cert_pk.verify(slot_statement(commit_cursor_, next_chain), slot.certificate)) {
+    const Bytes statement = slot_statement(commit_cursor_, next_chain);
+    const bool own = slot.commit_sent && statement == slot.statement;
+    if (!own && !certifies(statement, slot.certificate)) {
       slot.committed = false;  // forged commit; ignore it
       break;
     }
     commit_chain_ = std::move(next_chain);
     ++commit_cursor_;
+    // A committed slot is chain state, no longer a buffer.
+    for (const auto& [peer, bytes] : slot.charges) host_.budget().release(peer, tag_, bytes);
+    slot.charges.clear();
     if (!slot.acked) {
       slot.acked = true;
       Writer w;
@@ -273,6 +285,11 @@ void OptimisticBroadcast::on_switch(int from) {
   if (switching_ || pessimistic_) return;
   switching_ = true;
   host_.trace("opt", tag_ + " switching to pessimistic mode");
+  // We sign no more slots: queued ASSIGNs are dead weight.
+  for (const auto& [seq, payload] : assign_queue_) {
+    host_.budget().release(sequencer_, tag_, payload.size() + 16);
+  }
+  assign_queue_.clear();
   // Relay so every honest party joins even if the signal came from one
   // place, then publish our longest certified chain.
   Writer w;
@@ -294,30 +311,30 @@ Bytes OptimisticBroadcast::my_claim_body() const {
   for (std::uint64_t s = 0; s < commit_cursor_; ++s) {
     w.bytes(slots_.at(s).payload);
   }
-  if (commit_cursor_ > 0) slots_.at(commit_cursor_ - 1).certificate.encode(w);
+  if (commit_cursor_ > 0) {
+    encode_sigs(w, host_.public_keys().quorum_sig.group(),
+                slots_.at(commit_cursor_ - 1).certificate);
+  }
   return w.take();
 }
 
 void OptimisticBroadcast::broadcast_claim() {
+  const auto& pk = host_.public_keys().quorum_sig;
   Bytes body = my_claim_body();
-  auto shares = host_.keys().cert_sig.sign(host_.public_keys().cert_sig,
-                                           claim_statement(body), host_.rng());
   Writer w;
   w.u8(kClaim);
   w.bytes(body);
-  w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+  encode_sigs(w, pk.group(), host_.keys().quorum_sig.sign(pk, claim_statement(body)));
   broadcast(w.take());
 }
 
 bool OptimisticBroadcast::validate_claim(BytesView claim_body, int claimant,
-                                         const std::vector<SigShare>& shares,
+                                         const std::vector<QuorumSig>& signatures,
                                          std::vector<Bytes>* payloads_out) const {
-  const auto& cert_pk = host_.public_keys().cert_sig;
+  const auto& pk = host_.public_keys().quorum_sig;
   try {
-    // Claimant signature over the body: one batched check for the vector.
-    if (!crypto::covers_own_units(cert_pk.scheme(), claimant, shares)) return false;
-    if (!crypto::batch::verify_sig_shares(cert_pk, claim_statement(claim_body), shares,
-                                          host_.rng())) {
+    // The claimant's own signatures over the body, every unit once.
+    if (pk.verify_set(claim_statement(claim_body), signatures) != crypto::party_bit(claimant)) {
       return false;
     }
     // Chain integrity + certificate.
@@ -332,9 +349,8 @@ bool OptimisticBroadcast::validate_claim(BytesView claim_body, int claimant,
       chain = chain_after(s, payload, chain);
       payloads.push_back(std::move(payload));
     }
-    if (length > 0) {
-      BigInt certificate = BigInt::decode(r);
-      if (!cert_pk.verify(slot_statement(length - 1, chain), certificate)) return false;
+    if (length > 0 && !certifies(slot_statement(length - 1, chain), decode_sigs(r, pk.group()))) {
+      return false;
     }
     r.expect_done();
     if (payloads_out != nullptr) *payloads_out = std::move(payloads);
@@ -345,20 +361,22 @@ bool OptimisticBroadcast::validate_claim(BytesView claim_body, int claimant,
 }
 
 void OptimisticBroadcast::on_claim(int from, Reader& reader) {
+  const auto& group = host_.public_keys().quorum_sig.group();
   Bytes body = reader.bytes();
-  auto shares = reader.vec<SigShare>([](Reader& r) { return SigShare::decode(r); });
+  auto signatures = decode_sigs(reader, group);
   reader.expect_done();
   if (!switching_ && !pessimistic_) {
     // A claim implies somebody is switching; join.
     on_switch(from);
   }
   if (crypto::contains(claims_from_, from) || proposed_switch_set_) return;
-  if (!validate_claim(body, from, shares, nullptr)) return;
+  // Our own claim is our own certified chain and signing.
+  if (from != me() && !validate_claim(body, from, signatures, nullptr)) return;
   claims_from_ |= crypto::party_bit(from);
   Writer w;
   w.u32(static_cast<std::uint32_t>(from));
   w.bytes(body);
-  w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+  encode_sigs(w, group, signatures);
   claim_records_.push_back(w.take());
   maybe_propose_switch_set();
 }
@@ -384,9 +402,9 @@ bool OptimisticBroadcast::validate_switch_set(BytesView value) const {
       if (claimant < 0 || claimant >= host_.n()) return false;
       if (crypto::contains(claimants, claimant)) return false;
       Bytes body = rr.bytes();
-      auto shares = rr.vec<SigShare>([](Reader& r) { return SigShare::decode(r); });
+      auto signatures = decode_sigs(rr, host_.public_keys().quorum_sig.group());
       rr.expect_done();
-      if (!validate_claim(body, claimant, shares, nullptr)) return false;
+      if (!validate_claim(body, claimant, signatures, nullptr)) return false;
       claimants |= crypto::party_bit(claimant);
     }
     return quorum().is_quorum(claimants);
@@ -406,9 +424,9 @@ void OptimisticBroadcast::on_switch_set_decided(const Bytes& value) {
     Reader rr(record);
     const int claimant = static_cast<int>(rr.u32());
     Bytes body = rr.bytes();
-    auto shares = rr.vec<SigShare>([](Reader& r) { return SigShare::decode(r); });
+    auto signatures = decode_sigs(rr, host_.public_keys().quorum_sig.group());
     std::vector<Bytes> payloads;
-    if (!validate_claim(body, claimant, shares, &payloads)) continue;  // cannot happen (Q)
+    if (!validate_claim(body, claimant, signatures, &payloads)) continue;  // cannot happen (Q)
     if (payloads.size() > best_payloads.size()) best_payloads = std::move(payloads);
   }
   host_.trace("opt", tag_ + " adopted fast prefix of " +

@@ -7,11 +7,14 @@
 //   1. a fixed sequencer assigns sequence numbers and broadcasts
 //      ASSIGN(seq, payload);
 //   2. every party extends its hash chain over the assigned prefix and
-//      returns a certificate-signature share over (seq, chain) to the
-//      sequencer — the chain value pins the entire prefix, so ONE
-//      certificate is a transferable proof of all deliveries up to seq;
-//   3. the sequencer combines a full quorum of shares into a threshold
-//      certificate and broadcasts COMMIT(seq, payload, cert);
+//      returns its quorum-key signatures (crypto/quorum_sig.hpp) over
+//      (seq, chain) to the sequencer — the chain value pins the entire
+//      prefix, so ONE certificate is a transferable proof of all
+//      deliveries up to seq;
+//   3. the sequencer checks each signer's signatures as they arrive and,
+//      once the signers form a quorum, broadcasts COMMIT(seq, payload,
+//      signatures): the signature set is the certificate, as in
+//      consistent broadcast;
 //   4. parties verify the certificate and broadcast a tiny ACK(seq);
 //      a slot is DELIVERED once a vote quorum ("2t+1") has acked — which
 //      guarantees that a fault-set-exceeding set of honest parties holds
@@ -29,6 +32,11 @@
 // one of them — so the agreed prefix extends every honest delivery.
 // Undelivered payloads are resubmitted to the randomized atomic broadcast
 // and the system continues pessimistically.
+//
+// Slots the commit cursor has not reached and out-of-order ASSIGNs are
+// buffers a peer can fill at will, so each is charged to the peer that
+// caused it against the party's ResourceBudget until the slot commits or
+// the ASSIGN is signed.
 //
 // A single corrupted party can force the switch (a performance, not a
 // safety, concern — mitigations are out of scope, as in KS02).
@@ -57,8 +65,7 @@ class OptimisticBroadcast final : public ProtocolInstance {
   [[nodiscard]] bool pessimistic() const { return pessimistic_; }
   [[nodiscard]] bool switching() const { return switching_; }
   [[nodiscard]] std::uint64_t delivered_count() const { return delivered_count_; }
-  /// Parties whose slot-signature shares the sequencer's combine-then-
-  /// verify fallback proved invalid.
+  /// Parties whose slot signatures the sequencer refused on arrival.
   [[nodiscard]] crypto::PartySet suspected() const { return suspected_; }
 
  private:
@@ -69,27 +76,26 @@ class OptimisticBroadcast final : public ProtocolInstance {
     kAck = 3,
     kSwitch = 4,
     kClaim = 5,
-    kShareVerdict = 6,  ///< self-message: off-loop slot-combine result
   };
 
   struct Slot {
     Bytes payload;
-    crypto::BigInt certificate;
-    bool committed = false;       ///< valid COMMIT received
+    std::vector<crypto::QuorumSig> certificate;
+    bool committed = false;       ///< COMMIT received (verified at the cursor)
     crypto::PartySet acks = 0;
     bool acked = false;           ///< we sent our ACK
     bool delivered = false;
+    /// Budget charges (peer, bytes) held until the slot commits.
+    std::vector<std::pair<int, std::size_t>> charges;
     // Sequencer bookkeeping:
     Bytes statement;              ///< canonical signed statement for the slot
-    crypto::ShareTally<crypto::SigShare> shares;
+    crypto::ShareTally<crypto::QuorumSig> signatures;  ///< verified on arrival
     bool commit_sent = false;
   };
 
   void handle(int from, Reader& reader) override;
   void on_assign(int from, Reader& reader);
   void on_share(int from, Reader& reader);
-  void maybe_commit_slot(std::uint64_t seq);
-  void on_share_verdict(int from, Reader& reader);
   void on_commit(int from, Reader& reader);
   void on_ack(int from, Reader& reader);
   void on_switch(int from);
@@ -99,6 +105,12 @@ class OptimisticBroadcast final : public ProtocolInstance {
   [[nodiscard]] Bytes chain_after(std::uint64_t seq, BytesView payload,
                                   BytesView prev_chain) const;
   [[nodiscard]] Bytes claim_statement(BytesView claim_body) const;
+  /// True iff `certificate` is a quorum's signatures on `statement`.
+  [[nodiscard]] bool certifies(BytesView statement,
+                               const std::vector<crypto::QuorumSig>& certificate) const;
+  /// Charge `bytes` to `from` for a buffered slot or ASSIGN; false (and
+  /// traced) when the budget refuses.
+  [[nodiscard]] bool charge(int from, std::size_t bytes, const char* what);
   void process_assign_queue();
   void maybe_deliver_fast();
   void deliver_payload(Bytes payload);
@@ -106,7 +118,7 @@ class OptimisticBroadcast final : public ProtocolInstance {
   void maybe_propose_switch_set();
   void on_switch_set_decided(const Bytes& value);
   [[nodiscard]] bool validate_claim(BytesView claim_body, int claimant,
-                                    const std::vector<crypto::SigShare>& shares,
+                                    const std::vector<crypto::QuorumSig>& signatures,
                                     std::vector<Bytes>* payloads_out) const;
   [[nodiscard]] bool validate_switch_set(BytesView value) const;
   [[nodiscard]] Bytes my_claim_body() const;
@@ -116,7 +128,7 @@ class OptimisticBroadcast final : public ProtocolInstance {
   bool switching_ = false;
   bool pessimistic_ = false;
   std::uint64_t delivered_count_ = 0;
-  crypto::PartySet suspected_ = 0;  ///< proven bad-share senders
+  crypto::PartySet suspected_ = 0;  ///< senders of invalid slot signatures
 
   // Fast path.
   std::uint64_t next_assign_ = 0;       ///< sequencer: next seq to assign
@@ -126,13 +138,13 @@ class OptimisticBroadcast final : public ProtocolInstance {
   Bytes commit_chain_;                  ///< chain value after commit_cursor_-1
   std::uint64_t deliver_cursor_ = 0;    ///< next fast slot to deliver
   std::map<std::uint64_t, Slot> slots_;
-  std::map<std::uint64_t, Bytes> assign_queue_;  ///< out-of-order assigns
+  std::map<std::uint64_t, Bytes> assign_queue_;  ///< out-of-order assigns (charged)
   std::deque<Bytes> pending_;           ///< our submissions not yet delivered
   std::set<Bytes> delivered_digests_;
 
   // Switch machinery.
   crypto::PartySet claims_from_ = 0;
-  std::vector<Bytes> claim_records_;    ///< encoded (claimant, body, shares)
+  std::vector<Bytes> claim_records_;    ///< encoded (claimant, body, signatures)
   std::uint64_t best_claim_len_ = 0;
   std::unique_ptr<Vba> switch_vba_;
   bool proposed_switch_set_ = false;

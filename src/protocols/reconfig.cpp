@@ -698,11 +698,10 @@ void Reconfig::handle_sig(int origin, Reader& reader) {
   reader.expect_done();
   const auto& reply_pk = host_.public_keys().reply_sig;
   const bool admitted = sig_shares_.admit(
-      reply_pk.scheme(), origin, std::move(shares), "reconfig: shares not the member's units",
-      [&](const std::vector<crypto::SigShare>& incoming) {
-        SINTRA_REQUIRE(
-            crypto::batch::verify_sig_shares(reply_pk, pending_statement_, incoming, host_.rng()),
-            "reconfig: invalid signature share");
+      reply_pk.scheme(), origin, me(), std::move(shares), "reconfig: shares not the member's units",
+      "reconfig: invalid signature share", [&](const std::vector<crypto::SigShare>& incoming) {
+        return crypto::batch::verify_sig_shares(reply_pk, pending_statement_, incoming,
+                                                host_.rng());
       });
   if (!admitted || !reply_pk.scheme().qualified(sig_shares_.support())) return;
   auto combined = reply_pk.combine(pending_statement_, sig_shares_.shares());

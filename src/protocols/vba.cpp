@@ -75,7 +75,6 @@ void Vba::handle(int from, Reader& reader) {
   const std::uint8_t type = reader.u8();
   switch (type) {
     case kPermShare: return on_perm_share(from, reader);
-    case kPermVerdict: return on_perm_verdict(from, reader);
     case kFetch: {
       const int sender = static_cast<int>(reader.u32());
       reader.expect_done();
@@ -112,25 +111,18 @@ void Vba::on_perm_share(int from, Reader& reader) {
       [&](Reader& r) { return CoinShare::decode(r, coin_pk.group()); });
   reader.expect_done();
   if (permutation_.has_value()) return;
-  // Structural admission only; the NIZK proofs are batch-verified off the
-  // event loop once a qualified set has accumulated.
-  if (perm_shares_.admit(coin_pk.scheme(), from, std::move(shares),
-                         "vba: perm shares not the sender's units")) {
-    maybe_combine_perm();
-  }
-}
-
-void Vba::maybe_combine_perm() {
-  const auto& coin_pk = host_.public_keys().coin;
-  if (permutation_.has_value() || !coin_pk.scheme().qualified(perm_shares_.support())) return;
-  offload_combine(perm_shares_, coin_pk, perm_coin_name(), Bytes{kPermVerdict});
-}
-
-void Vba::on_perm_verdict(int from, Reader& reader) {
-  const auto coin_value = settle_verdict<Bytes>(
-      from, reader, host_.public_keys().coin.scheme(), suspected_,
-      [this](Reader&) -> auto& { return perm_shares_; }, [this] { maybe_combine_perm(); });
-  if (coin_value.has_value()) adopt_permutation(*coin_value);
+  const Bytes name = perm_coin_name();
+  const bool admitted = perm_shares_.admit(
+      coin_pk.scheme(), from, me(), std::move(shares), "vba: perm shares not the sender's units",
+      "vba: invalid perm share", [&](const std::vector<CoinShare>& incoming) {
+        if (crypto::batch::verify_coin_shares(coin_pk, name, incoming, host_.rng())) return true;
+        suspected_ |= crypto::party_bit(from);
+        return false;
+      });
+  if (!admitted || !coin_pk.scheme().qualified(perm_shares_.support())) return;
+  const auto coin_value = coin_pk.combine(name, perm_shares_.shares());
+  SINTRA_INVARIANT(coin_value.has_value(), "vba: perm coin combine failed on a qualified set");
+  adopt_permutation(*coin_value);
 }
 
 void Vba::adopt_permutation(BytesView coin_value) {

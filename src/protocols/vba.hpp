@@ -53,7 +53,7 @@ class Vba final : public ProtocolInstance {
   /// exposed for the round-complexity experiments.
   [[nodiscard]] int candidates_tried() const { return candidate_index_ + 1; }
   /// Parties caught sending well-formed-but-invalid permutation-coin
-  /// shares (fingered by the batch verifier's bisection).
+  /// shares (each share vector is checked on arrival).
   [[nodiscard]] crypto::PartySet suspected() const { return suspected_; }
 
  private:
@@ -61,15 +61,12 @@ class Vba final : public ProtocolInstance {
     kPermShare = 0,
     kFetch = 1,
     kProposal = 2,
-    kPermVerdict = 3,  ///< self-message: off-loop perm-coin batch-verify result
   };
 
   void handle(int from, Reader& reader) override;
   void on_proposal_delivered(int sender, CertifiedMessage cm);
   void maybe_release_perm_coin();
   void on_perm_share(int from, Reader& reader);
-  void maybe_combine_perm();
-  void on_perm_verdict(int from, Reader& reader);
   void adopt_permutation(BytesView coin_value);
   void maybe_start_candidate();
   void on_abba_decided(int candidate_index, bool value);

@@ -1,10 +1,10 @@
 // Differential tests for the batch verifier (crypto/batch.hpp): on every
 // input, the batched check must agree with running the strict individual
 // verifier over the whole set — batch accepts iff all individual proofs
-// accept — and bisection must return exactly the corrupted indices.
-// Includes adversarial share pairs with compensating errors that a naive
-// (fixed-weight) sum-check would accept; the independent random weights
-// must reject them.
+// accept — and the RSA bisection must return exactly the corrupted
+// indices.  Includes adversarial share pairs with compensating errors that
+// a naive (fixed-weight) sum-check would accept; the independent random
+// weights must reject them.
 #include <gtest/gtest.h>
 
 #include "crypto/batch.hpp"
@@ -12,155 +12,6 @@
 
 namespace sintra::crypto {
 namespace {
-
-// -- DLEQ ---------------------------------------------------------------------
-
-class BatchDleqTest : public ::testing::Test {
- protected:
-  BatchDleqTest()
-      : rng_(2024),
-        group_(Group::test_group()),
-        g2_(group_->hash_to_element("sintra/test/batch-base", bytes_of("second base"))) {}
-
-  batch::DleqItem make_item(int i) {
-    const std::string ctx = "dleq-item-" + std::to_string(i);
-    BigInt x = group_->random_scalar(rng_);
-    Element h1 = group_->exp_g(x);
-    Element h2 = group_->exp(g2_, x);
-    DleqProof proof = DleqProof::prove(*group_, ctx, group_->g(), h1, g2_, h2, x, rng_);
-    return batch::DleqItem{ctx, std::move(h1), std::move(h2), std::move(proof)};
-  }
-
-  std::vector<batch::DleqItem> make_items(int k) {
-    std::vector<batch::DleqItem> items;
-    for (int i = 0; i < k; ++i) items.push_back(make_item(i));
-    return items;
-  }
-
-  bool all_individual(const std::vector<batch::DleqItem>& items) {
-    for (const auto& item : items) {
-      if (!item.proof.verify(*group_, item.context, group_->g(), item.h1, g2_, item.h2)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  Rng rng_;
-  GroupPtr group_;
-  Element g2_;
-};
-
-TEST_F(BatchDleqTest, CleanBatchMatchesIndividual) {
-  auto items = make_items(16);
-  ASSERT_TRUE(all_individual(items));
-  EXPECT_TRUE(batch::verify_dleq(*group_, group_->g(), g2_, items, rng_));
-  EXPECT_TRUE(batch::find_invalid_dleq(*group_, group_->g(), g2_, items, rng_).empty());
-  EXPECT_TRUE(batch::verify_dleq(*group_, group_->g(), g2_, {}, rng_));
-}
-
-TEST_F(BatchDleqTest, CorruptedSubsetFingeredExactly) {
-  auto items = make_items(13);
-  // Corrupt a spread of positions with different kinds of damage.
-  items[0].proof.z = group_->scalar_add(items[0].proof.z, BigInt(1));
-  items[5].proof.a1 = group_->mul(items[5].proof.a1, group_->g());
-  items[12].h2 = group_->mul(items[12].h2, g2_);
-  ASSERT_FALSE(all_individual(items));
-  EXPECT_FALSE(batch::verify_dleq(*group_, group_->g(), g2_, items, rng_));
-  EXPECT_EQ(batch::find_invalid_dleq(*group_, group_->g(), g2_, items, rng_),
-            (std::vector<std::size_t>{0, 5, 12}));
-}
-
-TEST_F(BatchDleqTest, EverySingleCorruptionDetected) {
-  // Differential sweep: one corrupted position at a time, across the whole
-  // batch — batch accept must track all-individual accept exactly.
-  for (std::size_t bad = 0; bad < 8; ++bad) {
-    auto items = make_items(8);
-    items[bad].proof.z = group_->scalar_add(items[bad].proof.z, BigInt(7));
-    ASSERT_FALSE(all_individual(items));
-    EXPECT_FALSE(batch::verify_dleq(*group_, group_->g(), g2_, items, rng_));
-    EXPECT_EQ(batch::find_invalid_dleq(*group_, group_->g(), g2_, items, rng_),
-              std::vector<std::size_t>{bad});
-  }
-}
-
-TEST_F(BatchDleqTest, CompensatingResponsePairRejected) {
-  // The response z is outside the Fiat–Shamir hash, so adding delta to one
-  // proof's response and subtracting it from another multiplies the two
-  // equation sides by g^delta and g^-delta: a naive fixed-weight sum-check
-  // cancels the errors and accepts.  Independent random weights make the
-  // cancellation happen with probability 2^-128.
-  auto items = make_items(6);
-  const BigInt delta(123456789);
-  items[1].proof.z = group_->scalar_add(items[1].proof.z, delta);
-  items[4].proof.z = group_->scalar_sub(items[4].proof.z, delta);
-  ASSERT_FALSE(all_individual(items));
-  EXPECT_FALSE(batch::verify_dleq(*group_, group_->g(), g2_, items, rng_));
-  EXPECT_EQ(batch::find_invalid_dleq(*group_, group_->g(), g2_, items, rng_),
-            (std::vector<std::size_t>{1, 4}));
-}
-
-TEST_F(BatchDleqTest, CrossEquationCompensationRejected) {
-  // Within ONE proof: grow the first equation's commitment by d and shrink
-  // the second's by d.  A batch that reused one weight for both equations
-  // of a DLEQ proof would cancel these; independent weights must not.
-  auto items = make_items(4);
-  const Element d = group_->exp_g(BigInt(42));
-  items[2].proof.a1 = group_->mul(items[2].proof.a1, d);
-  items[2].proof.a2 = group_->mul(items[2].proof.a2, group_->inv(d));
-  ASSERT_FALSE(all_individual(items));
-  EXPECT_FALSE(batch::verify_dleq(*group_, group_->g(), g2_, items, rng_));
-  EXPECT_EQ(batch::find_invalid_dleq(*group_, group_->g(), g2_, items, rng_),
-            std::vector<std::size_t>{2});
-}
-
-// -- Schnorr ------------------------------------------------------------------
-
-class BatchSchnorrTest : public ::testing::Test {
- protected:
-  BatchSchnorrTest() : rng_(77), group_(Group::test_group()) {}
-
-  std::vector<batch::SchnorrItem> make_items(int k) {
-    std::vector<batch::SchnorrItem> items;
-    for (int i = 0; i < k; ++i) {
-      const std::string ctx = "schnorr-item-" + std::to_string(i);
-      BigInt x = group_->random_scalar(rng_);
-      Element h = group_->exp_g(x);
-      SchnorrProof proof = SchnorrProof::prove(*group_, ctx, group_->g(), h, x, rng_);
-      items.push_back(batch::SchnorrItem{ctx, std::move(h), std::move(proof)});
-    }
-    return items;
-  }
-
-  bool all_individual(const std::vector<batch::SchnorrItem>& items) {
-    for (const auto& item : items) {
-      if (!item.proof.verify(*group_, item.context, group_->g(), item.h)) return false;
-    }
-    return true;
-  }
-
-  Rng rng_;
-  GroupPtr group_;
-};
-
-TEST_F(BatchSchnorrTest, CleanBatchMatchesIndividual) {
-  auto items = make_items(16);
-  ASSERT_TRUE(all_individual(items));
-  EXPECT_TRUE(batch::verify_schnorr(*group_, group_->g(), items, rng_));
-  EXPECT_TRUE(batch::find_invalid_schnorr(*group_, group_->g(), items, rng_).empty());
-}
-
-TEST_F(BatchSchnorrTest, CompensatingPairRejectedAndFingered) {
-  auto items = make_items(9);
-  const BigInt delta(999);
-  items[0].proof.z = group_->scalar_add(items[0].proof.z, delta);
-  items[8].proof.z = group_->scalar_sub(items[8].proof.z, delta);
-  items[3].proof.a = group_->mul(items[3].proof.a, group_->g());
-  ASSERT_FALSE(all_individual(items));
-  EXPECT_FALSE(batch::verify_schnorr(*group_, group_->g(), items, rng_));
-  EXPECT_EQ(batch::find_invalid_schnorr(*group_, group_->g(), items, rng_),
-            (std::vector<std::size_t>{0, 3, 8}));
-}
 
 // -- coin shares --------------------------------------------------------------
 
@@ -197,15 +48,33 @@ TEST_F(BatchCoinTest, CleanQuorumVerifiesAndCombines) {
   auto shares = shares_for(name, {0, 1, 2, 3, 4});
   ASSERT_TRUE(all_individual(name, shares));
   EXPECT_TRUE(batch::verify_coin_shares(deal_.public_key, name, shares, rng_));
-  auto expected = deal_.public_key.combine(name, shares);
-  ASSERT_TRUE(expected.has_value());
-  auto result = batch::combine_coin_optimistic(deal_.public_key, name, shares, rng_);
-  ASSERT_TRUE(result.value.has_value());
-  EXPECT_EQ(*result.value, *expected);
-  EXPECT_TRUE(result.bad.empty());
+  EXPECT_TRUE(batch::verify_coin_shares(deal_.public_key, name, {}, rng_));
+  EXPECT_TRUE(deal_.public_key.combine(name, shares).has_value());
 }
 
-TEST_F(BatchCoinTest, CompensatingTamperedPairRejectedExactly) {
+TEST_F(BatchCoinTest, EverySingleCorruptionDetected) {
+  // Differential sweep: one corrupted position at a time, across the whole
+  // batch — batch accept must track all-individual accept exactly.
+  Bytes name = bytes_of("batch-coin-sweep");
+  const auto& group = deal_.public_key.group();
+  for (std::size_t bad = 0; bad < 6; ++bad) {
+    auto shares = shares_for(name, {0, 1, 2, 3, 4, 5});
+    switch (bad % 3) {
+      case 0: shares[bad].proof.z = group.scalar_add(shares[bad].proof.z, BigInt(7)); break;
+      case 1: shares[bad].proof.a1 = group.mul(shares[bad].proof.a1, group.g()); break;
+      default: shares[bad].value = group.mul(shares[bad].value, group.g()); break;
+    }
+    ASSERT_FALSE(all_individual(name, shares));
+    EXPECT_FALSE(batch::verify_coin_shares(deal_.public_key, name, shares, rng_)) << bad;
+  }
+}
+
+TEST_F(BatchCoinTest, CompensatingTamperedPairRejected) {
+  // The response z is outside the Fiat–Shamir hash, so adding delta to one
+  // proof's response and subtracting it from another multiplies the two
+  // equation sides by g^delta and g^-delta: a naive fixed-weight sum-check
+  // cancels the errors and accepts.  Independent random weights make the
+  // cancellation happen with probability 2^-128.
   Bytes name = bytes_of("batch-coin-adv");
   auto shares = shares_for(name, {0, 1, 2, 3});
   const auto& group = deal_.public_key.group();
@@ -214,35 +83,20 @@ TEST_F(BatchCoinTest, CompensatingTamperedPairRejectedExactly) {
   shares[3].proof.z = group.scalar_sub(shares[3].proof.z, delta);
   ASSERT_FALSE(all_individual(name, shares));
   EXPECT_FALSE(batch::verify_coin_shares(deal_.public_key, name, shares, rng_));
-  EXPECT_EQ(batch::find_invalid_coin_shares(deal_.public_key, name, shares, rng_),
-            (std::vector<std::size_t>{0, 3}));
 }
 
-TEST_F(BatchCoinTest, OptimisticCombineFingersCulpritAndRecovers) {
-  // Four parties' shares, threshold three: after ejecting the one bad
-  // share the remainder still qualifies, so the combiner both fingers the
-  // culprit and produces the correct coin.
-  Bytes name = bytes_of("batch-coin-recover");
+TEST_F(BatchCoinTest, CrossEquationCompensationRejected) {
+  // Within ONE proof: grow the first equation's commitment by d and shrink
+  // the second's by d.  A batch that reused one weight for both equations
+  // of a DLEQ proof would cancel these; independent weights must not.
+  Bytes name = bytes_of("batch-coin-cross");
   auto shares = shares_for(name, {0, 1, 2, 3});
-  auto honest = deal_.public_key.combine(name, shares_for(name, {1, 2, 3}));
-  ASSERT_TRUE(honest.has_value());
-  shares[0].value = deal_.public_key.group().mul(shares[0].value,
-                                                 deal_.public_key.group().g());
-  auto result = batch::combine_coin_optimistic(deal_.public_key, name, shares, rng_);
-  EXPECT_EQ(result.bad, std::vector<std::size_t>{0});
-  ASSERT_TRUE(result.value.has_value());
-  EXPECT_EQ(*result.value, *honest);
-}
-
-TEST_F(BatchCoinTest, OptimisticCombineBareQuorumFailsClosed) {
-  // Exactly-threshold set with one bad share: the culprit is fingered and
-  // no value can be produced from the remainder.
-  Bytes name = bytes_of("batch-coin-bare");
-  auto shares = shares_for(name, {0, 1, 2});
-  shares[1].proof.z = deal_.public_key.group().scalar_add(shares[1].proof.z, BigInt(5));
-  auto result = batch::combine_coin_optimistic(deal_.public_key, name, shares, rng_);
-  EXPECT_FALSE(result.value.has_value());
-  EXPECT_EQ(result.bad, std::vector<std::size_t>{1});
+  const auto& group = deal_.public_key.group();
+  const Element d = group.exp_g(BigInt(42));
+  shares[2].proof.a1 = group.mul(shares[2].proof.a1, d);
+  shares[2].proof.a2 = group.mul(shares[2].proof.a2, group.inv(d));
+  ASSERT_FALSE(all_individual(name, shares));
+  EXPECT_FALSE(batch::verify_coin_shares(deal_.public_key, name, shares, rng_));
 }
 
 // -- TDH2 ---------------------------------------------------------------------
@@ -268,33 +122,12 @@ TEST_F(BatchTdh2Test, DecSharesDifferential) {
   }
   for (const auto& s : shares) EXPECT_TRUE(deal_.public_key.verify_share(ct, s));
   EXPECT_TRUE(batch::verify_dec_shares(deal_.public_key, ct, shares, rng_));
-  // Compensating tamper across two shares — must be fingered exactly.
+  // Compensating tamper across two shares — must be rejected.
   const auto& group = deal_.public_key.group();
   const BigInt delta(271828);
   shares[2].proof.z = group.scalar_add(shares[2].proof.z, delta);
   shares[3].proof.z = group.scalar_sub(shares[3].proof.z, delta);
   EXPECT_FALSE(batch::verify_dec_shares(deal_.public_key, ct, shares, rng_));
-  EXPECT_EQ(batch::find_invalid_dec_shares(deal_.public_key, ct, shares, rng_),
-            (std::vector<std::size_t>{2, 3}));
-}
-
-TEST_F(BatchTdh2Test, CiphertextBatchDifferential) {
-  std::vector<Tdh2Ciphertext> cts;
-  for (int i = 0; i < 8; ++i) {
-    cts.push_back(deal_.public_key.encrypt(bytes_of("payload-" + std::to_string(i)),
-                                           bytes_of("label"), rng_));
-  }
-  for (const auto& ct : cts) EXPECT_TRUE(deal_.public_key.check_ciphertext(ct));
-  EXPECT_TRUE(batch::verify_ciphertexts(deal_.public_key, cts, rng_));
-  const auto& group = deal_.public_key.group();
-  const BigInt delta(314159);
-  cts[1].f = group.scalar_add(cts[1].f, delta);
-  cts[6].f = group.scalar_sub(cts[6].f, delta);
-  EXPECT_FALSE(deal_.public_key.check_ciphertext(cts[1]));
-  EXPECT_FALSE(deal_.public_key.check_ciphertext(cts[6]));
-  EXPECT_FALSE(batch::verify_ciphertexts(deal_.public_key, cts, rng_));
-  EXPECT_EQ(batch::find_invalid_ciphertexts(deal_.public_key, cts, rng_),
-            (std::vector<std::size_t>{1, 6}));
 }
 
 // -- threshold RSA signature shares -------------------------------------------

@@ -431,15 +431,15 @@ Bytes abba_coin_message(const adversary::Deployment& deployment, int round,
   return w.take();
 }
 
-TEST(OptimisticCombineAttackTest, AbbaCoinFingersInvalidShareAndTerminates) {
+TEST(CoinShareAttackTest, AbbaCoinFingersInvalidShareAndTerminates) {
   // Sneakiest Byzantine coin strategy: party 3 follows the protocol
   // everywhere EXCEPT that the coin share its peers receive is tampered
   // (real coin key, correct coin name, perturbed DLEQ response).  We model
   // it by running party 3 honestly and pre-injecting the tampered share
   // for round 3 (the first threshold-coin round) under its identity; FIFO
   // delivery parks the injected copy first, so the honest copy is
-  // deduplicated away at every peer and the bad share provably sits in
-  // the round-3 combine set.
+  // deduplicated away at every peer and the bad share provably reaches
+  // every peer's round-3 tally first.
   Rng rng(11);
   auto deployment = adversary::Deployment::threshold(4, 1, rng);
   net::FifoScheduler sched;
@@ -455,8 +455,7 @@ TEST(OptimisticCombineAttackTest, AbbaCoinFingersInvalidShareAndTerminates) {
     inject_from(cluster.simulator(), 4, 3, "ba/0", abba_coin_message(deployment, 3, shares));
   }
   // 2-2 input split: rounds 1 and 2 cannot settle it, so the threshold
-  // coin of round 3 IS tossed and every party runs the batched combine
-  // over a set containing the tampered share.
+  // coin of round 3 IS tossed and every party checks the tampered share.
   std::vector<int> inputs = {1, 0, 1, 0};
   cluster.for_each([&](int id, AbbaState& s) {
     s.abba->start(inputs[static_cast<std::size_t>(id)] == 1);
@@ -473,7 +472,7 @@ TEST(OptimisticCombineAttackTest, AbbaCoinFingersInvalidShareAndTerminates) {
     EXPECT_EQ(s.abba->suspected() & ~crypto::party_bit(3), 0u) << "party " << id;
     fingered_union |= s.abba->suspected();
   });
-  // ...and the batched fallback caught the tampered share somewhere.
+  // ...and the check on arrival caught the tampered share somewhere.
   EXPECT_EQ(fingered_union, crypto::party_bit(3));
 }
 
@@ -1832,12 +1831,11 @@ TEST(ShortShareVectorTest, CausalRefusesPartialUnitSetUnderExample2) {
 
 // ---- culprits of the permutation coin ----------------------------------------
 
-TEST(OptimisticCombineAttackTest, VbaPermCoinFingersInvalidShareAndDecides) {
+TEST(CoinShareAttackTest, VbaPermCoinFingersInvalidShareAndDecides) {
   // Party 3 runs honestly, but a permutation-coin share with a perturbed
-  // proof is injected under its identity first; FIFO delivery makes the
-  // honest copy a duplicate, so the first perm-coin combine at every peer
-  // holds the tampered share.  The batch verifier's bisection must finger
-  // exactly party 3, and the VBA still decides.
+  // proof is injected under its identity first; FIFO delivery makes it the
+  // first perm-coin share from party 3 at every peer.  The check on
+  // arrival must finger exactly party 3, and the VBA still decides.
   Rng rng(53);
   auto deployment = adversary::Deployment::threshold(4, 1, rng);
   net::FifoScheduler sched;
@@ -1862,163 +1860,96 @@ TEST(OptimisticCombineAttackTest, VbaPermCoinFingersInvalidShareAndDecides) {
   EXPECT_EQ(fingered_union, crypto::party_bit(3));
 }
 
-// ---- verdict self-messages -----------------------------------------------------
+// ---- a failing sender is checked once ----------------------------------------
 //
-// An off-loop combine reports back as a self-message:
-//   [type][key][u32 attempt][vec<u32> bad units][u8 ok][result].
-// For every instance that combines off the event loop, a verdict from a
-// peer is refused (and changes nothing), and a replayed verdict for an
-// attempt that already settled — what WAL replay re-delivers — is ignored.
-// Both forged verdicts name party 1 (honest) as the owner of a bad share:
-// acting on either would finger it.
+// Party 3 sends a tampered coin share, the same tampered share again, then
+// a valid one.  The first fails its check on arrival and strikes party 3
+// from that tally, so neither later copy is checked or counted: every
+// honest party refuses party 3 exactly once.  A tally that did not bar the
+// sender would check the replay as well and refuse it a second time.
 
-/// A failed verdict: `prefix` (type and key), then `attempt`, then party
-/// 1's units as the bad ones.
-Bytes forged_verdict(const adversary::Deployment& deployment, bool coin, const Bytes& prefix,
-                     std::uint32_t attempt) {
-  const auto& pub = deployment.keys->public_keys();
-  const crypto::LinearScheme& scheme = coin ? pub.coin.scheme() : pub.cert_sig.scheme();
-  Writer w;
-  w.raw(prefix);
-  w.u32(attempt);
-  w.vec(scheme.units_of(1), [](Writer& wr, const int& unit) {
-    wr.u32(static_cast<std::uint32_t>(unit));
-  });
-  w.u8(0);
-  return w.take();
+/// Refusals `party` traced for messages from party 3 with reason `text`.
+std::size_t refusals_from_3(const TraceLog& log, int party, std::string_view text) {
+  return static_cast<std::size_t>(
+      std::count_if(log.events().begin(), log.events().end(), [&](const TraceEvent& e) {
+        return e.party == party && e.message.find("from 3: ") != std::string::npos &&
+               e.message.find(text) != std::string::npos;
+      }));
 }
 
-/// Hand `payload` to party `id` as a message from itself, as WAL replay
-/// does.
-void replay_to_self(net::Party& party, const std::string& tag, Bytes payload) {
-  net::Message m;
-  m.from = party.id();
-  m.to = party.id();
-  m.tag = tag;
-  m.payload = std::move(payload);
-  party.on_message(m);
-}
-
-enum class VerdictSite { kSlot, kVba, kAbbaCoin };
-
-std::string verdict_site_name(const ::testing::TestParamInfo<VerdictSite>& info) {
-  switch (info.param) {
-    case VerdictSite::kSlot: return "OptimisticSlot";
-    case VerdictSite::kVba: return "VbaPermCoin";
-    case VerdictSite::kAbbaCoin: return "AbbaCoin";
-  }
-  return "Unknown";
-}
-
-struct OptState {
-  std::unique_ptr<protocols::OptimisticBroadcast> opt;
-  std::vector<Bytes> log;
-};
-
-class VerdictSelfMessageTest : public ::testing::TestWithParam<VerdictSite> {};
-
-TEST_P(VerdictSelfMessageTest, PeerVerdictDroppedAndStaleReplayIgnored) {
-  Rng rng(59);
+TEST(CoinShareAttackTest, AbbaCoinFailingSenderIsCheckedOnce) {
+  // Party 3 otherwise runs honestly.  Its three shares are injected as
+  // soon as the last party enters round 2: round-3 traffic is then no
+  // longer parked anywhere, and no party has tossed the round-3 coin yet.
+  Rng rng(11);
   auto deployment = adversary::Deployment::threshold(4, 1, rng);
   net::FifoScheduler sched;
   TraceLog log;
   log.set_enabled(true);
-  constexpr std::uint64_t kSteps = 20000000;
-  // Peer verdicts go to parties 0..2 ahead of any protocol traffic.
-  auto expect_peer_verdicts_refused = [&] {
-    EXPECT_EQ(trace_count(log, "verdict from another party"), 3u);
-  };
-  switch (GetParam()) {
-    case VerdictSite::kSlot: {
-      protocols::Cluster<OptState> cluster(
-          deployment, sched,
-          [](net::Party& party, int) {
-            auto s = std::make_unique<OptState>();
-            s->opt = std::make_unique<protocols::OptimisticBroadcast>(
-                party, "opt", 0, [p = s.get()](Bytes payload) { p->log.push_back(payload); });
-            return s;
-          },
-          0, 0, 59, &log);
-      Writer prefix;
-      prefix.u8(6);  // OptimisticBroadcast::kShareVerdict
-      prefix.u64(0);
-      cluster.start();
-      inject_from(cluster.simulator(), 4, 3, "opt",
-                  forged_verdict(deployment, false, prefix.data(), 1));
-      cluster.protocol(0)->opt->submit(bytes_of("slot zero"));
-      ASSERT_TRUE(cluster.run_until_all([](OptState& s) { return !s.log.empty(); }, kSteps));
-      expect_peer_verdicts_refused();
-      ASSERT_NO_THROW(replay_to_self(*cluster.party(0), "opt",
-                                     forged_verdict(deployment, false, prefix.data(), 1)));
-      cluster.simulator().run(kSteps);
-      cluster.for_each([](int id, OptState& s) {
-        EXPECT_EQ(s.log, std::vector<Bytes>{bytes_of("slot zero")}) << "party " << id;
-        EXPECT_FALSE(s.opt->pessimistic()) << "party " << id;
-        EXPECT_EQ(s.opt->suspected(), 0u) << "party " << id;
-      });
-      break;
+  protocols::Cluster<AbbaState> cluster(deployment, sched, make_abba_state, 0, 0, 11, &log);
+  cluster.start();
+  // 2-2 input split: rounds 1 and 2 cannot settle it.
+  std::vector<int> inputs = {1, 0, 1, 0};
+  cluster.for_each([&](int id, AbbaState& s) {
+    s.abba->start(inputs[static_cast<std::size_t>(id)] == 1);
+  });
+  ASSERT_TRUE(cluster.run_until_all(
+      [&](AbbaState&) { return trace_count(log, "ba/0 advancing to round 2") >= 4; }, 3000000));
+  ASSERT_EQ(trace_count(log, "ba/0 coin r3 ="), 0u);
+  {
+    Rng attacker_rng(2929);
+    const auto& pk = deployment.keys->public_keys().coin;
+    auto valid = deployment.keys->share(3).coin.share(pk, abba_coin_name(3), attacker_rng);
+    auto tampered = valid;
+    for (auto& s : tampered) s.proof.z = pk.group().scalar_add(s.proof.z, BigInt(1));
+    for (const auto* shares : {&tampered, &tampered, &valid}) {
+      inject_from(cluster.simulator(), 4, 3, "ba/0", abba_coin_message(deployment, 3, *shares));
     }
-    case VerdictSite::kVba: {
-      auto cluster = make_vba_cluster(deployment, sched, 59, &log);
-      const Bytes prefix{3};  // Vba::kPermVerdict
-      cluster.start();
-      inject_from(cluster.simulator(), 4, 3, "vba/0", forged_verdict(deployment, true, prefix, 1));
-      cluster.for_each(
-          [](int id, VbaState& s) { s.vba->propose(bytes_of("v" + std::to_string(id))); });
-      ASSERT_TRUE(cluster.run_until_all([](VbaState& s) { return s.decision.has_value(); },
-                                        kSteps));
-      expect_peer_verdicts_refused();
-      ASSERT_NO_THROW(replay_to_self(*cluster.party(0), "vba/0",
-                                     forged_verdict(deployment, true, prefix, 1)));
-      cluster.simulator().run(kSteps);
-      const Bytes common = *cluster.protocol(0)->decision;
-      cluster.for_each([&](int id, VbaState& s) {
-        EXPECT_EQ(*s.decision, common) << "party " << id;
-        EXPECT_EQ(s.vba->suspected(), 0u) << "party " << id;
-      });
-      break;
-    }
-    case VerdictSite::kAbbaCoin: {
-      protocols::Cluster<AbbaState> cluster(deployment, sched, make_abba_state, 0, 0, 59, &log);
-      Writer prefix;
-      prefix.u8(protocols::Abba::kCoinVerdict);
-      prefix.u32(3);
-      cluster.start();
-      inject_from(cluster.simulator(), 4, 3, "ba/0",
-                  forged_verdict(deployment, true, prefix.data(), 1));
-      // Split inputs: rounds 1 and 2 cannot settle it, so round 3 tosses
-      // the threshold coin.  A halted instance drops every message unread,
-      // so the stale verdict is replayed while the instance still runs:
-      // right after party 0 adopted the round-3 coin.
-      cluster.for_each([](int id, AbbaState& s) { s.abba->start(id % 2 == 0); });
-      ASSERT_TRUE(cluster.simulator().run_until(
-          [&] {
-            return std::any_of(log.events().begin(), log.events().end(), [](const TraceEvent& e) {
-              return e.party == 0 && e.message.find("ba/0 coin r3 =") != std::string::npos;
-            });
-          },
-          kSteps));
-      ASSERT_GT(cluster.protocol(0)->abba->live_rounds(), 0u) << "party 0 already halted";
-      ASSERT_NO_THROW(replay_to_self(*cluster.party(0), "ba/0",
-                                     forged_verdict(deployment, true, prefix.data(), 1)));
-      ASSERT_TRUE(cluster.run_until_all([](AbbaState& s) { return s.decision.has_value(); },
-                                        kSteps));
-      expect_peer_verdicts_refused();
-      std::optional<bool> common;
-      cluster.for_each([&](int id, AbbaState& s) {
-        if (!common.has_value()) common = s.decision;
-        EXPECT_EQ(*s.decision, *common) << "party " << id;
-        EXPECT_EQ(s.abba->suspected(), 0u) << "party " << id;
-      });
-      break;
-    }
+  }
+  ASSERT_TRUE(cluster.run_until_all(
+      [](AbbaState& s) { return s.decision.has_value(); }, 3000000));
+  ASSERT_GT(trace_count(log, "ba/0 coin r3 =", 3), 0u) << "the run never tossed the coin";
+  const bool common = *cluster.protocol(0)->decision;
+  for (int id = 0; id < 3; ++id) {
+    const AbbaState& s = *cluster.protocol(id);
+    EXPECT_EQ(*s.decision, common) << "party " << id;
+    EXPECT_EQ(refusals_from_3(log, id, "abba: invalid coin share"), 1u) << "party " << id;
+    EXPECT_EQ(s.abba->suspected(), crypto::party_bit(3)) << "party " << id;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(OffLoopCombines, VerdictSelfMessageTest,
-                         ::testing::Values(VerdictSite::kSlot, VerdictSite::kVba,
-                                           VerdictSite::kAbbaCoin),
-                         verdict_site_name);
+TEST(CoinShareAttackTest, VbaPermFailingSenderIsCheckedOnce) {
+  // No honest party releases its permutation share before it holds a
+  // quorum of proposals, so the three shares injected up front all arrive
+  // before any permutation can be combined.
+  Rng rng(31);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  TraceLog log;
+  log.set_enabled(true);
+  auto cluster = make_vba_cluster(deployment, sched, 31, &log);
+  cluster.start();
+  {
+    Rng attacker_rng(3131);
+    const auto& pk = deployment.keys->public_keys().coin;
+    auto valid = deployment.keys->share(3).coin.share(pk, vba_perm_coin_name(), attacker_rng);
+    auto tampered = valid;
+    for (auto& s : tampered) s.proof.z = pk.group().scalar_add(s.proof.z, BigInt(1));
+    for (const auto* shares : {&tampered, &tampered, &valid}) {
+      inject_from(cluster.simulator(), 4, 3, "vba/0", perm_share_payload(pk, *shares));
+    }
+  }
+  cluster.for_each([](int id, VbaState& s) { s.vba->propose(bytes_of("v" + std::to_string(id))); });
+  ASSERT_TRUE(cluster.run_until_all([](VbaState& s) { return s.decision.has_value(); },
+                                    20000000));
+  const Bytes common = *cluster.protocol(0)->decision;
+  for (int id = 0; id < 3; ++id) {
+    const VbaState& s = *cluster.protocol(id);
+    EXPECT_EQ(*s.decision, common) << "party " << id;
+    EXPECT_EQ(refusals_from_3(log, id, "vba: invalid perm share"), 1u) << "party " << id;
+    EXPECT_EQ(s.vba->suspected(), crypto::party_bit(3)) << "party " << id;
+  }
+}
 
 }  // namespace
 }  // namespace sintra

@@ -22,6 +22,7 @@
 #include "protocols/atomic.hpp"
 #include "protocols/baselines/pbft_like.hpp"
 #include "protocols/broadcast.hpp"
+#include "protocols/optimistic.hpp"
 #include "protocols/harness.hpp"
 
 namespace sintra::protocols {
@@ -309,6 +310,91 @@ TEST(MemoryBudgetTest, BogusInstanceTagFloodBoundsThePartyBuffer) {
       ASSERT_NE(party, nullptr);
       expect_governed(*party, config, /*attacker=*/3);
       governance_hits += party->budget().rejected() + party->budget().evictions();
+    });
+    EXPECT_GT(governance_hits, 0u) << "flood never hit the budget: vacuous run";
+  }
+}
+
+// ------------------------------------------- optimistic slot flooding --
+
+struct OptState {
+  std::unique_ptr<OptimisticBroadcast> opt;
+  std::vector<Bytes> delivered;
+};
+
+/// Party 3 sprays one optimistic message type at parties 0..2 for slots
+/// 1000, 1001, ...: ACKs (any party may send them) or, as a Byzantine
+/// sequencer, far-future ASSIGNs with a 256-byte payload.
+class OptSlotFlooder final : public net::Process {
+ public:
+  OptSlotFlooder(net::Simulator& sim, std::uint8_t type) : sim_(sim), type_(type) {}
+  void on_start() override {
+    for (std::uint64_t seq = 1000; seq < 1500; ++seq) {
+      Writer w;
+      w.u8(type_);
+      w.u64(seq);
+      if (type_ == 0) w.bytes(Bytes(256, 0xab));  // kAssign
+      for (int to = 0; to < 3; ++to) {
+        net::Message m;
+        m.from = 3;
+        m.to = to;
+        m.tag = "opt";
+        m.payload = w.data();
+        sim_.submit(std::move(m));
+      }
+    }
+  }
+  void on_message(const net::Message&) override {}
+
+ private:
+  net::Simulator& sim_;
+  std::uint8_t type_;
+};
+
+TEST(MemoryBudgetTest, OptimisticAckAndAssignFloodsStayBoundedAndDeliver) {
+  // Optimistic broadcast buffers a slot for every ACK beyond its commit
+  // cursor and every out-of-order ASSIGN.  An ACK flood from a peer must
+  // not stop the fast path; a far-future ASSIGN flood from a Byzantine
+  // sequencer stalls it, and the switch delivers instead.
+  constexpr std::uint8_t kAssign = 0;
+  constexpr std::uint8_t kAck = 3;
+  for (const std::uint8_t type : {kAck, kAssign}) {
+    SCOPED_TRACE(type == kAck ? "ack flood" : "assign flood");
+    const int sequencer = type == kAck ? 0 : 3;
+    Rng rng(5);
+    auto deployment = adversary::Deployment::threshold(4, 1, rng);
+    net::RandomScheduler sched(505);
+    const auto config = tight_budget();
+    ChaosCluster<OptState> cluster(
+        deployment, sched,
+        [sequencer](net::Party& party, int id) {
+          auto state = std::make_unique<OptState>();
+          state->opt = std::make_unique<OptimisticBroadcast>(
+              party, "opt", sequencer,
+              [s = state.get()](Bytes payload) { s->delivered.push_back(std::move(payload)); });
+          state->opt->submit(bytes_of("w" + std::to_string(id)));
+          return state;
+        },
+        5);
+    cluster.set_custom(3, [&] { return std::make_unique<OptSlotFlooder>(cluster.simulator(), type); });
+    cluster.set_budget(config);
+    cluster.start();
+    if (type == kAssign) {
+      cluster.simulator().run(200000);
+      cluster.for_each([](int, OptState& s) { EXPECT_TRUE(s.delivered.empty()); });
+      cluster.protocol(0)->opt->switch_to_pessimistic();
+    }
+    ASSERT_TRUE(cluster.run_until_all([](OptState& s) { return s.delivered.size() >= 3; },
+                                      20000000))
+        << "flood starved the honest payloads";
+    std::uint64_t governance_hits = 0;
+    cluster.for_each([&](int id, OptState& s) {
+      EXPECT_EQ(s.delivered, cluster.protocol(0)->delivered) << "party " << id;
+      EXPECT_EQ(s.opt->pessimistic(), type == kAssign) << "party " << id;
+      const net::Party* party = cluster.party(id);
+      ASSERT_NE(party, nullptr);
+      expect_governed(*party, config, /*attacker=*/3);
+      governance_hits += party->budget().rejected();
     });
     EXPECT_GT(governance_hits, 0u) << "flood never hit the budget: vacuous run";
   }

@@ -1,6 +1,6 @@
 // Byzantine-sequencer attacks on the optimistic protocol: equivocating
 // assignments, skipped sequence numbers, selective commit delivery, forged
-// certificates.  Safety must survive all of them; liveness is recovered by
+// and non-quorum certificates, a tampered slot signature.  Safety must survive all of them; liveness is recovered by
 // the switch.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@ namespace sintra::protocols {
 namespace {
 
 using crypto::BigInt;
-using crypto::SigShare;
+using crypto::QuorumSig;
 
 struct OptState {
   std::unique_ptr<OptimisticBroadcast> opt;
@@ -31,6 +31,53 @@ Cluster<OptState> make_cluster(adversary::Deployment deployment, net::Scheduler&
         return state;
       },
       0, 0, seed);
+}
+
+/// OptimisticBroadcast::slot_statement for instance tag "opt", slot 0
+/// holding `payload`.
+Bytes first_slot_statement(BytesView payload) {
+  auto genesis = crypto::hash_domain("sintra/opt/genesis", bytes_of("opt"));
+  Writer link;
+  link.raw(BytesView(genesis.data(), genesis.size()));
+  link.u64(0);
+  link.bytes(payload);
+  auto chain = crypto::hash_domain("sintra/opt/chain", link.data());
+  Writer w;
+  w.str("sintra/opt/slot");
+  w.str("opt");
+  w.u64(0);
+  w.raw(BytesView(chain.data(), chain.size()));
+  return w.take();
+}
+
+/// A COMMIT for slot 0 of "opt" carrying `payload` and `certificate`.
+Bytes commit_message(const crypto::Group& group, BytesView payload,
+                     const std::vector<QuorumSig>& certificate) {
+  Writer w;
+  w.u8(2);  // kCommit
+  w.u64(0);
+  w.bytes(payload);
+  w.vec(certificate, [&](Writer& wr, const QuorumSig& sig) { sig.encode(wr, group); });
+  return w.take();
+}
+
+/// Sequencer (party 0) that sends `payload` as COMMIT of slot 0 to parties
+/// 1..3, with `certificate`, at start and never again.
+std::unique_ptr<net::Process> commit_once(net::Simulator& sim, const crypto::Group& group,
+                                          Bytes payload, std::vector<QuorumSig> certificate) {
+  return std::make_unique<net::HookProcess>(
+      [&sim, &group, payload = std::move(payload),
+       certificate = std::move(certificate)](const net::Message&) {
+        for (int to = 1; to < 4; ++to) {
+          net::Message m;
+          m.from = 0;
+          m.to = to;
+          m.tag = "opt";
+          m.payload = commit_message(group, payload, certificate);
+          sim.submit(std::move(m));
+        }
+      },
+      nullptr);
 }
 
 /// Byzantine sequencer that assigns DIFFERENT payloads to the same slot for
@@ -148,38 +195,22 @@ class SelectiveCommitSequencer final : public net::Process {
   void on_message(const net::Message& message) override {
     if (message.tag != "opt") return;
     try {
+      const auto& group = party_.public_keys().quorum_sig.group();
       Reader r(message.payload);
       if (r.u8() != 1) return;  // kShare
-      const std::uint64_t seq = r.u64();
-      auto shares = r.vec<SigShare>([](Reader& rd) { return SigShare::decode(rd); });
-      for (auto& share : shares) shares_.push_back(share);
+      if (r.u64() != 0) return;
+      for (auto& sig : r.vec<QuorumSig>([&](Reader& rd) { return QuorumSig::decode(rd, group); })) {
+        certificate_.push_back(sig);
+      }
       senders_ |= crypto::party_bit(message.from);
       if (committed_ || !party_.quorum().is_quorum(senders_)) return;
-      // Combine the real certificate but send COMMIT to party 1 ONLY.
-      auto genesis = crypto::hash_domain("sintra/opt/genesis", bytes_of(std::string("opt")));
-      Writer chain_w;
-      chain_w.raw(BytesView(genesis.data(), genesis.size()));
-      chain_w.u64(0);
-      chain_w.bytes(bytes_of("selective"));
-      auto chain = crypto::hash_domain("sintra/opt/chain", chain_w.data());
-      Writer stmt;
-      stmt.str("sintra/opt/slot");
-      stmt.str("opt");
-      stmt.u64(seq);
-      stmt.raw(BytesView(chain.data(), chain.size()));
-      auto cert = party_.public_keys().cert_sig.combine(stmt.data(), shares_);
-      if (!cert.has_value()) return;
+      // The real certificate, but the COMMIT goes to party 1 ONLY.
       committed_ = true;
-      Writer w;
-      w.u8(2);  // kCommit
-      w.u64(seq);
-      w.bytes(bytes_of("selective"));
-      cert->encode(w);
       net::Message m;
       m.from = party_.id();
       m.to = 1;
       m.tag = "opt";
-      m.payload = w.take();
+      m.payload = commit_message(group, bytes_of("selective"), certificate_);
       party_.network().submit(std::move(m));
     } catch (const ProtocolError&) {
     }
@@ -187,7 +218,7 @@ class SelectiveCommitSequencer final : public net::Process {
 
  private:
   net::Party party_;
-  std::vector<SigShare> shares_;
+  std::vector<QuorumSig> certificate_;
   crypto::PartySet senders_ = 0;
   bool committed_ = false;
 };
@@ -222,59 +253,58 @@ TEST(OptimisticAttackTest, SelectiveCommitCannotCauseUnrecoverableDelivery) {
   for (int id = 2; id < 4; ++id) EXPECT_EQ(cluster.protocol(id)->log, reference);
 }
 
-/// A forged COMMIT with a random "certificate".
+/// A forged COMMIT: "signatures" of parties 0..2 with random values.
 TEST(OptimisticAttackTest, ForgedCommitRejected) {
   Rng rng(4);
   auto deployment = adversary::Deployment::threshold(4, 1, rng);
   net::RandomScheduler sched(4);
   auto cluster = make_cluster(deployment, sched);
+  const auto& pk = deployment.keys->public_keys().quorum_sig;
   Rng forger(5);
-  cluster.attach_custom(
-      0, std::make_unique<net::HookProcess>(
-             [&cluster, &forger](const net::Message&) {
-               Writer w;
-               w.u8(2);  // kCommit
-               w.u64(0);
-               w.bytes(bytes_of("forged payload"));
-               BigInt::from_bytes(forger.bytes(32)).encode(w);
-               for (int to = 1; to < 4; ++to) {
-                 net::Message m;
-                 m.from = 0;
-                 m.to = to;
-                 m.tag = "opt";
-                 m.payload = w.data();
-                 cluster.simulator().submit(std::move(m));
-               }
-             },
-             nullptr));
+  std::vector<QuorumSig> forged;
+  for (int unit = 0; unit < 3; ++unit) {
+    forged.push_back({unit, pk.group().random_scalar(forger), pk.group().random_scalar(forger)});
+  }
+  cluster.attach_custom(0, commit_once(cluster.simulator(), pk.group(),
+                                       bytes_of("forged payload"), std::move(forged)));
   cluster.start();
   cluster.simulator().run(100000);
   cluster.for_each([](int, OptState& s) { EXPECT_TRUE(s.log.empty()); });
 }
 
-/// OptimisticBroadcast::slot_statement for instance tag "opt", slot 0
-/// holding `payload`.
-Bytes first_slot_statement(BytesView payload) {
-  auto genesis = crypto::hash_domain("sintra/opt/genesis", bytes_of("opt"));
-  Writer link;
-  link.raw(BytesView(genesis.data(), genesis.size()));
-  link.u64(0);
-  link.bytes(payload);
-  auto chain = crypto::hash_domain("sintra/opt/chain", link.data());
-  Writer w;
-  w.str("sintra/opt/slot");
-  w.str("opt");
-  w.u64(0);
-  w.raw(BytesView(chain.data(), chain.size()));
-  return w.take();
+TEST(OptimisticAttackTest, CommitWhoseSignersAreNoQuorumRejected) {
+  // Real signatures on the real slot statement, but from parties 0 and 1
+  // only: two signers are no quorum of four, so the COMMIT certifies
+  // nothing and nobody may ACK or deliver it.
+  Rng rng(7);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::RandomScheduler sched(7);
+  auto cluster = make_cluster(deployment, sched);
+  const auto& pk = deployment.keys->public_keys().quorum_sig;
+  const Bytes payload = bytes_of("two signers");
+  std::vector<QuorumSig> certificate;
+  for (int signer : {0, 1}) {
+    for (auto& sig : deployment.keys->share(signer).quorum_sig.sign(
+             pk, first_slot_statement(payload))) {
+      certificate.push_back(sig);
+    }
+  }
+  ASSERT_TRUE(pk.verify_set(first_slot_statement(payload), certificate).has_value());
+  cluster.attach_custom(0, commit_once(cluster.simulator(), pk.group(), payload,
+                                       std::move(certificate)));
+  cluster.start();
+  cluster.simulator().run(100000);
+  cluster.for_each([](int id, OptState& s) {
+    EXPECT_TRUE(s.log.empty()) << "party " << id;
+  });
 }
 
 TEST(OptimisticAttackTest, TamperedSlotShareFingeredAndFastPathCommits) {
-  // Party 3 runs honestly, but a slot-0 share with a doubled value is
-  // injected under its identity right after the sequencer assigned slot 0;
-  // FIFO delivery makes party 3's honest share a duplicate, so the
-  // sequencer's first certificate combine holds the tampered share.  It
-  // must finger exactly party 3 and still commit on the fast path.
+  // Party 3 runs honestly, but a slot-0 signature with a perturbed
+  // response is injected under its identity right after the sequencer
+  // assigned slot 0; FIFO delivery makes party 3's honest signature a
+  // duplicate, so the sequencer checks the tampered one first.  It must
+  // finger exactly party 3 and still commit on the fast path.
   Rng rng(6);
   auto deployment = adversary::Deployment::threshold(4, 1, rng);
   net::FifoScheduler sched;
@@ -283,15 +313,13 @@ TEST(OptimisticAttackTest, TamperedSlotShareFingeredAndFastPathCommits) {
   const Bytes payload = bytes_of("fast path");
   cluster.protocol(0)->opt->submit(payload);
   {
-    Rng attacker_rng(66);
-    const auto& pk = deployment.keys->public_keys().cert_sig;
-    auto shares = deployment.keys->share(3).cert_sig.sign(pk, first_slot_statement(payload),
-                                                          attacker_rng);
-    for (auto& s : shares) s.value = BigInt::mul_mod(s.value, BigInt(2), pk.modulus());
+    const auto& pk = deployment.keys->public_keys().quorum_sig;
+    auto sigs = deployment.keys->share(3).quorum_sig.sign(pk, first_slot_statement(payload));
+    for (auto& sig : sigs) sig.z = pk.group().scalar_add(sig.z, BigInt(1));
     Writer w;
     w.u8(1);  // kShare
     w.u64(0);
-    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    w.vec(sigs, [&](Writer& wr, const QuorumSig& sig) { sig.encode(wr, pk.group()); });
     net::Message m;
     m.from = 3;
     m.to = 0;

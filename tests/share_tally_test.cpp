@@ -1,6 +1,6 @@
-// ShareTally unit tests: the one admission rule, strike and the off-loop
-// attempt guard, over the Example 2 LSSS scheme, where every party holds
-// several units and a partial vector is possible.
+// ShareTally unit tests: the one admission rule, the check on arrival, the
+// trusted own vector and strike, over the Example 2 LSSS scheme, where
+// every party holds several units and a partial vector is possible.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -76,16 +76,49 @@ TEST_F(ShareTallyTest, RefusesEveryOtherVectorAndStillCountsTheHonestCopy) {
 
 TEST_F(ShareTallyTest, VerifyOnArrivalCheckRunsAfterTheStructureCheck) {
   int checked = 0;
-  auto check = [&](const std::vector<FakeShare>&) { ++checked; };
+  auto accept = [&](const std::vector<FakeShare>&) {
+    ++checked;
+    return true;
+  };
   auto partial = own(15);
   partial.pop_back();
-  EXPECT_THROW(tally_.admit(scheme_, 15, partial, "refused", check), ProtocolError);
+  EXPECT_THROW(tally_.admit(scheme_, 15, 0, partial, "refused", "invalid", accept),
+               ProtocolError);
   EXPECT_EQ(checked, 0);
-  auto reject = [](const std::vector<FakeShare>&) { throw ProtocolError("invalid share"); };
-  EXPECT_THROW(tally_.admit(scheme_, 15, own(15), "refused", reject), ProtocolError);
-  EXPECT_FALSE(tally_.seen(15));
-  EXPECT_TRUE(tally_.admit(scheme_, 15, own(15), "refused", check));
+  EXPECT_FALSE(tally_.seen(15));  // a malformed vector bars nobody
+  EXPECT_TRUE(tally_.admit(scheme_, 15, 0, own(15), "refused", "invalid", accept));
   EXPECT_EQ(checked, 1);
+  EXPECT_EQ(tally_.support(), party_bit(15));
+}
+
+TEST_F(ShareTallyTest, AFailedCheckBarsTheSenderSoItIsCheckedOnce) {
+  int checked = 0;
+  auto reject = [&](const std::vector<FakeShare>&) {
+    ++checked;
+    return false;
+  };
+  EXPECT_THROW(tally_.admit(scheme_, 15, 0, own(15), "refused", "invalid", reject),
+               ProtocolError);
+  EXPECT_TRUE(tally_.seen(15));
+  EXPECT_EQ(tally_.support(), 0u);
+  EXPECT_TRUE(tally_.shares().empty());
+  // Its later vectors, valid or not, are neither checked nor counted.
+  EXPECT_FALSE(tally_.admit(scheme_, 15, 0, own(15), "refused", "invalid", reject));
+  EXPECT_EQ(checked, 1);
+}
+
+TEST_F(ShareTallyTest, TheOwnVectorIsTrustedAndStillStructurallyChecked) {
+  int checked = 0;
+  auto reject = [&](const std::vector<FakeShare>&) {
+    ++checked;
+    return false;
+  };
+  auto partial = own(3);
+  partial.pop_back();
+  EXPECT_THROW(tally_.admit(scheme_, 3, 3, partial, "refused", "invalid", reject), ProtocolError);
+  EXPECT_TRUE(tally_.admit(scheme_, 3, 3, own(3), "refused", "invalid", reject));
+  EXPECT_EQ(checked, 0);
+  EXPECT_EQ(tally_.support(), party_bit(3));
 }
 
 TEST_F(ShareTallyTest, StrikeErasesEveryShareOfTheCulpritAndBarsIt) {
@@ -99,27 +132,6 @@ TEST_F(ShareTallyTest, StrikeErasesEveryShareOfTheCulpritAndBarsIt) {
   EXPECT_TRUE(tally_.seen(15));
   EXPECT_FALSE(admit(15, own(15)));
   EXPECT_EQ(tally_.strike(scheme_, {}), 0u);
-}
-
-TEST_F(ShareTallyTest, StrikeUnitsRangeChecksEveryUnit) {
-  ASSERT_TRUE(admit(3, own(3)));
-  EXPECT_THROW(tally_.strike_units(scheme_, {static_cast<std::uint32_t>(scheme_.num_units())}),
-               ProtocolError);
-  EXPECT_EQ(tally_.support(), party_bit(3));
-  const auto unit = static_cast<std::uint32_t>(scheme_.units_of(3).back());
-  EXPECT_EQ(tally_.strike_units(scheme_, {unit}), party_bit(3));
-  EXPECT_EQ(tally_.support(), 0u);
-  EXPECT_TRUE(tally_.shares().empty());
-}
-
-TEST_F(ShareTallyTest, OneAttemptInFlightAndStaleVerdictsSettleNothing) {
-  const int first = tally_.begin_attempt();
-  EXPECT_EQ(first, 1);
-  EXPECT_EQ(tally_.begin_attempt(), 0);  // still in flight
-  EXPECT_FALSE(tally_.settle(first + 1));
-  EXPECT_TRUE(tally_.settle(first));
-  EXPECT_FALSE(tally_.settle(first));  // a replayed verdict
-  EXPECT_EQ(tally_.begin_attempt(), 2);
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 // Work-pool tests: sequential determinism, owner-thread completion
-// delivery, exception containment, full-queue inline fallback, and
-// bit-exact Simulator runs with the pool attached (the pipeline must not
-// perturb seeded executions).
+// delivery, exception containment and full-queue inline fallback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,12 +8,9 @@
 #include <future>
 #include <thread>
 
-#include "adversary/examples.hpp"
 #include "common/work_pool.hpp"
 #include "crypto/shamir.hpp"
 #include "crypto/threshold_sig.hpp"
-#include "protocols/abba.hpp"
-#include "protocols/harness.hpp"
 
 namespace sintra {
 namespace {
@@ -202,75 +197,6 @@ TEST(WorkPoolTest, SharedThresholdKeyAcrossWorkers) {
   pool.wait_idle();
   EXPECT_EQ(completed, kJobs);
   EXPECT_EQ(verified, kJobs);
-}
-
-// -- Simulator determinism with the pool attached -----------------------------
-
-struct AbbaState {
-  std::unique_ptr<protocols::Abba> abba;
-  std::optional<bool> decision;
-  int round = 0;
-};
-
-struct RunFingerprint {
-  std::uint64_t steps = 0;
-  std::uint64_t messages = 0;
-  bool decision = false;
-  int max_round = 0;  ///< latest decision round at any party
-
-  bool operator==(const RunFingerprint&) const = default;
-};
-
-/// One seeded 4-party ABBA run; when `pool` is non-null it is attached to
-/// every honest party (the Simulator mandates sequential mode).
-RunFingerprint run_abba(std::uint64_t seed, WorkPool* pool) {
-  Rng rng(seed);
-  auto deployment = adversary::Deployment::threshold(4, 1, rng);
-  net::RandomScheduler sched(seed);
-  protocols::Cluster<AbbaState> cluster(
-      deployment, sched,
-      [](net::Party& party, int) {
-        auto state = std::make_unique<AbbaState>();
-        state->abba = std::make_unique<protocols::Abba>(
-            party, "ba/0", [s = state.get()](bool v, int r) {
-              s->decision = v;
-              s->round = r;
-            });
-        return state;
-      },
-      0, 0, seed);
-  if (pool != nullptr) {
-    for (int id = 0; id < cluster.n(); ++id) cluster.party(id)->set_work_pool(pool);
-  }
-  cluster.start();
-  cluster.for_each([&](int id, AbbaState& s) { s.abba->start(id % 2 == 0); });
-  EXPECT_TRUE(cluster.run_until_all(
-      [](AbbaState& s) { return s.decision.has_value(); }, 3000000));
-  RunFingerprint fp;
-  fp.steps = cluster.simulator().now();
-  fp.messages = cluster.simulator().total_messages();
-  cluster.for_each([&](int, AbbaState& s) {
-    fp.decision = s.decision.value_or(false);
-    fp.max_round = std::max(fp.max_round, s.round);
-  });
-  return fp;
-}
-
-TEST(WorkPoolTest, SeededSimulatorRunsAreBitExactWithPoolEnabled) {
-  for (std::uint64_t seed : {1ull, 5ull, 23ull}) {
-    WorkPool pool_a(0);
-    WorkPool pool_b(0);
-    RunFingerprint with_pool_a = run_abba(seed, &pool_a);
-    RunFingerprint with_pool_b = run_abba(seed, &pool_b);
-    RunFingerprint without_pool = run_abba(seed, nullptr);
-    // Repeats with the pool agree, and the pool changes nothing at all
-    // versus the plain inline path.
-    EXPECT_EQ(with_pool_a, with_pool_b) << "seed " << seed;
-    EXPECT_EQ(with_pool_a, without_pool) << "seed " << seed;
-    // Only a threshold-coin round (3, 6, ...) offloads a combine to the
-    // pool; a run that decides before round 3 would test nothing.
-    EXPECT_GE(with_pool_a.max_round, 3) << "seed " << seed << " never tossed the threshold coin";
-  }
 }
 
 }  // namespace
