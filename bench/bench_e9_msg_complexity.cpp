@@ -120,7 +120,7 @@ Totals run_vba(int n, int t, std::uint64_t seed) {
       [](net::Party& party, int) {
         auto s = std::make_unique<VbaState>();
         s->vba = std::make_unique<protocols::Vba>(
-            party, "vba", [](BytesView) { return true; },
+            party, "vba", /*first_candidate=*/0, [](BytesView) { return true; },
             [p = s.get()](Bytes) { p->done = true; });
         return s;
       });

@@ -33,23 +33,58 @@ std::string ThresholdQuorum::describe() const {
   return "threshold(n=" + std::to_string(n_) + ",t=" + std::to_string(t_) + ")";
 }
 
+namespace {
+
+/// Closes a 2^n-entry table under subsets: a set is marked once any
+/// superset is.  One pass per party, n * 2^n lookups in all.
+void close_downward(std::vector<bool>& table, int n) {
+  for (int i = 0; i < n; ++i) {
+    const PartySet bit = PartySet{1} << i;
+    for (PartySet set = 0; set < table.size(); ++set) {
+      if ((set & bit) == 0 && table[set | bit]) table[set] = true;
+    }
+  }
+}
+
+}  // namespace
+
 GeneralQuorum::GeneralQuorum(AdversaryStructure structure) : structure_(std::move(structure)) {
   SINTRA_REQUIRE(structure_.satisfies_q3(), "GeneralQuorum: structure violates Q3");
+  const int n = structure_.n();
+  if (n > kTabledParties) return;
+  const std::size_t size = std::size_t{1} << n;
+  corruptible_.assign(size, false);
+  two_covered_.assign(size, false);
+  const auto& maximal = structure_.maximal_sets();
+  for (PartySet bad : maximal) {
+    corruptible_[bad] = true;
+    // R is a vote quorum iff no S in A leaves R \ S in A, i.e. iff R lies
+    // inside no union of two sets of A.
+    for (PartySet other : maximal) two_covered_[bad | other] = true;
+  }
+  close_downward(corruptible_, n);
+  close_downward(two_covered_, n);
+}
+
+bool GeneralQuorum::lookup(const std::vector<bool>& table, PartySet set) const {
+  return (set & ~full_set(n())) == 0 && table[set];
 }
 
 bool GeneralQuorum::corruptible(PartySet set) const {
-  return structure_.corruptible(set);
+  if (corruptible_.empty()) return structure_.corruptible(set);
+  return lookup(corruptible_, set);
 }
 
 bool GeneralQuorum::is_quorum(PartySet heard) const {
-  return structure_.corruptible(full_set(n()) & ~heard);
+  return corruptible(full_set(n()) & ~heard);
 }
 
 bool GeneralQuorum::exceeds_fault_set(PartySet heard) const {
-  return !structure_.corruptible(heard);
+  return !corruptible(heard);
 }
 
 bool GeneralQuorum::is_vote_quorum(PartySet heard) const {
+  if (!two_covered_.empty()) return !lookup(two_covered_, heard);
   for (PartySet bad : structure_.maximal_sets()) {
     if (structure_.corruptible(heard & ~bad)) return false;
   }

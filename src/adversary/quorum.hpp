@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "adversary/lsss.hpp"
 #include "adversary/structure.hpp"
@@ -63,9 +64,13 @@ class ThresholdQuorum final : public QuorumSystem {
   int t_;
 };
 
-/// Quorums from an explicit adversary structure.
+/// Quorums from an explicit adversary structure.  Up to kTabledParties
+/// parties every predicate is one lookup in a 2^n-bit table built at
+/// construction; larger structures scan the maximal sets per call.
 class GeneralQuorum final : public QuorumSystem {
  public:
+  static constexpr int kTabledParties = 16;
+
   explicit GeneralQuorum(AdversaryStructure structure);
 
   [[nodiscard]] const AdversaryStructure& structure() const { return structure_; }
@@ -78,7 +83,15 @@ class GeneralQuorum final : public QuorumSystem {
   [[nodiscard]] std::string describe() const override;
 
  private:
+  /// Bit `set` of `table`; false for a set naming parties outside 0..n-1.
+  [[nodiscard]] bool lookup(const std::vector<bool>& table, PartySet set) const;
+
   AdversaryStructure structure_;
+  /// Empty unless n <= kTabledParties.  corruptible_[S]: S is in A.
+  /// two_covered_[S]: S lies inside the union of two sets of A, i.e. S is
+  /// not a vote quorum.
+  std::vector<bool> corruptible_;
+  std::vector<bool> two_covered_;
 };
 
 /// Crypto parameter choice for a deployment.

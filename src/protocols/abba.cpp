@@ -19,10 +19,10 @@ Abba::~Abba() { host_.unregister_checkpoint(tag_); }
 
 Bytes Abba::checkpoint_save() const {
   // Only a halted instance has pruned its WAL entries; before that the
-  // replay rebuilds everything, a decision included.
+  // replay rebuilds everything, the start call and a decision included.
+  // Restoring `started_` ahead of that replay would let round messages
+  // advance the instance before its input is replayed, so it is not saved.
   Writer w;
-  w.boolean(started_);
-  w.u8(my_input_.has_value() ? (*my_input_ ? 1 : 0) : 2);
   w.boolean(halted_);
   if (halted_) {
     w.u8(*decision_ ? 1 : 0);
@@ -32,9 +32,6 @@ Bytes Abba::checkpoint_save() const {
 }
 
 void Abba::checkpoint_load(Reader& reader) {
-  started_ = reader.boolean();
-  const std::uint8_t input = reader.u8();
-  if (input <= 1) my_input_ = input == 1;
   if (reader.boolean()) {
     halted_ = true;
     decision_ = reader.u8() == 1;
@@ -76,6 +73,9 @@ void Abba::start(bool input) {
   }
   started_ = true;
   my_input_ = input;
+  // A halted instance needs no BVAL: every peer decides from the DECIDEs
+  // already sent (a parent may start an instance that halted first).
+  if (halted_) return;
   enter_round(1, input);
 }
 

@@ -280,8 +280,10 @@ void AtomicBroadcast::maybe_start_round(int round) {
   encode_sigs(w, pk.group(), sigs);
   broadcast(w.take());
 
+  // The first candidate rotates with the round, so no party's batch set
+  // is examined first every time.
   rd.vba = std::make_unique<Vba>(
-      host_, tag_ + "/" + std::to_string(round) + "/vba",
+      host_, tag_ + "/" + std::to_string(round) + "/vba", round % host_.n(),
       [this, round](BytesView value) {
         const bool valid = validate_batch_set(round, value);
         if (!valid) ++batch_sets_rejected_;

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "net/corruption.hpp"
 #include "net/fault.hpp"
@@ -15,6 +16,25 @@
 #include "net/scheduler.hpp"
 
 namespace sintra::protocols {
+
+/// Scheduler wrapper recording every message it releases for delivery, so
+/// a test can inspect the traffic that actually crossed the network.
+class CapturingScheduler final : public net::Scheduler {
+ public:
+  CapturingScheduler(net::Scheduler& inner, std::vector<net::Message>& out)
+      : inner_(inner), out_(out) {}
+
+  std::optional<std::size_t> pick(const std::vector<net::Message>& pending,
+                                  std::uint64_t now) override {
+    auto choice = inner_.pick(pending, now);
+    if (choice.has_value()) out_.push_back(pending[*choice]);
+    return choice;
+  }
+
+ private:
+  net::Scheduler& inner_;
+  std::vector<net::Message>& out_;
+};
 
 /// A Process that hosts a Party running one protocol object of type P.
 template <typename P>

@@ -296,8 +296,9 @@ void OptimisticBroadcast::on_switch(int from) {
   w.u8(kSwitch);
   broadcast(w.take());
   broadcast_claim();
+  // The sequencer is the suspect, so its claim is not examined first.
   switch_vba_ = std::make_unique<Vba>(
-      host_, tag_ + "/switch",
+      host_, tag_ + "/switch", (sequencer_ + 1) % host_.n(),
       [this](BytesView value) { return validate_switch_set(value); },
       [this](Bytes value) { on_switch_set_decided(value); });
   maybe_propose_switch_set();

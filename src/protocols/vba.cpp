@@ -8,11 +8,16 @@ namespace sintra::protocols {
 
 using crypto::CoinShare;
 
-Vba::Vba(net::Party& host, std::string tag, Predicate predicate, DecideFn decide)
-    : ProtocolInstance(host, std::move(tag)), predicate_(std::move(predicate)),
-      decide_(std::move(decide)) {
+Vba::Vba(net::Party& host, std::string tag, int first_candidate, Predicate predicate,
+         DecideFn decide)
+    : ProtocolInstance(host, std::move(tag)), first_candidate_(first_candidate),
+      predicate_(std::move(predicate)), decide_(std::move(decide)) {
   const int n = host_.n();
+  SINTRA_REQUIRE(first_candidate_ >= 0 && first_candidate_ < n, "vba: bad first candidate");
   proposals_.resize(static_cast<std::size_t>(n));
+  // The first candidate's ABBA is live from the start, so BVALs that
+  // arrive before our own input are echoed and admitted.
+  candidate_ba_.push_back(make_candidate_ba(0));
   proposals_cb_.reserve(static_cast<std::size_t>(n));
   for (int sender = 0; sender < n; ++sender) {
     proposals_cb_.push_back(std::make_unique<ConsistentBroadcast>(
@@ -26,7 +31,6 @@ void Vba::propose(Bytes value) {
   // Re-entry (crash-recovery replay) is delegated to our consistent
   // broadcast: it re-broadcasts the same proposal and rejects a
   // conflicting one.
-  proposed_ = true;
   proposals_cb_[static_cast<std::size_t>(me())]->start(std::move(value));
 }
 
@@ -37,7 +41,6 @@ void Vba::on_proposal_delivered(int sender, CertifiedMessage cm) {
     return;
   }
   store_proposal(sender, std::move(cm));
-  maybe_release_perm_coin();
 }
 
 void Vba::store_proposal(int sender, CertifiedMessage cm) {
@@ -49,6 +52,16 @@ void Vba::store_proposal(int sender, CertifiedMessage cm) {
     pending_fetch_.reset();
     finish(sender);
   }
+  maybe_start_first();
+  maybe_release_perm_coin();
+}
+
+void Vba::maybe_start_first() {
+  if (first_started_) return;
+  const bool hold_first = crypto::contains(have_, first_candidate_);
+  if (!hold_first && !quorum().is_quorum(have_)) return;
+  first_started_ = true;
+  candidate_ba_[0]->start(hold_first);
 }
 
 Bytes Vba::perm_coin_name() const {
@@ -59,7 +72,10 @@ Bytes Vba::perm_coin_name() const {
 }
 
 void Vba::maybe_release_perm_coin() {
-  if (perm_released_ || !quorum().is_quorum(have_)) return;
+  // Only past a 0 decision on the first candidate, and only with a full
+  // quorum of proposals in hand: the coin stays unpredictable until the
+  // proposals it orders are fixed.
+  if (perm_released_ || candidate_index_ == 0 || !quorum().is_quorum(have_)) return;
   perm_released_ = true;
   Writer w;
   w.u8(kPermShare);
@@ -138,29 +154,38 @@ void Vba::adopt_permutation(BytesView coin_value) {
 }
 
 int Vba::candidate_at(int index) const {
+  if (index == 0) return first_candidate_;
   SINTRA_INVARIANT(permutation_.has_value(), "vba: permutation not ready");
-  return (*permutation_)[static_cast<std::size_t>(index % host_.n())];
+  return (*permutation_)[static_cast<std::size_t>((index - 1) % host_.n())];
+}
+
+std::unique_ptr<Abba> Vba::make_candidate_ba(int index) {
+  return std::make_unique<Abba>(
+      host_, tag_ + "/ba/" + std::to_string(index),
+      [this, index](bool value, int) { on_abba_decided(index, value); });
 }
 
 void Vba::maybe_start_candidate() {
-  if (decided_ || !permutation_.has_value()) return;
-  ++candidate_index_;
+  // Past index 0 a candidate's ABBA starts once the previous one decided 0
+  // and the permutation is known, with our input fixed at creation.
+  if (decided_ || !permutation_.has_value() ||
+      candidate_ba_.size() > static_cast<std::size_t>(candidate_index_)) {
+    return;
+  }
   const int index = candidate_index_;
   const int candidate = candidate_at(index);
-  auto ba = std::make_unique<Abba>(
-      host_, tag_ + "/ba/" + std::to_string(index),
-      [this, index](bool value, int) { on_abba_decided(index, value); });
-  Abba* ba_ptr = ba.get();
-  candidate_ba_.push_back(std::move(ba));
+  candidate_ba_.push_back(make_candidate_ba(index));
   host_.trace("vba", tag_ + " examining candidate " + std::to_string(candidate) +
                          " (index " + std::to_string(index) + ")");
-  ba_ptr->start(proposals_[static_cast<std::size_t>(candidate)].has_value());
+  candidate_ba_.back()->start(crypto::contains(have_, candidate));
 }
 
 void Vba::on_abba_decided(int candidate_index, bool value) {
   if (decided_) return;
   if (candidate_index != candidate_index_) return;  // stale callback
   if (!value) {
+    ++candidate_index_;
+    maybe_release_perm_coin();
     maybe_start_candidate();
     return;
   }

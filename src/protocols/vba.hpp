@@ -10,20 +10,27 @@
 // Structure:
 //  1. Every party consistent-broadcasts its proposal (transferable quorum
 //     certificate; uniqueness per sender).
-//  2. After proposals from a full quorum have been delivered, parties
-//     release shares of a *permutation coin*; the combined coin orders the
-//     candidates unpredictably (so the adversary cannot pre-arrange which
-//     proposals get examined first).
-//  3. Candidates are examined in permuted order, one binary agreement
-//     (ABBA) each: party k's input is "do I hold candidate a's certified,
-//     Q-valid proposal?".  ABBA decides only some honest party's input,
-//     so decided 1 => some honest party holds the proposal (so everyone
-//     can FETCH it); all honest hold it => decided 1.
-//  4. The candidate index wraps around modulo n, which makes termination
-//     deterministic once all honest-sender proposals have propagated:
-//     at the latest on the second pass every honest party inputs 1 for an
-//     honest candidate.  In benign runs the first candidate already hits,
-//     giving the expected-constant-round behaviour the paper claims.
+//  2. The caller names the first candidate (atomic broadcast rotates it
+//     with the round).  Its binary agreement (ABBA, index 0) exists from
+//     the start: a party inputs 1 as soon as that candidate's certified,
+//     Q-valid proposal is delivered, and 0 once it holds a full quorum of
+//     delivered proposals without it.  When every honest party inputs 1
+//     the VBA decides without any coin.
+//  3. Only a 0 decision at index 0 releases shares of a *permutation
+//     coin*, and only from a party holding a full quorum of proposals.
+//     The combined coin orders all n candidates for indices 1, 2, ...
+//     unpredictably, so the adversary cannot pre-arrange which proposals
+//     get examined after the predictable first one.
+//  4. Each candidate gets one ABBA: party k's input is "do I hold the
+//     candidate's certified, Q-valid proposal?".  ABBA decides only some
+//     honest party's input, so decided 1 => some honest party holds the
+//     proposal (so everyone can FETCH it); all honest hold it => decided
+//     1.  Past index 0 the index wraps modulo n over the permutation,
+//     which makes termination deterministic once all honest-sender
+//     proposals have propagated: at the latest on the second pass (2n + 1
+//     candidates in all) every honest party inputs 1 for an honest
+//     candidate.  An adversary who knows the first candidate can force
+//     at most that one extra ABBA before the coin (PROTOCOLS.md, "VBA").
 #pragma once
 
 #include <functional>
@@ -43,7 +50,10 @@ class Vba final : public ProtocolInstance {
   using Predicate = std::function<bool(BytesView value)>;
   using DecideFn = std::function<void(Bytes value)>;
 
-  Vba(net::Party& host, std::string tag, Predicate predicate, DecideFn decide);
+  /// `first_candidate` is protocol input: every party must pass the same
+  /// party index (0..n-1).
+  Vba(net::Party& host, std::string tag, int first_candidate, Predicate predicate,
+      DecideFn decide);
 
   /// Propose a value; Q(value) must hold.
   void propose(Bytes value);
@@ -65,20 +75,22 @@ class Vba final : public ProtocolInstance {
 
   void handle(int from, Reader& reader) override;
   void on_proposal_delivered(int sender, CertifiedMessage cm);
+  void store_proposal(int sender, CertifiedMessage cm);
+  void maybe_start_first();
   void maybe_release_perm_coin();
   void on_perm_share(int from, Reader& reader);
   void adopt_permutation(BytesView coin_value);
   void maybe_start_candidate();
+  [[nodiscard]] std::unique_ptr<Abba> make_candidate_ba(int index);
   void on_abba_decided(int candidate_index, bool value);
-  void store_proposal(int sender, CertifiedMessage cm);
   void finish(int sender);
 
   [[nodiscard]] Bytes perm_coin_name() const;
   [[nodiscard]] int candidate_at(int index) const;
 
+  int first_candidate_;
   Predicate predicate_;
   DecideFn decide_;
-  bool proposed_ = false;
   bool decided_ = false;
 
   std::vector<std::unique_ptr<ConsistentBroadcast>> proposals_cb_;  ///< one per sender
@@ -90,9 +102,11 @@ class Vba final : public ProtocolInstance {
   crypto::PartySet suspected_ = 0;
   std::optional<std::vector<int>> permutation_;
 
-  int candidate_index_ = -1;                      ///< current ABBA index (wraps mod n)
-  std::vector<std::unique_ptr<Abba>> candidate_ba_;
-  std::optional<int> pending_fetch_;              ///< candidate decided 1, proposal missing
+  /// Current ABBA index: 0 is the first candidate, 1.. walk the permutation.
+  int candidate_index_ = 0;
+  bool first_started_ = false;
+  std::vector<std::unique_ptr<Abba>> candidate_ba_;  ///< index 0 built with the instance
+  std::optional<int> pending_fetch_;                 ///< candidate decided 1, proposal missing
 };
 
 }  // namespace sintra::protocols

@@ -233,6 +233,65 @@ TEST(AbbaTest, EquivocatingVotesDoNotBreakAgreement) {
   }
 }
 
+TEST(AbbaTest, RestoredInstanceWaitsForItsStartBeforeVoting) {
+  // Party 0 hears BVAL(1) from three peers and AUX(1) from two, then
+  // BVAL(0) from three and AUX(0) from one, and only then starts: its CONF
+  // is {0, 1}.  It crashes
+  // and is rebuilt from its WAL; the application starts it again after the
+  // replay.  Had the rebuilt instance counted as started during the
+  // replay, its own replayed AUX would complete an AUX quorum early and
+  // it would send a second, different CONF ({1}) for the same round.
+  Rng rng(3);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler fifo;
+  std::vector<net::Message> traffic;
+  CapturingScheduler sched(fifo, traffic);
+  auto factory = [](net::Party& party) {
+    party.enable_wal();
+    auto state = std::make_unique<AbbaState>();
+    state->abba = std::make_unique<Abba>(party, "ba/0", [s = state.get()](bool v, int r) {
+      s->decision = v;
+      s->round = r;
+    });
+    return state;
+  };
+  Cluster<AbbaState> cluster(
+      deployment, sched, [&](net::Party& party, int) { return factory(party); },
+      party_bit(1) | party_bit(2) | party_bit(3), 0, 3);
+  cluster.start();
+  auto inject = [&](int from, std::uint8_t type, std::uint8_t value) {
+    Writer w;
+    w.u8(type);
+    w.u32(1);
+    w.u8(value);
+    net::Message m;
+    m.from = from;
+    m.to = 0;
+    m.tag = "ba/0";
+    m.payload = w.take();
+    cluster.simulator().submit(std::move(m));
+  };
+  for (int from : {1, 2, 3}) inject(from, Abba::kBval, 1);
+  for (int from : {1, 2}) inject(from, Abba::kAux, 1);
+  for (int from : {1, 2, 3}) inject(from, Abba::kBval, 0);
+  inject(3, Abba::kAux, 0);
+  cluster.simulator().run(1000);
+  cluster.protocol(0)->abba->start(true);
+  cluster.simulator().run(1000);
+
+  HostedParty<AbbaState> rebuilt(cluster.simulator(), 0, deployment, 3 * 7919, factory);
+  rebuilt.restore(cluster.party(0)->snapshot());
+  rebuilt.protocol().abba->start(true);
+  cluster.simulator().run(1000);
+
+  std::set<std::uint8_t> confs;
+  for (const net::Message& m : traffic) {
+    if (m.from != 0 || m.to != 1 || m.payload[0] != Abba::kConf) continue;
+    confs.insert(m.payload.back());
+  }
+  EXPECT_EQ(confs, (std::set<std::uint8_t>{3})) << "party 0 sent conflicting CONFs in round 1";
+}
+
 TEST(AbbaTest, GeneralAdversaryStructureExample1) {
   // Full ABBA over the paper's Example 1 structure with the whole of
   // class a (four servers!) crashed — more than any threshold could take.

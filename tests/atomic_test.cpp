@@ -183,5 +183,67 @@ TEST(AtomicTest, GeneralAdversaryExample1ClassCrash) {
   expect_identical_order(cluster);
 }
 
+TEST(AtomicTest, RoundRotatesTheFirstCandidate) {
+  // Party 2 is crashed, so every quorum of delivered proposals holds all
+  // three honest ones.  Round r's VBA examines party r mod 4 first: when
+  // that is an honest party, every honest party inputs 1 and no coin share
+  // is sent; when it is party 2, the first ABBA decides 0 and the
+  // permutation coin is tossed.
+  Rng rng(8);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::RandomScheduler random(8);
+  std::vector<net::Message> traffic;
+  CapturingScheduler sched(random, traffic);
+  auto cluster = make_cluster(deployment, sched, party_bit(2), 8);
+  cluster.start();
+  for (std::size_t k = 0; k < 8; ++k) {
+    cluster.protocol(static_cast<int>(k % 2))->abc->submit(bytes_of("p" + std::to_string(k)));
+    ASSERT_TRUE(cluster.run_until_all([k](AbcState& s) { return s.delivered.size() > k; },
+                                      3000000))
+        << "payload " << k;
+  }
+  cluster.simulator().run(1000000);
+  expect_identical_order(cluster);
+  // Rounds with traffic ("abc/<r>/...") and those that sent permutation-coin
+  // shares (instance "abc/<r>/vba", type byte 0).
+  std::set<int> rounds;
+  std::set<int> coin_rounds;
+  for (const net::Message& m : traffic) {
+    const std::size_t end = m.tag.find('/', 4);
+    if (m.tag.rfind("abc/", 0) != 0 || end == std::string::npos) continue;
+    const int round = std::stoi(m.tag.substr(4, end - 4));
+    rounds.insert(round);
+    if (m.tag.substr(end) == "/vba" && m.payload[0] == 0) coin_rounds.insert(round);
+  }
+  ASSERT_GE(rounds.size(), 8u);
+  EXPECT_FALSE(coin_rounds.empty()) << "no round led with the crashed party";
+  for (int round : rounds) {
+    EXPECT_EQ(coin_rounds.contains(round), round % 4 == 2) << "round " << round;
+  }
+}
+
+TEST(AtomicTest, StarvedFirstCandidatesStillDeliver) {
+  // E3's fairness under the starvation scheduler, with the starved party
+  // in every position of the first-candidate rotation: each party submits
+  // one payload, and the starved party's is delivered too.
+  for (int victim = 0; victim < 4; ++victim) {
+    SCOPED_TRACE("victim " + std::to_string(victim));
+    Rng rng(static_cast<std::uint64_t>(victim) + 40);
+    auto deployment = adversary::Deployment::threshold(4, 1, rng);
+    net::StarvePartyScheduler sched(static_cast<std::uint64_t>(victim) + 40, victim);
+    auto cluster = make_cluster(deployment, sched, 0, static_cast<std::uint64_t>(victim) + 40);
+    cluster.start();
+    cluster.for_each([](int id, AbcState& s) { s.abc->submit(bytes_of("m" + std::to_string(id))); });
+    ASSERT_TRUE(cluster.run_until_all([](AbcState& s) { return s.delivered.size() >= 4; },
+                                      8000000));
+    expect_identical_order(cluster);
+    std::set<int> origins;
+    for (const auto& [origin, payload] : cluster.protocol(0)->delivered) {
+      if (payload == bytes_of("m" + std::to_string(victim))) origins.insert(origin);
+    }
+    EXPECT_FALSE(origins.empty()) << "the starved party's payload was never delivered";
+  }
+}
+
 }  // namespace
 }  // namespace sintra::protocols

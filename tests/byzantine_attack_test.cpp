@@ -1704,19 +1704,29 @@ struct VbaState {
   std::optional<Bytes> decision;
 };
 
+/// A VBA cluster whose first candidate is `silent`.  The caller keeps that
+/// party from proposing, so the first ABBA decides 0 and the permutation
+/// coin (the target of the attacks below) is always tossed.
 protocols::Cluster<VbaState> make_vba_cluster(const adversary::Deployment& deployment,
                                               net::Scheduler& sched, std::uint64_t seed,
-                                              TraceLog* log = nullptr) {
+                                              int silent, TraceLog* log = nullptr) {
   return protocols::Cluster<VbaState>(
       deployment, sched,
-      [](net::Party& party, int) {
+      [silent](net::Party& party, int) {
         auto s = std::make_unique<VbaState>();
         s->vba = std::make_unique<protocols::Vba>(
-            party, "vba/0", [](BytesView) { return true; },
+            party, "vba/0", silent, [](BytesView) { return true; },
             [p = s.get()](Bytes value) { p->decision = std::move(value); });
         return s;
       },
       0, 0, seed, log);
+}
+
+/// Every party but `silent` proposes.
+void propose_all_but(protocols::Cluster<VbaState>& cluster, int silent) {
+  cluster.for_each([silent](int id, VbaState& s) {
+    if (id != silent) s.vba->propose(bytes_of("v" + std::to_string(id)));
+  });
 }
 
 /// Vba::perm_coin_name() for instance tag "vba/0".
@@ -1741,7 +1751,8 @@ void expect_vba_refuses_short_perm_vector(bool example2) {
   net::FifoScheduler sched;
   TraceLog log;
   log.set_enabled(true);
-  auto cluster = make_vba_cluster(deployment, sched, 43, &log);
+  // The attacker also withholds its proposal as the first candidate.
+  auto cluster = make_vba_cluster(deployment, sched, 43, attacker, &log);
   cluster.start();
   {
     Rng attacker_rng(4343);
@@ -1751,7 +1762,7 @@ void expect_vba_refuses_short_perm_vector(bool example2) {
     shares.pop_back();
     inject_from(cluster.simulator(), n, attacker, "vba/0", perm_share_payload(pk, shares));
   }
-  cluster.for_each([](int id, VbaState& s) { s.vba->propose(bytes_of("v" + std::to_string(id))); });
+  propose_all_but(cluster, attacker);
   bool done = false;
   ASSERT_NO_THROW(done = cluster.run_until_all(
                       [](VbaState& s) { return s.decision.has_value(); }, 50000000));
@@ -1759,6 +1770,7 @@ void expect_vba_refuses_short_perm_vector(bool example2) {
   const Bytes common = *cluster.protocol(0)->decision;
   cluster.for_each([&](int id, VbaState& s) {
     EXPECT_EQ(*s.decision, common) << "party " << id;
+    EXPECT_GE(s.vba->candidates_tried(), 2) << "party " << id << " never combined the coin";
     EXPECT_EQ(s.vba->suspected(), 0u) << "party " << id;
   });
   EXPECT_EQ(trace_count(log, "vba: perm shares not the sender's units", attacker),
@@ -1834,12 +1846,14 @@ TEST(ShortShareVectorTest, CausalRefusesPartialUnitSetUnderExample2) {
 TEST(CoinShareAttackTest, VbaPermCoinFingersInvalidShareAndDecides) {
   // Party 3 runs honestly, but a permutation-coin share with a perturbed
   // proof is injected under its identity first; FIFO delivery makes it the
-  // first perm-coin share from party 3 at every peer.  The check on
-  // arrival must finger exactly party 3, and the VBA still decides.
+  // first perm-coin share from party 3 at every peer.  Party 3 is also
+  // the first candidate and withholds its proposal, so the coin is
+  // tossed.  The check on arrival must finger exactly party 3, and the
+  // VBA still decides.
   Rng rng(53);
   auto deployment = adversary::Deployment::threshold(4, 1, rng);
   net::FifoScheduler sched;
-  auto cluster = make_vba_cluster(deployment, sched, 53);
+  auto cluster = make_vba_cluster(deployment, sched, 53, 3);
   cluster.start();
   {
     Rng attacker_rng(5353);
@@ -1848,13 +1862,14 @@ TEST(CoinShareAttackTest, VbaPermCoinFingersInvalidShareAndDecides) {
     for (auto& s : shares) s.proof.z = pk.group().scalar_add(s.proof.z, BigInt(1));
     inject_from(cluster.simulator(), 4, 3, "vba/0", perm_share_payload(pk, shares));
   }
-  cluster.for_each([](int id, VbaState& s) { s.vba->propose(bytes_of("v" + std::to_string(id))); });
+  propose_all_but(cluster, 3);
   ASSERT_TRUE(cluster.run_until_all([](VbaState& s) { return s.decision.has_value(); },
                                     20000000));
   const Bytes common = *cluster.protocol(0)->decision;
   crypto::PartySet fingered_union = 0;
   cluster.for_each([&](int id, VbaState& s) {
     EXPECT_EQ(*s.decision, common) << "party " << id;
+    EXPECT_GE(s.vba->candidates_tried(), 2) << "party " << id << " never combined the coin";
     fingered_union |= s.vba->suspected();
   });
   EXPECT_EQ(fingered_union, crypto::party_bit(3));
@@ -1919,15 +1934,16 @@ TEST(CoinShareAttackTest, AbbaCoinFailingSenderIsCheckedOnce) {
 }
 
 TEST(CoinShareAttackTest, VbaPermFailingSenderIsCheckedOnce) {
-  // No honest party releases its permutation share before it holds a
-  // quorum of proposals, so the three shares injected up front all arrive
-  // before any permutation can be combined.
+  // No honest party releases its permutation share before the first
+  // ABBA decided 0 (party 3, the first candidate, withholds its proposal),
+  // so the three shares injected up front all arrive before any
+  // permutation can be combined.
   Rng rng(31);
   auto deployment = adversary::Deployment::threshold(4, 1, rng);
   net::FifoScheduler sched;
   TraceLog log;
   log.set_enabled(true);
-  auto cluster = make_vba_cluster(deployment, sched, 31, &log);
+  auto cluster = make_vba_cluster(deployment, sched, 31, 3, &log);
   cluster.start();
   {
     Rng attacker_rng(3131);
@@ -1939,13 +1955,14 @@ TEST(CoinShareAttackTest, VbaPermFailingSenderIsCheckedOnce) {
       inject_from(cluster.simulator(), 4, 3, "vba/0", perm_share_payload(pk, *shares));
     }
   }
-  cluster.for_each([](int id, VbaState& s) { s.vba->propose(bytes_of("v" + std::to_string(id))); });
+  propose_all_but(cluster, 3);
   ASSERT_TRUE(cluster.run_until_all([](VbaState& s) { return s.decision.has_value(); },
                                     20000000));
   const Bytes common = *cluster.protocol(0)->decision;
   for (int id = 0; id < 3; ++id) {
     const VbaState& s = *cluster.protocol(id);
     EXPECT_EQ(*s.decision, common) << "party " << id;
+    EXPECT_GE(s.vba->candidates_tried(), 2) << "party " << id << " never combined the coin";
     EXPECT_EQ(refusals_from_3(log, id, "vba: invalid perm share"), 1u) << "party " << id;
     EXPECT_EQ(s.vba->suspected(), crypto::party_bit(3)) << "party " << id;
   }

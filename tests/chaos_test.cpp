@@ -182,8 +182,10 @@ void run_vba(Fault fault, std::uint64_t seed) {
       deployment, *sched,
       [](net::Party& party, int id) {
         auto state = std::make_unique<VbaState>();
+        // Party 1 is the crash-restart victim: its replay has to
+        // reproduce the first candidate's input.
         state->vba = std::make_unique<Vba>(
-            party, "vba/0", ok_prefix,
+            party, "vba/0", /*first_candidate=*/1, ok_prefix,
             [s = state.get()](Bytes v) { s->decisions.push_back(std::move(v)); });
         state->vba->propose(bytes_of("ok:proposal-" + std::to_string(id)));
         return state;
@@ -522,8 +524,10 @@ TEST(ChaosTest, FloodedVbaSurvivesCrashRestart) {
         deployment, *sched,
         [](net::Party& party, int id) {
           auto state = std::make_unique<VbaState>();
+          // The flooder (party 3) never proposes: the first candidate is
+          // silent, so the permutation coin runs under flood and restart.
           state->vba = std::make_unique<Vba>(
-              party, "vba/0", ok_prefix,
+              party, "vba/0", /*first_candidate=*/3, ok_prefix,
               [s = state.get()](Bytes v) { s->decisions.push_back(std::move(v)); });
           state->vba->propose(bytes_of("ok:proposal-" + std::to_string(id)));
           return state;

@@ -212,24 +212,6 @@ TEST(FuzzTest, StateMachinesNeverThrowOnGarbage) {
 // input must surface as ProtocolError, which Party swallows) and that the
 // protocol still completes correctly afterwards (no state corruption).
 
-/// Scheduler wrapper recording every message it releases for delivery.
-class CapturingScheduler final : public net::Scheduler {
- public:
-  CapturingScheduler(net::Scheduler& inner, std::vector<net::Message>& out)
-      : inner_(inner), out_(out) {}
-
-  std::optional<std::size_t> pick(const std::vector<net::Message>& pending,
-                                  std::uint64_t now) override {
-    auto choice = inner_.pick(pending, now);
-    if (choice.has_value()) out_.push_back(pending[*choice]);
-    return choice;
-  }
-
- private:
-  net::Scheduler& inner_;
-  std::vector<net::Message>& out_;
-};
-
 /// Feed duplicated, truncated, and re-ordered copies of the captured
 /// traffic to every honest party of `cluster`.  Everything goes through
 /// Party::on_message — exactly the code path network input takes.
@@ -274,7 +256,7 @@ TEST(FuzzTest, MutatedCapturedRbcTraffic) {
   std::vector<net::Message> captured;
   {
     net::RandomScheduler base(7);
-    CapturingScheduler sched(base, captured);
+    protocols::CapturingScheduler sched(base, captured);
     protocols::Cluster<Holder> cluster(deployment, sched, factory);
     cluster.start();
     cluster.protocol(0)->rbc->start(bytes_of("capture"));
@@ -309,7 +291,7 @@ TEST(FuzzTest, MutatedCapturedAbbaAndVbaTraffic) {
     holder->abba = std::make_unique<protocols::Abba>(
         party, "ba/0", [h = holder.get()](bool v, int) { h->abba_decision = v; });
     holder->vba = std::make_unique<protocols::Vba>(
-        party, "vba/0", [](BytesView) { return true; },
+        party, "vba/0", /*first_candidate=*/0, [](BytesView) { return true; },
         [h = holder.get()](Bytes v) { h->vba_decision = std::move(v); });
     return holder;
   };
@@ -326,7 +308,7 @@ TEST(FuzzTest, MutatedCapturedAbbaAndVbaTraffic) {
   std::vector<net::Message> captured;
   {
     net::RandomScheduler base(9);
-    CapturingScheduler sched(base, captured);
+    protocols::CapturingScheduler sched(base, captured);
     protocols::Cluster<Holder> cluster(deployment, sched, factory);
     cluster.start();
     start_all(cluster);

@@ -148,5 +148,33 @@ TEST(QuorumPropertyTest, LivenessUnderEveryMaximalSetExample2) {
   }
 }
 
+/// The tabled predicates against a scan of the structure's maximal sets,
+/// on every subset of the parties.
+void expect_tables_match_scan(const AdversaryStructure& structure) {
+  const GeneralQuorum q(structure);
+  const int n = structure.n();
+  ASSERT_LE(n, GeneralQuorum::kTabledParties);
+  const PartySet universe = full_set(n);
+  for (PartySet set = 0; set <= universe; ++set) {
+    const bool corruptible = structure.corruptible(set);
+    bool vote_quorum = true;
+    for (PartySet bad : structure.maximal_sets()) {
+      if (structure.corruptible(set & ~bad)) vote_quorum = false;
+    }
+    ASSERT_EQ(q.corruptible(set), corruptible) << "set " << set;
+    ASSERT_EQ(q.is_quorum(set), structure.corruptible(universe & ~set)) << "set " << set;
+    ASSERT_EQ(q.exceeds_fault_set(set), !corruptible) << "set " << set;
+    ASSERT_EQ(q.is_vote_quorum(set), vote_quorum) << "set " << set;
+  }
+}
+
+TEST(QuorumPropertyTest, TabledPredicatesMatchScanExample1) {
+  expect_tables_match_scan(example1_access().to_adversary_structure(9));
+}
+
+TEST(QuorumPropertyTest, TabledPredicatesMatchScanExample2) {
+  expect_tables_match_scan(example2_structure());
+}
+
 }  // namespace
 }  // namespace sintra::adversary

@@ -730,14 +730,14 @@ TEST(ReconfigTest, GrowEpochIsPinnedBitExactly) {
     r.shares[kKeyQuorum].encode(w);
   }
   EXPECT_EQ(to_hex(crypto::sha256_bytes(w.data())),
-            "b008873b1b1f9ab062e1fbac4e4495464454abe62c6ea6939d4cbc673c65bb12");
+            "320ed4acff2ade09e25c67ce7f2f70a34d7930472a946bd782d9ad51e72e294e");
 
   std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> traffic;
   for (const auto& [tag, stats] : h.cluster.simulator().traffic()) {
     traffic[tag] = {stats.messages, stats.bytes};
   }
   const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> expected{
-      {"reconfig", {526, 215256}}};
+      {"reconfig", {480, 226719}}};
   EXPECT_EQ(traffic, expected);
 }
 

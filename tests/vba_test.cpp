@@ -2,6 +2,8 @@
 // validity ("no value nobody proposed"), termination, fetch path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "protocols/harness.hpp"
 #include "protocols/vba.hpp"
 
@@ -20,18 +22,33 @@ bool ok_prefix(BytesView value) {
   return value.size() >= 3 && value[0] == 'o' && value[1] == 'k' && value[2] == ':';
 }
 
+/// A cluster whose VBA examines `first` first.  The party `lax` (if any)
+/// accepts every value, so it can propose one that fails Q at the others:
+/// a Byzantine proposer that follows the protocol otherwise.
 Cluster<VbaState> make_cluster(adversary::Deployment deployment, net::Scheduler& sched,
-                               crypto::PartySet corrupted = 0, std::uint64_t seed = 1) {
+                               crypto::PartySet corrupted = 0, std::uint64_t seed = 1,
+                               int first = 0, int lax = -1) {
   return Cluster<VbaState>(
       std::move(deployment), sched,
-      [](net::Party& party, int) {
+      [first, lax](net::Party& party, int id) {
         auto state = std::make_unique<VbaState>();
+        Vba::Predicate predicate = ok_prefix;
+        if (id == lax) predicate = [](BytesView) { return true; };
         state->vba = std::make_unique<Vba>(
-            party, "vba/0", ok_prefix,
+            party, "vba/0", first, std::move(predicate),
             [s = state.get()](Bytes value) { s->decision = std::move(value); });
         return state;
       },
       corrupted, 0, seed);
+}
+
+/// Permutation-coin share messages (instance "vba/0", type byte 0) in
+/// captured traffic.
+std::size_t perm_shares(const std::vector<net::Message>& traffic) {
+  return static_cast<std::size_t>(
+      std::count_if(traffic.begin(), traffic.end(), [](const net::Message& m) {
+        return m.tag == "vba/0" && !m.payload.empty() && m.payload[0] == 0;
+      }));
 }
 
 TEST(VbaTest, AgreementOnSomeProposal) {
@@ -145,6 +162,140 @@ TEST(VbaTest, LargerSystem) {
   });
   EXPECT_TRUE(cluster.run_until_all([](VbaState& s) { return s.decision.has_value(); },
                                     20000000));
+}
+
+TEST(VbaTest, FaultFreeRunSendsNoPermShare) {
+  // FIFO delivery and the first candidate proposes first: every party
+  // holds its proposal before a quorum of others, so the first ABBA
+  // decides 1 and no permutation-coin share is ever sent.
+  for (int first = 0; first < 4; ++first) {
+    Rng rng(static_cast<std::uint64_t>(first) + 1);
+    auto deployment = adversary::Deployment::threshold(4, 1, rng);
+    net::FifoScheduler fifo;
+    std::vector<net::Message> traffic;
+    CapturingScheduler sched(fifo, traffic);
+    auto cluster = make_cluster(deployment, sched, 0, 3, first);
+    cluster.start();
+    for (int k = 0; k < 4; ++k) {
+      const int id = (first + k) % 4;
+      cluster.protocol(id)->vba->propose(bytes_of("ok:" + std::to_string(id)));
+    }
+    ASSERT_TRUE(cluster.run_until_all([](VbaState& s) { return s.decision.has_value(); },
+                                      3000000));
+    cluster.simulator().run(1000000);  // drain: nothing may release a share late
+    EXPECT_EQ(perm_shares(traffic), 0u) << "first candidate " << first;
+    cluster.for_each([&](int id, VbaState& s) {
+      EXPECT_EQ(*s.decision, bytes_of("ok:" + std::to_string(first))) << "party " << id;
+      EXPECT_EQ(s.vba->candidates_tried(), 1) << "party " << id;
+    });
+  }
+}
+
+/// Runs one VBA whose first candidate cannot win and checks that the
+/// parties agree on a Q-valid proposal after combining the coin, within
+/// the deterministic 2n + 1 candidate bound.
+void expect_agreement_past_first(Cluster<VbaState>& cluster,
+                                 const std::vector<net::Message>& traffic, int lax) {
+  const int n = cluster.n();
+  cluster.start();
+  cluster.for_each([lax](int id, VbaState& s) {
+    s.vba->propose(bytes_of((id == lax ? "bad:" : "ok:") + std::to_string(id)));
+  });
+  ASSERT_TRUE(cluster.run_until_all([](VbaState& s) { return s.decision.has_value(); },
+                                    5000000));
+  EXPECT_GT(perm_shares(traffic), 0u) << "the permutation coin was never released";
+  std::optional<Bytes> common;
+  cluster.for_each([&](int id, VbaState& s) {
+    if (!common.has_value()) common = s.decision;
+    EXPECT_EQ(*s.decision, *common) << "party " << id;
+    EXPECT_GE(s.vba->candidates_tried(), 2) << "party " << id;
+    EXPECT_LE(s.vba->candidates_tried(), 2 * n + 1) << "party " << id;
+  });
+  EXPECT_TRUE(ok_prefix(*common));
+}
+
+TEST(VbaTest, SilentFirstCandidateFallsBackToTheCoin) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    auto deployment = adversary::Deployment::threshold(4, 1, rng);
+    net::RandomScheduler random(seed * 17);
+    std::vector<net::Message> traffic;
+    CapturingScheduler sched(random, traffic);
+    const int first = static_cast<int>(seed % 4);
+    auto cluster = make_cluster(deployment, sched, party_bit(first), seed, first);
+    expect_agreement_past_first(cluster, traffic, -1);
+  }
+}
+
+TEST(VbaTest, StarvedFirstCandidateFallsBackToTheCoin) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    auto deployment = adversary::Deployment::threshold(4, 1, rng);
+    const int first = static_cast<int>(seed % 4);
+    net::StarvePartyScheduler starve(seed * 19, first);
+    std::vector<net::Message> traffic;
+    CapturingScheduler sched(starve, traffic);
+    auto cluster = make_cluster(deployment, sched, 0, seed, first);
+    expect_agreement_past_first(cluster, traffic, -1);
+  }
+}
+
+TEST(VbaTest, InvalidFirstProposalFallsBackToTheCoin) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    auto deployment = adversary::Deployment::threshold(4, 1, rng);
+    net::RandomScheduler random(seed * 29);
+    std::vector<net::Message> traffic;
+    CapturingScheduler sched(random, traffic);
+    const int first = static_cast<int>(seed % 4);
+    auto cluster = make_cluster(deployment, sched, 0, seed, first, /*lax=*/first);
+    expect_agreement_past_first(cluster, traffic, first);
+  }
+}
+
+TEST(VbaTest, CrashRestartReplaysTheFirstCandidateInput) {
+  // Party 1 is the first candidate.  One seeded run is crashed at party 1
+  // after every delivery count in turn, so some crashes land before and
+  // some after its first ABBA started; the rebuilt party replays its WAL,
+  // gives that ABBA the same input again and decides once, with everyone
+  // else.  A crash point past party 1's decision never fires.
+  struct State {
+    std::unique_ptr<Vba> vba;
+    std::vector<Bytes> decisions;
+  };
+  int crashed = 0;
+  for (std::uint64_t crash_after = 2; crash_after <= 40; ++crash_after) {
+    SCOPED_TRACE("crash after " + std::to_string(crash_after));
+    Rng rng(5);
+    auto deployment = adversary::Deployment::threshold(4, 1, rng);
+    net::RandomScheduler sched(5);
+    ChaosCluster<State> cluster(
+        deployment, sched,
+        [](net::Party& party, int id) {
+          auto state = std::make_unique<State>();
+          state->vba = std::make_unique<Vba>(
+              party, "vba/0", /*first_candidate=*/1, ok_prefix,
+              [s = state.get()](Bytes v) { s->decisions.push_back(std::move(v)); });
+          state->vba->propose(bytes_of("ok:" + std::to_string(id)));
+          return state;
+        },
+        5);
+    cluster.set_restarting(1, crash_after, /*down_for=*/4);
+    cluster.start();
+    ASSERT_TRUE(cluster.run_until_all([](State& s) { return !s.decisions.empty(); }, 3000000));
+    if (cluster.restarting(1)->restarts() == 0) continue;
+    ++crashed;
+    std::optional<Bytes> common;
+    cluster.for_each([&](int id, State& s) {
+      ASSERT_EQ(s.decisions.size(), 1u) << "party " << id;
+      if (!common.has_value()) common = s.decisions[0];
+      EXPECT_EQ(s.decisions[0], *common) << "party " << id;
+    });
+  }
+  EXPECT_GE(crashed, 10);
 }
 
 }  // namespace
